@@ -84,10 +84,7 @@ class RationalTarget:
 
     def coupling(self, backend: str = exact.RATIONAL) -> CouplingMatrix:
         if backend == exact.RATIONAL:
-            c = np.empty((self.k, self.k), dtype=object)
-            for i in range(self.k):
-                for j in range(self.k):
-                    c[i, j] = Fraction(int(self.m[i, j]), self.L)
+            c = exact.join_scaled(np.asarray(self.m), self.L)
             return CouplingMatrix(k=self.k, C=c)
         return CouplingMatrix(k=self.k, C=np.asarray(self.m, dtype=float) / self.L)
 

@@ -151,7 +151,7 @@ def in_neighborhood(c: CouplingMatrix, spec: NeighborhoodSpec) -> bool:
         target = spec.target
         if target.shape != c.C.shape:
             raise DimensionMismatch("neighborhood target has the wrong shape")
-        return bool(exact.max_abs(c.C - target) < spec.epsilon)
+        return bool(exact.max_abs(c.C, target) < spec.epsilon)
     eta = np.asarray(spec.eta, dtype=int)
     if len(eta) != c.k:
         raise DimensionMismatch("eta has the wrong length")
@@ -213,25 +213,12 @@ def compose_couplings(a: CouplingMatrix, b: CouplingMatrix) -> CouplingMatrix:
 
 
 def validate_coupling(c: CouplingMatrix, tol: float = 1e-12) -> list[str]:
-    out: list[str] = []
     m = c.C
     k = c.k
     if m.shape != (k, k):
         return [f"shape{m.shape}"]
-    rational = exact.is_rational_array(m)
-    target = Fraction(1, k) if rational else 1.0 / k
-    for i in range(k):
-        s = m[i, :].sum()
-        if (s != target) if rational else abs(s - target) > tol:
-            out.append(f"row_sum({i})")
-    for j in range(k):
-        s = m[:, j].sum()
-        if (s != target) if rational else abs(s - target) > tol:
-            out.append(f"col_sum({j})")
-    neg = [(i, j) for i in range(k) for j in range(k)
-           if ((m[i, j] < 0) if rational else m[i, j] < -tol)]
-    out.extend(f"negative_entry({i},{j})" for i, j in neg)
-    return out
+    target = Fraction(1, k) if exact.is_rational_array(m) else 1.0 / k
+    return exact.marginal_defects(m, target, tol)
 
 
 def random_coupling(k: int, rng: np.random.Generator,
@@ -240,8 +227,7 @@ def random_coupling(k: int, rng: np.random.Generator,
     with small rational weights.  Exact polytope membership by construction."""
     weights = [int(w) for w in rng.integers(1, 20, size=terms)]
     total = sum(weights)
-    # Accumulate integer numerators over the common denominator total * k,
-    # converting to Fraction once per entry.
+    # Accumulate integer numerators over the common denominator total * k.
     numerators = np.zeros((k, k), dtype=np.int64)
     cols = np.arange(k)
     for w in weights:
@@ -249,11 +235,7 @@ def random_coupling(k: int, rng: np.random.Generator,
         numerators[sigma, cols] += w
     if backend == exact.FLOAT:
         return _wrap(numerators.astype(float) / (total * k))
-    c = np.empty((k, k), dtype=object)
-    for i in range(k):
-        for j in range(k):
-            c[i, j] = Fraction(int(numerators[i, j]), total * k)
-    return _wrap(c)
+    return _wrap(exact.join_scaled(numerators, total * k))
 
 
 def coupling_to_json(c: CouplingMatrix) -> str:

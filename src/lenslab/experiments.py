@@ -9,9 +9,7 @@ identical report.json and CSV bytes, so runs can be diffed across machines.
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -173,6 +171,7 @@ class ParamSpec:
     required: bool = True
     default: str | None = None
     help: str = ""
+    minimum: int = 0  # smallest accepted value of an int parameter
 
 
 def _coerce(kind: str, raw: str):
@@ -183,10 +182,12 @@ def _coerce(kind: str, raw: str):
             return Fraction(raw)
         if kind == "str":
             return raw
-        if kind == "intlist":
-            return tuple(int(x) for x in raw.split(",") if x.strip() != "")
-        if kind == "fraclist":
-            return tuple(Fraction(x) for x in raw.split(",") if x.strip() != "")
+        if kind in ("intlist", "fraclist"):
+            parse = int if kind == "intlist" else Fraction
+            values = tuple(parse(x) for x in raw.split(",") if x.strip() != "")
+            if not values:
+                raise ValueError("no entries")
+            return values
         if kind == "intmatrix":
             return tuple(tuple(int(x) for x in row.split(","))
                          for row in raw.split(";"))
@@ -212,16 +213,6 @@ class ExperimentSpec:
 
 def _tol(backend: str):
     return Fraction(0) if backend == exact.RATIONAL else FLOAT_TOL
-
-
-def _pmap(fn, items):
-    """Order-stable map, optionally fanned out over LENS_LAB_THREADS workers."""
-    items = list(items)
-    workers = int(os.environ.get("LENS_LAB_THREADS", "1") or "1")
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _parse_system(spec: str, backend: str):
@@ -255,7 +246,7 @@ def _run_rigidity_sweep(cfg, p, backend):
     blocks = consecutive_blocks(p["blocks"])
     tol = _tol(backend)
     n_values = list(range(p["n_max"] + 1))
-    scores = _pmap(lambda n: rigidity_probe(sys, blocks, n), n_values)
+    scores = [rigidity_probe(sys, blocks, n) for n in n_values]
     rows = [(value_str(n), value_str(s)) for n, s in zip(n_values, scores)]
     returns = [n for n, s in zip(n_values, scores) if n >= 1 and abs(s - 1) <= tol]
     scalars = {
@@ -283,7 +274,7 @@ def _run_mixing_profile(cfg, p, backend):
     q = np.asarray(sys.Q)
     rows, residuals = [], []
     for n in range(p["n_max"] + 1):
-        r = exact.max_abs(power - uniform) / k
+        r = exact.max_abs(power, uniform) / k
         residuals.append(r)
         rows.append((value_str(n), value_str(r)))
         power = exact.mat_mul(power, q)
@@ -302,6 +293,8 @@ def _run_mixing_profile(cfg, p, backend):
 
 
 def _run_transitivity_witness(cfg, p, backend):
+    if p["epsilon"] <= 0:
+        raise InvalidConfig("epsilon must be positive")
     w = transitivity_witness(p["d"], p["L"], p["sigma"], p["pi"], p["epsilon"])
     matrix_rows = []
     for name, c in (("source", w.restricted_source), ("image", w.restricted_image)):
@@ -377,6 +370,8 @@ def _run_periodic_commuters(cfg, p, backend):
         for name in ("d", "ell", "L"):
             if p[name] is None:
                 raise InvalidConfig(f"bernoulli family needs parameter {name!r}")
+        if p["d"] * p["ell"] < 2:
+            raise InvalidConfig("bernoulli family needs d * ell >= 2")
         res = bernoulli_cyclic_commuter(p["d"], p["ell"], p["L"])
         rows = [(value_str(v), value_str(res.perm[v]))
                 for v in range(len(res.perm))]
@@ -487,7 +482,7 @@ def _run_cesaro_barycenter(cfg, p, backend):
             out.append(self_joining_residual(sys, avg))
         return out
 
-    all_residuals = _pmap(one_initial, rngs)
+    all_residuals = [one_initial(rng) for rng in rngs]
     rows, ok, worst = [], True, None
     for idx, residuals in enumerate(all_residuals):
         for n, r in zip(n_values, residuals):
@@ -570,7 +565,7 @@ def _run_group_embedding(cfg, p, backend):
         except ArithmeticError:
             return None
 
-    images = _pmap(conjugate, elements)
+    images = [conjugate(z) for z in elements]
     ok = all(img is not None for img in images)
     rows = [("|".join(map(str, z)),
              "|".join(map(str, img)) if img is not None else "fail")
@@ -640,8 +635,8 @@ _register(ExperimentSpec(
     needs_system=False,
     needs_seed=False,
     params=(
-        ParamSpec("d", "int", help="alphabet size"),
-        ParamSpec("L", "int", help="base cylinder length"),
+        ParamSpec("d", "int", help="alphabet size", minimum=2),
+        ParamSpec("L", "int", help="base cylinder length", minimum=1),
         ParamSpec("sigma", "intlist", help="source permutation of d^L cells"),
         ParamSpec("pi", "intlist", help="target permutation of d^L cells"),
         ParamSpec("epsilon", "fraction", required=False, default="1/1000000",
@@ -688,9 +683,12 @@ _register(ExperimentSpec(
     needs_seed=False,
     params=(
         ParamSpec("family", "str", help="'bernoulli' or 'odometer'"),
-        ParamSpec("d", "int", required=False, help="bernoulli: cycled factor size"),
-        ParamSpec("ell", "int", required=False, help="bernoulli: fixed factor size"),
-        ParamSpec("L", "int", required=False, help="bernoulli: cylinder length"),
+        ParamSpec("d", "int", required=False, help="bernoulli: cycled factor size",
+                  minimum=1),
+        ParamSpec("ell", "int", required=False, help="bernoulli: fixed factor size",
+                  minimum=1),
+        ParamSpec("L", "int", required=False, help="bernoulli: cylinder length",
+                  minimum=1),
         ParamSpec("m", "int", required=False, help="odometer: level"),
         ParamSpec("pi", "intlist", required=False,
                   help="odometer: permutation of the low-digit values"),
@@ -731,7 +729,7 @@ _register(ExperimentSpec(
         ParamSpec("N_values", "intlist", required=False, default="10,100",
                   help="averaging horizons"),
         ParamSpec("n_initials", "int", required=False, default="3",
-                  help="number of random initial couplings"),
+                  help="number of random initial couplings", minimum=1),
         ParamSpec("seed", "int", help="seed for the initial couplings"),
     ),
     csv_schemas={"residuals": "initial,N,residual,bound"},
@@ -761,8 +759,8 @@ _register(ExperimentSpec(
     needs_system=False,
     needs_seed=True,
     params=(
-        ParamSpec("k", "int", help="number of cells"),
-        ParamSpec("L", "int", help="target denominator (k must divide L)"),
+        ParamSpec("k", "int", help="number of cells", minimum=1),
+        ParamSpec("L", "int", help="target denominator (k must divide L)", minimum=1),
         ParamSpec("seed", "int", help="seed for the target draw"),
     ),
     csv_schemas={"target": "i,j,mass"},
@@ -876,6 +874,9 @@ def validate_config(cfg: ExperimentConfig) -> dict:
             typed[p.name] = None
             continue
         typed[p.name] = _coerce(p.kind, raw)
+        if p.kind == "int" and typed[p.name] < p.minimum:
+            raise InvalidConfig(
+                f"parameter {p.name!r} must be >= {p.minimum}, got {typed[p.name]}")
     if spec.needs_seed and typed.get("seed") is None:
         raise InvalidConfig(f"experiment {spec.name!r} uses randomness; set a seed")
     if "expect_graph_orbit" in typed:
@@ -890,6 +891,8 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True) -> ExperimentRepor
     start = time.perf_counter()
     scalars, series, verdicts = spec.runner(cfg, typed, cfg.backend)
     duration = time.perf_counter() - start
+    # Float comparisons yield numpy.bool_, which json refuses.
+    verdicts = {name: bool(v) for name, v in verdicts.items()}
     report = ExperimentReport(
         config=cfg,
         scalars=scalars,

@@ -144,14 +144,7 @@ def cesaro_average(orb: LensOrbit, n: int | None = None) -> CouplingMatrix:
         n = len(orb.states) - 1
     if n < 1 or n >= len(orb.states):
         raise ValueError("cesaro_average needs 1 <= N < len(states)")
-    first = orb.states[1].C
-    total = first.copy() if hasattr(first, "copy") else np.array(first)
-    for m in range(2, n + 1):
-        total = total + orb.states[m].C
-    if exact.is_rational_array(total):
-        avg = total * Fraction(1, n)
-    else:
-        avg = total / n
+    avg = exact.mat_mean([s.C for s in orb.states[1:n + 1]])
     return CouplingMatrix(k=orb.states[0].k, C=avg)
 
 

@@ -143,7 +143,9 @@ def system_from_matrix(q: np.ndarray, partition: Partition | None = None,
         partition = make_uniform_partition(k)
     if partition.k != k:
         raise DimensionMismatch("partition size must match the matrix")
-    perm = exact.permutation_of_matrix(q)
+    # Frozen first (FiniteSystem freezes Q anyway), so the split taken
+    # here is the one every later product with Q reuses.
+    perm = exact.permutation_of_matrix(exact.freeze(q))
     if exact_flag is None:
         exact_flag = perm is not None
     if exact_flag and perm is None:
@@ -172,26 +174,11 @@ def system_power(sys: FiniteSystem, n: int) -> FiniteSystem:
 
 def validate_system(sys: FiniteSystem, tol: float = 1e-12) -> list[str]:
     """Diagnostics list; empty when the system satisfies every invariant."""
-    out: list[str] = []
     q = sys.Q
     k = sys.k
     if q.shape != (k, k):
         return [f"shape{q.shape}"]
-    exact_backend = exact.is_rational_array(q)
-    one_over = Fraction(1) if exact_backend else 1.0
-    for a in range(k):
-        s = q[a, :].sum()
-        if (s != one_over) if exact_backend else abs(s - 1.0) > tol:
-            out.append(f"row_sum({a})")
-    for i in range(k):
-        s = q[:, i].sum()
-        if (s != one_over) if exact_backend else abs(s - 1.0) > tol:
-            out.append(f"col_sum({i})")
-    for a in range(k):
-        for i in range(k):
-            v = q[a, i]
-            if (v < 0) if exact_backend else v < -tol:
-                out.append(f"negative_entry({a},{i})")
+    out = exact.marginal_defects(q, 1, tol)
     if sys.exact:
         if exact.permutation_of_matrix(q) is None:
             out.append("exact_flag")

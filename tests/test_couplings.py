@@ -25,9 +25,13 @@ from lenslab import (
     refine,
     repair_to_polytope,
     restrict_coupling,
+    system_from_matrix,
+    system_from_permutation,
     validate_coupling,
+    validate_system,
 )
 from lenslab import exact
+from lenslab.lens import cesaro_average, orbit
 
 
 def test_product_and_graph_are_couplings():
@@ -149,3 +153,75 @@ def test_distance_is_a_metric_sample(k, seed):
     assert dab == coupling_distance(b, a)
     assert dab <= coupling_distance(a, c) + coupling_distance(c, b)
     assert coupling_distance(a, a) == 0
+
+
+#
+# Vectorised kernels against per-entry Fraction oracles.
+#
+
+def oracle_diagnostics(m, target):
+    k = m.shape[0]
+    out = [f"row_sum({i})" for i in range(k) if sum(m[i, :]) != target]
+    out += [f"col_sum({j})" for j in range(k) if sum(m[:, j]) != target]
+    out += [f"negative_entry({i},{j})" for i in range(k) for j in range(k)
+            if m[i, j] < 0]
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=0, max_value=3))
+def test_validate_coupling_and_system_match_oracle(k, seed, dents):
+    rng = np.random.default_rng(seed)
+    c = random_coupling(k, rng)
+    m = np.array(c.C)
+    for _ in range(dents):  # move mass around, sometimes below zero
+        i, j, i2, j2 = (int(x) for x in rng.integers(0, k, 4))
+        shift = Fraction(int(rng.integers(1, 4)), 2 * k * k)
+        m[i, j] -= shift
+        m[i2, j2] += shift
+    assert validate_coupling(CouplingMatrix(k=k, C=m)) == oracle_diagnostics(m, Fraction(1, k))
+    q = m * k
+    sys = system_from_matrix(q, exact_flag=False)
+    assert validate_system(sys) == oracle_diagnostics(q, 1)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=10**6))
+def test_distance_neighborhood_and_random_coupling_match_oracle(k, seed):
+    rng = np.random.default_rng(seed)
+    a, b = random_coupling(k, rng), random_coupling(k, rng)
+    diffs = [x - y for x, y in zip(a.C.ravel(), b.C.ravel())]
+    assert coupling_distance(a, b) == sum(abs(d) for d in diffs)
+    worst = max(abs(d) for d in diffs)
+    wide = NeighborhoodSpec(kind="entrywise", epsilon=worst + Fraction(1, 10**9),
+                            target=b.C)
+    assert in_neighborhood(a, wide)
+    if worst > 0:
+        tight = NeighborhoodSpec(kind="entrywise", epsilon=worst, target=b.C)
+        assert not in_neighborhood(a, tight)
+    # Same draws as random_coupling, Fractions built one entry at a time.
+    rng = np.random.default_rng(seed)
+    weights = [int(w) for w in rng.integers(1, 20, size=6)]
+    numerators = np.zeros((k, k), dtype=np.int64)
+    for w in weights:
+        numerators[rng.permutation(k), np.arange(k)] += w
+    c = random_coupling(k, np.random.default_rng(seed))
+    for (i, j), n in np.ndenumerate(numerators):
+        assert c.C[i, j] == Fraction(int(n), sum(weights) * k)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(min_value=2, max_value=6),
+       st.integers(min_value=0, max_value=10**6),
+       st.integers(min_value=1, max_value=8))
+def test_cesaro_average_matches_oracle(k, seed, n):
+    rng = np.random.default_rng(seed)
+    sys = system_from_permutation(rng.permutation(k))
+    orb = orbit(sys, random_coupling(k, rng), n)
+    avg = cesaro_average(orb, n)
+    for idx in np.ndindex(k, k):
+        assert avg.C[idx] == sum(s.C[idx] for s in orb.states[1:n + 1]) / n
+    assert not validate_coupling(avg)

@@ -1,5 +1,6 @@
 """Arithmetic backbone: scaled-integer matmul, nullspaces, permutations."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -139,3 +140,142 @@ def test_permutation_matrix_roundtrip(perm):
     tau = exact.permutation_of_matrix(m.T)
     assert tau is not None
     assert list(m.T[np.arange(5), tau]) == [Fraction(1)] * 5
+
+
+#
+# Scaled-integer kernels against per-entry Fraction oracles.
+#
+
+fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=40)
+
+
+def matrices(shape=(3, 4)):
+    size = shape[0] * shape[1]
+    return st.lists(fractions_st, min_size=size, max_size=size).map(
+        lambda vals: np.array(vals, dtype=object).reshape(shape))
+
+
+def oracle_split(a):
+    den = math.lcm(*(x.denominator for x in a.ravel()))
+    return [x.numerator * (den // x.denominator) for x in a.ravel()], den
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(matrices())
+def test_split_join_roundtrip_matches_oracle(a):
+    num, den = exact.split_common(a)
+    want_num, want_den = oracle_split(a)
+    assert den == want_den
+    assert [int(n) for n in num.ravel()] == want_num
+    back = exact.join_scaled(num, den)
+    assert back.shape == a.shape
+    assert all(type(x) is Fraction and x == y for x, y in zip(back.ravel(), a.ravel()))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(matrices(), matrices(), fractions_st)
+def test_reductions_match_oracle(a, b, s):
+    diff = [x - y for x, y in zip(a.ravel(), b.ravel())]
+    assert exact.l1_norm(a) == sum(abs(x) for x in a.ravel())
+    assert exact.max_abs(a) == max(abs(x) for x in a.ravel())
+    assert exact.l1_diff(a, b) == sum(abs(x) for x in diff)
+    assert exact.l1_diff(a, s) == sum(abs(x - s) for x in a.ravel())
+    assert exact.max_abs(a, b) == max(abs(x) for x in diff)
+    assert exact.max_abs(a, s) == max(abs(x - s) for x in a.ravel())
+    assert exact.mat_equal(a, b) == all(x == 0 for x in diff)
+    assert exact.mat_equal(a, exact.frac_array(a.tolist()))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(matrices(), min_size=1, max_size=5))
+def test_mat_mean_matches_oracle(arrays):
+    mean = exact.mat_mean(arrays)
+    for idx in np.ndindex(arrays[0].shape):
+        assert mean[idx] == sum(a[idx] for a in arrays) / len(arrays)
+
+
+def test_int64_bound_on_numerators():
+    below = exact.frac_array([2**62 - 1, -(2**62 - 1), 3])
+    num, den = exact.split_common(below)
+    assert num.dtype == np.int64 and den == 1
+    for big in (2**62, -(2**62), 2**80):
+        num, den = exact.split_common(exact.frac_array([big, 1]))
+        assert num.dtype == object and list(num) == [big, 1] and den == 1
+        assert exact.l1_norm(exact.frac_array([big, 1])) == abs(big) + 1
+
+
+def test_int64_bound_on_common_denominator():
+    primes = [2**31 - 1, 2**61 - 1, 1000003]
+    a = exact.frac_array([Fraction(1, p) for p in primes])
+    num, den = exact.split_common(a)
+    assert den == math.prod(primes) and den > 2**63
+    assert num.dtype == object
+    assert exact.mat_equal(exact.join_scaled(num, den), a)
+    assert exact.l1_norm(a) == sum(Fraction(1, p) for p in primes)
+    assert exact.max_abs(a, Fraction(1, 2)) == Fraction(1, 2) - Fraction(1, primes[1])
+
+
+def test_sums_promote_before_int64_overflow():
+    near = Fraction(2**62 - 1)
+    a = exact.frac_array([[near, near], [near, near]])
+    assert exact.split_common(a)[0].dtype == np.int64
+    assert exact.l1_norm(a) == 4 * near
+    assert exact.l1_diff(a, -a) == 8 * near
+    assert exact.mat_mean([a, a, a])[0, 0] == near
+    assert exact.marginal_defects(a, 2 * near, 0.0) == []
+
+
+def test_int_matmul_stays_int64_when_it_fits():
+    a = np.arange(6, dtype=np.int64).reshape(2, 3)
+    assert exact._int_matmul(a, a.T).dtype == np.int64
+    assert exact._int_matmul(a.astype(object), a.T.astype(object)).dtype == np.int64
+    zero, big = np.zeros((2, 2), dtype=np.int64), np.full((2, 2), 2**70, dtype=object)
+    assert (exact._int_matmul(zero, big) == 0).all()
+
+
+def test_zero_operand_with_huge_denominator():
+    zero = exact.zeros((2, 2))
+    tiny = exact.constant((2, 2), Fraction(1, 2**70))
+    assert exact.l1_diff(zero, tiny) == Fraction(4, 2**70)
+    assert exact.max_abs(zero, Fraction(1, 2**70)) == Fraction(1, 2**70)
+    assert exact.mat_mean([zero, tiny])[0, 0] == Fraction(1, 2**71)
+
+
+def test_split_of_frozen_array_is_cached_and_read_only():
+    a = exact.freeze(exact.frac_array([[Fraction(1, 2), Fraction(1, 3)],
+                                       [Fraction(2, 3), Fraction(1, 6)]]))
+    num, den = exact.split_common(a)
+    assert exact.split_common(a)[0] is num
+    assert not num.flags.writeable
+    with pytest.raises(ValueError):
+        num[0, 0] = 0
+    num_t, den_t = exact.split_common(a.T)
+    assert den_t == den and np.array_equal(num_t, num.T)
+    assert np.shares_memory(num_t, num)
+
+
+def test_split_of_view_on_writable_base_is_not_cached():
+    base = exact.frac_array([[Fraction(1, 2), Fraction(1, 4)],
+                             [Fraction(1, 4), Fraction(1, 2)]])
+    view = base[:, :]
+    view.setflags(write=False)
+    first, den = exact.split_common(view)
+    assert first.flags.writeable
+    base[0, 0] = Fraction(3, 4)
+    num, den = exact.split_common(view)
+    assert num[0, 0] * Fraction(1, den) == Fraction(3, 4)
+
+
+def test_marginal_defects_match_per_entry_oracle():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        vals = rng.integers(-1, 4, (4, 4))
+        m = np.array([[Fraction(int(v), 12) for v in row] for row in vals], dtype=object)
+        target = Fraction(1, 4)
+        want = [f"row_sum({i})" for i in range(4) if sum(m[i, :]) != target]
+        want += [f"col_sum({j})" for j in range(4) if sum(m[:, j]) != target]
+        want += [f"negative_entry({i},{j})" for i in range(4) for j in range(4)
+                 if m[i, j] < 0]
+        assert exact.marginal_defects(m, target, 1e-12) == want
+        mf = exact.as_float(m)
+        assert exact.marginal_defects(mf, 0.25, 1e-12) == want

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,12 +13,14 @@ from lenslab import (
     apply_overrides,
     config_from_mapping,
     list_experiments,
+    load_config_file,
     parse_config_text,
     run_experiment,
     validate_config,
     value_str,
 )
 from lenslab.cli import main as cli_main
+from lenslab.experiments import REGISTRY
 
 EXPECTED_NAMES = [
     "cesaro-barycenter",
@@ -328,3 +331,61 @@ def test_cli_run_writes_report_when_asked(tmp_path, capsys):
     assert (out_dir / "report.json").is_file()
     assert (out_dir / "scores.csv").is_file()
     assert f"report: {out_dir}/report.json" in capsys.readouterr().out
+
+
+#
+# Shipped configs on the float backend, and boundary overrides.
+#
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+FLOAT_EXPERIMENTS = sorted(name for name, spec in REGISTRY.items()
+                           if "float" in spec.backends)
+
+
+@pytest.mark.parametrize("name", FLOAT_EXPERIMENTS)
+def test_float_backend_reports_are_written(name, tmp_path):
+    mapping = apply_overrides(load_config_file(CONFIGS / f"{name}.cfg"),
+                              ["backend=float", f"output_dir={tmp_path}"])
+    report = run_experiment(config_from_mapping(mapping))
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["config"]["backend"] == "float"
+    assert all(type(v) is bool for v in report.verdicts.values())
+    assert doc["verdicts"] == report.verdicts
+
+
+def _run_override(name, override, capsys):
+    code = cli_main(["run", str(CONFIGS / f"{name}.cfg"),
+                     "--set", "output_dir=", "--set", override])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, override", [
+    ("iet-realize", "seed=-1"),
+    ("rigidity-sweep", "n_max=-3"),
+    ("entropy-factor", "block="),
+])
+def test_cli_rejects_known_bad_overrides_as_config_errors(name, override, capsys):
+    code, err = _run_override(name, override, capsys)
+    assert code == 2
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+INT_PARAMS = [(name, p) for name, spec in sorted(REGISTRY.items())
+              for p in spec.params if p.kind == "int"]
+
+
+@pytest.mark.parametrize("name, param, value", [
+    (name, p.name, value) for name, p in INT_PARAMS for value in ("-1", "0", "")
+])
+def test_cli_int_parameter_boundaries_exit_honestly(name, param, value, capsys):
+    minimum = REGISTRY[name].param_map()[param].minimum
+    code, err = _run_override(name, f"{param}={value}", capsys)
+    if value == "" or int(value) < minimum:
+        assert code == 2
+    else:
+        # The run may legitimately fail a verdict, or a runner may refuse
+        # the combination, but nothing escapes as a traceback.
+        assert code in (0, 1, 2)
+    if code == 2:
+        assert err.startswith("config error:") and err.count("\n") == 1
