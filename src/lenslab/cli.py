@@ -10,13 +10,7 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    InvalidConfig,
-    LensLabError,
-    ResolutionGuard,
-    SizeGuard,
-    UnknownExperiment,
-)
+from .errors import LensLabError, ResolutionGuard, SizeGuard
 from .experiments import (
     apply_overrides,
     config_from_mapping,
@@ -122,17 +116,10 @@ def main(argv=None) -> int:
     except (SizeGuard, ResolutionGuard) as e:
         print(f"size guard: {e}", file=sys.stderr)
         return EXIT_SIZE_GUARD
-    except (UnknownExperiment, InvalidConfig) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
     except LensLabError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
 
-def console_main() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_main()
+    sys.exit(main())

@@ -421,13 +421,15 @@ def odometer_commuter(pi, m: int) -> np.ndarray:
     result commutes with the 2^n-th power of the odometer, verified here
     by composing both ways.
     """
+    if m >= SIZE_LIMIT.bit_length():  # 2^m > SIZE_LIMIT, without building 2^m
+        raise SizeGuard(f"2^{m} cells > {SIZE_LIMIT}")
+    k = 2**m
     pi = np.asarray(pi, dtype=int)
     low = len(pi)
     if low & (low - 1) or low == 0:
         raise BadBlocks("pi must act on a power-of-two digit block")
     if sorted(pi.tolist()) != list(range(low)):
         raise BadBlocks("pi must be a permutation")
-    k = 2**m
     if low > k:
         raise BadBlocks("digit block exceeds the odometer level")
     s = np.array([int(pi[v % low]) + (v - v % low) for v in range(k)], dtype=int)

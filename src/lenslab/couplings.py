@@ -239,21 +239,12 @@ def random_coupling(k: int, rng: np.random.Generator,
 
 
 def coupling_to_json(c: CouplingMatrix) -> str:
-    flat = [exact.format_value(x) for x in np.asarray(c.C).ravel()]
-    return json.dumps({"k": c.k, "C": flat}, sort_keys=True)
+    return json.dumps({"k": c.k, "C": exact.matrix_to_values(c.C)}, sort_keys=True)
 
 
 def coupling_from_json(text: str) -> CouplingMatrix:
     doc = json.loads(text)
-    k = int(doc["k"])
-    values = [exact.parse_value(v) for v in doc["C"]]
-    if len(values) != k * k:
-        raise DimensionMismatch("C must hold k*k row-major entries")
-    if any(isinstance(v, float) for v in values):
-        arr = np.array(values, dtype=float).reshape(k, k)
-    else:
-        arr = np.array(values, dtype=object).reshape(k, k)
-    return _wrap(arr)
+    return _wrap(exact.matrix_from_values(doc["C"], int(doc["k"]), "C"))
 
 
 def coupling_to_csv(c: CouplingMatrix) -> str:

@@ -34,6 +34,8 @@ from functools import reduce
 
 import numpy as np
 
+from .errors import DimensionMismatch
+
 RATIONAL = "rational"
 FLOAT = "float"
 
@@ -422,9 +424,7 @@ def permutation_order(perm) -> int:
 def format_value(x) -> str | float | int:
     """JSON-friendly value: 'p/q' strings for rationals, numbers otherwise."""
     if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+        return str(x)
     if isinstance(x, (int, np.integer)):
         return int(x)
     return float(x)
@@ -437,6 +437,21 @@ def parse_value(s):
     if isinstance(s, (int, np.integer)):
         return Fraction(int(s))
     return float(s)
+
+
+def matrix_to_values(a) -> list:
+    """Row-major JSON values of a matrix, each rendered by format_value."""
+    return [format_value(x) for x in np.asarray(a).ravel()]
+
+
+def matrix_from_values(values, k: int, name: str) -> np.ndarray:
+    """Inverse of matrix_to_values for a k x k matrix: a float array when
+    any entry is a float, a Fraction object array otherwise."""
+    parsed = [parse_value(v) for v in values]
+    if len(parsed) != k * k:
+        raise DimensionMismatch(f"{name} must hold k*k row-major entries")
+    dtype = float if any(isinstance(v, float) for v in parsed) else object
+    return np.array(parsed, dtype=dtype).reshape(k, k)
 
 
 def gcd_reduce_row(row: np.ndarray) -> np.ndarray:

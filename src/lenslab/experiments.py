@@ -36,7 +36,7 @@ from .couplings import (
     random_coupling,
     validate_coupling,
 )
-from .errors import InvalidConfig, LensLabError, UnknownExperiment
+from .errors import InvalidConfig, UnknownExperiment
 from .lens import (
     cesaro_average,
     detect_period,
@@ -151,17 +151,16 @@ def value_str(x) -> str:
     """Canonical cell rendering: exact 'p/q' for rationals, repr for floats."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, Fraction):
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, float):
-        return repr(x)
+        # float() first: numpy 2 reprs np.float64 as 'np.float64(...)'.
+        return repr(float(x))
     return str(x)
 
 
 # ---------------------------------------------------------------------------
-# Parameter schemas
+# Parameter schemas and the registry
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -198,17 +197,42 @@ def _coerce(kind: str, raw: str):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
+    """A registered experiment.
+
+    series maps each CSV series name to its column names.  The runner
+    takes (config, typed parameters, backend) and returns raw values:
+    (scalars, rows by series name, verdicts); run_experiment renders them.
+    """
+
     name: str
     description: str
     backends: tuple
-    needs_system: bool
-    needs_seed: bool
-    params: tuple
-    csv_schemas: dict
+    series: dict
     runner: object
+    needs_system: bool = False
+    params: tuple = ()
+
+    @property
+    def needs_seed(self) -> bool:
+        return any(p.name == "seed" and p.required for p in self.params)
 
     def param_map(self) -> dict:
         return {p.name: p for p in self.params}
+
+
+REGISTRY: dict[str, ExperimentSpec] = {}
+
+_BOTH = (exact.RATIONAL, exact.FLOAT)
+_EXACT_ONLY = (exact.RATIONAL,)
+
+
+def _experiment(**fields):
+    """Register the decorated runner with the given ExperimentSpec fields."""
+    def register(runner):
+        spec = ExperimentSpec(runner=runner, **fields)
+        REGISTRY[spec.name] = spec
+        return runner
+    return register
 
 
 def _tol(backend: str):
@@ -223,8 +247,6 @@ def _parse_system(spec: str, backend: str):
 
 
 def _need_system(cfg: ExperimentConfig, backend: str) -> FiniteSystem:
-    if not cfg.system:
-        raise InvalidConfig(f"experiment {cfg.experiment!r} needs a system spec")
     obj = _parse_system(cfg.system, backend)
     if not isinstance(obj, FiniteSystem):
         raise InvalidConfig(
@@ -238,21 +260,33 @@ def _rng_children(seed: int, n: int) -> list[np.random.Generator]:
 
 
 # ---------------------------------------------------------------------------
-# Runners: each returns (scalars, series, verdicts)
+# Experiments
 # ---------------------------------------------------------------------------
 
+@_experiment(
+    name="rigidity-sweep",
+    description="Block-probe lens scores over a step range; score 1 returns "
+                "certify rigidity of the cell dynamics.",
+    backends=_BOTH,
+    needs_system=True,
+    params=(
+        ParamSpec("blocks", "intlist", help="distinct block sizes summing to k"),
+        ParamSpec("n_max", "int", help="largest lens step to score"),
+        ParamSpec("expect_return_at", "int", required=False,
+                  help="step where the score must return to 1"),
+    ),
+    series={"scores": ("n", "score")},
+)
 def _run_rigidity_sweep(cfg, p, backend):
     sys = _need_system(cfg, backend)
     blocks = consecutive_blocks(p["blocks"])
     tol = _tol(backend)
-    n_values = list(range(p["n_max"] + 1))
-    scores = [rigidity_probe(sys, blocks, n) for n in n_values]
-    rows = [(value_str(n), value_str(s)) for n, s in zip(n_values, scores)]
-    returns = [n for n, s in zip(n_values, scores) if n >= 1 and abs(s - 1) <= tol]
+    scores = [rigidity_probe(sys, blocks, n) for n in range(p["n_max"] + 1)]
+    returns = [n for n, s in enumerate(scores) if n >= 1 and abs(s - 1) <= tol]
     scalars = {
         "k": sys.k,
         "first_return": returns[0] if returns else -1,
-        "final_score": value_str(scores[-1]),
+        "final_score": scores[-1],
     }
     verdicts = {
         "score_at_zero_is_one": abs(scores[0] - 1) <= tol,
@@ -262,9 +296,22 @@ def _run_rigidity_sweep(cfg, p, backend):
         n = p["expect_return_at"]
         verdicts["returns_at_expected_step"] = (
             n <= p["n_max"] and abs(scores[n] - 1) <= tol)
-    return scalars, {"scores": (("n", "score"), rows)}, verdicts
+    return scalars, {"scores": list(enumerate(scores))}, verdicts
 
 
+@_experiment(
+    name="mixing-profile",
+    description="Residual max|Q^n[i,j]/k - 1/k^2| per step; zero residual "
+                "means n-step independence of the partition from itself.",
+    backends=_BOTH,
+    needs_system=True,
+    params=(
+        ParamSpec("n_max", "int", help="largest power to profile"),
+        ParamSpec("expect_zero_by", "int", required=False,
+                  help="step from which the residual must vanish"),
+    ),
+    series={"residuals": ("n", "residual")},
+)
 def _run_mixing_profile(cfg, p, backend):
     sys = _need_system(cfg, backend)
     k = sys.k
@@ -272,50 +319,70 @@ def _run_mixing_profile(cfg, p, backend):
     uniform = Fraction(1, k) if backend == exact.RATIONAL else 1.0 / k
     power = exact.identity(k, backend)
     q = np.asarray(sys.Q)
-    rows, residuals = [], []
-    for n in range(p["n_max"] + 1):
-        r = exact.max_abs(power, uniform) / k
-        residuals.append(r)
-        rows.append((value_str(n), value_str(r)))
+    residuals = []
+    for _ in range(p["n_max"] + 1):
+        residuals.append(exact.max_abs(power, uniform) / k)
         power = exact.mat_mul(power, q)
     zeros = [n for n, r in enumerate(residuals) if r <= tol]
     scalars = {"k": k, "first_independent_n": zeros[0] if zeros else -1}
     verdicts = {
-        "residuals_bounded": all(r <= Fraction(k - 1, k * k) + tol for r in residuals)
-        if backend == exact.RATIONAL
-        else all(r <= (k - 1) / k**2 + FLOAT_TOL for r in residuals),
+        "residuals_bounded": all(r <= Fraction(k - 1, k * k) + tol
+                                 for r in residuals),
     }
     if p["expect_zero_by"] is not None:
         m = p["expect_zero_by"]
         verdicts["independent_from_expected_step"] = (
             m <= p["n_max"] and all(r <= tol for r in residuals[m:]))
-    return scalars, {"residuals": (("n", "residual"), rows)}, verdicts
+    return scalars, {"residuals": list(enumerate(residuals))}, verdicts
 
 
+@_experiment(
+    name="transitivity-witness",
+    description="Fine graph coupling steered by the lens from one "
+                "permutation neighborhood into another, both exactly.",
+    backends=_EXACT_ONLY,
+    params=(
+        ParamSpec("d", "int", help="alphabet size", minimum=2),
+        ParamSpec("L", "int", help="base cylinder length", minimum=1),
+        ParamSpec("sigma", "intlist", help="source permutation of d^L cells"),
+        ParamSpec("pi", "intlist", help="target permutation of d^L cells"),
+        ParamSpec("epsilon", "fraction", required=False, default="1/1000000",
+                  help="neighborhood radius"),
+    ),
+    series={"restrictions": ("which", "i", "j", "mass")},
+)
 def _run_transitivity_witness(cfg, p, backend):
     if p["epsilon"] <= 0:
         raise InvalidConfig("epsilon must be positive")
     w = transitivity_witness(p["d"], p["L"], p["sigma"], p["pi"], p["epsilon"])
-    matrix_rows = []
-    for name, c in (("source", w.restricted_source), ("image", w.restricted_image)):
-        for i in range(c.k):
-            for j in range(c.k):
-                matrix_rows.append((name, value_str(i), value_str(j),
-                                    value_str(c.C[i, j])))
+    rows = [(name, i, j, c.C[i, j])
+            for name, c in (("source", w.restricted_source),
+                            ("image", w.restricted_image))
+            for i in range(c.k) for j in range(c.k)]
     scalars = {"n": w.n, "fine_k": w.fine_k, "base_k": w.restricted_source.k}
-    series = {"restrictions": (("which", "i", "j", "mass"), matrix_rows)}
     verdicts = {
         "source_in_neighborhood": w.check_source,
         "image_in_neighborhood": w.check_image,
     }
-    return scalars, series, verdicts
+    return scalars, {"restrictions": rows}, verdicts
 
 
+@_experiment(
+    name="entropy-factor",
+    description="Realize a prescribed 0/half block as the opening of the "
+                "factor sequence n -> (lens^n C)(A x A).",
+    backends=_EXACT_ONLY,
+    params=(
+        ParamSpec("block", "fraclist", help="entries 0 or 1/2, e.g. 0,1/2,0"),
+        ParamSpec("n_values", "int", required=False,
+                  help="how many sequence values to emit (default block length)"),
+    ),
+    series={"factor_sequence": ("n", "F")},
+)
 def _run_entropy_factor(cfg, p, backend):
     block = p["block"]
-    for b in block:
-        if b != 0 and b != Fraction(1, 2):
-            raise InvalidConfig("block entries must be 0 or 1/2")
+    if any(b not in (0, Fraction(1, 2)) for b in block):
+        raise InvalidConfig("block entries must be 0 or 1/2")
     n = len(block)
     n_values = p["n_values"] if p["n_values"] is not None else n
     if n_values < n:
@@ -323,47 +390,63 @@ def _run_entropy_factor(cfg, p, backend):
     coupling = realize_entropy_block(block)
     sys = bernoulli_system(2, n)
     values = entropy_factor_F(sys, coupling, n_values)
-    rows = [(value_str(m), value_str(v)) for m, v in enumerate(values)]
     scalars = {"resolution": 2**n, "block_length": n}
     verdicts = {"block_realized": all(values[t] == block[t] for t in range(n))}
-    return scalars, {"factor_sequence": (("n", "F"), rows)}, verdicts
+    return scalars, {"factor_sequence": list(enumerate(values))}, verdicts
 
 
+@_experiment(
+    name="fixed-points",
+    description="Affine hull of the lens fixed couplings: dimension, basis "
+                "directions, and the always-fixed product coupling.",
+    backends=_BOTH,
+    needs_system=True,
+    series={"basis": ("direction", "i", "j", "value")},
+)
 def _run_fixed_points(cfg, p, backend):
     sys = _need_system(cfg, backend)
     k = sys.k
     # SVD nullspaces on the float backend are only good to solver precision.
     tol = Fraction(0) if backend == exact.RATIONAL else 1e-9
-    space = fixed_point_space(sys)
-    rows = []
-    directions_fixed = True
-    zero_marginals = True
-    for t, direction in enumerate(space.basis):
-        d = np.asarray(direction)
-        image = exact.mat_conjugate(np.asarray(sys.Q), d)
-        if exact.l1_diff(image, d) > tol:
-            directions_fixed = False
-        sums = [abs(x) for x in d.sum(axis=0)] + [abs(x) for x in d.sum(axis=1)]
-        if any(s > tol for s in sums):
-            zero_marginals = False
-        for i in range(k):
-            for j in range(k):
-                rows.append((value_str(t), value_str(i), value_str(j),
-                             value_str(d[i, j])))
+    q = np.asarray(sys.Q)
+    basis = [np.asarray(d) for d in fixed_point_space(sys).basis]
     product_residual = self_joining_residual(sys, product_coupling(k, backend))
     scalars = {
         "k": k,
-        "affine_dimension": space.dimension,
-        "product_residual": value_str(product_residual),
+        "affine_dimension": len(basis),
+        "product_residual": product_residual,
     }
     verdicts = {
         "product_coupling_fixed": product_residual <= tol,
-        "directions_fixed": directions_fixed,
-        "directions_have_zero_marginals": zero_marginals,
+        "directions_fixed": all(
+            exact.l1_diff(exact.mat_conjugate(q, d), d) <= tol for d in basis),
+        "directions_have_zero_marginals": all(
+            abs(x) <= tol for d in basis for x in (*d.sum(axis=0), *d.sum(axis=1))),
     }
-    return scalars, {"basis": (("direction", "i", "j", "value"), rows)}, verdicts
+    rows = [(t, i, j, d[i, j])
+            for t, d in enumerate(basis) for i in range(k) for j in range(k)]
+    return scalars, {"basis": rows}, verdicts
 
 
+@_experiment(
+    name="periodic-commuters",
+    description="Cell permutations commuting with a shift (cyclic symbol "
+                "action) or with an odometer power; lens period checks.",
+    backends=_EXACT_ONLY,
+    params=(
+        ParamSpec("family", "str", help="'bernoulli' or 'odometer'"),
+        ParamSpec("d", "int", required=False, help="bernoulli: cycled factor size",
+                  minimum=1),
+        ParamSpec("ell", "int", required=False, help="bernoulli: fixed factor size",
+                  minimum=1),
+        ParamSpec("L", "int", required=False, help="bernoulli: cylinder length",
+                  minimum=1),
+        ParamSpec("m", "int", required=False, help="odometer: level"),
+        ParamSpec("pi", "intlist", required=False,
+                  help="odometer: permutation of the low-digit values"),
+    ),
+    series={"commuter": ("cell", "image"), "period_residuals": ("p", "residual")},
+)
 def _run_periodic_commuters(cfg, p, backend):
     family = p["family"]
     if family == "bernoulli":
@@ -373,17 +456,15 @@ def _run_periodic_commuters(cfg, p, backend):
         if p["d"] * p["ell"] < 2:
             raise InvalidConfig("bernoulli family needs d * ell >= 2")
         res = bernoulli_cyclic_commuter(p["d"], p["ell"], p["L"])
-        rows = [(value_str(v), value_str(res.perm[v]))
-                for v in range(len(res.perm))]
         scalars = {
             "k": len(res.perm),
-            "commutation_residual": value_str(res.commutation_residual),
+            "commutation_residual": res.commutation_residual,
         }
         verdicts = {
             "commutes_exactly": res.commutation_residual == 0,
             "cycles_first_symbol_blocks": res.cycles_blocks,
         }
-        return scalars, {"commuter": (("cell", "image"), rows)}, verdicts
+        return scalars, {"commuter": list(enumerate(res.perm))}, verdicts
     if family == "odometer":
         if p["m"] is None or p["pi"] is None:
             raise InvalidConfig("odometer family needs parameters 'm' and 'pi'")
@@ -395,13 +476,11 @@ def _run_periodic_commuters(cfg, p, backend):
         power = system_power(sys, block)
         residual = markov_commutation_residual(power, c)
         report = detect_period(sys, c, maxp=block)
-        rows = [(value_str(q), value_str(r))
-                for q, r in sorted(report.residual_by_p.items())]
         scalars = {
             "k": 2**m,
             "block": block,
             "period": report.period if report.period is not None else -1,
-            "power_commutation_residual": value_str(residual),
+            "power_commutation_residual": residual,
         }
         verdicts = {
             "commutes_with_block_power": residual <= _tol(backend),
@@ -409,7 +488,8 @@ def _run_periodic_commuters(cfg, p, backend):
             "period_divides_block": (report.period is not None
                                      and block % report.period == 0),
         }
-        return scalars, {"period_residuals": (("p", "residual"), rows)}, verdicts
+        rows = sorted(report.residual_by_p.items())
+        return scalars, {"period_residuals": rows}, verdicts
     raise InvalidConfig("family must be 'bernoulli' or 'odometer'")
 
 
@@ -417,7 +497,11 @@ def _initial_coupling(init: str, k: int, backend: str, p) -> CouplingMatrix:
     if init == "product":
         return product_coupling(k, backend)
     if init.startswith("graph:"):
-        perm = tuple(int(x) for x in init[len("graph:"):].split(","))
+        try:
+            perm = tuple(int(x) for x in init[len("graph:"):].split(","))
+        except ValueError:
+            raise InvalidConfig(
+                f"graph init must list cells as integers, got {init!r}") from None
         if sorted(perm) != list(range(k)):
             raise InvalidConfig("graph init must list a permutation of the cells")
         return graph_coupling(np.asarray(perm, dtype=int), backend=backend)
@@ -429,6 +513,24 @@ def _initial_coupling(init: str, k: int, backend: str, p) -> CouplingMatrix:
     raise InvalidConfig("init must be 'random', 'product', or 'graph:<perm>'")
 
 
+@_experiment(
+    name="one-sided-limit",
+    description="One-sided orbit C -> Q^T C: distance to the product "
+                "coupling per step, with optional attractor expectations.",
+    backends=_BOTH,
+    needs_system=True,
+    params=(
+        ParamSpec("n_steps", "int", help="orbit length"),
+        ParamSpec("init", "str", required=False, default="random",
+                  help="'random' (needs seed), 'product', or 'graph:<perm>'"),
+        ParamSpec("seed", "int", required=False, help="seed for init=random"),
+        ParamSpec("expect_product_by", "int", required=False,
+                  help="step from which the orbit must sit on the product"),
+        ParamSpec("expect_graph_orbit", "str", required=False, default="",
+                  help="set to 'yes' to require every state be a graph coupling"),
+    ),
+    series={"distance_to_product": ("n", "distance")},
+)
 def _run_one_sided_limit(cfg, p, backend):
     sys = _need_system(cfg, backend)
     k = sys.k
@@ -437,12 +539,11 @@ def _run_one_sided_limit(cfg, p, backend):
     orb = orbit(sys, c0, p["n_steps"], mode="one-sided")
     prod = product_coupling(k, backend)
     distances = [coupling_distance(state, prod) for state in orb.states]
-    rows = [(value_str(n), value_str(d)) for n, d in enumerate(distances)]
     hit = next((n for n, d in enumerate(distances) if d <= tol), -1)
     last = orb.states[-1]
     scalars = {
         "k": k,
-        "final_distance_to_product": value_str(distances[-1]),
+        "final_distance_to_product": distances[-1],
         "first_product_hit": hit,
     }
     verdicts = {"states_stay_in_polytope": not validate_coupling(last)}
@@ -450,62 +551,68 @@ def _run_one_sided_limit(cfg, p, backend):
         m = p["expect_product_by"]
         verdicts["product_from_expected_step"] = (
             m <= p["n_steps"] and all(d <= tol for d in distances[m:]))
-    if p["expect_graph_orbit"]:
+    if p["expect_graph_orbit"].strip().lower() in ("1", "true", "yes", "on"):
         if backend != exact.RATIONAL:
             raise InvalidConfig("expect_graph_orbit needs the rational backend")
-        ok = True
-        for state in orb.states:
-            scaled = np.asarray(state.C) * k
-            if exact.permutation_of_matrix(scaled) is None:
-                ok = False
-                break
-        verdicts["orbit_stays_on_graph_couplings"] = ok
-    return scalars, {"distance_to_product": (("n", "distance"), rows)}, verdicts
+        verdicts["orbit_stays_on_graph_couplings"] = all(
+            exact.permutation_of_matrix(np.asarray(state.C) * k) is not None
+            for state in orb.states)
+    return scalars, {"distance_to_product": list(enumerate(distances))}, verdicts
 
 
+@_experiment(
+    name="cesaro-barycenter",
+    description="Orbit averages (1/N) sum of lens states: the self-joining "
+                "residual of the average obeys the 2/N telescoping bound.",
+    backends=_BOTH,
+    needs_system=True,
+    params=(
+        ParamSpec("N_values", "intlist", required=False, default="10,100",
+                  help="averaging horizons"),
+        ParamSpec("n_initials", "int", required=False, default="3",
+                  help="number of random initial couplings", minimum=1),
+        ParamSpec("seed", "int", help="seed for the initial couplings"),
+    ),
+    series={"residuals": ("initial", "N", "residual", "bound")},
+)
 def _run_cesaro_barycenter(cfg, p, backend):
     sys = _need_system(cfg, backend)
     k = sys.k
     n_values = sorted(set(p["N_values"]))
-    if not n_values or n_values[0] < 1:
+    if n_values[0] < 1:
         raise InvalidConfig("N_values must be positive integers")
-    if p["seed"] is None:
-        raise InvalidConfig("cesaro-barycenter needs a seed")
-    rngs = _rng_children(p["seed"], p["n_initials"])
-
-    def one_initial(rng):
-        c0 = random_coupling(k, rng, backend=backend)
-        orb = orbit(sys, c0, n_values[-1])
-        out = []
+    rows = []
+    for idx, rng in enumerate(_rng_children(p["seed"], p["n_initials"])):
+        orb = orbit(sys, random_coupling(k, rng, backend=backend), n_values[-1])
         for n in n_values:
-            avg = cesaro_average(orb, n)
-            out.append(self_joining_residual(sys, avg))
-        return out
-
-    all_residuals = [one_initial(rng) for rng in rngs]
-    rows, ok, worst = [], True, None
-    for idx, residuals in enumerate(all_residuals):
-        for n, r in zip(n_values, residuals):
             bound = Fraction(2, n) if backend == exact.RATIONAL else 2.0 / n
-            margin = r - bound
-            if worst is None or margin > worst:
-                worst = margin
-            if r > bound + _tol(backend):
-                ok = False
-            rows.append((value_str(idx), value_str(n), value_str(r),
-                         value_str(bound)))
+            residual = self_joining_residual(sys, cesaro_average(orb, n))
+            rows.append((idx, n, residual, bound))
     scalars = {
         "k": k,
         "n_initials": p["n_initials"],
-        "worst_margin": value_str(worst),
+        "worst_margin": max(r - bound for *_, r, bound in rows),
     }
-    verdicts = {"residual_within_two_over_N": ok}
-    return scalars, {"residuals": (("initial", "N", "residual", "bound"), rows)}, verdicts
+    tol = _tol(backend)
+    verdicts = {
+        "residual_within_two_over_N": all(r <= bound + tol for *_, r, bound in rows),
+    }
+    return scalars, {"residuals": rows}, verdicts
 
 
+@_experiment(
+    name="skew-orbit",
+    description="Orbit of the exact skew map W(a,b,c)=(a,a+b,a+b+c) with "
+                "pointwise conjugation and invariant-torus checks.",
+    backends=_EXACT_ONLY,
+    needs_system=True,
+    params=(
+        ParamSpec("start", "fraclist", help="initial point a,b,c"),
+        ParamSpec("N", "int", help="number of steps"),
+    ),
+    series={"orbit": ("n", "a", "b", "c")},
+)
 def _run_skew_orbit(cfg, p, backend):
-    if not cfg.system:
-        raise InvalidConfig("skew-orbit needs system skew:alpha=<fraction>")
     spec = _parse_system(cfg.system, backend)
     if not isinstance(spec, SkewSpec):
         raise InvalidConfig("skew-orbit needs a skew:alpha=... system spec")
@@ -517,27 +624,31 @@ def _run_skew_orbit(cfg, p, backend):
     for _ in range(p["N"]):
         point = skew_W_step(point)
         points.append(point)
-    conj_ok, restrict_ok = True, True
-    rows = []
-    for n, t in enumerate(points):
-        rows.append((value_str(n), value_str(t[0]), value_str(t[1]),
-                     value_str(t[2])))
-        if skew_Tbar_conjugation(t, spec.alpha) != skew_W_step(t):
-            conj_ok = False
-        if skew_torus_restriction(t[0], (t[1], t[2])) != skew_W_step(t)[1:]:
-            restrict_ok = False
     ret = next((n for n in range(1, len(points)) if points[n] == points[0]), -1)
-    scalars = {"alpha": value_str(Fraction(spec.alpha)), "return_step": ret}
+    scalars = {"alpha": Fraction(spec.alpha), "return_step": ret}
     verdicts = {
-        "conjugation_matches_skew_step": conj_ok,
-        "torus_restriction_is_affine_map": restrict_ok,
+        "conjugation_matches_skew_step": all(
+            skew_Tbar_conjugation(t, spec.alpha) == skew_W_step(t) for t in points),
+        "torus_restriction_is_affine_map": all(
+            skew_torus_restriction(t[0], t[1:]) == skew_W_step(t)[1:] for t in points),
     }
-    return scalars, {"orbit": (("n", "a", "b", "c"), rows)}, verdicts
+    rows = [(n, *t) for n, t in enumerate(points)]
+    return scalars, {"orbit": rows}, verdicts
 
 
+@_experiment(
+    name="iet-realize",
+    description="Draw a random rational coupling target and realize it as "
+                "an interval exchange whose induced coupling matches exactly.",
+    backends=_EXACT_ONLY,
+    params=(
+        ParamSpec("k", "int", help="number of cells", minimum=1),
+        ParamSpec("L", "int", help="target denominator (k must divide L)", minimum=1),
+        ParamSpec("seed", "int", help="seed for the target draw"),
+    ),
+    series={"target": ("i", "j", "mass")},
+)
 def _run_iet_realize(cfg, p, backend):
-    if p["seed"] is None:
-        raise InvalidConfig("iet-realize needs a seed")
     rng = _rng_children(p["seed"], 1)[0]
     k, L = p["k"], p["L"]
     target = random_rational_target(k, L, rng)
@@ -546,14 +657,25 @@ def _run_iet_realize(cfg, p, backend):
     for u, image in enumerate(spec.permutation):
         counts[image // L, u // L] += 1
     induced_ok = bool(np.array_equal(counts, np.asarray(target.m) * k))
-    rows = [(value_str(i), value_str(j),
-             value_str(Fraction(int(target.m[i, j]), L)))
+    rows = [(i, j, Fraction(int(target.m[i, j]), L))
             for i in range(k) for j in range(k)]
     scalars = {"k": k, "L": L, "n_intervals": spec.n_intervals}
     verdicts = {"induced_coupling_equals_target": induced_ok}
-    return scalars, {"target": (("i", "j", "mass"), rows)}, verdicts
+    return scalars, {"target": rows}, verdicts
 
 
+@_experiment(
+    name="group-embedding",
+    description="For a finite abelian group and an automorphism matrix M, "
+                "verify T R_z T^{-1} = R_{Mz} for every group element z.",
+    backends=_EXACT_ONLY,
+    params=(
+        ParamSpec("moduli", "intlist", help="cyclic factors, e.g. 4,3"),
+        ParamSpec("matrix", "intmatrix",
+                  help="automorphism rows, e.g. 1,1;0,1"),
+    ),
+    series={"images": ("z", "image")},
+)
 def _run_group_embedding(cfg, p, backend):
     moduli = tuple(p["moduli"])
     mat = p["matrix"]
@@ -572,216 +694,7 @@ def _run_group_embedding(cfg, p, backend):
             for z, img in zip(elements, images)]
     scalars = {"group_order": len(elements)}
     verdicts = {"conjugation_identity_holds": ok}
-    return scalars, {"images": (("z", "image"), rows)}, verdicts
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-_BOTH = (exact.RATIONAL, exact.FLOAT)
-_EXACT_ONLY = (exact.RATIONAL,)
-
-
-def _flag(raw: str):
-    return raw.strip().lower() in ("1", "true", "yes", "on")
-
-
-REGISTRY: dict[str, ExperimentSpec] = {}
-
-
-def _register(spec: ExperimentSpec):
-    REGISTRY[spec.name] = spec
-
-
-_register(ExperimentSpec(
-    name="rigidity-sweep",
-    description="Block-probe lens scores over a step range; score 1 returns "
-                "certify rigidity of the cell dynamics.",
-    backends=_BOTH,
-    needs_system=True,
-    needs_seed=False,
-    params=(
-        ParamSpec("blocks", "intlist", help="distinct block sizes summing to k"),
-        ParamSpec("n_max", "int", help="largest lens step to score"),
-        ParamSpec("expect_return_at", "int", required=False,
-                  help="step where the score must return to 1"),
-    ),
-    csv_schemas={"scores": "n,score"},
-    runner=_run_rigidity_sweep,
-))
-
-_register(ExperimentSpec(
-    name="mixing-profile",
-    description="Residual max|Q^n[i,j]/k - 1/k^2| per step; zero residual "
-                "means n-step independence of the partition from itself.",
-    backends=_BOTH,
-    needs_system=True,
-    needs_seed=False,
-    params=(
-        ParamSpec("n_max", "int", help="largest power to profile"),
-        ParamSpec("expect_zero_by", "int", required=False,
-                  help="step from which the residual must vanish"),
-    ),
-    csv_schemas={"residuals": "n,residual"},
-    runner=_run_mixing_profile,
-))
-
-_register(ExperimentSpec(
-    name="transitivity-witness",
-    description="Fine graph coupling steered by the lens from one "
-                "permutation neighborhood into another, both exactly.",
-    backends=_EXACT_ONLY,
-    needs_system=False,
-    needs_seed=False,
-    params=(
-        ParamSpec("d", "int", help="alphabet size", minimum=2),
-        ParamSpec("L", "int", help="base cylinder length", minimum=1),
-        ParamSpec("sigma", "intlist", help="source permutation of d^L cells"),
-        ParamSpec("pi", "intlist", help="target permutation of d^L cells"),
-        ParamSpec("epsilon", "fraction", required=False, default="1/1000000",
-                  help="neighborhood radius"),
-    ),
-    csv_schemas={"restrictions": "which,i,j,mass"},
-    runner=_run_transitivity_witness,
-))
-
-_register(ExperimentSpec(
-    name="entropy-factor",
-    description="Realize a prescribed 0/half block as the opening of the "
-                "factor sequence n -> (lens^n C)(A x A).",
-    backends=_EXACT_ONLY,
-    needs_system=False,
-    needs_seed=False,
-    params=(
-        ParamSpec("block", "fraclist", help="entries 0 or 1/2, e.g. 0,1/2,0"),
-        ParamSpec("n_values", "int", required=False,
-                  help="how many sequence values to emit (default block length)"),
-    ),
-    csv_schemas={"factor_sequence": "n,F"},
-    runner=_run_entropy_factor,
-))
-
-_register(ExperimentSpec(
-    name="fixed-points",
-    description="Affine hull of the lens fixed couplings: dimension, basis "
-                "directions, and the always-fixed product coupling.",
-    backends=_BOTH,
-    needs_system=True,
-    needs_seed=False,
-    params=(),
-    csv_schemas={"basis": "direction,i,j,value"},
-    runner=_run_fixed_points,
-))
-
-_register(ExperimentSpec(
-    name="periodic-commuters",
-    description="Cell permutations commuting with a shift (cyclic symbol "
-                "action) or with an odometer power; lens period checks.",
-    backends=_EXACT_ONLY,
-    needs_system=False,
-    needs_seed=False,
-    params=(
-        ParamSpec("family", "str", help="'bernoulli' or 'odometer'"),
-        ParamSpec("d", "int", required=False, help="bernoulli: cycled factor size",
-                  minimum=1),
-        ParamSpec("ell", "int", required=False, help="bernoulli: fixed factor size",
-                  minimum=1),
-        ParamSpec("L", "int", required=False, help="bernoulli: cylinder length",
-                  minimum=1),
-        ParamSpec("m", "int", required=False, help="odometer: level"),
-        ParamSpec("pi", "intlist", required=False,
-                  help="odometer: permutation of the low-digit values"),
-    ),
-    csv_schemas={"commuter": "cell,image", "period_residuals": "p,residual"},
-    runner=_run_periodic_commuters,
-))
-
-_register(ExperimentSpec(
-    name="one-sided-limit",
-    description="One-sided orbit C -> Q^T C: distance to the product "
-                "coupling per step, with optional attractor expectations.",
-    backends=_BOTH,
-    needs_system=True,
-    needs_seed=False,
-    params=(
-        ParamSpec("n_steps", "int", help="orbit length"),
-        ParamSpec("init", "str", required=False, default="random",
-                  help="'random' (needs seed), 'product', or 'graph:<perm>'"),
-        ParamSpec("seed", "int", required=False, help="seed for init=random"),
-        ParamSpec("expect_product_by", "int", required=False,
-                  help="step from which the orbit must sit on the product"),
-        ParamSpec("expect_graph_orbit", "str", required=False, default="",
-                  help="set to 'yes' to require every state be a graph coupling"),
-    ),
-    csv_schemas={"distance_to_product": "n,distance"},
-    runner=_run_one_sided_limit,
-))
-
-_register(ExperimentSpec(
-    name="cesaro-barycenter",
-    description="Orbit averages (1/N) sum of lens states: the self-joining "
-                "residual of the average obeys the 2/N telescoping bound.",
-    backends=_BOTH,
-    needs_system=True,
-    needs_seed=True,
-    params=(
-        ParamSpec("N_values", "intlist", required=False, default="10,100",
-                  help="averaging horizons"),
-        ParamSpec("n_initials", "int", required=False, default="3",
-                  help="number of random initial couplings", minimum=1),
-        ParamSpec("seed", "int", help="seed for the initial couplings"),
-    ),
-    csv_schemas={"residuals": "initial,N,residual,bound"},
-    runner=_run_cesaro_barycenter,
-))
-
-_register(ExperimentSpec(
-    name="skew-orbit",
-    description="Orbit of the exact skew map W(a,b,c)=(a,a+b,a+b+c) with "
-                "pointwise conjugation and invariant-torus checks.",
-    backends=_EXACT_ONLY,
-    needs_system=True,
-    needs_seed=False,
-    params=(
-        ParamSpec("start", "fraclist", help="initial point a,b,c"),
-        ParamSpec("N", "int", help="number of steps"),
-    ),
-    csv_schemas={"orbit": "n,a,b,c"},
-    runner=_run_skew_orbit,
-))
-
-_register(ExperimentSpec(
-    name="iet-realize",
-    description="Draw a random rational coupling target and realize it as "
-                "an interval exchange whose induced coupling matches exactly.",
-    backends=_EXACT_ONLY,
-    needs_system=False,
-    needs_seed=True,
-    params=(
-        ParamSpec("k", "int", help="number of cells", minimum=1),
-        ParamSpec("L", "int", help="target denominator (k must divide L)", minimum=1),
-        ParamSpec("seed", "int", help="seed for the target draw"),
-    ),
-    csv_schemas={"target": "i,j,mass"},
-    runner=_run_iet_realize,
-))
-
-_register(ExperimentSpec(
-    name="group-embedding",
-    description="For a finite abelian group and an automorphism matrix M, "
-                "verify T R_z T^{-1} = R_{Mz} for every group element z.",
-    backends=_EXACT_ONLY,
-    needs_system=False,
-    needs_seed=False,
-    params=(
-        ParamSpec("moduli", "intlist", help="cyclic factors, e.g. 4,3"),
-        ParamSpec("matrix", "intmatrix",
-                  help="automorphism rows, e.g. 1,1;0,1"),
-    ),
-    csv_schemas={"images": "z,image"},
-    runner=_run_group_embedding,
-))
+    return scalars, {"images": rows}, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -877,26 +790,29 @@ def validate_config(cfg: ExperimentConfig) -> dict:
         if p.kind == "int" and typed[p.name] < p.minimum:
             raise InvalidConfig(
                 f"parameter {p.name!r} must be >= {p.minimum}, got {typed[p.name]}")
-    if spec.needs_seed and typed.get("seed") is None:
-        raise InvalidConfig(f"experiment {spec.name!r} uses randomness; set a seed")
-    if "expect_graph_orbit" in typed:
-        typed["expect_graph_orbit"] = _flag(typed["expect_graph_orbit"] or "")
     return typed
 
 
 def run_experiment(cfg: ExperimentConfig, write: bool = True) -> ExperimentReport:
-    """Validate, dispatch to the registry, assemble and optionally write."""
+    """Validate, dispatch to the registry, render, and optionally write.
+
+    Every series cell goes through value_str; int scalars stay JSON
+    integers and every other scalar is rendered with value_str.
+    """
     typed = validate_config(cfg)
     spec = REGISTRY[cfg.experiment]
     start = time.perf_counter()
-    scalars, series, verdicts = spec.runner(cfg, typed, cfg.backend)
+    scalars, rows, verdicts = spec.runner(cfg, typed, cfg.backend)
     duration = time.perf_counter() - start
     # Float comparisons yield numpy.bool_, which json refuses.
     verdicts = {name: bool(v) for name, v in verdicts.items()}
     report = ExperimentReport(
         config=cfg,
-        scalars=scalars,
-        series=series,
+        scalars={name: v if isinstance(v, int) else value_str(v)
+                 for name, v in scalars.items()},
+        series={name: (spec.series[name],
+                       [tuple(value_str(x) for x in row) for row in body])
+                for name, body in rows.items()},
         verdicts=verdicts,
         passed=all(verdicts.values()),
         duration_seconds=duration,
@@ -927,6 +843,7 @@ def list_experiments() -> list[dict]:
                 }
                 for p in spec.params
             ],
-            "csv": dict(sorted(spec.csv_schemas.items())),
+            "csv": {name: ",".join(cols)
+                    for name, cols in sorted(spec.series.items())},
         })
     return out

@@ -245,32 +245,19 @@ def fixed_point_space(sys: FiniteSystem) -> FixedPointSpace:
         return FixedPointSpace(dimension=len(basis), basis=tuple(basis),
                                interior=interior)
 
-    # General case: nullspace of [lens(X) - X ; row sums ; column sums].
+    # General case: nullspace of [lens(X) - X ; row sums ; column sums],
+    # where lens(X)[i, j] = sum_ab Q[a, i] Q[b, j] X[a, b] on row-major X.
+    q = np.asarray(sys.Q)
+    lens_op = np.kron(q.T, q.T) - exact.identity(k * k, backend)
     if backend == exact.RATIONAL:
-        rows = []
-        q = sys.Q
-        for i in range(k):
-            for j in range(k):
-                row = np.empty(k * k, dtype=object)
-                for a_ in range(k):
-                    for b_ in range(k):
-                        v = q[a_, i] * q[b_, j]
-                        if a_ == i and b_ == j:
-                            v = v - 1
-                        row[a_ * k + b_] = v
-                rows.append(row)
-        system = np.vstack([np.array(rows, dtype=object), _marginal_rows(k)])
-        null = exact.exact_nullspace(system)
+        null = exact.exact_nullspace(np.vstack([lens_op, _marginal_rows(k)]))
         basis = tuple(exact.freeze(v.reshape(k, k)) for v in null)
         return FixedPointSpace(dimension=len(basis), basis=basis, interior=interior)
 
     from scipy.linalg import null_space
 
-    q = np.asarray(sys.Q, dtype=float)
-    lens_op = np.kron(q.T, q.T) - np.eye(k * k)
     marg = np.asarray(_marginal_rows(k), dtype=float)
-    stack = np.vstack([lens_op, marg])
-    null = null_space(stack, rcond=1e-10)
+    null = null_space(np.vstack([lens_op, marg]), rcond=1e-10)
     basis = tuple(exact.freeze(null[:, i].reshape(k, k))
                   for i in range(null.shape[1]))
     return FixedPointSpace(dimension=null.shape[1], basis=basis, interior=interior)

@@ -186,19 +186,11 @@ def validate_system(sys: FiniteSystem, tol: float = 1e-12) -> list[str]:
 
 
 def system_to_json(sys: FiniteSystem) -> str:
-    q = sys.Q
-    flat = [exact.format_value(x) for x in np.asarray(q).ravel()]
-    return json.dumps({"k": sys.k, "exact": sys.exact, "Q": flat}, sort_keys=True)
+    return json.dumps({"k": sys.k, "exact": sys.exact,
+                       "Q": exact.matrix_to_values(sys.Q)}, sort_keys=True)
 
 
 def system_from_json(text: str) -> FiniteSystem:
     doc = json.loads(text)
-    k = int(doc["k"])
-    values = [exact.parse_value(v) for v in doc["Q"]]
-    if len(values) != k * k:
-        raise DimensionMismatch("Q must hold k*k row-major entries")
-    if any(isinstance(v, float) for v in values):
-        q = np.array(values, dtype=float).reshape(k, k)
-    else:
-        q = np.array(values, dtype=object).reshape(k, k)
+    q = exact.matrix_from_values(doc["Q"], int(doc["k"]), "Q")
     return system_from_matrix(q, exact_flag=bool(doc["exact"]))

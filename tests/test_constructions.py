@@ -339,6 +339,12 @@ def test_bernoulli_cyclic_commuter_respects_size_guard():
         bernoulli_cyclic_commuter(2, 2, 7)
 
 
+def test_odometer_commuter_respects_size_guard():
+    # 2^13 cells exceed the limit; the guard must fire before any allocation.
+    with pytest.raises(SizeGuard):
+        odometer_commuter((1, 0), 13)
+
+
 def test_odometer_commuter_flips_low_digit():
     s = odometer_commuter([1, 0], 3)
     assert s.tolist() == [1, 0, 3, 2, 5, 4, 7, 6]

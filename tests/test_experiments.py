@@ -1,5 +1,6 @@
 """Experiment registry, config plumbing, report determinism, CLI exits."""
 
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -343,6 +344,16 @@ FLOAT_EXPERIMENTS = sorted(name for name, spec in REGISTRY.items()
                            if "float" in spec.backends)
 
 
+def _is_number(text):
+    for parse in (float, Fraction):  # float takes ints too, Fraction 'p/q'
+        try:
+            parse(text)
+            return True
+        except ValueError:
+            pass
+    return False
+
+
 @pytest.mark.parametrize("name", FLOAT_EXPERIMENTS)
 def test_float_backend_reports_are_written(name, tmp_path):
     mapping = apply_overrides(load_config_file(CONFIGS / f"{name}.cfg"),
@@ -352,6 +363,11 @@ def test_float_backend_reports_are_written(name, tmp_path):
     assert doc["config"]["backend"] == "float"
     assert all(type(v) is bool for v in report.verdicts.values())
     assert doc["verdicts"] == report.verdicts
+    strings = [v for v in doc["scalars"].values() if isinstance(v, str)]
+    for csv in tmp_path.glob("*.csv"):
+        for line in csv.read_text().splitlines()[1:]:
+            strings.extend(line.split(","))
+    assert strings and all(_is_number(s) for s in strings), strings
 
 
 def _run_override(name, override, capsys):
@@ -364,6 +380,7 @@ def _run_override(name, override, capsys):
     ("iet-realize", "seed=-1"),
     ("rigidity-sweep", "n_max=-3"),
     ("entropy-factor", "block="),
+    ("one-sided-limit", "init=graph:0,x"),
 ])
 def test_cli_rejects_known_bad_overrides_as_config_errors(name, override, capsys):
     code, err = _run_override(name, override, capsys)
@@ -389,3 +406,34 @@ def test_cli_int_parameter_boundaries_exit_honestly(name, param, value, capsys):
         assert code in (0, 1, 2)
     if code == 2:
         assert err.startswith("config error:") and err.count("\n") == 1
+
+
+#
+# Golden outputs of the shipped configs and the registry listing.
+#
+
+DIGESTS = CONFIGS.parent / "perfbench" / "digests.json"
+
+
+def _digest_dir(path):
+    """The hash perfbench/worker.py:digest_dir takes of a report directory."""
+    h = hashlib.sha256()
+    for f in sorted(path.iterdir()):
+        h.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
+    return h.hexdigest()[:16]
+
+
+def test_shipped_configs_match_recorded_digests(tmp_path, monkeypatch):
+    recorded = json.loads(DIGESTS.read_text())["cli-configs"]["*"]
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for name in EXPECTED_NAMES:
+        assert cli_main(["run", str(CONFIGS / f"{name}.cfg")]) == 0
+        digests[name] = _digest_dir(tmp_path / "out" / name)
+    assert digests == recorded
+
+
+def test_cli_list_json_matches_golden_file(capsys):
+    assert cli_main(["list", "--json"]) == 0
+    golden = Path(__file__).resolve().parent / "golden" / "list.json"
+    assert capsys.readouterr().out == golden.read_text()

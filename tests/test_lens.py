@@ -29,6 +29,7 @@ from lenslab import (
     random_coupling,
     rotation_system,
     self_joining_residual,
+    system_from_matrix,
     system_from_permutation,
     validate_coupling,
 )
@@ -137,6 +138,17 @@ def test_fixed_space_float_backend_agrees():
     # stochastic float path goes through the SVD nullspace
     svd_space = fixed_point_space(bernoulli_system(2, 2, backend=exact.FLOAT))
     assert svd_space.dimension == 0
+
+
+def test_fixed_space_of_block_stochastic_system_agrees_across_backends():
+    # diag(J/2, J/2): fixed directions are constant on the 2x2 block pairs,
+    # +t on the diagonal pairs and -t off them, so the space is a line.
+    h, z = Fraction(1, 2), Fraction(0)
+    q = np.array([[h, h, z, z], [h, h, z, z], [z, z, h, h], [z, z, h, h]],
+                 dtype=object)
+    rational = fixed_point_space(system_from_matrix(q))
+    floating = fixed_point_space(system_from_matrix(q.astype(float)))
+    assert rational.dimension == floating.dimension == 1
 
 
 def test_product_coupling_always_fixed():
