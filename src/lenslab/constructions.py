@@ -83,10 +83,8 @@ class RationalTarget:
             raise InfeasibleTarget("rows and columns must sum to L/k")
 
     def coupling(self, backend: str = exact.RATIONAL) -> CouplingMatrix:
-        if backend == exact.RATIONAL:
-            c = exact.join_scaled(np.asarray(self.m), self.L)
-            return CouplingMatrix(k=self.k, C=c)
-        return CouplingMatrix(k=self.k, C=np.asarray(self.m, dtype=float) / self.L)
+        c = exact.from_scaled(np.asarray(self.m), self.L, backend)
+        return CouplingMatrix(k=self.k, C=c)
 
 
 def target_to_json(t: RationalTarget) -> str:
@@ -215,16 +213,10 @@ def rigidity_probe(sys: FiniteSystem, blocks, n: int):
     backend = sys.backend
     xi = exact.zeros((k, k), backend)
     for b in blocks:
-        w = Fraction(1, k * len(b)) if backend == exact.RATIONAL else 1.0 / (k * len(b))
-        for i in b:
-            for j in b:
-                xi[i, j] = w
+        xi[np.ix_(b, b)] = exact.scalar(Fraction(1, k * len(b)), backend)
     image = lens_iterate(sys, CouplingMatrix(k=k, C=xi), n)
-    score = Fraction(0) if backend == exact.RATIONAL else 0.0
-    for b in blocks:
-        idx = np.asarray(b, dtype=int)
-        score = score + image.C[np.ix_(idx, idx)].sum()
-    return score
+    return sum((image.C[np.ix_(b, b)].sum() for b in blocks),
+               exact.scalar(0, backend))
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,9 +299,7 @@ def entropy_factor_F(sys: FiniteSystem, lam: CouplingMatrix, n_values: int) -> l
         backend = exact.FLOAT
         q, c = exact.as_float(q), exact.as_float(c)
     w = exact.zeros(sys.k, backend)
-    one = Fraction(1) if backend == exact.RATIONAL else 1.0
-    for i in cells:
-        w[i] = one
+    w[cells] = exact.scalar(1, backend)
     values = []
     for _ in range(n_values):
         values.append(_quadratic(w, c))

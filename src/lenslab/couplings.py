@@ -69,9 +69,7 @@ def _require_same(a: CouplingMatrix, b: CouplingMatrix):
 
 def product_coupling(k: int, backend: str = exact.RATIONAL) -> CouplingMatrix:
     """Independent coupling: every entry 1/k^2."""
-    if backend == exact.RATIONAL:
-        return _wrap(exact.constant((k, k), Fraction(1, k * k)))
-    return _wrap(np.full((k, k), 1.0 / (k * k)))
+    return _wrap(exact.constant((k, k), Fraction(1, k * k), backend))
 
 
 def graph_coupling(sigma, backend: str = exact.RATIONAL) -> CouplingMatrix:
@@ -81,9 +79,7 @@ def graph_coupling(sigma, backend: str = exact.RATIONAL) -> CouplingMatrix:
     if sorted(sigma.tolist()) != list(range(k)):
         raise ValueError("sigma must be a permutation of 0..k-1")
     c = exact.zeros((k, k), backend)
-    mass = Fraction(1, k) if backend == exact.RATIONAL else 1.0 / k
-    for j in range(k):
-        c[sigma[j], j] = mass
+    c[sigma, np.arange(k)] = exact.scalar(Fraction(1, k), backend)
     return _wrap(c)
 
 
@@ -93,10 +89,8 @@ def lift_coupling(coarse: CouplingMatrix, ref: RefinementMap) -> CouplingMatrix:
     if coarse.k != ref.coarse.k:
         raise DimensionMismatch("coupling does not match the coarse partition")
     parent = np.asarray(ref.parent, dtype=int)
-    r = ref.r
-    scale = Fraction(1, r * r) if coarse.backend == exact.RATIONAL else 1.0 / (r * r)
-    fine = coarse.C[np.ix_(parent, parent)] * scale
-    return _wrap(fine)
+    scale = exact.scalar(Fraction(1, ref.r ** 2), coarse.backend)
+    return _wrap(coarse.C[np.ix_(parent, parent)] * scale)
 
 
 def restrict_coupling(fine: CouplingMatrix, ref: RefinementMap) -> CouplingMatrix:
@@ -155,7 +149,7 @@ def in_neighborhood(c: CouplingMatrix, spec: NeighborhoodSpec) -> bool:
     eta = np.asarray(spec.eta, dtype=int)
     if len(eta) != c.k:
         raise DimensionMismatch("eta has the wrong length")
-    mass = Fraction(1, c.k) if c.backend == exact.RATIONAL else 1.0 / c.k
+    mass = exact.scalar(Fraction(1, c.k), c.backend)
     return all(abs(c.C[eta[j], j] - mass) < spec.epsilon for j in range(c.k))
 
 
@@ -208,17 +202,15 @@ def compose_couplings(a: CouplingMatrix, b: CouplingMatrix) -> CouplingMatrix:
     underlying permutations: compose(graph(s), graph(t)) = graph(s o t).
     """
     _require_same(a, b)
-    scale = Fraction(a.k) if a.backend == exact.RATIONAL else float(a.k)
-    return _wrap(exact.mat_mul(a.C, b.C) * scale)
+    return _wrap(exact.mat_mul(a.C, b.C) * a.k)
 
 
-def validate_coupling(c: CouplingMatrix, tol: float = 1e-12) -> list[str]:
+def validate_coupling(c: CouplingMatrix, tol: float = exact.FLOAT_TOL) -> list[str]:
     m = c.C
     k = c.k
     if m.shape != (k, k):
         return [f"shape{m.shape}"]
-    target = Fraction(1, k) if exact.is_rational_array(m) else 1.0 / k
-    return exact.marginal_defects(m, target, tol)
+    return exact.marginal_defects(m, Fraction(1, k), tol)
 
 
 def random_coupling(k: int, rng: np.random.Generator,
@@ -233,9 +225,7 @@ def random_coupling(k: int, rng: np.random.Generator,
     for w in weights:
         sigma = rng.permutation(k)
         numerators[sigma, cols] += w
-    if backend == exact.FLOAT:
-        return _wrap(numerators.astype(float) / (total * k))
-    return _wrap(exact.join_scaled(numerators, total * k))
+    return _wrap(exact.from_scaled(numerators, total * k, backend))
 
 
 def coupling_to_json(c: CouplingMatrix) -> str:

@@ -1,8 +1,11 @@
 """Dual numeric backends: exact rational matrices and float64 matrices.
 
 Rational matrices are numpy object arrays holding ``fractions.Fraction``;
-float matrices are ordinary float64 arrays.  Helpers here dispatch on dtype
-so callers never branch on the backend by hand.
+float matrices are ordinary float64 arrays.  This is the only module that
+knows the number format of a backend.  Everywhere else a value is written
+once, exactly (a ``Fraction`` or an integer), and handed to ``scalar``,
+``constant``, ``from_scaled`` or ``tolerance`` with the backend; kernels
+here dispatch on dtype, so callers never branch on the backend by hand.
 
 The rational kernels do no per-entry Fraction arithmetic.  They work on a
 scaled-integer form: ``split_common`` writes an array as (integer
@@ -39,6 +42,11 @@ from .errors import DimensionMismatch
 RATIONAL = "rational"
 FLOAT = "float"
 
+# Float-backend tolerances: one for arithmetic that only rounds, one for
+# results of the SVD nullspace solver.
+FLOAT_TOL = 1e-12
+SOLVER_TOL = 1e-9
+
 # Worst-case |entry| bound under which int64 accumulation cannot overflow.
 _INT64_SAFE = 2**62
 
@@ -65,20 +73,27 @@ def frac_array(rows) -> np.ndarray:
     return arr
 
 
-def zeros(shape, backend: str = RATIONAL) -> np.ndarray:
-    if backend == RATIONAL:
-        a = np.empty(shape, dtype=object)
-        a[...] = Fraction(0)
-        return a
-    return np.zeros(shape)
+def scalar(x, backend: str = RATIONAL):
+    """The exact rational x on a backend: a Fraction, or the nearest float."""
+    return Fraction(x) if backend == RATIONAL else float(x)
+
+
+def tolerance(backend: str, float_tol: float = FLOAT_TOL):
+    """Comparison slack: none on the rational backend, float_tol on floats."""
+    return Fraction(0) if backend == RATIONAL else float_tol
+
+
+def from_scaled(num: np.ndarray, den: int, backend: str = RATIONAL) -> np.ndarray:
+    """Integer numerators over one denominator, as an array on a backend."""
+    return join_scaled(num, den) if backend == RATIONAL else num / den
 
 
 def constant(shape, value, backend: str = RATIONAL) -> np.ndarray:
-    if backend == RATIONAL:
-        a = np.empty(shape, dtype=object)
-        a[...] = Fraction(value)
-        return a
-    return np.full(shape, float(value))
+    return np.full(shape, scalar(value, backend))
+
+
+def zeros(shape, backend: str = RATIONAL) -> np.ndarray:
+    return constant(shape, 0, backend)
 
 
 def freeze(a: np.ndarray) -> np.ndarray:
@@ -244,11 +259,7 @@ def mat_power(a: np.ndarray, n: int) -> np.ndarray:
     """Non-negative matrix power by binary exponentiation."""
     if n < 0:
         raise ValueError("mat_power expects n >= 0")
-    k = a.shape[0]
-    if is_rational_array(a):
-        result = identity(k, RATIONAL)
-    else:
-        result = np.eye(k)
+    result = identity(a.shape[0], backend_of(a))
     base = a
     while n:
         if n & 1:
@@ -260,12 +271,7 @@ def mat_power(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def identity(k: int, backend: str = RATIONAL) -> np.ndarray:
-    if backend == RATIONAL:
-        a = zeros((k, k), RATIONAL)
-        for i in range(k):
-            a[i, i] = Fraction(1)
-        return a
-    return np.eye(k)
+    return matrix_of_permutation(np.arange(k), backend)
 
 
 def l1_norm(a: np.ndarray, b=None):
@@ -325,7 +331,7 @@ def marginal_defects(m: np.ndarray, target, tol: float) -> list[str]:
     """Lines of m whose sum is not target, then negative entries.
 
     Returns 'row_sum(i)', 'col_sum(j)' and 'negative_entry(i,j)' labels in
-    that order.  Exact on rational arrays; tol applies to float arrays.
+    that order.  target is exact; tol applies to float arrays only.
     """
     if is_rational_array(m):
         num, den = _split(m)
@@ -335,6 +341,7 @@ def marginal_defects(m: np.ndarray, target, tol: float) -> list[str]:
         bad_cols = _rescale(_int_sum(num, axis=0), q) != p * den
         negative = np.argwhere(num < 0)
     else:
+        target = float(target)
         bad_rows = [abs(m[i, :].sum() - target) > tol for i in range(m.shape[0])]
         bad_cols = [abs(m[:, j].sum() - target) > tol for j in range(m.shape[1])]
         negative = np.argwhere(m < -tol)
@@ -365,9 +372,7 @@ def matrix_of_permutation(perm, backend: str = RATIONAL) -> np.ndarray:
     """0/1 matrix M with M[perm[j], j] = 1 (column j sent to row perm[j])."""
     k = len(perm)
     m = zeros((k, k), backend)
-    one = Fraction(1) if backend == RATIONAL else 1.0
-    for j, i in enumerate(perm):
-        m[int(i), j] = one
+    m[np.asarray(perm, dtype=int), np.arange(k)] = scalar(1, backend)
     return m
 
 
@@ -498,8 +503,7 @@ def exact_nullspace(a: np.ndarray) -> list[np.ndarray]:
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
-        v = np.empty(n, dtype=object)
-        v[...] = Fraction(0)
+        v = zeros(n)
         v[fc] = Fraction(1)
         for ri, pc in enumerate(pivots):
             if work[ri, fc] != 0:

@@ -73,9 +73,6 @@ __all__ = [
     "validate_config",
 ]
 
-FLOAT_TOL = 1e-12
-
-
 # ---------------------------------------------------------------------------
 # Config and report containers
 # ---------------------------------------------------------------------------
@@ -148,15 +145,13 @@ class ExperimentReport:
 
 
 def value_str(x) -> str:
-    """Canonical cell rendering: exact 'p/q' for rationals, repr for floats."""
+    """Canonical cell rendering: exact.format_value as text, 'true'/'false'
+    for booleans, strings unchanged."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, float):
-        # float() first: numpy 2 reprs np.float64 as 'np.float64(...)'.
-        return repr(float(x))
-    return str(x)
+    if isinstance(x, str):
+        return x
+    return str(exact.format_value(x))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +165,7 @@ class ParamSpec:
     required: bool = True
     default: str | None = None
     help: str = ""
-    minimum: int = 0  # smallest accepted value of an int parameter
+    minimum: int = 0  # smallest accepted int, or entry of an intlist
 
 
 def _coerce(kind: str, raw: str):
@@ -188,8 +183,11 @@ def _coerce(kind: str, raw: str):
                 raise ValueError("no entries")
             return values
         if kind == "intmatrix":
-            return tuple(tuple(int(x) for x in row.split(","))
+            rows = tuple(tuple(int(x) for x in row.split(","))
                          for row in raw.split(";"))
+            if len({len(row) for row in rows}) != 1:
+                raise ValueError("rows differ in length")
+            return rows
     except (ValueError, ZeroDivisionError) as e:
         raise InvalidConfig(f"cannot parse value {raw!r} as {kind}: {e}") from None
     raise InvalidConfig(f"unknown parameter kind {kind!r}")
@@ -235,10 +233,6 @@ def _experiment(**fields):
     return register
 
 
-def _tol(backend: str):
-    return Fraction(0) if backend == exact.RATIONAL else FLOAT_TOL
-
-
 def _parse_system(spec: str, backend: str):
     try:
         return parse_system_spec(spec, backend=backend)
@@ -270,7 +264,8 @@ def _rng_children(seed: int, n: int) -> list[np.random.Generator]:
     backends=_BOTH,
     needs_system=True,
     params=(
-        ParamSpec("blocks", "intlist", help="distinct block sizes summing to k"),
+        ParamSpec("blocks", "intlist", help="distinct block sizes summing to k",
+                  minimum=1),
         ParamSpec("n_max", "int", help="largest lens step to score"),
         ParamSpec("expect_return_at", "int", required=False,
                   help="step where the score must return to 1"),
@@ -280,7 +275,7 @@ def _rng_children(seed: int, n: int) -> list[np.random.Generator]:
 def _run_rigidity_sweep(cfg, p, backend):
     sys = _need_system(cfg, backend)
     blocks = consecutive_blocks(p["blocks"])
-    tol = _tol(backend)
+    tol = exact.tolerance(backend)
     scores = [rigidity_probe(sys, blocks, n) for n in range(p["n_max"] + 1)]
     returns = [n for n, s in enumerate(scores) if n >= 1 and abs(s - 1) <= tol]
     scalars = {
@@ -315,8 +310,8 @@ def _run_rigidity_sweep(cfg, p, backend):
 def _run_mixing_profile(cfg, p, backend):
     sys = _need_system(cfg, backend)
     k = sys.k
-    tol = _tol(backend)
-    uniform = Fraction(1, k) if backend == exact.RATIONAL else 1.0 / k
+    tol = exact.tolerance(backend)
+    uniform = exact.scalar(Fraction(1, k), backend)
     power = exact.identity(k, backend)
     q = np.asarray(sys.Q)
     residuals = []
@@ -407,7 +402,7 @@ def _run_fixed_points(cfg, p, backend):
     sys = _need_system(cfg, backend)
     k = sys.k
     # SVD nullspaces on the float backend are only good to solver precision.
-    tol = Fraction(0) if backend == exact.RATIONAL else 1e-9
+    tol = exact.tolerance(backend, exact.SOLVER_TOL)
     q = np.asarray(sys.Q)
     basis = [np.asarray(d) for d in fixed_point_space(sys).basis]
     product_residual = self_joining_residual(sys, product_coupling(k, backend))
@@ -483,7 +478,7 @@ def _run_periodic_commuters(cfg, p, backend):
             "power_commutation_residual": residual,
         }
         verdicts = {
-            "commutes_with_block_power": residual <= _tol(backend),
+            "commutes_with_block_power": residual <= exact.tolerance(backend),
             "period_found": report.period is not None,
             "period_divides_block": (report.period is not None
                                      and block % report.period == 0),
@@ -534,7 +529,7 @@ def _initial_coupling(init: str, k: int, backend: str, p) -> CouplingMatrix:
 def _run_one_sided_limit(cfg, p, backend):
     sys = _need_system(cfg, backend)
     k = sys.k
-    tol = _tol(backend)
+    tol = exact.tolerance(backend)
     c0 = _initial_coupling(p["init"], k, backend, p)
     orb = orbit(sys, c0, p["n_steps"], mode="one-sided")
     prod = product_coupling(k, backend)
@@ -568,7 +563,7 @@ def _run_one_sided_limit(cfg, p, backend):
     needs_system=True,
     params=(
         ParamSpec("N_values", "intlist", required=False, default="10,100",
-                  help="averaging horizons"),
+                  help="averaging horizons", minimum=1),
         ParamSpec("n_initials", "int", required=False, default="3",
                   help="number of random initial couplings", minimum=1),
         ParamSpec("seed", "int", help="seed for the initial couplings"),
@@ -579,13 +574,11 @@ def _run_cesaro_barycenter(cfg, p, backend):
     sys = _need_system(cfg, backend)
     k = sys.k
     n_values = sorted(set(p["N_values"]))
-    if n_values[0] < 1:
-        raise InvalidConfig("N_values must be positive integers")
     rows = []
     for idx, rng in enumerate(_rng_children(p["seed"], p["n_initials"])):
         orb = orbit(sys, random_coupling(k, rng, backend=backend), n_values[-1])
         for n in n_values:
-            bound = Fraction(2, n) if backend == exact.RATIONAL else 2.0 / n
+            bound = exact.scalar(Fraction(2, n), backend)
             residual = self_joining_residual(sys, cesaro_average(orb, n))
             rows.append((idx, n, residual, bound))
     scalars = {
@@ -593,7 +586,7 @@ def _run_cesaro_barycenter(cfg, p, backend):
         "n_initials": p["n_initials"],
         "worst_margin": max(r - bound for *_, r, bound in rows),
     }
-    tol = _tol(backend)
+    tol = exact.tolerance(backend)
     verdicts = {
         "residual_within_two_over_N": all(r <= bound + tol for *_, r, bound in rows),
     }
@@ -670,7 +663,7 @@ def _run_iet_realize(cfg, p, backend):
                 "verify T R_z T^{-1} = R_{Mz} for every group element z.",
     backends=_EXACT_ONLY,
     params=(
-        ParamSpec("moduli", "intlist", help="cyclic factors, e.g. 4,3"),
+        ParamSpec("moduli", "intlist", help="cyclic factors, e.g. 4,3", minimum=1),
         ParamSpec("matrix", "intmatrix",
                   help="automorphism rows, e.g. 1,1;0,1"),
     ),
@@ -786,10 +779,11 @@ def validate_config(cfg: ExperimentConfig) -> dict:
         else:
             typed[p.name] = None
             continue
-        typed[p.name] = _coerce(p.kind, raw)
-        if p.kind == "int" and typed[p.name] < p.minimum:
+        typed[p.name] = value = _coerce(p.kind, raw)
+        entries = value if p.kind == "intlist" else (value,) if p.kind == "int" else ()
+        if any(v < p.minimum for v in entries):
             raise InvalidConfig(
-                f"parameter {p.name!r} must be >= {p.minimum}, got {typed[p.name]}")
+                f"parameter {p.name!r} must be >= {p.minimum}, got {value}")
     return typed
 
 

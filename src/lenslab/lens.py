@@ -162,8 +162,7 @@ def markov_commutation_residual(sys: FiniteSystem, c: CouplingMatrix):
     graph mass that the operator identity preserves.
     """
     _check(sys, c)
-    scale = Fraction(c.k) if c.backend == exact.RATIONAL else float(c.k)
-    m = c.C.T * scale
+    m = c.C.T * c.k
     return exact.l1_diff(exact.mat_mul(m, sys.Q), exact.mat_mul(sys.Q, m))
 
 
@@ -181,33 +180,25 @@ class FixedPointSpace:
     interior: CouplingMatrix
 
 
-def _pair_orbits(perm: np.ndarray, k: int) -> list[np.ndarray]:
-    """Orbits of (i, j) -> (perm[i], perm[j]) as flat-index arrays."""
-    seen = np.zeros(k * k, dtype=bool)
-    orbits = []
-    for start in range(k * k):
-        if seen[start]:
-            continue
-        members = []
-        idx = start
-        while not seen[idx]:
-            seen[idx] = True
-            members.append(idx)
-            i, j = divmod(idx, k)
-            idx = perm[i] * k + perm[j]
-        orbits.append(np.array(members, dtype=int))
-    return orbits
+def _pair_orbit_labels(perm: np.ndarray, k: int) -> np.ndarray:
+    """Orbit of each flat (i, j) under (i, j) -> (perm[i], perm[j]).
+
+    Orbits are numbered in order of their smallest flat index.  Pointer
+    doubling: after t rounds, low[x] is the smallest index among the first
+    2^t points of x's orbit, and no orbit is longer than k^2.
+    """
+    step = (perm[:, None] * k + perm[None, :]).ravel()
+    low = np.arange(k * k)
+    for _ in range((k * k).bit_length()):
+        low = np.minimum(low, low[step])
+        step = step[step]
+    return np.unique(low, return_inverse=True)[1]
 
 
-def _marginal_rows(k: int):
+def _marginal_rows(k: int) -> np.ndarray:
     """Constraint rows forcing zero row and column sums, over flat (i,j)."""
-    rows = np.zeros((2 * k, k * k), dtype=object)
-    rows[...] = 0
-    for i in range(k):
-        for j in range(k):
-            rows[i, i * k + j] = 1
-            rows[k + j, i * k + j] = 1
-    return rows
+    eye, ones = np.eye(k, dtype=int), np.ones((1, k), dtype=int)
+    return np.vstack([np.kron(eye, ones), np.kron(ones, eye)]).astype(object)
 
 
 def fixed_point_space(sys: FiniteSystem) -> FixedPointSpace:
@@ -221,27 +212,17 @@ def fixed_point_space(sys: FiniteSystem) -> FixedPointSpace:
         # Lens invariance for a permutation system says the matrix is
         # constant on orbits of (i, j) -> (tau(i), tau(j)); only the
         # marginal constraints remain, in orbit coordinates.
-        orbits = _pair_orbits(np.asarray(sys.perm, dtype=int), k)
-        t = len(orbits)
-        a = np.zeros((2 * k, t), dtype=object)
-        a[...] = 0
-        for ti, members in enumerate(orbits):
-            for idx in members:
-                i, j = divmod(int(idx), k)
-                a[i, ti] += 1
-                a[k + j, ti] += 1
-        null = exact.exact_nullspace(a)
+        label = _pair_orbit_labels(np.asarray(sys.perm, dtype=int), k)
+        # a[i, t] counts the cells of orbit t in row i, a[k + j, t] those
+        # in column j.
+        i, j = np.divmod(np.arange(k * k), k)
+        a = np.zeros((2 * k, label.max() + 1), dtype=int)
+        np.add.at(a, (i, label), 1)
+        np.add.at(a, (k + j, label), 1)
         basis = []
-        for vec in null:
-            mat = exact.zeros((k, k), exact.RATIONAL)
-            flat = mat.ravel()
-            for ti, members in enumerate(orbits):
-                if vec[ti] != 0:
-                    for idx in members:
-                        flat[idx] = vec[ti]
-            if backend == exact.FLOAT:
-                mat = exact.as_float(mat)
-            basis.append(exact.freeze(mat))
+        for vec in exact.exact_nullspace(a.astype(object)):
+            values = np.array([exact.scalar(x, backend) for x in vec])
+            basis.append(exact.freeze(values[label].reshape(k, k)))
         return FixedPointSpace(dimension=len(basis), basis=tuple(basis),
                                interior=interior)
 
@@ -274,7 +255,7 @@ class PeriodReport:
 def detect_period(sys: FiniteSystem, c: CouplingMatrix, maxp: int,
                   tol=None) -> PeriodReport:
     if tol is None:
-        tol = Fraction(0) if c.backend == exact.RATIONAL else 1e-9
+        tol = exact.tolerance(c.backend, exact.SOLVER_TOL)
     residuals: dict[int, Fraction | float] = {}
     period = None
     current = c

@@ -172,7 +172,7 @@ def system_power(sys: FiniteSystem, n: int) -> FiniteSystem:
                               exact_flag=False)
 
 
-def validate_system(sys: FiniteSystem, tol: float = 1e-12) -> list[str]:
+def validate_system(sys: FiniteSystem, tol: float = exact.FLOAT_TOL) -> list[str]:
     """Diagnostics list; empty when the system satisfies every invariant."""
     q = sys.Q
     k = sys.k

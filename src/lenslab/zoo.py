@@ -51,6 +51,8 @@ def rotation_system(k: int, s: int, backend: str = exact.RATIONAL) -> FiniteSyst
     """Cyclic rotation on Z_k by s: cell a maps onto cell a + s mod k."""
     if k < 1:
         raise ValueError("k must be positive")
+    if k > SIZE_LIMIT:
+        raise SizeGuard(f"rotation on {k} cells > {SIZE_LIMIT}")
     perm = (np.arange(k) + s) % k
     return system_from_permutation(perm, backend=backend)
 
@@ -96,11 +98,11 @@ def bernoulli_system(d: int, L: int, backend: str = exact.RATIONAL) -> FiniteSys
     if k > SIZE_LIMIT:
         raise SizeGuard(f"d^L = {k} cells > {SIZE_LIMIT}")
     q = exact.zeros((k, k), backend)
-    v = Fraction(1, d) if backend == exact.RATIONAL else 1.0 / d
-    for w in range(k):
-        base = (w % d ** (L - 1)) * d
-        for c in range(d):
-            q[w, base + c] = v
+    # Word w steps to the d words that drop its first symbol: columns
+    # (w mod d^(L-1)) * d + c for every last symbol c.
+    rows = np.arange(k)[:, None]
+    cols = rows % d ** (L - 1) * d + np.arange(d)
+    q[rows, cols] = exact.scalar(Fraction(1, d), backend)
     labels = tuple("".join(map(str, index_word(w, d, L))) for w in range(k))
     part = make_uniform_partition(k, labels)
     return system_from_matrix(q, partition=part, exact_flag=False)
@@ -120,6 +122,9 @@ class IETSpec:
 
 
 def iet_system(spec: IETSpec, backend: str = exact.RATIONAL) -> FiniteSystem:
+    if spec.n_intervals > SIZE_LIMIT:
+        raise SizeGuard(
+            f"interval exchange on {spec.n_intervals} intervals > {SIZE_LIMIT}")
     return system_from_permutation(np.asarray(spec.permutation, dtype=int),
                                    backend=backend)
 

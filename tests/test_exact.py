@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lenslab import exact
+from lenslab import (
+    RationalTarget,
+    bernoulli_system,
+    exact,
+    graph_coupling,
+    product_coupling,
+    random_coupling,
+    rotation_system,
+)
 
 
 def frac_matrix(rows):
@@ -279,3 +287,42 @@ def test_marginal_defects_match_per_entry_oracle():
         assert exact.marginal_defects(m, target, 1e-12) == want
         mf = exact.as_float(m)
         assert exact.marginal_defects(mf, 0.25, 1e-12) == want
+
+
+#
+# Backend parity: every builder gives the float image of its rational build.
+#
+
+BUILDERS = {
+    "product_coupling": lambda b: product_coupling(7, b).C,
+    "graph_coupling": lambda b: graph_coupling([3, 0, 4, 1, 2], b).C,
+    "bernoulli_system": lambda b: bernoulli_system(3, 2, b).Q,
+    "rotation_system": lambda b: rotation_system(6, 5, b).Q,
+    "identity": lambda b: exact.identity(5, b),
+    "random_coupling": lambda b: random_coupling(
+        6, np.random.default_rng(3), backend=b).C,
+    "RationalTarget.coupling": lambda b: RationalTarget(
+        k=3, L=9, m=np.array([[2, 1, 0], [0, 1, 2], [1, 1, 1]])).coupling(b).C,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_builders_agree_across_backends(name):
+    build = BUILDERS[name]
+    rational, floating = build(exact.RATIONAL), build(exact.FLOAT)
+    assert rational.dtype == object and floating.dtype == np.float64
+    assert all(isinstance(x, Fraction) for x in rational.flat)
+    assert np.array_equal(exact.as_float(rational), floating)
+
+
+def test_scalar_tolerance_and_from_scaled_follow_the_backend():
+    x = Fraction(2, 7)
+    assert exact.scalar(x) == x and isinstance(exact.scalar(x), Fraction)
+    assert exact.scalar(x, exact.FLOAT) == 2 / 7
+    assert exact.tolerance(exact.RATIONAL) == 0
+    assert exact.tolerance(exact.FLOAT) == exact.FLOAT_TOL
+    assert exact.tolerance(exact.FLOAT, exact.SOLVER_TOL) == exact.SOLVER_TOL
+    num = np.array([[1, 3], [5, 0]])
+    assert exact.mat_equal(exact.from_scaled(num, 6),
+                           exact.frac_array([["1/6", "1/2"], ["5/6", 0]]))
+    assert np.array_equal(exact.from_scaled(num, 6, exact.FLOAT), num / 6)

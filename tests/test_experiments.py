@@ -13,6 +13,7 @@ from lenslab import (
     UnknownExperiment,
     apply_overrides,
     config_from_mapping,
+    exact,
     list_experiments,
     load_config_file,
     parse_config_text,
@@ -303,6 +304,17 @@ seed = 1
     assert "size guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("system", [
+    "rot:k=4097,s=1",
+    "iet:perm=" + ",".join(map(str, range(4097))),
+])
+def test_cli_size_guard_refuses_oversized_permutation_systems(system, capsys):
+    code = cli_main(["run", str(CONFIGS / "mixing-profile.cfg"),
+                     "--set", "output_dir=", "--set", f"system={system}"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("size guard:")
+
+
 def test_cli_list_shows_every_experiment(capsys):
     assert cli_main(["list"]) == 0
     out = capsys.readouterr().out
@@ -370,6 +382,29 @@ def test_float_backend_reports_are_written(name, tmp_path):
     assert strings and all(_is_number(s) for s in strings), strings
 
 
+def _numbers(report):
+    """Scalars and series cells of a report as floats, keyed by position."""
+    values = {("scalar", name): v for name, v in report.scalars.items()}
+    for name, (_, rows) in report.series.items():
+        for r, row in enumerate(rows):
+            values.update(((name, r, c), cell) for c, cell in enumerate(row))
+    return {key: float(Fraction(v)) for key, v in values.items()}
+
+
+@pytest.mark.parametrize("name", FLOAT_EXPERIMENTS)
+def test_shipped_config_agrees_across_backends(name):
+    mapping = load_config_file(CONFIGS / f"{name}.cfg")
+    rational, floating = (
+        run_experiment(config_from_mapping(
+            apply_overrides(mapping, [f"backend={b}"])), write=False)
+        for b in ("rational", "float"))
+    assert floating.verdicts == rational.verdicts
+    exact_values, float_values = _numbers(rational), _numbers(floating)
+    assert float_values.keys() == exact_values.keys()
+    for key, x in exact_values.items():
+        assert abs(float_values[key] - x) <= exact.FLOAT_TOL, key
+
+
 def _run_override(name, override, capsys):
     code = cli_main(["run", str(CONFIGS / f"{name}.cfg"),
                      "--set", "output_dir=", "--set", override])
@@ -381,6 +416,9 @@ def _run_override(name, override, capsys):
     ("rigidity-sweep", "n_max=-3"),
     ("entropy-factor", "block="),
     ("one-sided-limit", "init=graph:0,x"),
+    ("group-embedding", "matrix=1,1;0"),
+    ("group-embedding", "moduli=-4,3"),
+    ("rigidity-sweep", "blocks=0,1,2,3"),
 ])
 def test_cli_rejects_known_bad_overrides_as_config_errors(name, override, capsys):
     code, err = _run_override(name, override, capsys)
@@ -389,11 +427,12 @@ def test_cli_rejects_known_bad_overrides_as_config_errors(name, override, capsys
 
 
 INT_PARAMS = [(name, p) for name, spec in sorted(REGISTRY.items())
-              for p in spec.params if p.kind == "int"]
+              for p in spec.params if p.kind in ("int", "intlist")]
 
 
 @pytest.mark.parametrize("name, param, value", [
-    (name, p.name, value) for name, p in INT_PARAMS for value in ("-1", "0", "")
+    (name, p.name, value) for name, p in INT_PARAMS
+    for value in (("-1", "0", "") if p.kind == "int" else ("-1", "0"))
 ])
 def test_cli_int_parameter_boundaries_exit_honestly(name, param, value, capsys):
     minimum = REGISTRY[name].param_map()[param].minimum

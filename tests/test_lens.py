@@ -34,6 +34,7 @@ from lenslab import (
     validate_coupling,
 )
 from lenslab import exact
+from lenslab.lens import _pair_orbit_labels
 
 
 def test_lens_step_conjugates_graph_couplings():
@@ -123,6 +124,30 @@ def test_fixed_space_rotation_dimension_and_circulants():
                     assert d[i, j] == d[(i + 1) % k, (j + 1) % k]
             assert all(x == 0 for x in d.sum(axis=0))
             assert all(x == 0 for x in d.sum(axis=1))
+
+
+def _orbit_labels_by_walking(perm, k):
+    """Reference: walk each orbit of (i, j) -> (perm[i], perm[j]) in turn."""
+    label = [-1] * (k * k)
+    count = 0
+    for start in range(k * k):
+        if label[start] >= 0:
+            continue
+        idx = start
+        while label[idx] < 0:
+            label[idx] = count
+            i, j = divmod(idx, k)
+            idx = perm[i] * k + perm[j]
+        count += 1
+    return label
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(1, 9).flatmap(lambda k: st.permutations(list(range(k)))))
+def test_pair_orbit_labels_match_walking_oracle(perm):
+    k = len(perm)
+    labels = _pair_orbit_labels(np.array(perm), k)
+    assert labels.tolist() == _orbit_labels_by_walking(perm, k)
 
 
 def test_fixed_space_full_shift_is_a_point():

@@ -73,6 +73,16 @@ def test_bernoulli_de_bruijn_structure():
             assert q[w, wp] == expected
 
 
+@pytest.mark.parametrize("d, L", [(3, 2), (2, 3), (4, 1)])
+def test_bernoulli_steps_drop_the_first_symbol(d, L):
+    q = np.asarray(bernoulli_system(d, L).Q)
+    for w in range(d**L):
+        tail = index_word(w, d, L)[1:]
+        for wp in range(d**L):
+            expected = Fraction(1, d) if index_word(wp, d, L)[:-1] == tail else 0
+            assert q[w, wp] == expected
+
+
 def test_bernoulli_power_uniformizes():
     b = bernoulli_system(3, 2)
     p = system_power(b, 2)
