@@ -33,7 +33,7 @@ from .errors import (
 )
 from .lens import lens_iterate, markov_commutation_residual
 from .partitions import FiniteSystem, refinement_from_parent
-from .zoo import SIZE_LIMIT, IETSpec, bernoulli_system, index_word
+from .zoo import SIZE_LIMIT, IETSpec, bernoulli_system
 
 __all__ = [
     "RationalTarget",
@@ -119,26 +119,20 @@ def realize_coupling_as_iet(target: RationalTarget) -> IETSpec:
     cells in order, the next k*m[dest, src] subintervals of the source go
     to the first unfilled subintervals of the destination, so the induced
     coarse coupling counts k*m[dest, src] / (k*L) = m/L per cell pair.
+    The target's marginals, L/k per row and column, make the fill exact.
     """
     k, L = target.k, target.L
     total = k * L
     if total > SIZE_LIMIT:
         raise SizeGuard(f"k*L = {total} subintervals > {SIZE_LIMIT}")
-    perm = np.full(total, -1, dtype=int)
-    cursor = [0] * k
-    for src in range(k):
-        pos = src * L
-        for dest in range(k):
-            count = k * int(target.m[dest, src])
-            for _ in range(count):
-                if cursor[dest] >= L:
-                    raise InfeasibleTarget("destination overfilled")
-                perm[pos] = dest * L + cursor[dest]
-                cursor[dest] += 1
-                pos += 1
-        if pos != (src + 1) * L:
-            raise InfeasibleTarget("source not exactly filled")
-    return IETSpec(n_intervals=total, permutation=tuple(int(x) for x in perm))
+    # Run (src, dest) holds counts[src, dest] subintervals, runs in row-major
+    # order; it starts in dest after the runs of the earlier sources.
+    counts = k * np.asarray(target.m, dtype=int).T
+    dest_start = np.arange(k) * L + np.cumsum(counts, axis=0) - counts
+    lengths = counts.ravel()
+    run_start = np.cumsum(lengths) - lengths
+    perm = np.repeat(dest_start.ravel() - run_start, lengths) + np.arange(total)
+    return IETSpec(n_intervals=total, permutation=tuple(perm.tolist()))
 
 
 def density_gap(c: CouplingMatrix, L: int) -> tuple[RationalTarget, Fraction]:
@@ -250,11 +244,7 @@ def transitivity_witness(d: int, L: int, sigma, pi, epsilon=Fraction(1, 10**6)) 
     if len(sigma) != k or len(pi) != k:
         raise DimensionMismatch("sigma and pi must permute the d^L base cells")
 
-    fine_perm = np.empty(fine_k, dtype=int)
-    for v in range(fine_k):
-        i, s = divmod(v, k)
-        fine_perm[v] = int(sigma[i]) * k + int(pi[s])
-    xi = graph_coupling(fine_perm)
+    xi = graph_coupling((sigma[:, None] * k + pi[None, :]).ravel())
 
     base = bernoulli_system(d, L)
     fine = bernoulli_system(d, 2 * L)
@@ -342,16 +332,9 @@ def realize_entropy_block(block) -> CouplingMatrix:
     k = 2**n
     if k > SIZE_LIMIT:
         raise ResolutionGuard(f"needs 2^n = {k} cells > {SIZE_LIMIT}")
-    flip = [b == 0 for b in block.bits]
-    perm = np.empty(k, dtype=int)
-    for v in range(k):
-        word = index_word(v, 2, n)
-        image = tuple(w ^ 1 if flip[t] else w for t, w in enumerate(word))
-        idx = 0
-        for symbol in image:
-            idx = idx * 2 + symbol
-        perm[v] = idx
-    return graph_coupling(perm)
+    # Coordinate t is bit n-1-t of the big-endian cell index.
+    mask = sum(1 << (n - 1 - t) for t, b in enumerate(block.bits) if b == 0)
+    return graph_coupling(np.arange(k) ^ mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,28 +360,13 @@ def bernoulli_cyclic_commuter(d: int, ell: int, L: int) -> CommuterResult:
     if k > SIZE_LIMIT:
         raise SizeGuard(f"(d*ell)^L = {k} cells > {SIZE_LIMIT}")
     shift = bernoulli_system(D, L)
-
-    def symbol_map(s: int) -> int:
-        a, b = divmod(s, ell)
-        return ((a + 1) % d) * ell + b
-
-    perm = np.empty(k, dtype=int)
-    for v in range(k):
-        word = index_word(v, D, L)
-        idx = 0
-        for s in word:
-            idx = idx * D + symbol_map(s)
-        perm[v] = idx
+    # Big-endian digit weights of a cell index; symbols are a * ell + b.
+    place = D ** np.arange(L - 1, -1, -1)
+    words = np.arange(k)[:, None] // place % D
+    perm = ((words // ell + 1) % d * ell + words % ell) @ place
     coupling = graph_coupling(perm)
     residual = markov_commutation_residual(shift, coupling)
-
-    cycles = True
-    for v in range(k):
-        a0 = index_word(v, D, L)[0] // ell
-        a0_image = index_word(int(perm[v]), D, L)[0] // ell
-        if a0_image != (a0 + 1) % d:
-            cycles = False
-            break
+    cycles = bool(np.all(perm // place[0] // ell == (words[:, 0] // ell + 1) % d))
     return CommuterResult(perm=perm, coupling=coupling,
                           commutation_residual=residual, cycles_blocks=cycles)
 
@@ -422,7 +390,8 @@ def odometer_commuter(pi, m: int) -> np.ndarray:
         raise BadBlocks("pi must be a permutation")
     if low > k:
         raise BadBlocks("digit block exceeds the odometer level")
-    s = np.array([int(pi[v % low]) + (v - v % low) for v in range(k)], dtype=int)
+    v = np.arange(k)
+    s = pi[v % low] + v - v % low
     step = (np.arange(k) + low) % k
     if not np.array_equal(s[step], step[s]):
         raise ArithmeticError("commutation with the power failed")

@@ -98,21 +98,15 @@ def restrict_coupling(fine: CouplingMatrix, ref: RefinementMap) -> CouplingMatri
     if fine.k != ref.fine.k:
         raise DimensionMismatch("coupling does not match the fine partition")
     parent = np.asarray(ref.parent, dtype=int)
-    kc = ref.coarse.k
-    out = exact.zeros((kc, kc), fine.backend)
-    for a in range(kc):
-        rows = np.nonzero(parent == a)[0]
-        block = fine.C[rows, :]
-        for b in range(kc):
-            cols = np.nonzero(parent == b)[0]
-            out[a, b] = block[:, cols].sum()
+    out = exact.zeros((ref.coarse.k, ref.coarse.k), fine.backend)
+    np.add.at(out, (parent[:, None], parent[None, :]), fine.C)
     return _wrap(out)
 
 
 def coupling_distance(a: CouplingMatrix, b: CouplingMatrix):
     """Entrywise L1 distance; exact Fraction on the rational backend."""
     _require_same(a, b)
-    return exact.l1_diff(a.C, b.C)
+    return exact.l1_norm(a.C, b.C)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +144,7 @@ def in_neighborhood(c: CouplingMatrix, spec: NeighborhoodSpec) -> bool:
     if len(eta) != c.k:
         raise DimensionMismatch("eta has the wrong length")
     mass = exact.scalar(Fraction(1, c.k), c.backend)
-    return all(abs(c.C[eta[j], j] - mass) < spec.epsilon for j in range(c.k))
+    return bool(exact.max_abs(c.C[eta, np.arange(c.k)], mass) < spec.epsilon)
 
 
 def repair_to_polytope(m: np.ndarray, tol: float = 1e-8) -> CouplingMatrix:

@@ -282,10 +282,6 @@ def l1_norm(a: np.ndarray, b=None):
     return Fraction(int(_int_sum(np.abs(num))), den)
 
 
-def l1_diff(a: np.ndarray, b: np.ndarray):
-    return l1_norm(a, b)
-
-
 def max_abs(a: np.ndarray, b=None):
     """Largest |entry| of a, or of a - b when b (array or scalar) is given."""
     if not is_rational_array(a):
@@ -377,24 +373,17 @@ def matrix_of_permutation(perm, backend: str = RATIONAL) -> np.ndarray:
 
 
 def permutation_of_matrix(q: np.ndarray):
-    """Forward cell map tau with Q[a, tau(a)] = 1, or None if Q is not one."""
-    k = q.shape[0]
+    """Forward cell map tau with Q[a, tau(a)] = 1, or None if Q is not one:
+    on both backends each row must hold a single one and zeros elsewhere."""
     if is_rational_array(q):
-        num, den = _split(q)
-        ones = num == den
-        if not np.all((ones.sum(axis=1) == 1) & ((num != 0).sum(axis=1) == 1)):
-            return None
-        perm = ones.argmax(axis=1)
+        num, one = _split(q)
     else:
-        qf = as_float(q)
-        perm = np.full(k, -1, dtype=int)
-        for a in range(k):
-            row = qf[a]
-            ones = np.nonzero(row == 1.0)[0]
-            if len(ones) != 1 or row.sum() != 1.0:
-                return None
-            perm[a] = ones[0]
-    if len(set(perm.tolist())) != k:
+        num, one = np.asarray(q, dtype=float), 1.0
+    ones = num == one
+    if not (np.all(ones.sum(axis=1) == 1) and np.all((num != 0).sum(axis=1) == 1)):
+        return None
+    perm = ones.argmax(axis=1)
+    if not np.all(np.bincount(perm, minlength=len(perm)) == 1):
         return None
     return perm
 
@@ -408,22 +397,6 @@ def invert_permutation(perm: np.ndarray) -> np.ndarray:
 def compose_permutations(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Composition p after q: j -> p[q[j]]."""
     return np.asarray(p, dtype=int)[np.asarray(q, dtype=int)]
-
-
-def permutation_order(perm) -> int:
-    perm = np.asarray(perm, dtype=int)
-    seen = np.zeros(len(perm), dtype=bool)
-    order = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length, j = 0, start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        order = order * length // math.gcd(order, length)
-    return order
 
 
 def format_value(x) -> str | float | int:

@@ -36,7 +36,7 @@ from .couplings import (
     random_coupling,
     validate_coupling,
 )
-from .errors import InvalidConfig, UnknownExperiment
+from .errors import InvalidConfig, SizeGuard, UnknownExperiment
 from .lens import (
     cesaro_average,
     detect_period,
@@ -47,6 +47,7 @@ from .lens import (
 )
 from .partitions import FiniteSystem, system_power
 from .zoo import (
+    SIZE_LIMIT,
     SkewSpec,
     bernoulli_system,
     group_elements,
@@ -414,7 +415,7 @@ def _run_fixed_points(cfg, p, backend):
     verdicts = {
         "product_coupling_fixed": product_residual <= tol,
         "directions_fixed": all(
-            exact.l1_diff(exact.mat_conjugate(q, d), d) <= tol for d in basis),
+            exact.l1_norm(exact.mat_conjugate(q, d), d) <= tol for d in basis),
         "directions_have_zero_marginals": all(
             abs(x) <= tol for d in basis for x in (*d.sum(axis=0), *d.sum(axis=1))),
     }
@@ -642,13 +643,15 @@ def _run_skew_orbit(cfg, p, backend):
     series={"target": ("i", "j", "mass")},
 )
 def _run_iet_realize(cfg, p, backend):
-    rng = _rng_children(p["seed"], 1)[0]
     k, L = p["k"], p["L"]
-    target = random_rational_target(k, L, rng)
+    if k * L > SIZE_LIMIT:  # before the k x k target is drawn
+        raise SizeGuard(f"k*L = {k * L} subintervals > {SIZE_LIMIT}")
+    target = random_rational_target(k, L, _rng_children(p["seed"], 1)[0])
     spec = realize_coupling_as_iet(target)
-    counts = np.zeros((k, k), dtype=int)
-    for u, image in enumerate(spec.permutation):
-        counts[image // L, u // L] += 1
+    # Subinterval u of cell u // L lands in cell image // L.
+    image = np.asarray(spec.permutation)
+    counts = np.bincount(image // L * k + np.arange(k * L) // L,
+                         minlength=k * k).reshape(k, k)
     induced_ok = bool(np.array_equal(counts, np.asarray(target.m) * k))
     rows = [(i, j, Fraction(int(target.m[i, j]), L))
             for i in range(k) for j in range(k)]

@@ -24,7 +24,6 @@ from .couplings import (
     coupling_distance,
     product_coupling,
     repair_to_polytope,
-    validate_coupling,
 )
 from .errors import (
     BackendMismatch,
@@ -129,7 +128,7 @@ def orbit(sys: FiniteSystem, c: CouplingMatrix, n_steps: int,
         current = step(sys, current)
         if current.backend == exact.FLOAT:
             repaired = repair_to_polytope(current.C)
-            residuals.append(exact.l1_diff(repaired.C, current.C))
+            residuals.append(exact.l1_norm(repaired.C, current.C))
             current = repaired
         else:
             residuals.append(0.0)
@@ -157,13 +156,16 @@ def markov_commutation_residual(sys: FiniteSystem, c: CouplingMatrix):
     """L1 norm of M Q - Q M for the Markov matrix M = k C^T of the coupling.
 
     Commutation with Q is the operator form of being a self-joining.  For
-    exact systems it vanishes iff self_joining_residual does; for stochastic
-    systems it is the sharper test, since the step-coupling lens spreads
-    graph mass that the operator identity preserves.
+    exact systems M Q and Q M relabel M by tau^{-1} and tau, and the residual
+    is k self_joining_residual; for stochastic systems it is the sharper
+    test, since the step-coupling lens spreads graph mass that the operator
+    identity preserves.
     """
     _check(sys, c)
+    if sys.exact:
+        return self_joining_residual(sys, c) * c.k
     m = c.C.T * c.k
-    return exact.l1_diff(exact.mat_mul(m, sys.Q), exact.mat_mul(sys.Q, m))
+    return exact.l1_norm(exact.mat_mul(m, sys.Q), exact.mat_mul(sys.Q, m))
 
 
 @dataclass(frozen=True, eq=False)

@@ -104,7 +104,6 @@ class FiniteSystem:
 
     partition: Partition
     Q: np.ndarray
-    exact: bool
     perm: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
@@ -120,6 +119,11 @@ class FiniteSystem:
     def backend(self) -> str:
         return exact.backend_of(self.Q)
 
+    @property
+    def exact(self) -> bool:
+        """True when the system is a cell permutation (perm is set)."""
+        return self.perm is not None
+
 
 def system_from_permutation(perm, labels=None, backend: str = exact.RATIONAL) -> FiniteSystem:
     """Exact system whose forward cell map is the given permutation."""
@@ -130,11 +134,11 @@ def system_from_permutation(perm, labels=None, backend: str = exact.RATIONAL) ->
     part = make_uniform_partition(k, labels)
     # Q[a, perm[a]] = 1, i.e. the transpose of matrix_of_permutation(perm).
     q = exact.matrix_of_permutation(exact.invert_permutation(perm), backend)
-    return FiniteSystem(partition=part, Q=q, exact=True, perm=perm)
+    return FiniteSystem(partition=part, Q=q, perm=perm)
 
 
-def system_from_matrix(q: np.ndarray, partition: Partition | None = None,
-                       exact_flag: bool | None = None) -> FiniteSystem:
+def system_from_matrix(q: np.ndarray, partition: Partition | None = None) -> FiniteSystem:
+    """System of a doubly stochastic matrix; exact when q is a permutation."""
     q = np.asarray(q)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise DimensionMismatch("system matrix must be square")
@@ -146,12 +150,7 @@ def system_from_matrix(q: np.ndarray, partition: Partition | None = None,
     # Frozen first (FiniteSystem freezes Q anyway), so the split taken
     # here is the one every later product with Q reuses.
     perm = exact.permutation_of_matrix(exact.freeze(q))
-    if exact_flag is None:
-        exact_flag = perm is not None
-    if exact_flag and perm is None:
-        raise ValueError("exact flag set but the matrix is not a permutation")
-    return FiniteSystem(partition=partition, Q=q, exact=bool(exact_flag),
-                        perm=perm if exact_flag else None)
+    return FiniteSystem(partition=partition, Q=q, perm=perm)
 
 
 def system_power(sys: FiniteSystem, n: int) -> FiniteSystem:
@@ -162,14 +161,18 @@ def system_power(sys: FiniteSystem, n: int) -> FiniteSystem:
             "has no inverse inside the polytope"
         )
     if sys.exact:
-        p = np.arange(sys.k)
+        p = np.arange(sys.k)  # binary powering: O(k log |n|)
         step = sys.perm if n >= 0 else exact.invert_permutation(sys.perm)
-        for _ in range(abs(n) % exact.permutation_order(sys.perm)):
-            p = exact.compose_permutations(step, p)
+        n = abs(n)
+        while n:
+            if n & 1:
+                p = step[p]
+            n >>= 1
+            if n:
+                step = step[step]
         return system_from_permutation(p, labels=sys.partition.labels,
                                        backend=sys.backend)
-    return system_from_matrix(exact.mat_power(sys.Q, n), partition=sys.partition,
-                              exact_flag=False)
+    return system_from_matrix(exact.mat_power(sys.Q, n), partition=sys.partition)
 
 
 def validate_system(sys: FiniteSystem, tol: float = exact.FLOAT_TOL) -> list[str]:
@@ -179,9 +182,8 @@ def validate_system(sys: FiniteSystem, tol: float = exact.FLOAT_TOL) -> list[str
     if q.shape != (k, k):
         return [f"shape{q.shape}"]
     out = exact.marginal_defects(q, 1, tol)
-    if sys.exact:
-        if exact.permutation_of_matrix(q) is None:
-            out.append("exact_flag")
+    if sys.exact and exact.permutation_of_matrix(q) is None:
+        out.append("exact_flag")
     return out
 
 
@@ -193,4 +195,7 @@ def system_to_json(sys: FiniteSystem) -> str:
 def system_from_json(text: str) -> FiniteSystem:
     doc = json.loads(text)
     q = exact.matrix_from_values(doc["Q"], int(doc["k"]), "Q")
-    return system_from_matrix(q, exact_flag=bool(doc["exact"]))
+    sys = system_from_matrix(q)
+    if bool(doc["exact"]) != sys.exact:
+        raise ValueError("exact flag disagrees with whether Q is a permutation")
+    return sys

@@ -13,6 +13,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
@@ -66,8 +67,7 @@ def odometer_system(m: int, backend: str = exact.RATIONAL) -> FiniteSystem:
         raise SizeGuard(f"odometer level {m} needs {k} cells > {SIZE_LIMIT}")
     labels = tuple(format(v, f"0{m}b")[::-1] for v in range(k))
     perm = (np.arange(k) + 1) % k
-    sys = system_from_permutation(perm, labels=labels, backend=backend)
-    return sys
+    return system_from_permutation(perm, labels=labels, backend=backend)
 
 
 def word_index(word, d: int) -> int:
@@ -105,7 +105,7 @@ def bernoulli_system(d: int, L: int, backend: str = exact.RATIONAL) -> FiniteSys
     q[rows, cols] = exact.scalar(Fraction(1, d), backend)
     labels = tuple("".join(map(str, index_word(w, d, L))) for w in range(k))
     part = make_uniform_partition(k, labels)
-    return system_from_matrix(q, partition=part, exact_flag=False)
+    return system_from_matrix(q, partition=part)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,34 +202,32 @@ def group_elements(moduli: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [tuple(z) for z in iter_product(*(range(m) for m in moduli))]
 
 
-def _apply_matrix(moduli, mat, z) -> tuple[int, ...]:
-    r = len(moduli)
-    return tuple(
-        sum(int(mat[i][j]) * int(z[j]) for j in range(r)) % moduli[i]
-        for i in range(r)
-    )
+def _automorphism_images(moduli: tuple[int, ...], mat) -> tuple[np.ndarray, np.ndarray]:
+    """Group elements as rows, in group_elements order, and the flat index
+    of M z for each; raises unless z -> M z is an automorphism."""
+    mat = np.asarray(mat, dtype=int)
+    if mat.shape != (len(moduli),) * 2:
+        raise DimensionMismatch("matrix shape must match the number of factors")
+    size = math.prod(moduli)
+    if size > SIZE_LIMIT:
+        raise SizeGuard(f"group of order {size} > {SIZE_LIMIT}")
+    mods = np.asarray(moduli, dtype=int)
+    mat = mat % mods[:, None]  # row i of M z is only read mod moduli[i]
+    # Well-definedness: column j is a homomorphism image of a generator of
+    # order moduli[j], so M[i][j] * moduli[j] must vanish mod moduli[i].
+    bad = np.argwhere(mat * mods[None, :] % mods[:, None] != 0)
+    if len(bad):
+        raise NonInvertible(f"entry ({bad[0][0]},{bad[0][1]}) ignores the factor orders")
+    elements = np.stack(np.unravel_index(np.arange(size), moduli), axis=1)
+    images = np.ravel_multi_index(tuple((elements @ mat.T).T), moduli, mode="wrap")
+    if not np.all(np.bincount(images, minlength=size) == 1):
+        raise NonInvertible("matrix is not a bijection on the group")
+    return elements, images
 
 
 def group_automorphism_check(moduli: tuple[int, ...], mat) -> None:
     """Raise NonInvertible unless z -> M z is an automorphism of the group."""
-    r = len(moduli)
-    mat = np.asarray(mat, dtype=int)
-    if mat.shape != (r, r):
-        raise DimensionMismatch("matrix shape must match the number of factors")
-    size = 1
-    for m in moduli:
-        size *= m
-    if size > SIZE_LIMIT:
-        raise SizeGuard(f"group of order {size} > {SIZE_LIMIT}")
-    # Well-definedness: column j is a homomorphism image of a generator of
-    # order moduli[j], so M[i][j] * moduli[j] must vanish mod moduli[i].
-    for i in range(r):
-        for j in range(r):
-            if (int(mat[i][j]) * moduli[j]) % moduli[i] != 0:
-                raise NonInvertible(f"entry ({i},{j}) ignores the factor orders")
-    images = {_apply_matrix(moduli, mat, z) for z in group_elements(moduli)}
-    if len(images) != size:
-        raise NonInvertible("matrix is not a bijection on the group")
+    _automorphism_images(tuple(moduli), mat)
 
 
 def group_rotation_conjugation(moduli, mat, z) -> tuple[int, ...]:
@@ -239,20 +237,17 @@ def group_rotation_conjugation(moduli, mat, z) -> tuple[int, ...]:
     rotation by M z, then returns M z.
     """
     moduli = tuple(int(m) for m in moduli)
-    group_automorphism_check(moduli, mat)
-    mat = np.asarray(mat, dtype=int)
-    z = tuple(int(zi) % m for zi, m in zip(z, moduli))
-    elements = group_elements(moduli)
-    inverse = {_apply_matrix(moduli, mat, g): g for g in elements}
-    mz = _apply_matrix(moduli, mat, z)
-    for g in elements:
-        pre = inverse[g]
-        shifted = tuple((pi + zi) % m for pi, zi, m in zip(pre, z, moduli))
-        composite = _apply_matrix(moduli, mat, shifted)
-        expected = tuple((gi + wi) % m for gi, wi, m in zip(g, mz, moduli))
-        if composite != expected:
-            raise ArithmeticError("conjugation identity failed")
-    return mz
+    elements, images = _automorphism_images(moduli, mat)
+    z = [int(zi) % m for zi, m in zip(z, moduli)]
+
+    def rotate(w):  # flat index of g + w for every element g
+        return np.ravel_multi_index(tuple((elements + w).T), moduli, mode="wrap")
+
+    mz = elements[images[np.ravel_multi_index(z, moduli)]]
+    composite = images[rotate(z)][exact.invert_permutation(images)]
+    if not np.array_equal(composite, rotate(mz)):
+        raise ArithmeticError("conjugation identity failed")
+    return tuple(int(x) for x in mz)
 
 
 @dataclass(frozen=True)

@@ -375,3 +375,93 @@ def test_odometer_commuter_rejects_bad_digit_blocks():
         odometer_commuter([0, 0], 3)          # not a permutation
     with pytest.raises(BadBlocks):
         odometer_commuter(list(range(16)), 3)  # block exceeds the level
+
+
+#
+# Index-arithmetic builders against per-cell loop oracles.
+#
+
+def _iet_loop_oracle(target):
+    """Cursor sweep over sources, then destinations, one subinterval a step."""
+    k, L = target.k, target.L
+    perm = np.full(k * L, -1, dtype=int)
+    cursor = [0] * k
+    for src in range(k):
+        pos = src * L
+        for dest in range(k):
+            for _ in range(k * int(target.m[dest, src])):
+                assert cursor[dest] < L
+                perm[pos] = dest * L + cursor[dest]
+                cursor[dest] += 1
+                pos += 1
+        assert pos == (src + 1) * L
+    return tuple(int(x) for x in perm)
+
+
+@pytest.mark.parametrize("k, L", [(1, 1), (1, 7), (2, 2), (3, 9), (4, 12), (5, 40),
+                                  (8, 256), (16, 64), (32, 128), (64, 64)])
+def test_realize_coupling_as_iet_matches_loop_oracle(k, L):
+    rng = np.random.default_rng(k * 1000 + L)
+    for _ in range(3):
+        target = random_rational_target(k, L, rng)
+        spec = realize_coupling_as_iet(target)
+        assert spec.n_intervals == k * L
+        assert spec.permutation == _iet_loop_oracle(target)
+        assert all(type(x) is int for x in spec.permutation[:5])
+
+
+def _entropy_block_oracle(bits):
+    """Flip coordinate t of every big-endian word when bits[t] == 0."""
+    n = len(bits)
+    perm = []
+    for v in range(2**n):
+        word = [(v >> (n - 1 - t)) & 1 for t in range(n)]
+        image = [w ^ 1 if bits[t] == 0 else w for t, w in enumerate(word)]
+        perm.append(int("".join(map(str, image)), 2))
+    return perm
+
+
+def test_realize_entropy_block_matches_loop_oracle():
+    half = Fraction(1, 2)
+    blocks = [b for n in range(1, 7) for b in product((0, half), repeat=n)]
+    rng = np.random.default_rng(8)
+    blocks += [tuple(half if x else 0 for x in rng.integers(0, 2, 8)) for _ in range(4)]
+    for bits in blocks:
+        c = realize_entropy_block(bits)
+        assert exact.mat_equal(c.C, graph_coupling(_entropy_block_oracle(bits)).C), bits
+
+
+def _commuter_oracle(d, ell, L):
+    """Per-cell symbol map (a, b) -> (a + 1 mod d, b) and the block-cycle check."""
+    D = d * ell
+    perm = []
+    for v in range(D**L):
+        word = [v // D ** (L - 1 - t) % D for t in range(L)]
+        idx = 0
+        for s in word:
+            a, b = divmod(s, ell)
+            idx = idx * D + ((a + 1) % d) * ell + b
+        perm.append(idx)
+    cycles = all(perm[v] // D ** (L - 1) // ell == (v // D ** (L - 1) // ell + 1) % d
+                 for v in range(D**L))
+    return perm, cycles
+
+
+@pytest.mark.parametrize("d, ell, L", [(2, 2, 3), (3, 1, 4), (2, 1, 5), (2, 3, 2)])
+def test_bernoulli_cyclic_commuter_matches_loop_oracle(d, ell, L):
+    res = bernoulli_cyclic_commuter(d, ell, L)
+    perm, cycles = _commuter_oracle(d, ell, L)
+    assert list(res.perm) == perm
+    assert res.cycles_blocks is cycles is True
+    assert res.commutation_residual == 0
+
+
+@pytest.mark.parametrize("m, pi", [(3, [1, 0]), (4, [3, 1, 0, 2]), (5, [2, 0, 3, 1])])
+def test_odometer_commuter_and_witness_cells_match_loop_oracles(m, pi):
+    low = len(pi)
+    assert list(odometer_commuter(pi, m)) == [pi[v % low] + v - v % low
+                                              for v in range(2**m)]
+    sigma, tau = [1, 0, 3, 2], [2, 3, 0, 1]
+    w = transitivity_witness(2, 2, sigma, tau)
+    fine_perm = [sigma[v // 4] * 4 + tau[v % 4] for v in range(16)]
+    assert exact.mat_equal(w.xi.C, graph_coupling(fine_perm).C)

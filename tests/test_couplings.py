@@ -20,6 +20,7 @@ from lenslab import (
     in_neighborhood,
     lift_coupling,
     make_uniform_partition,
+    refinement_from_parent,
     product_coupling,
     random_coupling,
     refine,
@@ -183,7 +184,7 @@ def test_validate_coupling_and_system_match_oracle(k, seed, dents):
         m[i2, j2] += shift
     assert validate_coupling(CouplingMatrix(k=k, C=m)) == oracle_diagnostics(m, Fraction(1, k))
     q = m * k
-    sys = system_from_matrix(q, exact_flag=False)
+    sys = system_from_matrix(q)
     assert validate_system(sys) == oracle_diagnostics(q, 1)
 
 
@@ -225,3 +226,42 @@ def test_cesaro_average_matches_oracle(k, seed, n):
     for idx in np.ndindex(k, k):
         assert avg.C[idx] == sum(s.C[idx] for s in orb.states[1:n + 1]) / n
     assert not validate_coupling(avg)
+
+
+def _restrict_oracle(fine, parent, kc):
+    """Block sums taken one coarse cell pair at a time."""
+    out = exact.zeros((kc, kc), fine.backend)
+    for a in range(kc):
+        for b in range(kc):
+            out[a, b] = fine.C[np.ix_(np.flatnonzero(parent == a),
+                                      np.flatnonzero(parent == b))].sum()
+    return out
+
+
+@pytest.mark.parametrize("kc, r, seed", [(1, 3, 0), (2, 3, 1), (3, 4, 2), (4, 4, 3)])
+def test_restrict_coupling_matches_block_sum_oracle(kc, r, seed):
+    rng = np.random.default_rng(seed)
+    parent = rng.permutation(np.arange(kc * r) // r)  # children need not be consecutive
+    ref = refinement_from_parent(make_uniform_partition(kc),
+                                 make_uniform_partition(kc * r), parent)
+    for fine in (random_coupling(kc * r, rng), graph_coupling(rng.permutation(kc * r))):
+        coarse = restrict_coupling(fine, ref)
+        assert exact.mat_equal(coarse.C, _restrict_oracle(fine, parent, kc))
+        assert not validate_coupling(coarse)
+    fine = random_coupling(kc * r, rng, backend=exact.FLOAT)
+    assert np.allclose(restrict_coupling(fine, ref).C, _restrict_oracle(fine, parent, kc),
+                       rtol=0, atol=exact.FLOAT_TOL)
+
+
+@pytest.mark.parametrize("backend", [exact.RATIONAL, exact.FLOAT])
+def test_permutation_diagonal_neighborhood_is_strict_on_both_backends(backend):
+    sigma = np.array([2, 0, 1, 3])
+    c = graph_coupling(sigma, backend)
+    shifted = np.array(c.C)
+    shifted[2, 0] -= exact.scalar(Fraction(1, 8), backend)  # diagonal entry 1/8 below 1/4
+    shifted[2, 1] += exact.scalar(Fraction(1, 8), backend)
+    c2 = CouplingMatrix(k=4, C=shifted)
+    for eps, inside in ((Fraction(1, 8), False), (Fraction(1, 8) + Fraction(1, 10**9), True)):
+        spec = NeighborhoodSpec(kind="permutation-diagonal", epsilon=eps, eta=sigma)
+        assert in_neighborhood(c2, spec) is inside
+        assert in_neighborhood(c, spec) is True

@@ -1,7 +1,10 @@
 """Experiment registry, config plumbing, report determinism, CLI exits."""
 
 import hashlib
+import importlib.util
 import json
+import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -304,6 +307,20 @@ seed = 1
     assert "size guard" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k, L", [(4000, 4000), (10**6, 10**6)])
+def test_cli_iet_realize_refuses_oversized_runs_before_drawing(k, L, capsys):
+    tracemalloc.start()
+    try:
+        code = cli_main(["run", str(CONFIGS / "iet-realize.cfg"), "--set", "output_dir=",
+                         "--set", f"k={k}", "--set", f"L={L}"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().err == f"size guard: k*L = {k * L} subintervals > 4096\n"
+    assert peak < 4 * 2**20  # the k x k target would take 8 k^2 bytes
+
+
 @pytest.mark.parametrize("system", [
     "rot:k=4097,s=1",
     "iet:perm=" + ",".join(map(str, range(4097))),
@@ -476,3 +493,34 @@ def test_cli_list_json_matches_golden_file(capsys):
     assert cli_main(["list", "--json"]) == 0
     golden = Path(__file__).resolve().parent / "golden" / "list.json"
     assert capsys.readouterr().out == golden.read_text()
+
+
+def _benchmark_jobs(workload, seed):
+    """perfbench/workloads.make_jobs, loaded from its file without importing
+    anything else from perfbench."""
+    path = CONFIGS.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    try:
+        spec.loader.exec_module(module)
+        return module.make_jobs(workload, seed)
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("workload", ["rational-permutation", "rational-stochastic"])
+def test_benchmark_seed_zero_matches_recorded_digests(workload, tmp_path, monkeypatch):
+    """Replays seed 0 as perfbench/worker.py configures it, against the
+    digests recorded for that seed."""
+    recorded = json.loads(DIGESTS.read_text())[workload]["0"]
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for job in _benchmark_jobs(workload, 0):
+        mapping = {"experiment": job["experiment"], "backend": job["backend"],
+                   "output_dir": f"out/{job['id']}", **job["parameters"]}
+        if job["system"]:
+            mapping["system"] = job["system"]
+        assert run_experiment(config_from_mapping(mapping)).passed, job["id"]
+        digests[job["id"]] = _digest_dir(tmp_path / "out" / job["id"])
+    assert digests == recorded

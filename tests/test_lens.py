@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lenslab import (
+    IETSpec,
     NotExact,
     bernoulli_system,
     cesaro_average,
@@ -16,6 +17,7 @@ from lenslab import (
     detect_period,
     fixed_point_space,
     graph_coupling,
+    iet_system,
     lens_iterate,
     lens_step,
     lens_step_inverse,
@@ -243,3 +245,39 @@ def test_exhaustive_conjugation_k3():
                 exact.compose_permutations(np.array(tau), np.array(sigma)), inv)
             image = lens_step(sys, graph_coupling(np.array(sigma)))
             assert coupling_distance(image, graph_coupling(expected)) == 0
+
+
+def _dense_commutation_residual(sys, c):
+    """|M Q - Q M|_1 for M = k C^T, with both products formed."""
+    m = c.C.T * c.k
+    return exact.l1_norm(exact.mat_mul(m, sys.Q), exact.mat_mul(sys.Q, m))
+
+
+def _random_iet(k, seed, backend):
+    perm = tuple(int(x) for x in np.random.default_rng(seed).permutation(k))
+    return iet_system(IETSpec(n_intervals=k, permutation=perm), backend=backend)
+
+
+@pytest.mark.parametrize("make", [
+    lambda b: rotation_system(9, 2, backend=b),
+    lambda b: rotation_system(16, 5, backend=b),
+    lambda b: odometer_system(3, backend=b),
+    lambda b: odometer_system(5, backend=b),
+    lambda b: _random_iet(12, 7, b),
+    lambda b: _random_iet(20, 8, b),
+], ids=["rot9", "rot16", "odo3", "odo5", "iet12", "iet20"])
+def test_markov_commutation_residual_matches_dense_product(make):
+    for backend in (exact.RATIONAL, exact.FLOAT):
+        sys = make(backend)
+        rng = np.random.default_rng(sys.k)
+        couplings = [random_coupling(sys.k, rng, backend=backend),
+                     graph_coupling(rng.permutation(sys.k), backend=backend),
+                     graph_coupling(sys.perm, backend=backend),
+                     product_coupling(sys.k, backend)]
+        for c in couplings:
+            fast, dense = markov_commutation_residual(sys, c), _dense_commutation_residual(sys, c)
+            if backend == exact.RATIONAL:
+                assert fast == dense and isinstance(fast, Fraction)
+            else:
+                assert abs(fast - dense) <= exact.FLOAT_TOL
+        assert markov_commutation_residual(sys, couplings[2]) == 0

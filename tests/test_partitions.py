@@ -1,5 +1,7 @@
 """Partitions, refinements, and finite systems."""
 
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -66,7 +68,7 @@ def test_system_from_matrix_detects_exactness():
 def test_validate_system_reports_failures():
     q = exact.frac_array([[Fraction(1, 2), Fraction(1, 2)],
                           [Fraction(1, 2), Fraction(1, 4)]])
-    sys = FiniteSystem(partition=make_uniform_partition(2), Q=q, exact=False)
+    sys = FiniteSystem(partition=make_uniform_partition(2), Q=q)
     problems = validate_system(sys)
     assert any("row_sum" in p for p in problems)
     assert any("col_sum" in p for p in problems)
@@ -109,3 +111,66 @@ def test_system_json_roundtrip():
         assert exact.mat_equal(np.asarray(back.Q), np.asarray(sys.Q)) or \
             np.allclose(exact.as_float(np.asarray(back.Q)),
                         exact.as_float(np.asarray(sys.Q)))
+
+
+def _order_oracle(perm):
+    """Order of a permutation: lcm of its cycle lengths, walked cell by cell."""
+    seen, order = set(), 1
+    for start in range(len(perm)):
+        length, j = 0, start
+        while j not in seen:
+            seen.add(j)
+            j = int(perm[j])
+            length += 1
+        if length:
+            order = order * length // math.gcd(order, length)
+    return order
+
+
+@pytest.mark.parametrize("sys", [
+    rotation_system(6, 1), rotation_system(10, 4), rotation_system(7, 3),
+    system_from_permutation(np.random.default_rng(12).permutation(12)),
+], ids=["rot6", "rot10", "rot7", "perm12"])
+def test_system_power_matches_repeated_composition(sys):
+    order = _order_oracle(sys.perm)
+    identity = list(range(sys.k))
+    inverse = exact.invert_permutation(sys.perm)
+    for n in range(-2 * order, 2 * order + 1):
+        expected = np.arange(sys.k)
+        for _ in range(abs(n)):
+            expected = (sys.perm if n > 0 else inverse)[expected]
+        power = system_power(sys, n)
+        assert power.exact and list(power.perm) == list(expected), n
+        assert exact.mat_equal(np.asarray(power.Q),
+                               np.asarray(system_from_permutation(expected).Q))
+        assert (list(power.perm) == identity) == (n % order == 0)
+
+
+def test_exact_is_derived_from_the_permutation():
+    q = exact.matrix_of_permutation([1, 2, 0]).T
+    assert FiniteSystem(partition=make_uniform_partition(3), Q=q).exact is False
+    assert system_from_matrix(q).exact and list(system_from_matrix(q).perm) == [1, 2, 0]
+    with pytest.raises(AttributeError):
+        system_from_matrix(q).exact = False
+
+
+def test_permutation_of_matrix_takes_one_decision_on_both_backends():
+    # One entry equal to one and a row sum of one, but not a permutation row.
+    rows = [[Fraction(1, 2), 1, Fraction(-1, 2)], [1, 0, 0], [0, 0, 1]]
+    for q in (exact.frac_array(rows), exact.frac_array(rows).astype(float)):
+        assert exact.permutation_of_matrix(q) is None
+        assert not system_from_matrix(q).exact
+    for q in (exact.frac_array([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
+              np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])):
+        assert list(exact.permutation_of_matrix(q)) == [1, 0, 2]
+    for q in (exact.frac_array([[0, 1], [0, 1]]), np.array([[0.0, 1.0], [0.0, 1.0]])):
+        assert exact.permutation_of_matrix(q) is None  # two rows onto one cell
+
+
+@pytest.mark.parametrize("sys, flag", [(rotation_system(4, 1), False),
+                                       (bernoulli_system(2, 2), True)])
+def test_system_from_json_refuses_a_disagreeing_exact_flag(sys, flag):
+    doc = json.loads(system_to_json(sys))
+    doc["exact"] = flag
+    with pytest.raises(ValueError, match="exact flag"):
+        system_from_json(json.dumps(doc))

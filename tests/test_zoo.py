@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lenslab import (
+    DimensionMismatch,
     IETSpec,
     NonInvertible,
     SizeGuard,
@@ -37,7 +38,8 @@ def test_rotation_cycle_structure():
     sys = rotation_system(6, 2)
     assert sys.exact
     assert list(sys.perm) == [2, 3, 4, 5, 0, 1]
-    assert exact.permutation_order(sys.perm) == 3
+    assert list(system_power(sys, 3).perm) == list(range(6))
+    assert all(list(system_power(sys, n).perm) != list(range(6)) for n in (1, 2))
 
 
 def test_odometer_adds_one_with_carry():
@@ -183,3 +185,56 @@ def test_parsed_systems_act_on_couplings():
     sys = parse_system_spec("rot:k=4,s=1")
     c = graph_coupling(np.array([1, 0, 3, 2]))
     assert not np.shares_memory(lens_step(sys, c).C, c.C)
+
+
+def _apply_matrix_oracle(moduli, mat, z):
+    """M z one coordinate at a time, in Python integers."""
+    r = len(moduli)
+    return tuple(sum(int(mat[i][j]) * int(z[j]) for j in range(r)) % moduli[i]
+                 for i in range(r))
+
+
+def _conjugation_oracle(moduli, mat, z):
+    """T R_z T^{-1} composed tuple by tuple over the whole group; M z or None."""
+    elements = group_elements(moduli)
+    inverse = {_apply_matrix_oracle(moduli, mat, g): g for g in elements}
+    mz = _apply_matrix_oracle(moduli, mat, z)
+    for g in elements:
+        shifted = tuple((p + zi) % m for p, zi, m in zip(inverse[g], z, moduli))
+        expected = tuple((gi + w) % m for gi, w, m in zip(g, mz, moduli))
+        if _apply_matrix_oracle(moduli, mat, shifted) != expected:
+            return None
+    return mz
+
+
+@pytest.mark.parametrize("moduli, mat", [
+    ((8, 8), [[1, 3], [0, 1]]),
+    ((8, 8), [[3, 2], [1, 1]]),
+    ((6, 6), [[1, 2], [0, 1]]),
+    ((6, 6), [[5, 1], [-1, 0]]),
+    ((4, 2), [[1, 2], [1, 1]]),
+])
+def test_group_rotation_conjugation_matches_loop_oracle(moduli, mat):
+    for z in group_elements(moduli):
+        img = group_rotation_conjugation(moduli, mat, z)
+        assert img == _conjugation_oracle(moduli, mat, z)
+        assert all(type(x) is int for x in img)
+
+
+@pytest.mark.parametrize("moduli, mat, error, message", [
+    ((4, 4), [[1]], DimensionMismatch, "matrix shape must match the number of factors"),
+    ((64, 65), [[1, 0], [0, 1]], SizeGuard, "group of order 4160 > 4096"),
+    ((4, 2), [[1, 1], [0, 1]], NonInvertible, "entry (0,1) ignores the factor orders"),
+    ((4, 6), [[1, 0], [1, 1]], NonInvertible, "entry (1,0) ignores the factor orders"),
+    ((4, 4), [[2, 0], [0, 1]], NonInvertible, "matrix is not a bijection on the group"),
+    ((8, 8), [[1, 2**61 + 3], [0, 1]], None, None),  # no int64 wrap
+])
+def test_group_automorphism_check_keeps_its_checks_and_messages(moduli, mat, error, message):
+    if error is None:
+        group_automorphism_check(moduli, mat)
+        assert (group_rotation_conjugation(moduli, mat, (3, 5))
+                == _apply_matrix_oracle(moduli, mat, (3, 5)))
+        return
+    with pytest.raises(error) as info:
+        group_automorphism_check(moduli, mat)
+    assert str(info.value) == message
