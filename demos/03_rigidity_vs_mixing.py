@@ -46,6 +46,6 @@ for n in range(6):
 q = shift.Q
 power = exact.identity(8, shift.backend)
 for n in range(4):
-    residual = exact.max_abs(power - Fraction(1, 8))
+    residual = exact.max_abs(power, Fraction(1, 8))
     print(f"  max |Q^{n}[i,j] - 1/8| = {residual}")
     power = exact.mat_mul(power, q)

@@ -1,7 +1,7 @@
 """Command line entry points: run, list, validate.
 
 Exit codes: 0 run passed, 1 a verdict failed, 2 configuration problem,
-3 size guard refused the computation.
+3 size guard refused the computation, 4 the run crashed on any other error.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ EXIT_PASS = 0
 EXIT_VERDICT_FAIL = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_SIZE_GUARD = 3
+EXIT_CRASH = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -119,6 +120,10 @@ def main(argv=None) -> int:
     except LensLabError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except Exception as e:  # a crash must not read as a failed verdict
+        message = " ".join(str(e).splitlines())
+        print(f"error: {type(e).__name__}: {message}", file=sys.stderr)
+        return EXIT_CRASH
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ permutations commuting with shifts and odometers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -105,7 +106,7 @@ def random_rational_target(k: int, L: int, rng: np.random.Generator) -> Rational
     """Sum of L/k random permutation matrices: marginals L/k by construction."""
     if L % k != 0:
         raise InfeasibleTarget("k must divide L")
-    m = np.zeros((k, k), dtype=int)
+    m = exact.numerators((k, k))
     for _ in range(L // k):
         sigma = rng.permutation(k)
         m[sigma, np.arange(k)] += 1
@@ -145,18 +146,19 @@ def density_gap(c: CouplingMatrix, L: int) -> tuple[RationalTarget, Fraction]:
     k = c.k
     if L % k != 0:
         raise InfeasibleTarget("k must divide L")
-    vals = [[Fraction(x) if not isinstance(x, Fraction) else x for x in row]
-            for row in np.asarray(c.C)]
-    scaled = [[vals[i][j] * L for j in range(k)] for i in range(k)]
-    base = np.array([[int(x.numerator // x.denominator) for x in row]
-                     for row in scaled], dtype=int)
+    # C = num / den exactly (float entries as the binary fractions they are),
+    # so L * C has floor num * L // den and fractional part (num * L % den) / den.
+    s = c.matrix if c.backend == exact.RATIONAL else exact.stored(exact.frac_array(c.matrix))
+    scaled = s.num.astype(object) * L
+    base = (scaled // s.den).astype(int)
+    rest = (scaled % s.den).tolist()
     quota = L // k
     row_need = [quota - int(base[i].sum()) for i in range(k)]
     col_need = [quota - int(base[:, j].sum()) for j in range(k)]
-    frac = {(i, j): scaled[i][j] - base[i][j] for i in range(k) for j in range(k)}
-    order = sorted(frac, key=lambda ij: (-frac[ij], ij))
+    order = sorted(((i, j) for i in range(k) for j in range(k)),
+                   key=lambda ij: (-rest[ij[0]][ij[1]], ij))
     for i, j in order:
-        if row_need[i] > 0 and col_need[j] > 0 and frac[(i, j)] > 0:
+        if row_need[i] > 0 and col_need[j] > 0 and rest[i][j] > 0:
             base[i, j] += 1
             row_need[i] -= 1
             col_need[j] -= 1
@@ -167,10 +169,8 @@ def density_gap(c: CouplingMatrix, L: int) -> tuple[RationalTarget, Fraction]:
         row_need[i] -= 1
         col_need[j] -= 1
     target = RationalTarget(k=k, L=L, m=base)
-    distance = sum(
-        abs(Fraction(int(base[i, j]), L) - vals[i][j])
-        for i in range(k) for j in range(k)
-    )
+    # |base / L - num / den| over the denominator L * den.
+    distance = Fraction(int(np.abs(base.astype(object) * s.den - scaled).sum()), L * s.den)
     return target, distance
 
 
@@ -205,11 +205,15 @@ def rigidity_probe(sys: FiniteSystem, blocks, n: int):
     blocks = [list(map(int, b)) for b in blocks]
     _validate_blocks(blocks, k)
     backend = sys.backend
-    xi = exact.zeros((k, k), backend)
+    # Mass 1 / (k |b|) per cell of each block square, over one denominator.
+    den = k * math.lcm(*(len(b) for b in blocks))
+    xi = exact.numerators((k, k), den)
     for b in blocks:
-        xi[np.ix_(b, b)] = exact.scalar(Fraction(1, k * len(b)), backend)
-    image = lens_iterate(sys, CouplingMatrix(k=k, C=xi), n)
-    return sum((image.C[np.ix_(b, b)].sum() for b in blocks),
+        xi[np.ix_(b, b)] = den // (k * len(b))
+    probe = CouplingMatrix(k=k, C=exact.from_scaled(xi, den, backend))
+    image = lens_iterate(sys, probe, n).matrix
+    # The image is nonnegative: the mass on a block square is its L1 norm.
+    return sum((exact.l1_norm(exact.select(image, np.ix_(b, b))) for b in blocks),
                exact.scalar(0, backend))
 
 
@@ -284,24 +288,18 @@ def entropy_factor_F(sys: FiniteSystem, lam: CouplingMatrix, n_values: int) -> l
     """
     cells = _half_cells(sys)
     backend = exact.RATIONAL
-    q, c = np.asarray(sys.Q), np.asarray(lam.C)
+    q, c = sys.matrix, lam.matrix
     if sys.backend == exact.FLOAT or lam.backend == exact.FLOAT:
         backend = exact.FLOAT
         q, c = exact.as_float(q), exact.as_float(c)
-    w = exact.zeros(sys.k, backend)
-    w[cells] = exact.scalar(1, backend)
+    w = exact.numerators(sys.k)
+    w[cells] = 1
+    w = exact.from_scaled(w, 1, backend)
     values = []
     for _ in range(n_values):
-        values.append(_quadratic(w, c))
+        values.append(exact.quadratic_form(w, c))
         w = exact.mat_mul(q, w)
     return values
-
-
-def _quadratic(w: np.ndarray, c: np.ndarray):
-    if exact.is_rational_array(c) or exact.is_rational_array(w):
-        return exact.mat_mul(exact.mat_mul(w.reshape(1, -1), c),
-                             w.reshape(-1, 1))[0, 0]
-    return float(w @ (c @ w))
 
 
 @dataclass(frozen=True)

@@ -41,22 +41,31 @@ __all__ = [
 REPAIR_TARGET = 1e-13
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class CouplingMatrix:
-    """Transportation-polytope point: rows and columns each sum to 1/k."""
+    """Transportation-polytope point: rows and columns each sum to 1/k.
+
+    matrix is the stored form of the given C (exact.stored); C is its
+    per-entry view, built at most once and only when asked for.
+    """
 
     k: int
-    C: np.ndarray
+    matrix: object
 
-    def __post_init__(self):
-        exact.freeze(np.asarray(self.C))
+    def __init__(self, k: int, C):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "matrix", exact.stored(C))
 
     @property
     def backend(self) -> str:
-        return exact.backend_of(self.C)
+        return exact.backend_of(self.matrix)
+
+    @property
+    def C(self) -> np.ndarray:
+        return exact.entries(self.matrix)
 
 
-def _wrap(c: np.ndarray) -> CouplingMatrix:
+def _wrap(c) -> CouplingMatrix:
     return CouplingMatrix(k=c.shape[0], C=c)
 
 
@@ -78,9 +87,9 @@ def graph_coupling(sigma, backend: str = exact.RATIONAL) -> CouplingMatrix:
     k = len(sigma)
     if sorted(sigma.tolist()) != list(range(k)):
         raise ValueError("sigma must be a permutation of 0..k-1")
-    c = exact.zeros((k, k), backend)
-    c[sigma, np.arange(k)] = exact.scalar(Fraction(1, k), backend)
-    return _wrap(c)
+    num = exact.numerators((k, k))
+    num[sigma, np.arange(k)] = 1
+    return _wrap(exact.from_scaled(num, k, backend))
 
 
 def lift_coupling(coarse: CouplingMatrix, ref: RefinementMap) -> CouplingMatrix:
@@ -89,8 +98,8 @@ def lift_coupling(coarse: CouplingMatrix, ref: RefinementMap) -> CouplingMatrix:
     if coarse.k != ref.coarse.k:
         raise DimensionMismatch("coupling does not match the coarse partition")
     parent = np.asarray(ref.parent, dtype=int)
-    scale = exact.scalar(Fraction(1, ref.r ** 2), coarse.backend)
-    return _wrap(coarse.C[np.ix_(parent, parent)] * scale)
+    spread = exact.relabel(coarse.matrix, np.ix_(parent, parent))
+    return _wrap(exact.scale(spread, Fraction(1, ref.r ** 2)))
 
 
 def restrict_coupling(fine: CouplingMatrix, ref: RefinementMap) -> CouplingMatrix:
@@ -98,15 +107,13 @@ def restrict_coupling(fine: CouplingMatrix, ref: RefinementMap) -> CouplingMatri
     if fine.k != ref.fine.k:
         raise DimensionMismatch("coupling does not match the fine partition")
     parent = np.asarray(ref.parent, dtype=int)
-    out = exact.zeros((ref.coarse.k, ref.coarse.k), fine.backend)
-    np.add.at(out, (parent[:, None], parent[None, :]), fine.C)
-    return _wrap(out)
+    return _wrap(exact.block_sums(fine.matrix, parent, ref.coarse.k))
 
 
 def coupling_distance(a: CouplingMatrix, b: CouplingMatrix):
     """Entrywise L1 distance; exact Fraction on the rational backend."""
     _require_same(a, b)
-    return exact.l1_norm(a.C, b.C)
+    return exact.l1_norm(a.matrix, b.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,17 +144,18 @@ class NeighborhoodSpec:
 def in_neighborhood(c: CouplingMatrix, spec: NeighborhoodSpec) -> bool:
     if spec.kind == "entrywise":
         target = spec.target
-        if target.shape != c.C.shape:
+        if target.shape != c.matrix.shape:
             raise DimensionMismatch("neighborhood target has the wrong shape")
-        return bool(exact.max_abs(c.C, target) < spec.epsilon)
+        return bool(exact.max_abs(c.matrix, target) < spec.epsilon)
     eta = np.asarray(spec.eta, dtype=int)
     if len(eta) != c.k:
         raise DimensionMismatch("eta has the wrong length")
     mass = exact.scalar(Fraction(1, c.k), c.backend)
-    return bool(exact.max_abs(c.C[eta, np.arange(c.k)], mass) < spec.epsilon)
+    diagonal = exact.select(c.matrix, (eta, np.arange(c.k)))
+    return bool(exact.max_abs(diagonal, mass) < spec.epsilon)
 
 
-def repair_to_polytope(m: np.ndarray, tol: float = 1e-8) -> CouplingMatrix:
+def repair_to_polytope(m, tol: float = 1e-8) -> CouplingMatrix:
     """Project a slightly drifted float matrix back onto the polytope.
 
     Alternating row/column rescaling (Sinkhorn) after clamping negatives;
@@ -155,8 +163,7 @@ def repair_to_polytope(m: np.ndarray, tol: float = 1e-8) -> CouplingMatrix:
     NotRepairable when the input is farther than tol from feasible, or a
     row or column carries no mass to rescale.
     """
-    m = np.asarray(m)
-    if exact.is_rational_array(m):
+    if exact.backend_of(m) == exact.RATIONAL:
         # Exact arithmetic never drifts: accept valid input, refuse the rest.
         cm = _wrap(m)
         bad = validate_coupling(cm)
@@ -196,11 +203,11 @@ def compose_couplings(a: CouplingMatrix, b: CouplingMatrix) -> CouplingMatrix:
     underlying permutations: compose(graph(s), graph(t)) = graph(s o t).
     """
     _require_same(a, b)
-    return _wrap(exact.mat_mul(a.C, b.C) * a.k)
+    return _wrap(exact.scale(exact.mat_mul(a.matrix, b.matrix), a.k))
 
 
 def validate_coupling(c: CouplingMatrix, tol: float = exact.FLOAT_TOL) -> list[str]:
-    m = c.C
+    m = c.matrix
     k = c.k
     if m.shape != (k, k):
         return [f"shape{m.shape}"]
@@ -211,10 +218,10 @@ def random_coupling(k: int, rng: np.random.Generator,
                     backend: str = exact.RATIONAL, terms: int = 6) -> CouplingMatrix:
     """Random interior point: convex combination of permutation couplings
     with small rational weights.  Exact polytope membership by construction."""
+    # Accumulate integer numerators over the common denominator total * k.
+    numerators = exact.numerators((k, k))
     weights = [int(w) for w in rng.integers(1, 20, size=terms)]
     total = sum(weights)
-    # Accumulate integer numerators over the common denominator total * k.
-    numerators = np.zeros((k, k), dtype=np.int64)
     cols = np.arange(k)
     for w in weights:
         sigma = rng.permutation(k)

@@ -1,46 +1,39 @@
 """Dual numeric backends: exact rational matrices and float64 matrices.
 
-Rational matrices are numpy object arrays holding ``fractions.Fraction``;
-float matrices are ordinary float64 arrays.  This is the only module that
-knows the number format of a backend.  Everywhere else a value is written
-once, exactly (a ``Fraction`` or an integer), and handed to ``scalar``,
-``constant``, ``from_scaled`` or ``tolerance`` with the backend; kernels
-here dispatch on dtype, so callers never branch on the backend by hand.
+A rational matrix is stored as a ``Scaled``: read-only integer numerators
+over one positive denominator, in lowest terms; a float matrix is a float64
+array.  This is the only module that knows the number format of a backend.
+Elsewhere a value is written once, exactly, and handed to ``scalar``,
+``constant``, ``from_scaled`` or ``tolerance`` with the backend; builders
+fill integer numerators from ``numerators`` (the one allocator, guarded by
+``SIZE_LIMIT``) and pass them to ``from_scaled``.
 
-The rational kernels do no per-entry Fraction arithmetic.  They work on a
-scaled-integer form: ``split_common`` writes an array as (integer
-numerators, one common denominator), numpy does the products, sums,
-comparisons and reductions on the numerators, and ``join_scaled`` builds
-the Fraction result once, with one Fraction object per distinct value.
-
-Numerators are int64 whenever every entry stays below ``_INT64_SAFE``
-(2**62) in magnitude, so the sum or difference of two such arrays cannot
-overflow; every kernel checks the worst case of its own operation (inner
-dimension times largest magnitudes for a product, count times largest
-magnitude for a sum) before staying in int64, and otherwise falls back to
-object arrays of Python ints, which never overflow.  Code that rewrites
-numerators in place converts them to Python ints first.
-
-A frozen array (read-only, and so is every array up its ``.base`` chain)
-is split once: the split is remembered under ``id(array)`` until the array
-is collected, and its numerators are handed out read-only.  A transposed
-view of a frozen array reuses the split of its base.  Value types in this
-package freeze their arrays and never mutate them.
+Every rational kernel reads its operands through ``_split``, which passes a
+``Scaled`` through and splits a ``Fraction`` array once, lets numpy work on
+the numerators, and returns a ``Scaled``.  ``Fraction`` objects are built
+only when something asks for ``Scaled.fractions``: once, one per distinct
+value (``join_scaled``).  Numerators are int64 while every entry stays below
+``_INT64_SAFE`` (2**62) in magnitude, so a sum or difference of two cannot
+overflow; each kernel checks the worst case of its own operation before
+staying in int64, and otherwise works on Python ints, which never overflow.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SizeGuard
 
 RATIONAL = "rational"
 FLOAT = "float"
+
+# Largest number of cells per side of any matrix the package builds.
+SIZE_LIMIT = 4096
 
 # Float-backend tolerances: one for arithmetic that only rounds, one for
 # results of the SVD nullspace solver.
@@ -50,17 +43,47 @@ SOLVER_TOL = 1e-9
 # Worst-case |entry| bound under which int64 accumulation cannot overflow.
 _INT64_SAFE = 2**62
 
-# Splits of frozen arrays by id(array); weakref.finalize drops an entry
-# when its array is collected, before the id can be reused.
-_SPLITS: dict[int, tuple[np.ndarray, int]] = {}
+
+@dataclass(frozen=True, eq=False)
+class Scaled:
+    """The rational array num / den in lowest terms, gcd(num, den) == 1,
+    which makes it unique.  num is read-only, int64 while every |entry| <
+    _INT64_SAFE and Python ints otherwise; from_scaled reduces and picks
+    the dtype, this constructor trusts its caller."""
+
+    num: np.ndarray
+    den: int
+
+    def __post_init__(self):
+        freeze(self.num)
+
+    @property
+    def shape(self) -> tuple:
+        return self.num.shape
+
+    @property
+    def size(self) -> int:
+        return self.num.size
+
+    @property
+    def dtype(self):
+        return self.num.dtype
+
+    def ravel(self) -> np.ndarray:
+        return self.num.ravel()
+
+    @property
+    def T(self) -> Scaled:
+        return Scaled(self.num.T, self.den)
+
+    @cached_property
+    def fractions(self) -> np.ndarray:
+        """The entries as a read-only Fraction object array, built once."""
+        return freeze(join_scaled(self.num, self.den))
 
 
-def is_rational_array(a: np.ndarray) -> bool:
-    return a.dtype == object
-
-
-def backend_of(a: np.ndarray) -> str:
-    return RATIONAL if is_rational_array(a) else FLOAT
+def backend_of(a) -> str:
+    return RATIONAL if isinstance(a, Scaled) or a.dtype == object else FLOAT
 
 
 def frac_array(rows) -> np.ndarray:
@@ -83,17 +106,44 @@ def tolerance(backend: str, float_tol: float = FLOAT_TOL):
     return Fraction(0) if backend == RATIONAL else float_tol
 
 
-def from_scaled(num: np.ndarray, den: int, backend: str = RATIONAL) -> np.ndarray:
-    """Integer numerators over one denominator, as an array on a backend."""
-    return join_scaled(num, den) if backend == RATIONAL else num / den
+def numerators(shape, largest: int = 0) -> np.ndarray:
+    """Zero array for integer numerators up to largest in magnitude (int64
+    below _INT64_SAFE); SizeGuard, before allocating, past SIZE_LIMIT."""
+    shape = tuple(np.atleast_1d(shape).tolist())
+    if max(shape, default=0) > SIZE_LIMIT:
+        raise SizeGuard(f"array of shape {shape} has a side > {SIZE_LIMIT}")
+    return np.zeros(shape, dtype=np.int64 if largest < _INT64_SAFE else object)
 
 
-def constant(shape, value, backend: str = RATIONAL) -> np.ndarray:
-    return np.full(shape, scalar(value, backend))
+def from_scaled(num: np.ndarray, den: int, backend: str = RATIONAL):
+    """Integer numerators over one denominator on a backend: a Scaled in
+    lowest terms, or the float64 array of the nearest floats."""
+    num = np.asarray(num)
+    return _reduced(num, den) if backend == RATIONAL else _to_float(num, den)
 
 
-def zeros(shape, backend: str = RATIONAL) -> np.ndarray:
+def constant(shape, value, backend: str = RATIONAL):
+    p, q = Fraction(value).as_integer_ratio()
+    num = numerators(shape, abs(p))
+    num[...] = p
+    return from_scaled(num, q, backend)
+
+
+def zeros(shape, backend: str = RATIONAL):
     return constant(shape, 0, backend)
+
+
+def stored(a):
+    """The stored form of a matrix: a Scaled when rational (a Fraction
+    array is split once), otherwise the array itself, made read-only."""
+    if backend_of(a) == RATIONAL:
+        return _split(a)
+    return freeze(np.asarray(a))
+
+
+def entries(a) -> np.ndarray:
+    """Per-entry view: the Fraction array of a rational, floats as they are."""
+    return a.fractions if isinstance(a, Scaled) else a
 
 
 def freeze(a: np.ndarray) -> np.ndarray:
@@ -102,81 +152,56 @@ def freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _frozen(a) -> bool:
-    """True when a and every array up its .base chain are read-only."""
-    while a is not None:
-        if not isinstance(a, np.ndarray) or a.flags.writeable:
-            return False
-        a = a.base
-    return True
-
-
-def _is_transpose(a: np.ndarray, base: np.ndarray) -> bool:
-    return (a.ndim == 2 and a.shape == base.shape[::-1]
-            and a.strides == base.strides[::-1]
-            and a.__array_interface__["data"] == base.__array_interface__["data"])
-
-
 def _magnitude(x: np.ndarray) -> int:
     """Largest |entry| of an integer array, as a Python int (no temporary)."""
     return max(int(x.max()), -int(x.min())) if x.size else 0
 
 
-def _split_entries(a: np.ndarray) -> tuple[np.ndarray, int]:
-    if a.size == 0:
-        return np.zeros(a.shape, dtype=np.int64), 1
-    try:
-        nums = np.fromiter((x.numerator for x in a.flat), np.int64, a.size)
-        dens = np.fromiter((x.denominator for x in a.flat), np.int64, a.size)
-    except OverflowError:  # an entry beyond int64: Python ints throughout
-        nums = np.fromiter((x.numerator for x in a.flat), object, a.size)
-        dens = np.fromiter((x.denominator for x in a.flat), object, a.size)
-    den = int(np.lcm.reduce(dens))
-    # int64 lcm wraps silently, but only when the true lcm is >= 2**63; a
-    # positive common multiple below that bound is therefore the lcm.
-    if den <= 0 or (den % dens).any():
-        dens = dens.astype(object)
-        den = int(np.lcm.reduce(dens))
-    small = int(dens.min())
-    if (nums.dtype != object and den < _INT64_SAFE
-            and _magnitude(nums) * (den // small) < _INT64_SAFE):
-        if den != small:
-            np.floor_divide(den, dens, out=dens)
-            nums *= dens
-    else:
-        nums = nums.astype(object) * (den // dens.astype(object))
-    return nums.reshape(a.shape), den
+def _reduced(num: np.ndarray, den: int) -> Scaled:
+    """num / den in lowest terms, numerators int64 exactly when they fit."""
+    g = math.gcd(int(np.gcd.reduce(num, axis=None)), den) if num.size else den
+    if g > 1:
+        num, den = num // g, den // g
+    if num.dtype != object:
+        num = num.astype(np.int64, copy=False)
+    fits = _magnitude(num) < _INT64_SAFE
+    if fits != (num.dtype == np.int64):
+        num = num.astype(np.int64 if fits else object)
+    return Scaled(num, den)
 
 
-def _split(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """The split behind split_common.
+def _to_float(num: np.ndarray, den: int) -> np.ndarray:
+    """num / den rounded once per entry, as float(Fraction(n, den)) is."""
+    if num.dtype != object and _magnitude(num) < 2**53 and den < 2**53:
+        return num / den  # both sides exact in float64: one correct rounding
+    flat = [int(n) / den for n in num.ravel()]  # int / int rounds correctly
+    return np.array(flat, dtype=float).reshape(num.shape)
 
-    Reductions and checks call this directly, so split_common is entered
-    only where a caller asks for the split itself (perfbench traces it by
-    name and counts those calls).
-    """
-    if not _frozen(a):
-        return _split_entries(a)
-    hit = _SPLITS.get(id(a))
-    if hit is None:
-        if a.base is not None and _is_transpose(a, a.base):
-            num, den = _split(a.base)
-            return num.T, den
-        num, den = _split_entries(a)
-        num.setflags(write=False)
-        hit = _SPLITS[id(a)] = (num, den)
-        weakref.finalize(a, _SPLITS.pop, id(a), None)
-    return hit
+
+def _split_entries(a: np.ndarray) -> Scaled:
+    """Split a Fraction (or int) object array, reading every entry once."""
+    nums = np.fromiter((x.numerator for x in a.flat), object, a.size)
+    dens = np.fromiter((x.denominator for x in a.flat), object, a.size)
+    den = math.lcm(*set(dens.tolist()))
+    return _reduced((nums * (den // dens)).reshape(a.shape), den)
+
+
+def _split(a) -> Scaled:
+    """The stored form of a rational operand: a Scaled passes through, a
+    Fraction array is split.  Kernels call this; split_common is for the
+    callers that ask for the split itself."""
+    return a if isinstance(a, Scaled) else _split_entries(np.asarray(a))
 
 
 def split_common(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """Write a rational array as (integer numerators, common denominator).
+    """Write a Fraction array as (integer numerators, common denominator).
 
     The denominator is the lcm of the entries' denominators.  Numerators
-    are int64 when they stay below _INT64_SAFE, Python ints otherwise.  A
-    frozen array is split once; its cached numerators are read-only.
+    are int64 when they stay below _INT64_SAFE, Python ints otherwise, and
+    are read-only.
     """
-    return _split(a)
+    s = _split(a)
+    return s.num, s.den
 
 
 def join_scaled(num: np.ndarray, den: int) -> np.ndarray:
@@ -186,12 +211,7 @@ def join_scaled(num: np.ndarray, den: int) -> np.ndarray:
     """
     if num.size == 0:
         return np.empty(num.shape, dtype=object)
-    flat = num.ravel()
-    g = math.gcd(int(np.gcd.reduce(flat)), den)
-    if g > 1:
-        flat = flat // g
-        den //= g
-    distinct, index = np.unique(flat, return_inverse=True)
+    distinct, index = np.unique(num.ravel(), return_inverse=True)
     values = np.empty(len(distinct), dtype=object)
     values[:] = [Fraction(int(n), den) for n in distinct]
     return values[index.reshape(num.shape)]
@@ -210,7 +230,7 @@ def _rescale(num, factor: int):
     if factor == 1:
         return num
     if (isinstance(num, np.ndarray) and num.dtype != object
-            and max(_magnitude(num), 1) * factor >= _INT64_SAFE):
+            and max(_magnitude(num), 1) * abs(factor) >= _INT64_SAFE):
         num = num.astype(object)
     return num * factor
 
@@ -223,39 +243,41 @@ def _int_sum(x: np.ndarray, axis=None):
     return x.sum(axis=axis)
 
 
-def _scaled(a: np.ndarray, b=None) -> tuple[np.ndarray, int]:
+def _scaled(a, b=None) -> tuple[np.ndarray, int]:
     """(numerators, denominator) of a, or of a - b for b an array or scalar.
 
     Both operands go over one common denominator; the difference of two
     int64 numerator arrays is below 2**63, so it cannot overflow.
     """
-    na, da = _split(a)
+    sa = _split(a)
     if b is None:
-        return na, da
-    nb, db = _split(b) if isinstance(b, np.ndarray) else Fraction(b).as_integer_ratio()
-    den = math.lcm(da, db)
-    return _rescale(na, den // da) - _rescale(nb, den // db), den
+        return sa.num, sa.den
+    if isinstance(b, (np.ndarray, Scaled)):
+        sb = _split(b)
+        nb, db = sb.num, sb.den
+    else:
+        nb, db = Fraction(b).as_integer_ratio()
+    den = math.lcm(sa.den, db)
+    return _rescale(sa.num, den // sa.den) - _rescale(nb, den // db), den
 
 
-def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if not is_rational_array(a):
+def mat_mul(a, b):
+    if backend_of(a) == FLOAT:
         return a @ b
-    na, da = split_common(a)
-    nb, db = split_common(b)
-    return join_scaled(_int_matmul(na, nb), da * db)
+    sa, sb = _split(a), _split(b)
+    return _reduced(_int_matmul(sa.num, sb.num), sa.den * sb.den)
 
 
-def mat_conjugate(q: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Return Q^T C Q with a single Fraction rebuild on the rational path."""
-    if not is_rational_array(q):
+def mat_conjugate(q, c):
+    """Return Q^T C Q."""
+    if backend_of(q) == FLOAT:
         return q.T @ c @ q
-    nq, dq = split_common(q)
-    nc, dc = split_common(c)
-    prod = _int_matmul(_int_matmul(nq.T, nc), nq)
-    return join_scaled(prod, dq * dq * dc)
+    sq, sc = _split(q), _split(c)
+    prod = _int_matmul(_int_matmul(sq.num.T, sc.num), sq.num)
+    return _reduced(prod, sq.den * sq.den * sc.den)
 
 
-def mat_power(a: np.ndarray, n: int) -> np.ndarray:
+def mat_power(a, n: int):
     """Non-negative matrix power by binary exponentiation."""
     if n < 0:
         raise ValueError("mat_power expects n >= 0")
@@ -270,67 +292,133 @@ def mat_power(a: np.ndarray, n: int) -> np.ndarray:
     return result
 
 
-def identity(k: int, backend: str = RATIONAL) -> np.ndarray:
+def mat_kron(a, b):
+    """Kronecker product."""
+    if backend_of(a) == FLOAT:
+        return np.kron(a, b)
+    sa, sb = _split(a), _split(b)
+    na, nb = sa.num, sb.num
+    if max(_magnitude(na), 1) * max(_magnitude(nb), 1) >= _INT64_SAFE:
+        na, nb = na.astype(object), nb.astype(object)
+    return _reduced(np.kron(na, nb), sa.den * sb.den)
+
+
+def mat_sub(a, b):
+    """a - b for b an array or scalar."""
+    if backend_of(a) == FLOAT:
+        return a - b
+    return _reduced(*_scaled(a, b))
+
+
+def scale(a, x):
+    """a times the exact rational x."""
+    if backend_of(a) == FLOAT:
+        return a * scalar(x, FLOAT)
+    s = _split(a)
+    p, q = Fraction(x).as_integer_ratio()
+    return _reduced(_rescale(s.num, p), s.den * q)
+
+
+def relabel(a, index):
+    """The entries a[index] for an index that reaches every row and column,
+    as a relabeling does: the values, and so the denominator, stay."""
+    if backend_of(a) == FLOAT:
+        return a[index]
+    s = _split(a)
+    return Scaled(s.num[index], s.den)
+
+
+def select(a, index):
+    """The entries a[index], as an array on the backend of a."""
+    if backend_of(a) == FLOAT:
+        return a[index]
+    s = _split(a)
+    return _reduced(s.num[index], s.den)
+
+
+def block_sums(a, parent: np.ndarray, n: int):
+    """n x n sums of a over blocks: entry (u, v) adds every a[i, j] with
+    parent[i] = u and parent[j] = v."""
+    index = (parent[:, None], parent[None, :])
+    if backend_of(a) == FLOAT:
+        out = np.zeros((n, n))
+        np.add.at(out, index, a)
+        return out
+    s = _split(a)
+    out = numerators((n, n), _magnitude(s.num) * s.size)
+    np.add.at(out, index, s.num.astype(out.dtype, copy=False))
+    return _reduced(out, s.den)
+
+
+def quadratic_form(w, c):
+    """w^T C w for a vector w."""
+    if backend_of(c) == FLOAT:
+        return float(w @ (c @ w))
+    sw, sc = _split(w), _split(c)
+    n = _int_matmul(_int_matmul(sw.num, sc.num), sw.num)
+    return Fraction(int(n), sw.den * sw.den * sc.den)
+
+
+def identity(k: int, backend: str = RATIONAL):
     return matrix_of_permutation(np.arange(k), backend)
 
 
-def l1_norm(a: np.ndarray, b=None):
+def l1_norm(a, b=None):
     """Entrywise L1 norm of a, or of a - b when b (array or scalar) is given."""
-    if not is_rational_array(a):
+    if backend_of(a) == FLOAT:
         return float(np.abs(a if b is None else a - b).sum())
     num, den = _scaled(a, b)
     return Fraction(int(_int_sum(np.abs(num))), den)
 
 
-def max_abs(a: np.ndarray, b=None):
+def max_abs(a, b=None):
     """Largest |entry| of a, or of a - b when b (array or scalar) is given."""
-    if not is_rational_array(a):
+    if backend_of(a) == FLOAT:
         d = np.abs(a if b is None else a - b)
         return float(d.max()) if d.size else 0.0
     num, den = _scaled(a, b)
     return Fraction(_magnitude(num), den)
 
 
-def mat_equal(a: np.ndarray, b: np.ndarray) -> bool:
+def mat_equal(a, b) -> bool:
     if a.shape != b.shape:
         return False
-    if is_rational_array(a) and is_rational_array(b):
-        # Equal values have equal reduced denominators, hence equal splits.
-        na, da = _split(a)
-        nb, db = _split(b)
-        return da == db and bool(np.array_equal(na, nb))
-    if is_rational_array(a) or is_rational_array(b):
-        return all(x == y for x, y in zip(a.ravel(), b.ravel()))
-    return bool(np.array_equal(a, b))
+    rational_a, rational_b = backend_of(a) == RATIONAL, backend_of(b) == RATIONAL
+    if rational_a and rational_b:
+        # Lowest terms are unique: equal values, equal numerators and denominator.
+        sa, sb = _split(a), _split(b)
+        return sa.den == sb.den and bool(np.array_equal(sa.num, sb.num))
+    return bool(np.array_equal(entries(a), entries(b)))
 
 
-def mat_mean(arrays) -> np.ndarray:
-    """Entrywise mean of equally shaped arrays; one Fraction rebuild when
-    rational, the float sum taken in list order otherwise."""
-    if not is_rational_array(arrays[0]):
+def mat_mean(arrays):
+    """Entrywise mean of equally shaped arrays; exact when rational, the
+    float sum taken in list order otherwise."""
+    if backend_of(arrays[0]) == FLOAT:
         total = arrays[0].copy()
         for a in arrays[1:]:
             total = total + a
         return total / len(arrays)
-    total, den = _split(arrays[0])
+    first = _split(arrays[0])
+    total, den = first.num, first.den
     for a in arrays[1:]:
-        num, d = _split(a)
-        common = math.lcm(den, d)
-        total = _rescale(total, common // den) + _rescale(num, common // d)
+        s = _split(a)
+        common = math.lcm(den, s.den)
+        total = _rescale(total, common // den) + _rescale(s.num, common // s.den)
         if total.dtype != object and _magnitude(total) >= _INT64_SAFE:
             total = total.astype(object)
         den = common
-    return join_scaled(total, den * len(arrays))
+    return _reduced(total, den * len(arrays))
 
 
-def marginal_defects(m: np.ndarray, target, tol: float) -> list[str]:
+def marginal_defects(m, target, tol: float) -> list[str]:
     """Lines of m whose sum is not target, then negative entries.
 
     Returns 'row_sum(i)', 'col_sum(j)' and 'negative_entry(i,j)' labels in
     that order.  target is exact; tol applies to float arrays only.
     """
-    if is_rational_array(m):
-        num, den = _split(m)
+    if backend_of(m) == RATIONAL:
+        num, den = _scaled(m)
         p, q = Fraction(target).as_integer_ratio()
         # A line sums to p/q exactly when its numerators sum to p*den/q.
         bad_rows = _rescale(_int_sum(num, axis=1), q) != p * den
@@ -347,15 +435,17 @@ def marginal_defects(m: np.ndarray, target, tol: float) -> list[str]:
     return out
 
 
-def as_float(a: np.ndarray) -> np.ndarray:
-    if is_rational_array(a):
+def as_float(a) -> np.ndarray:
+    if isinstance(a, Scaled):
+        return _to_float(a.num, a.den)
+    if backend_of(a) == RATIONAL:
         return a.astype(float)
     return np.asarray(a, dtype=float)
 
 
 def as_rational(a: np.ndarray, max_denominator: int = 10**12) -> np.ndarray:
     """Float array to Fractions; exact inputs pass through unchanged."""
-    if is_rational_array(a):
+    if backend_of(a) == RATIONAL:
         return a
     out = np.empty(a.shape, dtype=object)
     oflat, flat = out.ravel(), a.ravel()
@@ -364,19 +454,19 @@ def as_rational(a: np.ndarray, max_denominator: int = 10**12) -> np.ndarray:
     return out
 
 
-def matrix_of_permutation(perm, backend: str = RATIONAL) -> np.ndarray:
+def matrix_of_permutation(perm, backend: str = RATIONAL):
     """0/1 matrix M with M[perm[j], j] = 1 (column j sent to row perm[j])."""
     k = len(perm)
-    m = zeros((k, k), backend)
-    m[np.asarray(perm, dtype=int), np.arange(k)] = scalar(1, backend)
-    return m
+    num = numerators((k, k))
+    num[np.asarray(perm, dtype=int), np.arange(k)] = 1
+    return from_scaled(num, 1, backend)
 
 
-def permutation_of_matrix(q: np.ndarray):
+def permutation_of_matrix(q):
     """Forward cell map tau with Q[a, tau(a)] = 1, or None if Q is not one:
     on both backends each row must hold a single one and zeros elsewhere."""
-    if is_rational_array(q):
-        num, one = _split(q)
+    if backend_of(q) == RATIONAL:
+        num, one = _scaled(q)
     else:
         num, one = np.asarray(q, dtype=float), 1.0
     ones = num == one
@@ -439,21 +529,22 @@ def gcd_reduce_row(row: np.ndarray) -> np.ndarray:
     return row
 
 
-def exact_nullspace(a: np.ndarray) -> list[np.ndarray]:
-    """Basis of {x : A x = 0} over the rationals, by integer Gauss-Jordan.
+def exact_nullspace(*blocks) -> list[np.ndarray]:
+    """Basis of {x : B x = 0 for every block B} over the rationals, by
+    integer Gauss-Jordan.
 
-    a: object array of Fractions or ints, shape (m, n).  Returns a list of
-    Fraction vectors of length n.  Row operations stay in integers; each row
-    is divided by its gcd to keep magnitudes tame.
+    Each block has n columns of rationals, ints or floats; its rows enter
+    as integer numerators over one denominator, which leaves the null space
+    unchanged.  Returns a list of Fraction vectors of length n.  Row
+    operations stay in integers; each row is divided by its gcd to keep
+    magnitudes tame.
     """
-    if a.size == 0:
+    # Row operations below rewrite work in place: Python ints only.
+    work = [(b.num if isinstance(b, Scaled) else split_common(as_rational(b))[0])
+            .astype(object) for b in blocks if b.size]
+    if not work:
         return []
-    if a.dtype != object:
-        a = as_rational(a)
-    work = a.copy()
-    if any(isinstance(x, Fraction) for x in work.ravel()):
-        # Row operations below rewrite work in place: Python ints only.
-        work = split_common(work)[0].astype(object)
+    work = np.vstack(work)
     m, n = work.shape
     pivots: list[int] = []
     r = 0
@@ -476,10 +567,10 @@ def exact_nullspace(a: np.ndarray) -> list[np.ndarray]:
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
-        v = zeros(n)
+        v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for ri, pc in enumerate(pivots):
             if work[ri, fc] != 0:
                 v[pc] = Fraction(-int(work[ri, fc]), int(work[ri, pc]))
-        basis.append(v)
+        basis.append(np.array(v, dtype=object))
     return basis

@@ -63,17 +63,13 @@ def _check(sys: FiniteSystem, c: CouplingMatrix):
         raise BackendMismatch("system and coupling use different backends")
 
 
-def _relabel(c: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    return c[np.ix_(inv, inv)]
-
-
 def lens_step(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
     """One application of the lens: C -> Q^T C Q."""
     _check(sys, c)
     if sys.exact:
         inv = exact.invert_permutation(sys.perm)
-        return CouplingMatrix(k=c.k, C=_relabel(c.C, inv))
-    return CouplingMatrix(k=c.k, C=exact.mat_conjugate(sys.Q, c.C))
+        return CouplingMatrix(k=c.k, C=exact.relabel(c.matrix, np.ix_(inv, inv)))
+    return CouplingMatrix(k=c.k, C=exact.mat_conjugate(sys.matrix, c.matrix))
 
 
 def lens_step_inverse(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
@@ -81,7 +77,7 @@ def lens_step_inverse(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
     _check(sys, c)
     if not sys.exact:
         raise NotExact("the stochastic lens is forward-only")
-    return CouplingMatrix(k=c.k, C=_relabel(c.C, np.asarray(sys.perm)))
+    return CouplingMatrix(k=c.k, C=exact.relabel(c.matrix, np.ix_(sys.perm, sys.perm)))
 
 
 def one_sided_step(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
@@ -89,8 +85,8 @@ def one_sided_step(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
     _check(sys, c)
     if sys.exact:
         inv = exact.invert_permutation(sys.perm)
-        return CouplingMatrix(k=c.k, C=c.C[inv, :])
-    return CouplingMatrix(k=c.k, C=exact.mat_mul(sys.Q.T, c.C))
+        return CouplingMatrix(k=c.k, C=exact.relabel(c.matrix, inv))
+    return CouplingMatrix(k=c.k, C=exact.mat_mul(sys.matrix.T, c.matrix))
 
 
 def lens_iterate(sys: FiniteSystem, c: CouplingMatrix, n: int) -> CouplingMatrix:
@@ -127,8 +123,8 @@ def orbit(sys: FiniteSystem, c: CouplingMatrix, n_steps: int,
     for _ in range(n_steps):
         current = step(sys, current)
         if current.backend == exact.FLOAT:
-            repaired = repair_to_polytope(current.C)
-            residuals.append(exact.l1_norm(repaired.C, current.C))
+            repaired = repair_to_polytope(current.matrix)
+            residuals.append(exact.l1_norm(repaired.matrix, current.matrix))
             current = repaired
         else:
             residuals.append(0.0)
@@ -143,7 +139,7 @@ def cesaro_average(orb: LensOrbit, n: int | None = None) -> CouplingMatrix:
         n = len(orb.states) - 1
     if n < 1 or n >= len(orb.states):
         raise ValueError("cesaro_average needs 1 <= N < len(states)")
-    avg = exact.mat_mean([s.C for s in orb.states[1:n + 1]])
+    avg = exact.mat_mean([s.matrix for s in orb.states[1:n + 1]])
     return CouplingMatrix(k=orb.states[0].k, C=avg)
 
 
@@ -164,8 +160,8 @@ def markov_commutation_residual(sys: FiniteSystem, c: CouplingMatrix):
     _check(sys, c)
     if sys.exact:
         return self_joining_residual(sys, c) * c.k
-    m = c.C.T * c.k
-    return exact.l1_norm(exact.mat_mul(m, sys.Q), exact.mat_mul(sys.Q, m))
+    m, q = exact.scale(c.matrix.T, c.k), sys.matrix
+    return exact.l1_norm(exact.mat_mul(m, q), exact.mat_mul(q, m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,10 +226,10 @@ def fixed_point_space(sys: FiniteSystem) -> FixedPointSpace:
 
     # General case: nullspace of [lens(X) - X ; row sums ; column sums],
     # where lens(X)[i, j] = sum_ab Q[a, i] Q[b, j] X[a, b] on row-major X.
-    q = np.asarray(sys.Q)
-    lens_op = np.kron(q.T, q.T) - exact.identity(k * k, backend)
+    q = sys.matrix
+    lens_op = exact.mat_sub(exact.mat_kron(q.T, q.T), exact.identity(k * k, backend))
     if backend == exact.RATIONAL:
-        null = exact.exact_nullspace(np.vstack([lens_op, _marginal_rows(k)]))
+        null = exact.exact_nullspace(lens_op, _marginal_rows(k))
         basis = tuple(exact.freeze(v.reshape(k, k)) for v in null)
         return FixedPointSpace(dimension=len(basis), basis=basis, interior=interior)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -98,31 +99,55 @@ def refine(p: Partition, r: int) -> tuple[Partition, RefinementMap]:
     return fine, refinement_from_parent(p, fine, parent)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FiniteSystem:
-    """Doubly stochastic cell dynamics over an equal-mass partition."""
+    """Doubly stochastic cell dynamics over an equal-mass partition.
+
+    An exact system holds its forward cell map perm and its backend; a
+    stochastic one holds the stored form of Q (exact.stored).  Q itself is
+    a derived per-entry view, built at most once and only when asked for.
+    """
 
     partition: Partition
-    Q: np.ndarray
-    perm: np.ndarray | None = field(default=None, compare=False)
+    perm: np.ndarray | None
+    backend: str
+    _q: object = field(repr=False)
 
-    def __post_init__(self):
-        exact.freeze(np.asarray(self.Q))
-        if self.perm is not None:
-            exact.freeze(np.asarray(self.perm))
+    def __init__(self, partition: Partition, Q=None, perm=None,
+                 backend: str = exact.RATIONAL):
+        if (Q is None) == (perm is None):
+            raise ValueError("a system takes Q (stochastic) or perm (exact)")
+        if perm is not None:
+            perm = exact.freeze(np.asarray(perm))
+        else:
+            Q = exact.stored(Q)
+            backend = exact.backend_of(Q)
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "_q", Q)
 
     @property
     def k(self) -> int:
         return self.partition.k
 
     @property
-    def backend(self) -> str:
-        return exact.backend_of(self.Q)
-
-    @property
     def exact(self) -> bool:
         """True when the system is a cell permutation (perm is set)."""
         return self.perm is not None
+
+    @property
+    def matrix(self):
+        """Q in stored form; built from perm, and not kept, when exact."""
+        if self.exact:
+            # Q[a, perm[a]] = 1, i.e. the transpose of matrix_of_permutation(perm).
+            return exact.matrix_of_permutation(exact.invert_permutation(self.perm),
+                                               self.backend)
+        return self._q
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        return exact.entries(self.matrix)
 
 
 def system_from_permutation(perm, labels=None, backend: str = exact.RATIONAL) -> FiniteSystem:
@@ -131,26 +156,25 @@ def system_from_permutation(perm, labels=None, backend: str = exact.RATIONAL) ->
     k = len(perm)
     if sorted(perm.tolist()) != list(range(k)):
         raise ValueError("forward cell map must be a permutation of 0..k-1")
-    part = make_uniform_partition(k, labels)
-    # Q[a, perm[a]] = 1, i.e. the transpose of matrix_of_permutation(perm).
-    q = exact.matrix_of_permutation(exact.invert_permutation(perm), backend)
-    return FiniteSystem(partition=part, Q=q, perm=perm)
+    return FiniteSystem(partition=make_uniform_partition(k, labels), perm=perm,
+                        backend=backend)
 
 
-def system_from_matrix(q: np.ndarray, partition: Partition | None = None) -> FiniteSystem:
+def system_from_matrix(q, partition: Partition | None = None) -> FiniteSystem:
     """System of a doubly stochastic matrix; exact when q is a permutation."""
-    q = np.asarray(q)
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+    q = exact.stored(q)
+    if len(q.shape) != 2 or q.shape[0] != q.shape[1]:
         raise DimensionMismatch("system matrix must be square")
     k = q.shape[0]
     if partition is None:
         partition = make_uniform_partition(k)
     if partition.k != k:
         raise DimensionMismatch("partition size must match the matrix")
-    # Frozen first (FiniteSystem freezes Q anyway), so the split taken
-    # here is the one every later product with Q reuses.
-    perm = exact.permutation_of_matrix(exact.freeze(q))
-    return FiniteSystem(partition=partition, Q=q, perm=perm)
+    perm = exact.permutation_of_matrix(q)
+    if perm is not None:
+        return FiniteSystem(partition=partition, perm=perm,
+                            backend=exact.backend_of(q))
+    return FiniteSystem(partition=partition, Q=q)
 
 
 def system_power(sys: FiniteSystem, n: int) -> FiniteSystem:
@@ -172,19 +196,16 @@ def system_power(sys: FiniteSystem, n: int) -> FiniteSystem:
                 step = step[step]
         return system_from_permutation(p, labels=sys.partition.labels,
                                        backend=sys.backend)
-    return system_from_matrix(exact.mat_power(sys.Q, n), partition=sys.partition)
+    return system_from_matrix(exact.mat_power(sys.matrix, n), partition=sys.partition)
 
 
 def validate_system(sys: FiniteSystem, tol: float = exact.FLOAT_TOL) -> list[str]:
     """Diagnostics list; empty when the system satisfies every invariant."""
-    q = sys.Q
+    q = sys.matrix
     k = sys.k
     if q.shape != (k, k):
         return [f"shape{q.shape}"]
-    out = exact.marginal_defects(q, 1, tol)
-    if sys.exact and exact.permutation_of_matrix(q) is None:
-        out.append("exact_flag")
-    return out
+    return exact.marginal_defects(q, 1, tol)
 
 
 def system_to_json(sys: FiniteSystem) -> str:

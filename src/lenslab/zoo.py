@@ -22,6 +22,7 @@ import numpy as np
 
 from . import exact
 from .errors import DimensionMismatch, NonInvertible, SizeGuard
+from .exact import SIZE_LIMIT
 from .partitions import FiniteSystem, make_uniform_partition, system_from_matrix, system_from_permutation
 
 __all__ = [
@@ -44,9 +45,6 @@ __all__ = [
     "group_rotation_conjugation",
     "parse_system_spec",
 ]
-
-SIZE_LIMIT = 4096
-
 
 def rotation_system(k: int, s: int, backend: str = exact.RATIONAL) -> FiniteSystem:
     """Cyclic rotation on Z_k by s: cell a maps onto cell a + s mod k."""
@@ -97,15 +95,14 @@ def bernoulli_system(d: int, L: int, backend: str = exact.RATIONAL) -> FiniteSys
     k = d**L
     if k > SIZE_LIMIT:
         raise SizeGuard(f"d^L = {k} cells > {SIZE_LIMIT}")
-    q = exact.zeros((k, k), backend)
+    num = exact.numerators((k, k))
     # Word w steps to the d words that drop its first symbol: columns
     # (w mod d^(L-1)) * d + c for every last symbol c.
     rows = np.arange(k)[:, None]
-    cols = rows % d ** (L - 1) * d + np.arange(d)
-    q[rows, cols] = exact.scalar(Fraction(1, d), backend)
+    num[rows, rows % d ** (L - 1) * d + np.arange(d)] = 1
     labels = tuple("".join(map(str, index_word(w, d, L))) for w in range(k))
     part = make_uniform_partition(k, labels)
-    return system_from_matrix(q, partition=part)
+    return system_from_matrix(exact.from_scaled(num, d, backend), partition=part)
 
 
 @dataclass(frozen=True, eq=False)

@@ -101,7 +101,7 @@ def test_entrywise_neighborhood():
 
 def test_repair_rational_passthrough():
     c = product_coupling(3)
-    assert repair_to_polytope(c.C).C is c.C
+    assert repair_to_polytope(c.matrix).matrix is c.matrix
     bad = exact.frac_array([[Fraction(1, 2), Fraction(1, 2)], [0, 0]])
     with pytest.raises(NotRepairable):
         repair_to_polytope(bad)
@@ -230,7 +230,7 @@ def test_cesaro_average_matches_oracle(k, seed, n):
 
 def _restrict_oracle(fine, parent, kc):
     """Block sums taken one coarse cell pair at a time."""
-    out = exact.zeros((kc, kc), fine.backend)
+    out = exact.entries(exact.zeros((kc, kc), fine.backend)).copy()
     for a in range(kc):
         for b in range(kc):
             out[a, b] = fine.C[np.ix_(np.flatnonzero(parent == a),

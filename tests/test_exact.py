@@ -9,12 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lenslab import (
+    CouplingMatrix,
+    FiniteSystem,
     RationalTarget,
     bernoulli_system,
     exact,
     graph_coupling,
+    lens_step,
+    lift_coupling,
+    make_uniform_partition,
     product_coupling,
     random_coupling,
+    refine,
     rotation_system,
     system_from_permutation,
     system_power,
@@ -57,7 +63,7 @@ def test_mat_conjugate_is_two_muls():
 def test_mat_power_binary_exponentiation():
     a = frac_matrix([[1, 1], [0, 1]])
     p = exact.mat_power(a, 25)
-    assert p[0, 1] == 25
+    assert p.fractions[0, 1] == 25
     assert exact.mat_equal(exact.mat_power(a, 0), exact.identity(2))
     with pytest.raises(ValueError):
         exact.mat_power(a, -1)
@@ -91,7 +97,7 @@ def test_permutation_helpers():
 
 
 def test_matrix_of_permutation_convention():
-    m = exact.matrix_of_permutation([1, 2, 0])
+    m = exact.matrix_of_permutation([1, 2, 0]).fractions
     # column j carries its mass to row perm[j]
     assert m[1, 0] == 1 and m[2, 1] == 1 and m[0, 2] == 1
     assert exact.permutation_of_matrix(m.T) is not None
@@ -147,7 +153,7 @@ def test_l1_and_max_norms_consistent(vals):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.permutations(list(range(5))))
 def test_permutation_matrix_roundtrip(perm):
-    m = exact.matrix_of_permutation(perm)
+    m = exact.matrix_of_permutation(perm).fractions
     # column sums and row sums are 1: doubly stochastic 0/1 matrix
     assert all(m[:, j].sum() == 1 for j in range(5))
     tau = exact.permutation_of_matrix(m.T)
@@ -202,7 +208,7 @@ def test_reductions_match_oracle(a, b, s):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.lists(matrices(), min_size=1, max_size=5))
 def test_mat_mean_matches_oracle(arrays):
-    mean = exact.mat_mean(arrays)
+    mean = exact.mat_mean(arrays).fractions
     for idx in np.ndindex(arrays[0].shape):
         assert mean[idx] == sum(a[idx] for a in arrays) / len(arrays)
 
@@ -234,7 +240,7 @@ def test_sums_promote_before_int64_overflow():
     assert exact.split_common(a)[0].dtype == np.int64
     assert exact.l1_norm(a) == 4 * near
     assert exact.l1_norm(a, -a) == 8 * near
-    assert exact.mat_mean([a, a, a])[0, 0] == near
+    assert exact.mat_mean([a, a, a]).fractions[0, 0] == near
     assert exact.marginal_defects(a, 2 * near, 0.0) == []
 
 
@@ -251,32 +257,25 @@ def test_zero_operand_with_huge_denominator():
     tiny = exact.constant((2, 2), Fraction(1, 2**70))
     assert exact.l1_norm(zero, tiny) == Fraction(4, 2**70)
     assert exact.max_abs(zero, Fraction(1, 2**70)) == Fraction(1, 2**70)
-    assert exact.mat_mean([zero, tiny])[0, 0] == Fraction(1, 2**71)
+    assert exact.mat_mean([zero, tiny]).fractions[0, 0] == Fraction(1, 2**71)
 
 
-def test_split_of_frozen_array_is_cached_and_read_only():
-    a = exact.freeze(exact.frac_array([[Fraction(1, 2), Fraction(1, 3)],
-                                       [Fraction(2, 3), Fraction(1, 6)]]))
-    num, den = exact.split_common(a)
-    assert exact.split_common(a)[0] is num
-    assert not num.flags.writeable
-    with pytest.raises(ValueError):
-        num[0, 0] = 0
-    num_t, den_t = exact.split_common(a.T)
-    assert den_t == den and np.array_equal(num_t, num.T)
-    assert np.shares_memory(num_t, num)
-
-
-def test_split_of_view_on_writable_base_is_not_cached():
-    base = exact.frac_array([[Fraction(1, 2), Fraction(1, 4)],
-                             [Fraction(1, 4), Fraction(1, 2)]])
-    view = base[:, :]
-    view.setflags(write=False)
-    first, den = exact.split_common(view)
-    assert first.flags.writeable
-    base[0, 0] = Fraction(3, 4)
-    num, den = exact.split_common(view)
-    assert num[0, 0] * Fraction(1, den) == Fraction(3, 4)
+def test_stored_form_kernels_past_int64_match_fraction_oracles():
+    a = exact.frac_array([[2**70, 1], [Fraction(3, 2**70), Fraction(-5, 7)]])
+    s = exact.stored(a)
+    assert s.num.dtype == object
+    assert exact.mat_equal(exact.scale(s, Fraction(-3, 4)), a * Fraction(-3, 4))
+    assert exact.mat_equal(exact.relabel(s, np.ix_([1, 0], [1, 0])), a[np.ix_([1, 0], [1, 0])])
+    assert exact.mat_equal(exact.select(s, (0, slice(None))), a[0])
+    assert exact.mat_equal(exact.block_sums(s, np.array([0, 0]), 1),
+                           np.array([[a.sum()]], dtype=object))
+    assert exact.mat_equal(exact.mat_kron(s, s), np.kron(a, a))
+    assert exact.mat_equal(exact.mat_sub(s, a.T), a - a.T)
+    w = exact.frac_array([Fraction(1, 3), 2**65])
+    assert exact.quadratic_form(w, s) == w @ a @ w
+    assert exact.as_float(s).tolist() == a.astype(float).tolist()
+    zero = exact.mat_sub(s, s)  # results that fit go back to int64
+    assert zero.num.dtype == np.int64 and zero.den == 1
 
 
 def test_marginal_defects_match_per_entry_oracle():
@@ -295,29 +294,70 @@ def test_marginal_defects_match_per_entry_oracle():
 
 
 #
-# Backend parity: every builder gives the float image of its rational build.
+# Backend parity: every builder gives the float image of its rational build,
+# and every rational build holds one stored form.
 #
 
 BUILDERS = {
-    "product_coupling": lambda b: product_coupling(7, b).C,
-    "graph_coupling": lambda b: graph_coupling([3, 0, 4, 1, 2], b).C,
-    "bernoulli_system": lambda b: bernoulli_system(3, 2, b).Q,
-    "rotation_system": lambda b: rotation_system(6, 5, b).Q,
+    "product_coupling": lambda b: product_coupling(7, b),
+    "graph_coupling": lambda b: graph_coupling([3, 0, 4, 1, 2], b),
+    "bernoulli_system": lambda b: bernoulli_system(3, 2, b),
+    "rotation_system": lambda b: rotation_system(6, 5, b),
     "identity": lambda b: exact.identity(5, b),
     "random_coupling": lambda b: random_coupling(
-        6, np.random.default_rng(3), backend=b).C,
+        6, np.random.default_rng(3), backend=b),
     "RationalTarget.coupling": lambda b: RationalTarget(
-        k=3, L=9, m=np.array([[2, 1, 0], [0, 1, 2], [1, 1, 1]])).coupling(b).C,
+        k=3, L=9, m=np.array([[2, 1, 0], [0, 1, 2], [1, 1, 1]])).coupling(b),
+    # Derived results whose float images round exactly like their entries.
+    "lens_step(rotation)": lambda b: lens_step(
+        rotation_system(6, 5, b), random_coupling(6, np.random.default_rng(4), backend=b)),
+    "lens_step(shift)": lambda b: lens_step(
+        bernoulli_system(2, 2, b), graph_coupling([1, 3, 0, 2], b)),
+    "lift_coupling": lambda b: lift_coupling(
+        random_coupling(3, np.random.default_rng(5), backend=b),
+        refine(make_uniform_partition(3), 2)[1]),
+    "system_power(shift)": lambda b: system_power(bernoulli_system(2, 2, b), 2),
 }
+
+
+def _stored_and_view(obj):
+    """The stored form of a build and a freshly fetched per-entry view."""
+    if isinstance(obj, CouplingMatrix):
+        return obj.matrix, obj.C
+    if isinstance(obj, FiniteSystem):
+        return obj.matrix, obj.Q
+    return obj, exact.entries(obj)
+
+
+def _rebuilt(obj, view):
+    """The same kind of object built again from its per-entry view."""
+    if isinstance(obj, CouplingMatrix):
+        return CouplingMatrix(k=obj.k, C=view).matrix
+    if isinstance(obj, FiniteSystem):
+        return FiniteSystem(partition=obj.partition, Q=view).matrix
+    return exact.stored(view)
 
 
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_builders_agree_across_backends(name):
     build = BUILDERS[name]
     rational, floating = build(exact.RATIONAL), build(exact.FLOAT)
-    assert rational.dtype == object and floating.dtype == np.float64
-    assert all(isinstance(x, Fraction) for x in rational.flat)
-    assert np.array_equal(exact.as_float(rational), floating)
+    stored, view = _stored_and_view(rational)
+    float_stored, float_view = _stored_and_view(floating)
+    assert view.dtype == object and float_view.dtype == np.float64
+    assert np.array_equal(float_stored, float_view)
+    assert all(isinstance(x, Fraction) for x in view.flat)
+    assert np.array_equal(exact.as_float(view), float_view)
+    assert np.array_equal(exact.as_float(stored), float_view)
+    # The stored form: read-only numerators over one denominator, in lowest terms.
+    assert isinstance(stored, exact.Scaled)
+    assert stored.num.dtype == np.int64 and not stored.num.flags.writeable
+    assert math.gcd(int(np.gcd.reduce(stored.num, axis=None)), stored.den) == 1
+    # The view is built once, and building from it gives the same stored form.
+    assert _stored_and_view(rational)[1] is view and not view.flags.writeable
+    again = _rebuilt(rational, view)
+    assert again.den == stored.den and np.array_equal(again.num, stored.num)
+    assert again.num.dtype == stored.num.dtype
 
 
 def test_scalar_tolerance_and_from_scaled_follow_the_backend():

@@ -233,6 +233,19 @@ def test_report_files_roundtrip(tmp_path):
     assert csv[-1].endswith(",0")  # exact zero residual at n = L = 2 onward
 
 
+def test_rewrite_over_longer_files_leaves_only_the_new_bytes(tmp_path):
+    out = tmp_path / "run"
+    cfg = ExperimentConfig(
+        experiment="mixing-profile", system="bern:d=2,L=2",
+        output_dir=str(out), parameters={"n_max": "3"})
+    report = run_experiment(cfg)
+    for name in ("report.json", "residuals.csv"):
+        (out / name).write_text("stale\n" * 2000)
+    run_experiment(cfg)
+    assert (out / "report.json").read_text() == report.to_stable_json()
+    assert (out / "residuals.csv").read_text() == report.series_csv("residuals")
+
+
 def test_scalars_hold_printable_values():
     report = run_experiment(cfg_for(
         "rigidity-sweep", system="rot:k=6,s=1", blocks="1,2,3",
@@ -330,6 +343,17 @@ def test_cli_size_guard_refuses_oversized_permutation_systems(system, capsys):
                      "--set", "output_dir=", "--set", f"system={system}"])
     assert code == 3
     assert capsys.readouterr().err.startswith("size guard:")
+
+
+def test_cli_crash_exits_four_with_one_stderr_line(capsys):
+    # An output_dir naming an existing file makes the report write fail:
+    # that is neither a failed verdict (1) nor a config problem (2).
+    readme = CONFIGS.parent / "README.md"
+    code = cli_main(["run", str(CONFIGS / "mixing-profile.cfg"),
+                     "--set", f"output_dir={readme}"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error: FileExistsError: ") and err.count("\n") == 1
 
 
 def test_cli_list_shows_every_experiment(capsys):

@@ -26,16 +26,18 @@ from lenslab import (
     one_sided_step,
     orbit,
     orbit_to_csv,
+    parse_system_spec,
     product_coupling,
     quasi_attractor_hits,
     random_coupling,
+    rigidity_probe,
     rotation_system,
     self_joining_residual,
     system_from_matrix,
     system_from_permutation,
     validate_coupling,
 )
-from lenslab import exact
+from lenslab import consecutive_blocks, exact
 from lenslab.lens import _pair_orbit_labels
 
 
@@ -281,3 +283,27 @@ def test_markov_commutation_residual_matches_dense_product(make):
             else:
                 assert abs(fast - dense) <= exact.FLOAT_TOL
         assert markov_commutation_residual(sys, couplings[2]) == 0
+
+
+@pytest.mark.parametrize("spec", ["odo:m=6", "rot:k=48,s=5"])
+def test_exact_system_dynamics_read_no_fraction_entry(spec, monkeypatch):
+    """Couplings and systems are built from integer numerators and exact
+    dynamics relabel them, so no Fraction array is ever split."""
+    def refuse(a):
+        raise AssertionError("a Fraction array was split entry by entry")
+
+    monkeypatch.setattr(exact, "_split_entries", refuse)
+    sys = parse_system_spec(spec)
+    k = sys.k
+    c = random_coupling(k, np.random.default_rng(0))
+    shift = graph_coupling(np.roll(np.arange(k), 1))  # commutes with a cycle
+    assert detect_period(sys, shift, maxp=3).period == 1
+    assert detect_period(sys, c, maxp=k).period == k
+    assert markov_commutation_residual(sys, shift) == 0
+    assert markov_commutation_residual(sys, c) > 0
+    for mode in ("lens", "one-sided"):
+        orb = orbit(sys, c, 3, mode=mode)
+        assert all(not validate_coupling(state) for state in orb.states)
+    blocks = consecutive_blocks([k // 4, k - k // 4])
+    assert rigidity_probe(sys, blocks, 0) == rigidity_probe(sys, blocks, k) == 1
+    assert rigidity_probe(sys, blocks, 1) < 1

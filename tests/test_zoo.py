@@ -1,5 +1,6 @@
 """Systems zoo: rotations, odometers, shifts, IETs, skew products, groups."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -22,6 +23,7 @@ from lenslab import (
     lens_step,
     odometer_system,
     parse_system_spec,
+    random_coupling,
     rotation_system,
     skew_Tbar_conjugation,
     skew_W_step,
@@ -238,3 +240,28 @@ def test_group_automorphism_check_keeps_its_checks_and_messages(moduli, mat, err
     with pytest.raises(error) as info:
         group_automorphism_check(moduli, mat)
     assert str(info.value) == message
+
+
+def _peak_bytes(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_exact_system_holds_its_permutation_only():
+    # A dense 4096 x 4096 Q would take at least 8 * 4096**2 bytes.
+    assert _peak_bytes(lambda: rotation_system(exact.SIZE_LIMIT, 1)) < 4 * 2**20
+
+
+@pytest.mark.parametrize("build", [
+    lambda: random_coupling(exact.SIZE_LIMIT + 1, np.random.default_rng(0)),
+    lambda: graph_coupling(range(exact.SIZE_LIMIT + 1)),
+])
+def test_couplings_refuse_oversized_k_before_allocating(build):
+    def refused():
+        with pytest.raises(SizeGuard, match="side > 4096"):
+            build()
+    assert _peak_bytes(refused) < 4 * 2**20
