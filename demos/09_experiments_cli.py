@@ -10,6 +10,7 @@ and CSV.  The same configs drive the `lens-lab` command line tool
 """
 
 import json
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -49,6 +50,7 @@ print("series in the report:", sorted(doc["series"]))
 first = (outdir / "report.json").read_bytes()
 run_experiment(cfg)
 print("rerun is byte-identical:", (outdir / "report.json").read_bytes() == first)
+shutil.rmtree(outdir)
 
 # -- the same thing from a shell ----------------------------------------------
 print("""
@@ -57,4 +59,4 @@ equivalent shell session:
   $ lens-lab validate configs/rigidity-sweep.cfg
   $ lens-lab run configs/rigidity-sweep.cfg --set output_dir=/tmp/out
 exit codes: 0 all verdicts pass, 1 a verdict failed, 2 bad config,
-3 resolution or size guard refused the run.""")
+3 resolution or size guard refused the run, 4 the run crashed.""")

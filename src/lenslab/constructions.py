@@ -239,14 +239,15 @@ def transitivity_witness(d: int, L: int, sigma, pi, epsilon=Fraction(1, 10**6)) 
     (sigma(i), pi(s)); the L-step lens shifts the suffix block into view,
     so the restriction moves from graph(sigma) to graph(pi), both exactly.
     """
-    sigma = np.asarray(sigma, dtype=int)
-    pi = np.asarray(pi, dtype=int)
+    if exact.power_exceeds_limit(d, 2 * L):
+        raise ResolutionGuard(f"needs d^(2L) = {d}^{2 * L} cells > {SIZE_LIMIT}")
     k = d**L
     fine_k = k * k
-    if fine_k > SIZE_LIMIT:
-        raise ResolutionGuard(f"needs d^(2L) = {fine_k} cells > {SIZE_LIMIT}")
-    if len(sigma) != k or len(pi) != k:
+    # Checked on the given ints: a huge entry never reaches numpy.
+    if sorted(sigma) != list(range(k)) or sorted(pi) != list(range(k)):
         raise DimensionMismatch("sigma and pi must permute the d^L base cells")
+    sigma = np.asarray(sigma, dtype=int)
+    pi = np.asarray(pi, dtype=int)
 
     xi = graph_coupling((sigma[:, None] * k + pi[None, :]).ravel())
 
@@ -354,9 +355,9 @@ def bernoulli_cyclic_commuter(d: int, ell: int, L: int) -> CommuterResult:
     blocks {first symbol has a-component i}.
     """
     D = d * ell
+    if exact.power_exceeds_limit(D, L):
+        raise SizeGuard(f"(d*ell)^L = {D}^{L} cells > {SIZE_LIMIT}")
     k = D**L
-    if k > SIZE_LIMIT:
-        raise SizeGuard(f"(d*ell)^L = {k} cells > {SIZE_LIMIT}")
     shift = bernoulli_system(D, L)
     # Big-endian digit weights of a cell index; symbols are a * ell + b.
     place = D ** np.arange(L - 1, -1, -1)
@@ -377,17 +378,18 @@ def odometer_commuter(pi, m: int) -> np.ndarray:
     result commutes with the 2^n-th power of the odometer, verified here
     by composing both ways.
     """
-    if m >= SIZE_LIMIT.bit_length():  # 2^m > SIZE_LIMIT, without building 2^m
+    if exact.power_exceeds_limit(2, m):
         raise SizeGuard(f"2^{m} cells > {SIZE_LIMIT}")
     k = 2**m
-    pi = np.asarray(pi, dtype=int)
     low = len(pi)
     if low & (low - 1) or low == 0:
         raise BadBlocks("pi must act on a power-of-two digit block")
-    if sorted(pi.tolist()) != list(range(low)):
+    # Checked on the given ints: a huge entry never reaches numpy.
+    if sorted(pi) != list(range(low)):
         raise BadBlocks("pi must be a permutation")
     if low > k:
         raise BadBlocks("digit block exceeds the odometer level")
+    pi = np.asarray(pi, dtype=int)
     v = np.arange(k)
     s = pi[v % low] + v - v % low
     step = (np.arange(k) + low) % k

@@ -82,6 +82,15 @@ class Scaled:
         return freeze(join_scaled(self.num, self.den))
 
 
+def power_exceeds_limit(base: int, exp: int) -> bool:
+    """base**exp > SIZE_LIMIT, decided without building a huge power."""
+    # base >= 2**(b - 1) for b = base.bit_length(), so a large exp is decided
+    # by bit lengths alone, as 2**(exp * (b - 1)) > SIZE_LIMIT.
+    if base > 1 and exp * (base.bit_length() - 1) >= SIZE_LIMIT.bit_length():
+        return True
+    return base**exp > SIZE_LIMIT
+
+
 def backend_of(a) -> str:
     return RATIONAL if isinstance(a, Scaled) or a.dtype == object else FLOAT
 
@@ -139,6 +148,17 @@ def stored(a):
     if backend_of(a) == RATIONAL:
         return _split(a)
     return freeze(np.asarray(a))
+
+
+def flat_concat(arrays):
+    """The entries of stored forms, each flattened, joined into one stored
+    form: a Scaled over the lcm of their denominators when rational."""
+    if backend_of(arrays[0]) == FLOAT:
+        return freeze(np.concatenate([np.ravel(a) for a in arrays]))
+    parts = [_split(a) for a in arrays]
+    den = math.lcm(*(s.den for s in parts))
+    return _reduced(np.concatenate([_rescale(s.num, den // s.den).ravel()
+                                    for s in parts]), den)
 
 
 def entries(a) -> np.ndarray:

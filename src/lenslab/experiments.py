@@ -13,6 +13,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,7 @@ class ExperimentReport:
     duration_seconds: float
 
     def to_stable_json(self) -> str:
+        """json.dumps(doc, sort_keys=True, indent=2) + "\n", byte for byte."""
         doc = {
             "config": {
                 "experiment": self.config.experiment,
@@ -118,13 +120,18 @@ class ExperimentReport:
             },
             "scalars": self.scalars,
             "series": {
-                name: {"columns": list(cols), "rows": [list(r) for r in rows]}
-                for name, (cols, rows) in sorted(self.series.items())
+                name: {"columns": list(cols), "rows": []}
+                for name, (cols, _) in self.series.items()
             },
             "verdicts": self.verdicts,
             "passed": self.passed,
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        # json's indent path is pure Python, so the rows are dumped empty and
+        # spliced in; only a series holds "rows": [], a string escapes quotes.
+        head, *tails = json.dumps(doc, sort_keys=True, indent=2).split('"rows": []')
+        rows = (_rows_json(self.series[name][1]) for name in sorted(self.series))
+        body = "".join(f'"rows": {r}{t}' for r, t in zip(rows, tails, strict=True))
+        return head + body + "\n"
 
     def series_csv(self, name: str) -> str:
         cols, rows = self.series[name]
@@ -158,6 +165,13 @@ def _overwrite(path: Path, text: str):
         f.truncate()
 
 
+def _rows_json(rows) -> str:
+    """The rows as json.dumps(..., indent=2) lays them out at series depth."""
+    lines = ("[\n          " + ",\n          ".join(map(encode_basestring_ascii, row))
+             + "\n        ]" if row else "[]" for row in rows)
+    return "[\n        " + ",\n        ".join(lines) + "\n      ]" if rows else "[]"
+
+
 def value_str(x) -> str:
     """Canonical cell rendering: exact.format_value as text, 'true'/'false'
     for booleans, strings unchanged."""
@@ -166,6 +180,21 @@ def value_str(x) -> str:
     if isinstance(x, str):
         return x
     return str(exact.format_value(x))
+
+
+def _render_column(column) -> list:
+    """value_str of each cell, with one dispatch on the column's type; a
+    numeric numpy or Scaled column is rendered once per distinct value."""
+    if isinstance(column, exact.Scaled):
+        keys, index = np.unique(column.num, return_inverse=True)
+        values = [Fraction(n, column.den) for n in keys.tolist()]
+    elif isinstance(column, np.ndarray) and column.dtype.kind in "iuf":
+        # Distinct bit patterns, so that -0.0 keeps its own text.
+        keys, index = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+        values = keys.view(column.dtype).tolist()
+    else:
+        return list(map(value_str, column))
+    return np.array(list(map(value_str, values)), dtype=object)[index].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +242,7 @@ class ExperimentSpec:
 
     series maps each CSV series name to its column names.  The runner
     takes (config, typed parameters, backend) and returns raw values:
-    (scalars, rows by series name, verdicts); run_experiment renders them.
+    (scalars, columns by series name, verdicts); run_experiment renders them.
     """
 
     name: str
@@ -262,6 +291,36 @@ def _need_system(cfg: ExperimentConfig, backend: str) -> FiniteSystem:
     return obj
 
 
+# Cell operations one run's loops may take: a relabel step costs k^2, and no
+# step less than SIZE_LIMIT, its fixed Python cost (a rot:k=6 lens step takes
+# 86 us, so an operation is about 21 ns).  The orbits a run keeps then hold
+# at most 2^27 cells: 1 GB as int64.
+STEP_BUDGET = 2**27
+
+# Multiply-adds of a dense k x k product per cell operation, from the slow
+# end of what a 2-core machine measured: int64 numerators take 0.8-1.7 ns
+# per multiply-add (k = 128 to 512), OpenBLAS float64 0.01-0.18 ns (k = 512
+# to 1024).  A product is charged at least the k^2 cells it writes.
+_MADDS_PER_OP = {exact.RATIONAL: 8, exact.FLOAT: 128}
+
+
+def _guard_steps(steps: int, step_cost: int):
+    """SizeGuard before the first step when the loop would pass STEP_BUDGET."""
+    if steps * max(step_cost, SIZE_LIMIT) > STEP_BUDGET:
+        raise SizeGuard(f"{steps} steps of {step_cost} cell operations "
+                        f"> {STEP_BUDGET}")
+
+
+def _product_cost(k: int, backend: str) -> int:
+    return max(k**2, k**3 // _MADDS_PER_OP[backend])
+
+
+def _step_cost(sys: FiniteSystem, products: int = 1) -> int:
+    """A lens step relabels on an exact system and otherwise takes
+    `products` dense products."""
+    return sys.k**2 if sys.exact else products * _product_cost(sys.k, sys.backend)
+
+
 def _rng_children(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s)
             for s in np.random.SeedSequence(seed).spawn(n)]
@@ -288,6 +347,10 @@ def _rng_children(seed: int, n: int) -> list[np.random.Generator]:
 )
 def _run_rigidity_sweep(cfg, p, backend):
     sys = _need_system(cfg, backend)
+    if sum(p["blocks"]) != sys.k:
+        raise InvalidConfig(f"blocks must sum to k = {sys.k}")
+    # Each n takes Q^n by binary powering, then the two-sided step.
+    _guard_steps(p["n_max"] + 1, _step_cost(sys, 2 * p["n_max"].bit_length() + 2))
     blocks = consecutive_blocks(p["blocks"])
     tol = exact.tolerance(backend)
     scores = [rigidity_probe(sys, blocks, n) for n in range(p["n_max"] + 1)]
@@ -305,7 +368,7 @@ def _run_rigidity_sweep(cfg, p, backend):
         n = p["expect_return_at"]
         verdicts["returns_at_expected_step"] = (
             n <= p["n_max"] and abs(scores[n] - 1) <= tol)
-    return scalars, {"scores": list(enumerate(scores))}, verdicts
+    return scalars, {"scores": (range(len(scores)), scores)}, verdicts
 
 
 @_experiment(
@@ -324,6 +387,7 @@ def _run_rigidity_sweep(cfg, p, backend):
 def _run_mixing_profile(cfg, p, backend):
     sys = _need_system(cfg, backend)
     k = sys.k
+    _guard_steps(p["n_max"] + 1, _product_cost(k, backend))
     tol = exact.tolerance(backend)
     uniform = exact.scalar(Fraction(1, k), backend)
     power, q = exact.identity(k, backend), sys.matrix
@@ -341,7 +405,7 @@ def _run_mixing_profile(cfg, p, backend):
         m = p["expect_zero_by"]
         verdicts["independent_from_expected_step"] = (
             m <= p["n_max"] and all(r <= tol for r in residuals[m:]))
-    return scalars, {"residuals": list(enumerate(residuals))}, verdicts
+    return scalars, {"residuals": (range(len(residuals)), residuals)}, verdicts
 
 
 @_experiment(
@@ -372,7 +436,7 @@ def _run_transitivity_witness(cfg, p, backend):
         "source_in_neighborhood": w.check_source,
         "image_in_neighborhood": w.check_image,
     }
-    return scalars, {"restrictions": rows}, verdicts
+    return scalars, {"restrictions": list(zip(*rows))}, verdicts
 
 
 @_experiment(
@@ -397,10 +461,11 @@ def _run_entropy_factor(cfg, p, backend):
         raise InvalidConfig("n_values must cover the block length")
     coupling = realize_entropy_block(block)
     sys = bernoulli_system(2, n)
+    _guard_steps(n_values, sys.k**2)  # a step is a matrix-vector product
     values = entropy_factor_F(sys, coupling, n_values)
     scalars = {"resolution": 2**n, "block_length": n}
     verdicts = {"block_realized": all(values[t] == block[t] for t in range(n))}
-    return scalars, {"factor_sequence": list(enumerate(values))}, verdicts
+    return scalars, {"factor_sequence": (range(len(values)), values)}, verdicts
 
 
 @_experiment(
@@ -434,9 +499,10 @@ def _run_fixed_points(cfg, p, backend):
             defect.startswith("negative") for d in directions
             for defect in exact.marginal_defects(d.matrix, 0, tol)),
     }
-    rows = [(t, i, j, d[i, j])
-            for t, d in enumerate(basis) for i in range(k) for j in range(k)]
-    return scalars, {"basis": rows}, verdicts
+    # Cell c of the basis series is entry (i, j) of direction t.
+    t, ij = np.divmod(np.arange(len(basis) * k * k), k * k)
+    values = exact.flat_concat([d.matrix for d in directions]) if directions else []
+    return scalars, {"basis": (t, *np.divmod(ij, k), values)}, verdicts
 
 
 @_experiment(
@@ -475,7 +541,7 @@ def _run_periodic_commuters(cfg, p, backend):
             "commutes_exactly": res.commutation_residual == 0,
             "cycles_first_symbol_blocks": res.cycles_blocks,
         }
-        return scalars, {"commuter": list(enumerate(res.perm))}, verdicts
+        return scalars, {"commuter": (range(len(res.perm)), res.perm)}, verdicts
     if family == "odometer":
         if p["m"] is None or p["pi"] is None:
             raise InvalidConfig("odometer family needs parameters 'm' and 'pi'")
@@ -500,7 +566,7 @@ def _run_periodic_commuters(cfg, p, backend):
                                      and block % report.period == 0),
         }
         rows = sorted(report.residual_by_p.items())
-        return scalars, {"period_residuals": rows}, verdicts
+        return scalars, {"period_residuals": list(zip(*rows))}, verdicts
     raise InvalidConfig("family must be 'bernoulli' or 'odometer'")
 
 
@@ -545,6 +611,7 @@ def _initial_coupling(init: str, k: int, backend: str, p) -> CouplingMatrix:
 def _run_one_sided_limit(cfg, p, backend):
     sys = _need_system(cfg, backend)
     k = sys.k
+    _guard_steps(p["n_steps"], _step_cost(sys))
     tol = exact.tolerance(backend)
     c0 = _initial_coupling(p["init"], k, backend, p)
     orb = orbit(sys, c0, p["n_steps"], mode="one-sided")
@@ -568,7 +635,8 @@ def _run_one_sided_limit(cfg, p, backend):
         verdicts["orbit_stays_on_graph_couplings"] = all(
             exact.permutation_of_matrix(exact.scale(state.matrix, k)) is not None
             for state in orb.states)
-    return scalars, {"distance_to_product": list(enumerate(distances))}, verdicts
+    series = {"distance_to_product": (range(len(distances)), distances)}
+    return scalars, series, verdicts
 
 
 @_experiment(
@@ -590,6 +658,9 @@ def _run_cesaro_barycenter(cfg, p, backend):
     sys = _need_system(cfg, backend)
     k = sys.k
     n_values = sorted(set(p["N_values"]))
+    # Each initial takes an orbit of N lens steps (two products each) and
+    # one average per horizon, whose terms are charged as steps.
+    _guard_steps(p["n_initials"] * (n_values[-1] + sum(n_values)), _step_cost(sys, 2))
     rows = []
     for idx, rng in enumerate(_rng_children(p["seed"], p["n_initials"])):
         orb = orbit(sys, random_coupling(k, rng, backend=backend), n_values[-1])
@@ -606,7 +677,7 @@ def _run_cesaro_barycenter(cfg, p, backend):
     verdicts = {
         "residual_within_two_over_N": all(r <= bound + tol for *_, r, bound in rows),
     }
-    return scalars, {"residuals": rows}, verdicts
+    return scalars, {"residuals": list(zip(*rows))}, verdicts
 
 
 @_experiment(
@@ -628,6 +699,9 @@ def _run_skew_orbit(cfg, p, backend):
     start = p["start"]
     if len(start) != 3:
         raise InvalidConfig("start must have three coordinates")
+    # A step conjugates 64 sample points: 2.2 ms, measured as 26 steps of
+    # the Python floor and charged as 32.
+    _guard_steps(p["N"], 32 * SIZE_LIMIT)
     point = tuple(Fraction(x) % 1 for x in start)
     points = [point]
     for _ in range(p["N"]):
@@ -641,8 +715,7 @@ def _run_skew_orbit(cfg, p, backend):
         "torus_restriction_is_affine_map": all(
             skew_torus_restriction(t[0], t[1:]) == skew_W_step(t)[1:] for t in points),
     }
-    rows = [(n, *t) for n, t in enumerate(points)]
-    return scalars, {"orbit": rows}, verdicts
+    return scalars, {"orbit": (range(len(points)), *zip(*points))}, verdicts
 
 
 @_experiment(
@@ -668,11 +741,11 @@ def _run_iet_realize(cfg, p, backend):
     counts = np.bincount(image // L * k + np.arange(k * L) // L,
                          minlength=k * k).reshape(k, k)
     induced_ok = bool(np.array_equal(counts, np.asarray(target.m) * k))
-    rows = [(i, j, Fraction(int(target.m[i, j]), L))
-            for i in range(k) for j in range(k)]
+    i, j = np.divmod(np.arange(k * k), k)
+    mass = exact.from_scaled(target.m.ravel(), L)
     scalars = {"k": k, "L": L, "n_intervals": spec.n_intervals}
     verdicts = {"induced_coupling_equals_target": induced_ok}
-    return scalars, {"target": rows}, verdicts
+    return scalars, {"target": (i, j, mass)}, verdicts
 
 
 @_experiment(
@@ -700,12 +773,12 @@ def _run_group_embedding(cfg, p, backend):
 
     images = [conjugate(z) for z in elements]
     ok = all(img is not None for img in images)
-    rows = [("|".join(map(str, z)),
-             "|".join(map(str, img)) if img is not None else "fail")
-            for z, img in zip(elements, images)]
+    columns = (["|".join(map(str, z)) for z in elements],
+               ["|".join(map(str, img)) if img is not None else "fail"
+                for img in images])
     scalars = {"group_order": len(elements)}
     verdicts = {"conjugation_identity_holds": ok}
-    return scalars, {"images": rows}, verdicts
+    return scalars, {"images": columns}, verdicts
 
 
 # ---------------------------------------------------------------------------
@@ -808,13 +881,14 @@ def validate_config(cfg: ExperimentConfig) -> dict:
 def run_experiment(cfg: ExperimentConfig, write: bool = True) -> ExperimentReport:
     """Validate, dispatch to the registry, render, and optionally write.
 
-    Every series cell goes through value_str; int scalars stay JSON
-    integers and every other scalar is rendered with value_str.
+    Each series column is rendered to value_str texts in one pass;
+    int scalars stay JSON integers and every other scalar is rendered
+    with value_str.
     """
     typed = validate_config(cfg)
     spec = REGISTRY[cfg.experiment]
     start = time.perf_counter()
-    scalars, rows, verdicts = spec.runner(cfg, typed, cfg.backend)
+    scalars, columns, verdicts = spec.runner(cfg, typed, cfg.backend)
     duration = time.perf_counter() - start
     # Float comparisons yield numpy.bool_, which json refuses.
     verdicts = {name: bool(v) for name, v in verdicts.items()}
@@ -823,8 +897,8 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True) -> ExperimentRepor
         scalars={name: v if isinstance(v, int) else value_str(v)
                  for name, v in scalars.items()},
         series={name: (spec.series[name],
-                       [tuple(value_str(x) for x in row) for row in body])
-                for name, body in rows.items()},
+                       list(zip(*map(_render_column, cols), strict=True)))
+                for name, cols in columns.items()},
         verdicts=verdicts,
         passed=all(verdicts.values()),
         duration_seconds=duration,

@@ -52,7 +52,7 @@ def rotation_system(k: int, s: int, backend: str = exact.RATIONAL) -> FiniteSyst
         raise ValueError("k must be positive")
     if k > SIZE_LIMIT:
         raise SizeGuard(f"rotation on {k} cells > {SIZE_LIMIT}")
-    perm = (np.arange(k) + s) % k
+    perm = (np.arange(k) + s % k) % k  # s % k first: a huge s stays out of numpy
     return system_from_permutation(perm, backend=backend)
 
 
@@ -60,9 +60,9 @@ def odometer_system(m: int, backend: str = exact.RATIONAL) -> FiniteSystem:
     """Binary odometer truncated at level m: 2^m cells, one full cycle."""
     if m < 1:
         raise ValueError("m must be positive")
+    if exact.power_exceeds_limit(2, m):
+        raise SizeGuard(f"odometer level {m} needs 2^{m} cells > {SIZE_LIMIT}")
     k = 2**m
-    if k > SIZE_LIMIT:
-        raise SizeGuard(f"odometer level {m} needs {k} cells > {SIZE_LIMIT}")
     labels = tuple(format(v, f"0{m}b")[::-1] for v in range(k))
     perm = (np.arange(k) + 1) % k
     return system_from_permutation(perm, labels=labels, backend=backend)
@@ -92,9 +92,9 @@ def bernoulli_system(d: int, L: int, backend: str = exact.RATIONAL) -> FiniteSys
     """
     if d < 2 or L < 1:
         raise ValueError("need an alphabet of size >= 2 and L >= 1")
+    if exact.power_exceeds_limit(d, L):
+        raise SizeGuard(f"d^L = {d}^{L} cells > {SIZE_LIMIT}")
     k = d**L
-    if k > SIZE_LIMIT:
-        raise SizeGuard(f"d^L = {k} cells > {SIZE_LIMIT}")
     num = exact.numerators((k, k))
     # Word w steps to the d words that drop its first symbol: columns
     # (w mod d^(L-1)) * d + c for every last symbol c.
@@ -195,21 +195,29 @@ def skew_torus_restriction(a, p2d: tuple[Fraction, Fraction]) -> tuple[Fraction,
 # Rotations on finite abelian groups and their automorphism conjugations.
 #
 
+def _group_order(moduli: tuple[int, ...]) -> int:
+    size = math.prod(moduli)
+    if size > SIZE_LIMIT:
+        raise SizeGuard(f"group of order {size} > {SIZE_LIMIT}")
+    return size
+
+
 def group_elements(moduli: tuple[int, ...]) -> list[tuple[int, ...]]:
+    _group_order(moduli)
     return [tuple(z) for z in iter_product(*(range(m) for m in moduli))]
 
 
 def _automorphism_images(moduli: tuple[int, ...], mat) -> tuple[np.ndarray, np.ndarray]:
     """Group elements as rows, in group_elements order, and the flat index
     of M z for each; raises unless z -> M z is an automorphism."""
-    mat = np.asarray(mat, dtype=int)
-    if mat.shape != (len(moduli),) * 2:
+    if np.shape(mat) != (len(moduli),) * 2:
         raise DimensionMismatch("matrix shape must match the number of factors")
-    size = math.prod(moduli)
-    if size > SIZE_LIMIT:
-        raise SizeGuard(f"group of order {size} > {SIZE_LIMIT}")
+    size = _group_order(moduli)
     mods = np.asarray(moduli, dtype=int)
-    mat = mat % mods[:, None]  # row i of M z is only read mod moduli[i]
+    # Row i of M z is only read mod moduli[i]; reduced before numpy sees it,
+    # a huge entry cannot overflow.
+    mat = np.asarray([[int(x) % m for x in row] for row, m in zip(mat, moduli)],
+                     dtype=int)
     # Well-definedness: column j is a homomorphism image of a generator of
     # order moduli[j], so M[i][j] * moduli[j] must vanish mod moduli[i].
     bad = np.argwhere(mat * mods[None, :] % mods[:, None] != 0)

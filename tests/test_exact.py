@@ -371,3 +371,29 @@ def test_scalar_tolerance_and_from_scaled_follow_the_backend():
     assert exact.mat_equal(exact.from_scaled(num, 6),
                            exact.frac_array([["1/6", "1/2"], ["5/6", 0]]))
     assert np.array_equal(exact.from_scaled(num, 6, exact.FLOAT), num / 6)
+
+
+def test_power_exceeds_limit_matches_the_power():
+    for base in range(0, 70):
+        for exp in range(0, 30):
+            assert exact.power_exceeds_limit(base, exp) == (base**exp > exact.SIZE_LIMIT)
+    assert exact.power_exceeds_limit(2, 10**20)
+    assert not exact.power_exceeds_limit(1, 10**20)
+    assert exact.power_exceeds_limit(10**20, 1)
+
+
+@pytest.mark.parametrize("parts", [
+    [["1/2", "1/3"], ["1/6"]],
+    [["0"], ["5/4", "-1/4", "3/4"]],
+    [[str(2**70), "1/3"], ["-1/5"]],  # past int64, onto the object path
+    [["1/" + str(2**40)], ["1/" + str(2**40 + 1)]],  # common denominator past int64
+])
+def test_flat_concat_joins_stored_forms_over_one_denominator(parts):
+    arrays = [exact.stored(exact.frac_array(p)) for p in parts]
+    joined = exact.flat_concat(arrays)
+    expected = [Fraction(x) for p in parts for x in p]
+    assert isinstance(joined, exact.Scaled)
+    assert math.gcd(int(np.gcd.reduce(joined.num, axis=None)), joined.den) == 1
+    assert list(joined.fractions) == expected
+    floats = exact.flat_concat([np.array([0.5, -0.0]), np.array([[1.5]])])
+    assert floats.tolist() == [0.5, -0.0, 1.5] and not floats.flags.writeable

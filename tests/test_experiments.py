@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 from lenslab import (
     ExperimentConfig,
     InvalidConfig,
+    SizeGuard,
     UnknownExperiment,
     apply_overrides,
     config_from_mapping,
@@ -25,7 +27,7 @@ from lenslab import (
     value_str,
 )
 from lenslab.cli import main as cli_main
-from lenslab.experiments import REGISTRY
+from lenslab.experiments import REGISTRY, STEP_BUDGET, _guard_steps, _product_cost
 
 EXPECTED_NAMES = [
     "cesaro-barycenter",
@@ -469,23 +471,93 @@ def test_cli_rejects_known_bad_overrides_as_config_errors(name, override, capsys
 
 INT_PARAMS = [(name, p) for name, spec in sorted(REGISTRY.items())
               for p in spec.params if p.kind in ("int", "intlist")]
+HUGE = "100000000000000000000"
 
 
 @pytest.mark.parametrize("name, param, value", [
     (name, p.name, value) for name, p in INT_PARAMS
-    for value in (("-1", "0", "") if p.kind == "int" else ("-1", "0"))
+    for value in (("-1", "0", "", HUGE) if p.kind == "int" else ("-1", "0", HUGE))
 ])
 def test_cli_int_parameter_boundaries_exit_honestly(name, param, value, capsys):
     minimum = REGISTRY[name].param_map()[param].minimum
+    start = time.perf_counter()
     code, err = _run_override(name, f"{param}={value}", capsys)
+    elapsed = time.perf_counter() - start
     if value == "" or int(value) < minimum:
         assert code == 2
+    elif value == HUGE:
+        # A huge count or size may also be refused by a guard, at once.
+        assert code in (0, 1, 2, 3)
+        assert elapsed < 1
     else:
         # The run may legitimately fail a verdict, or a runner may refuse
         # the combination, but nothing escapes as a traceback.
         assert code in (0, 1, 2)
     if code == 2:
         assert err.startswith("config error:") and err.count("\n") == 1
+    if code == 3:
+        assert err.startswith("size guard:") and err.count("\n") == 1
+
+
+def test_step_budget_refuses_one_step_past_it_before_running():
+    floor_steps = STEP_BUDGET // exact.SIZE_LIMIT  # steps below the floor cost
+    _guard_steps(floor_steps, 1)
+    with pytest.raises(SizeGuard):
+        _guard_steps(floor_steps + 1, 1)
+    _guard_steps(2, STEP_BUDGET // 2)
+    with pytest.raises(SizeGuard):
+        _guard_steps(3, STEP_BUDGET // 2)
+
+
+@pytest.mark.parametrize("backend, k, products", [
+    ("rational", 256, 64),  # 2^24 multiply-adds, 8 per operation
+    ("float", 512, 128),  # 2^27 multiply-adds, 128 per operation
+    ("float", 1024, 16),
+    ("float", 100, 13421),  # below k = 128 the k^2 cells of the result dominate
+])
+def test_dense_products_are_charged_at_their_backends_rate(backend, k, products):
+    _guard_steps(products, _product_cost(k, backend))
+    with pytest.raises(SizeGuard):
+        _guard_steps(products + 1, _product_cost(k, backend))
+
+
+@pytest.mark.parametrize("L, backend, n_max, refused", [
+    (8, "rational", 7, False), (8, "rational", 64, True),
+    (9, "float", 2, False), (9, "float", 128, True),
+])
+def test_mixing_profile_dense_steps_are_admitted_by_cost(L, backend, n_max, refused,
+                                                         capsys):
+    # n_max + 1 products of 2^(3L) multiply-adds.  An admitted run fails the
+    # shipped config's expect_zero_by verdict, since k = 2^L needs L steps.
+    code = cli_main(["run", str(CONFIGS / "mixing-profile.cfg"), "--set", "output_dir=",
+                     "--set", f"system=bern:d=2,L={L}", "--set", f"backend={backend}",
+                     "--set", f"n_max={n_max}"])
+    assert code == (3 if refused else 1)
+
+
+@pytest.mark.parametrize("n_max, refused", [(2, False), (12, True)])
+def test_rigidity_sweep_charges_the_products_of_each_power(n_max, refused, capsys):
+    # Each n takes up to 2 * bitlen(n_max) + 2 products of 2^20 operations:
+    # n_max = 12 is 13 * 10 of them, past the budget of 128.
+    code = cli_main(["run", str(CONFIGS / "rigidity-sweep.cfg"), "--set", "output_dir=",
+                     "--set", "system=bern:d=2,L=9", "--set", "backend=float",
+                     "--set", "blocks=1,2,509", "--set", f"n_max={n_max}"])
+    assert code == (3 if refused else 1)
+
+
+@pytest.mark.parametrize("name, override, expected", [
+    ("mixing-profile", f"system=bern:d=2,L={HUGE}", 3),
+    ("mixing-profile", f"system=odo:m={HUGE}", 3),
+    ("rigidity-sweep", f"system=rot:k=6,s={HUGE}", 0),
+    ("group-embedding", f"matrix={HUGE},0;0,1", 2),
+    ("group-embedding", f"matrix={HUGE}1,0;0,1", 0),
+])
+def test_cli_huge_values_outside_int_parameters_exit_at_once(name, override,
+                                                             expected, capsys):
+    start = time.perf_counter()
+    code, _ = _run_override(name, override, capsys)
+    assert code == expected
+    assert time.perf_counter() - start < 1
 
 
 #
