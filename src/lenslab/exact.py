@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -35,8 +35,8 @@ FLOAT = "float"
 # Largest number of cells per side of any matrix the package builds.
 SIZE_LIMIT = 4096
 
-# Float-backend tolerances: one for arithmetic that only rounds, one for
-# results of the SVD nullspace solver.
+# Float-backend tolerances: one for arithmetic that only rounds, and the
+# slack detect_period allows a float orbit that returns near its start.
 FLOAT_TOL = 1e-12
 SOLVER_TOL = 1e-9
 
@@ -312,17 +312,6 @@ def mat_power(a, n: int):
     return result
 
 
-def mat_kron(a, b):
-    """Kronecker product."""
-    if backend_of(a) == FLOAT:
-        return np.kron(a, b)
-    sa, sb = _split(a), _split(b)
-    na, nb = sa.num, sb.num
-    if max(_magnitude(na), 1) * max(_magnitude(nb), 1) >= _INT64_SAFE:
-        na, nb = na.astype(object), nb.astype(object)
-    return _reduced(np.kron(na, nb), sa.den * sb.den)
-
-
 def mat_sub(a, b):
     """a - b for b an array or scalar."""
     if backend_of(a) == FLOAT:
@@ -400,6 +389,11 @@ def max_abs(a, b=None):
     return Fraction(_magnitude(num), den)
 
 
+def support(a) -> np.ndarray:
+    """Boolean mask of the nonzero entries, on either backend."""
+    return (a.num if isinstance(a, Scaled) else np.asarray(a)) != 0
+
+
 def mat_equal(a, b) -> bool:
     if a.shape != b.shape:
         return False
@@ -461,17 +455,6 @@ def as_float(a) -> np.ndarray:
     if backend_of(a) == RATIONAL:
         return a.astype(float)
     return np.asarray(a, dtype=float)
-
-
-def as_rational(a: np.ndarray, max_denominator: int = 10**12) -> np.ndarray:
-    """Float array to Fractions; exact inputs pass through unchanged."""
-    if backend_of(a) == RATIONAL:
-        return a
-    out = np.empty(a.shape, dtype=object)
-    oflat, flat = out.ravel(), a.ravel()
-    for i, x in enumerate(flat):
-        oflat[i] = Fraction(x).limit_denominator(max_denominator)
-    return out
 
 
 def matrix_of_permutation(perm, backend: str = RATIONAL):
@@ -542,55 +525,36 @@ def matrix_from_values(values, k: int, name: str) -> np.ndarray:
     return np.array(parsed, dtype=dtype).reshape(k, k)
 
 
-def gcd_reduce_row(row: np.ndarray) -> np.ndarray:
-    g = reduce(math.gcd, map(int, row), 0)
-    if g > 1:
-        return row // g
-    return row
+def exact_nullspace(a) -> list[np.ndarray]:
+    """Basis of {x : A x = 0} over the rationals, by integer Gauss-Jordan.
 
-
-def exact_nullspace(*blocks) -> list[np.ndarray]:
-    """Basis of {x : B x = 0 for every block B} over the rationals, by
-    integer Gauss-Jordan.
-
-    Each block has n columns of rationals, ints or floats; its rows enter
-    as integer numerators over one denominator, which leaves the null space
-    unchanged.  Returns a list of Fraction vectors of length n.  Row
-    operations stay in integers; each row is divided by its gcd to keep
-    magnitudes tame.
+    A is a matrix of ints or Fractions, or its stored form; it enters as
+    integer numerators over one denominator, which leaves the null space
+    unchanged.  Returns Fraction vectors.  Rows stay Python ints, each
+    divided by its gcd to keep magnitudes tame.
     """
-    # Row operations below rewrite work in place: Python ints only.
-    work = [(b.num if isinstance(b, Scaled) else split_common(as_rational(b))[0])
-            .astype(object) for b in blocks if b.size]
-    if not work:
-        return []
-    work = np.vstack(work)
+    work = split_common(a)[0].astype(object)  # rewritten in place
     m, n = work.shape
     pivots: list[int] = []
-    r = 0
     for c in range(n):
+        r = len(pivots)
         candidates = [i for i in range(r, m) if work[i, c] != 0]
         if not candidates:
             continue
-        i0 = min(candidates, key=lambda i: abs(int(work[i, c])))
-        if i0 != r:
-            work[[r, i0]] = work[[i0, r]]
-        p = int(work[r, c])
+        i0 = min(candidates, key=lambda i: abs(work[i, c]))
+        work[[r, i0]] = work[[i0, r]]
         for i in range(m):
             if i != r and work[i, c] != 0:
-                work[i] = work[i] * p - work[r] * int(work[i, c])
-                work[i] = gcd_reduce_row(work[i])
+                row = work[i] * work[r, c] - work[r] * work[i, c]
+                work[i] = row // (math.gcd(*row.tolist()) or 1)
         pivots.append(c)
-        r += 1
-        if r == m:
+        if len(pivots) == m:
             break
-    free = [c for c in range(n) if c not in pivots]
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
+    for fc in sorted(set(range(n)) - set(pivots)):
+        v = np.full(n, Fraction(0), dtype=object)
         v[fc] = Fraction(1)
         for ri, pc in enumerate(pivots):
-            if work[ri, fc] != 0:
-                v[pc] = Fraction(-int(work[ri, fc]), int(work[ri, pc]))
-        basis.append(np.array(v, dtype=object))
+            v[pc] = Fraction(-work[ri, fc], work[ri, pc])
+        basis.append(v)
     return basis

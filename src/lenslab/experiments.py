@@ -427,16 +427,17 @@ def _run_transitivity_witness(cfg, p, backend):
     if p["epsilon"] <= 0:
         raise InvalidConfig("epsilon must be positive")
     w = transitivity_witness(p["d"], p["L"], p["sigma"], p["pi"], p["epsilon"])
-    rows = [(name, i, j, c.C[i, j])
-            for name, c in (("source", w.restricted_source),
-                            ("image", w.restricted_image))
-            for i in range(c.k) for j in range(c.k)]
-    scalars = {"n": w.n, "fine_k": w.fine_k, "base_k": w.restricted_source.k}
+    k = w.restricted_source.k
+    # Cell c of the restrictions series is entry (i, j) of source, then image.
+    i, j = np.divmod(np.arange(2 * k * k) % (k * k), k)
+    masses = exact.flat_concat([w.restricted_source.matrix, w.restricted_image.matrix])
+    scalars = {"n": w.n, "fine_k": w.fine_k, "base_k": k}
     verdicts = {
         "source_in_neighborhood": w.check_source,
         "image_in_neighborhood": w.check_image,
     }
-    return scalars, {"restrictions": list(zip(*rows))}, verdicts
+    series = {"restrictions": (np.repeat(["source", "image"], k * k), i, j, masses)}
+    return scalars, series, verdicts
 
 
 @_experiment(
@@ -479,12 +480,15 @@ def _run_entropy_factor(cfg, p, backend):
 def _run_fixed_points(cfg, p, backend):
     sys = _need_system(cfg, backend)
     k = sys.k
-    # SVD nullspaces on the float backend are only good to solver precision.
-    tol = exact.tolerance(backend, exact.SOLVER_TOL)
+    tol = exact.tolerance(backend)
     basis = fixed_point_space(sys).basis
     # A direction is not a coupling, but the lens and the checks are linear.
     directions = [CouplingMatrix(k=k, C=d) for d in basis]
-    product_residual = self_joining_residual(sys, product_coupling(k, backend))
+    # The product coupling's lens image Q^T (J/k^2) Q is s^T s / k^2 for the
+    # column sums s = 1^T Q: an outer product, not a dense conjugation.
+    sums = exact.mat_mul(exact.constant((1, k), 1, backend), sys.matrix)
+    image = exact.scale(exact.mat_mul(sums.T, sums), Fraction(1, k * k))
+    product_residual = exact.l1_norm(image, product_coupling(k, backend).matrix)
     scalars = {
         "k": k,
         "affine_dimension": len(basis),

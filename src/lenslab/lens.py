@@ -53,7 +53,15 @@ __all__ = [
     "period_report_to_json",
 ]
 
-FIXED_SPACE_GUARD = 64
+# Work fixed_point_space may do, in basis cells (one entry of one direction,
+# 2.8-5.8 us each through a fixed-points report on a 2-core machine): at
+# most this many class pairs to label (0.25 us each) and basis cells to
+# build.  2**21 basis cells took about 7 s and 800 MB (rot:k=128,s=1).
+FIXED_SPACE_BUDGET = 2**21
+
+# Entry updates of the integer elimination per basis cell of budget, from
+# the slow end of the same machine: 26-44 ns an update (rot:k=32..64,s=0).
+_UPDATES_PER_CELL = 64
 
 
 def _check(sys: FiniteSystem, c: CouplingMatrix):
@@ -193,53 +201,75 @@ def _pair_orbit_labels(perm: np.ndarray, k: int) -> np.ndarray:
     return np.unique(low, return_inverse=True)[1]
 
 
-def _marginal_rows(k: int) -> np.ndarray:
-    """Constraint rows forcing zero row and column sums, over flat (i,j)."""
-    eye, ones = np.eye(k, dtype=int), np.ones((1, k), dtype=int)
-    return np.vstack([np.kron(eye, ones), np.kron(ones, eye)]).astype(object)
+def _cyclic_classes(sys: FiniteSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic class of each cell, and step with Q^T 1_c = 1_{step[c]}.
+
+    Q's support graph is a disjoint union of strongly connected components,
+    as Q is doubly stochastic.  A breadth-first search from each component's
+    first cell gives levels; its period is the gcd of level[u] + 1 - level[v]
+    over its edges u -> v, and a cell's class is its level mod the period.
+    """
+    k = sys.k
+    if sys.exact:
+        return np.arange(k), np.asarray(sys.perm, dtype=int)
+    support = exact.support(sys.matrix)
+    level, comp, n_comp = np.full(k, -1), np.zeros(k, dtype=int), 0
+    for start in range(k):
+        if level[start] >= 0:
+            continue
+        frontier, depth = np.array([start]), 0
+        while frontier.size:
+            level[frontier], comp[frontier] = depth, n_comp
+            frontier = np.flatnonzero(support[frontier].any(axis=0) & (level < 0))
+            depth += 1
+        n_comp += 1
+    src, dst = np.nonzero(support)
+    period = np.zeros(n_comp, dtype=int)
+    np.gcd.at(period, comp[src], level[src] + 1 - level[dst])
+    end = np.cumsum(period)  # a component's classes are end - period .. end - 1
+    step = np.arange(1, end[-1] + 1)
+    step[end - 1] = end - period
+    return end[comp] - period[comp] + level % period[comp], step
+
+
+def _guard_cost(what: str, cost: int):
+    if cost > FIXED_SPACE_BUDGET:
+        raise SizeGuard(f"fixed_point_space {what}: {cost} > {FIXED_SPACE_BUDGET}")
 
 
 def fixed_point_space(sys: FiniteSystem) -> FixedPointSpace:
-    k = sys.k
-    if k > FIXED_SPACE_GUARD:
-        raise SizeGuard(f"fixed_point_space solves k^2 variables; k={k} > {FIXED_SPACE_GUARD}")
-    backend = sys.backend
-    interior = product_coupling(k, backend)
+    """Lens-fixed directions, solved on the cyclic classes of Q.
 
-    if sys.exact:
-        # Lens invariance for a permutation system says the matrix is
-        # constant on orbits of (i, j) -> (tau(i), tau(j)); only the
-        # marginal constraints remain, in orbit coordinates.
-        label = _pair_orbit_labels(np.asarray(sys.perm, dtype=int), k)
-        # a[i, t] counts the cells of orbit t in row i, a[k + j, t] those
-        # in column j.
-        i, j = np.divmod(np.arange(k * k), k)
-        a = np.zeros((2 * k, label.max() + 1), dtype=int)
-        np.add.at(a, (i, label), 1)
-        np.add.at(a, (k + j, label), 1)
-        basis = []
-        for vec in exact.exact_nullspace(a.astype(object)):
-            values = np.array([exact.scalar(x, backend) for x in vec])
-            basis.append(exact.freeze(values[label].reshape(k, k)))
-        return FixedPointSpace(dimension=len(basis), basis=tuple(basis),
-                               interior=interior)
-
-    # General case: nullspace of [lens(X) - X ; row sums ; column sums],
-    # where lens(X)[i, j] = sum_ab Q[a, i] Q[b, j] X[a, b] on row-major X.
-    q = sys.matrix
-    lens_op = exact.mat_sub(exact.mat_kron(q.T, q.T), exact.identity(k * k, backend))
-    if backend == exact.RATIONAL:
-        null = exact.exact_nullspace(lens_op, _marginal_rows(k))
-        basis = tuple(exact.freeze(v.reshape(k, k)) for v in null)
-        return FixedPointSpace(dimension=len(basis), basis=basis, interior=interior)
-
-    from scipy.linalg import null_space
-
-    marg = np.asarray(_marginal_rows(k), dtype=float)
-    null = null_space(np.vstack([lens_op, marg]), rcond=1e-10)
-    basis = tuple(exact.freeze(null[:, i].reshape(k, k))
-                  for i in range(null.shape[1]))
-    return FixedPointSpace(dimension=null.shape[1], basis=basis, interior=interior)
+    By Perron-Frobenius the unimodular eigenvectors of Q^T are spanned by
+    the class indicators, which Q^T permutes, so a fixed X of the
+    contraction X -> Q^T X Q is constant on blocks of class pairs, equal on
+    (c, d) and (step[c], step[d]).  Only the marginals remain: one row sum
+    and one column sum per class.  Float bases are rounded exact ones.
+    """
+    k, backend = sys.k, sys.backend
+    cls, step = _cyclic_classes(sys)
+    m = len(step)
+    _guard_cost("class pairs", m * m)
+    label = _pair_orbit_labels(step, m)
+    n_orbits = label.max() + 1
+    # a[c, t]: cells of orbit t in each row of class c; a[m + d, t] columns.
+    size = np.bincount(cls, minlength=m)
+    c, d = np.divmod(np.arange(m * m), m)
+    a = np.zeros((2 * m, n_orbits), dtype=int)
+    np.add.at(a, (c, label), size[d])
+    np.add.at(a, (m + d, label), size[c])
+    # The rank is at most the number of distinct rows: each pivot updates at
+    # most a.size entries, and at least n_orbits - rank directions remain.
+    rank_bound = min(len({row.tobytes() for row in a}), n_orbits)
+    _guard_cost("elimination", a.size * rank_bound // _UPDATES_PER_CELL
+                + (n_orbits - rank_bound) * k * k)
+    null = exact.exact_nullspace(a.astype(object))
+    _guard_cost("basis cells", len(null) * k * k)
+    cell_orbit = label[cls[:, None] * m + cls[None, :]] if null else None
+    basis = tuple(exact.freeze(np.array([exact.scalar(x, backend) for x in vec])[cell_orbit])
+                  for vec in null)
+    return FixedPointSpace(dimension=len(basis), basis=basis,
+                           interior=product_coupling(k, backend))
 
 
 @dataclass(frozen=True)

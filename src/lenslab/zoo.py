@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product as iter_product
 
 import numpy as np
@@ -153,12 +154,13 @@ def _tbar_inv(alpha: Fraction, p: TorusPoint) -> TorusPoint:
     return torus_point(x - alpha, y - x + alpha, z - y)
 
 
-def _default_samples() -> list[TorusPoint]:
+@cache
+def _sample_grid() -> tuple[TorusPoint, ...]:
     grid = [Fraction(0), Fraction(1, 3), Fraction(2, 5), Fraction(5, 7)]
-    return [torus_point(a, b, c) for a, b, c in iter_product(grid, grid, grid)]
+    return tuple(torus_point(a, b, c) for a, b, c in iter_product(grid, grid, grid))
 
 
-def skew_Tbar_conjugation(t: TorusPoint, alpha, samples=None) -> TorusPoint:
+def skew_Tbar_conjugation(t: TorusPoint, alpha) -> TorusPoint:
     """Translation vector of Tbar o S_t o Tbar^{-1} where S_t adds t.
 
     Composes the three maps pointwise on rational sample points, checks the
@@ -168,10 +170,8 @@ def skew_Tbar_conjugation(t: TorusPoint, alpha, samples=None) -> TorusPoint:
     """
     alpha = Fraction(alpha)
     t = torus_point(*t)
-    if samples is None:
-        samples = _default_samples()
     vec = None
-    for p in samples:
+    for p in _sample_grid():
         q = _tbar_inv(alpha, p)
         q = torus_point(*(qi + ti for qi, ti in zip(q, t)))
         q = _tbar(alpha, q)

@@ -269,7 +269,6 @@ def test_stored_form_kernels_past_int64_match_fraction_oracles():
     assert exact.mat_equal(exact.select(s, (0, slice(None))), a[0])
     assert exact.mat_equal(exact.block_sums(s, np.array([0, 0]), 1),
                            np.array([[a.sum()]], dtype=object))
-    assert exact.mat_equal(exact.mat_kron(s, s), np.kron(a, a))
     assert exact.mat_equal(exact.mat_sub(s, a.T), a - a.T)
     w = exact.frac_array([Fraction(1, 3), 2**65])
     assert exact.quadratic_form(w, s) == w @ a @ w

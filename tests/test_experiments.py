@@ -469,26 +469,34 @@ def test_cli_rejects_known_bad_overrides_as_config_errors(name, override, capsys
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
-INT_PARAMS = [(name, p) for name, spec in sorted(REGISTRY.items())
-              for p in spec.params if p.kind in ("int", "intlist")]
 HUGE = "100000000000000000000"
+BOUNDARY_VALUES = {
+    "int": ("-1", "0", "", HUGE),
+    "intlist": ("-1", "0", HUGE),
+    # Other kinds take a huge number and a word that parses as nothing.
+    "fraction": (HUGE, "abc"),
+    "fraclist": (HUGE, "abc"),
+    "str": (HUGE, "abc"),
+    "intmatrix": (HUGE, "abc"),
+}
 
 
 @pytest.mark.parametrize("name, param, value", [
-    (name, p.name, value) for name, p in INT_PARAMS
-    for value in (("-1", "0", "", HUGE) if p.kind == "int" else ("-1", "0", HUGE))
+    (name, p.name, value) for name, spec in sorted(REGISTRY.items())
+    for p in spec.params for value in BOUNDARY_VALUES[p.kind]
 ])
 def test_cli_int_parameter_boundaries_exit_honestly(name, param, value, capsys):
     minimum = REGISTRY[name].param_map()[param].minimum
     start = time.perf_counter()
     code, err = _run_override(name, f"{param}={value}", capsys)
     elapsed = time.perf_counter() - start
-    if value == "" or int(value) < minimum:
-        assert code == 2
-    elif value == HUGE:
-        # A huge count or size may also be refused by a guard, at once.
+    if value in (HUGE, "abc"):
+        # A huge count or size, or a word, may also be refused by the
+        # config check or a guard, at once.
         assert code in (0, 1, 2, 3)
         assert elapsed < 1
+    elif value == "" or int(value) < minimum:
+        assert code == 2
     else:
         # The run may legitimately fail a verdict, or a runner may refuse
         # the combination, but nothing escapes as a traceback.

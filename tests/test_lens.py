@@ -37,7 +37,8 @@ from lenslab import (
     system_from_permutation,
     validate_coupling,
 )
-from lenslab import consecutive_blocks, exact
+from lenslab import SizeGuard, consecutive_blocks, exact
+from lenslab import lens
 from lenslab.lens import _pair_orbit_labels
 
 
@@ -164,9 +165,9 @@ def test_fixed_space_full_shift_is_a_point():
 def test_fixed_space_float_backend_agrees():
     space = fixed_point_space(rotation_system(4, 1, backend=exact.FLOAT))
     assert space.dimension == 3
-    # stochastic float path goes through the SVD nullspace
-    svd_space = fixed_point_space(bernoulli_system(2, 2, backend=exact.FLOAT))
-    assert svd_space.dimension == 0
+    # a stochastic float system: one aperiodic class, so a point
+    shift_space = fixed_point_space(bernoulli_system(2, 2, backend=exact.FLOAT))
+    assert shift_space.dimension == 0
 
 
 def test_fixed_space_of_block_stochastic_system_agrees_across_backends():
@@ -178,6 +179,86 @@ def test_fixed_space_of_block_stochastic_system_agrees_across_backends():
     rational = fixed_point_space(system_from_matrix(q))
     floating = fixed_point_space(system_from_matrix(q.astype(float)))
     assert rational.dimension == floating.dimension == 1
+
+
+@st.composite
+def cyclic_stochastic_matrices(draw):
+    """Doubly stochastic Q, k <= 8: drawn components, each with a period p
+    and a class size s, a Birkhoff block (rational mix of permutations)
+    from each class to the next, and the cells shuffled."""
+    parts = []
+    while not parts or (sum(p * s for p, s in parts) < 8 and draw(st.booleans())):
+        room = 8 - sum(p * s for p, s in parts)
+        s = draw(st.integers(1, min(room, 3)))
+        parts.append((draw(st.integers(1, room // s)), s))
+    k = sum(p * s for p, s in parts)
+    q = np.full((k, k), Fraction(0), dtype=object)
+    start = 0
+    for p, s in parts:
+        for c in range(p):
+            rows, cols = start + c * s, start + (c + 1) % p * s
+            weights = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+            for w in weights:
+                for i, j in enumerate(draw(st.permutations(range(s)))):
+                    q[rows + i, cols + j] += Fraction(w, sum(weights))
+        start += p * s
+    shuffle = draw(st.permutations(range(k)))
+    return q[np.ix_(shuffle, shuffle)]
+
+
+def _kronecker_system(q):
+    """The lens-fixed, zero-marginal X as one linear system over flat
+    row-major X: [Q^T (x) Q^T - I ; row sums ; column sums]."""
+    k = len(q)
+    eye, ones = np.eye(k, dtype=int), np.ones((1, k), dtype=int)
+    return np.vstack([np.kron(q.T, q.T) - np.eye(k * k, dtype=int),
+                      np.kron(eye, ones), np.kron(ones, eye)])
+
+
+def _rank(vectors, n):
+    return n - len(exact.exact_nullspace(np.array(vectors, dtype=object).reshape(-1, n)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cyclic_stochastic_matrices())
+def test_fixed_space_matches_the_kronecker_oracle(q):
+    from scipy.linalg import null_space
+
+    k = len(q)
+    kron = _kronecker_system(q)
+    rational = fixed_point_space(system_from_matrix(q))
+    floating = fixed_point_space(system_from_matrix(q.astype(float)))
+    dim = null_space(kron.astype(float), rcond=1e-10).shape[1]
+    assert rational.dimension == floating.dimension == dim
+    new = [d.ravel() for d in rational.basis]
+    old = exact.exact_nullspace(kron)
+    assert _rank(new, k * k) == _rank(old, k * k) == _rank(new + old, k * k) == dim
+    for d, f in zip(rational.basis, floating.basis):
+        assert exact.mat_equal(exact.mat_conjugate(q, d), d)
+        assert not d.sum(axis=0).any() and not d.sum(axis=1).any()
+        assert np.array_equal(d.astype(float), f)
+
+
+def test_fixed_space_guard_refuses_before_the_work():
+    with pytest.raises(SizeGuard, match="class pairs"):
+        fixed_point_space(rotation_system(4096, 1))
+    with pytest.raises(SizeGuard, match="elimination"):
+        fixed_point_space(rotation_system(64, 0))
+    assert fixed_point_space(bernoulli_system(2, 12)).dimension == 0
+    # One cycle: rank 1, so the elimination charges 256 * 128 // 64 updates
+    # and 126 * 128**2 basis cells, just under the budget; 127 directions.
+    assert fixed_point_space(rotation_system(128, 1)).dimension == 127
+
+
+def test_fixed_space_guard_admits_the_elimination_at_the_budget(monkeypatch):
+    # rot:k=8,s=0: 64 pair orbits and 16 distinct constraint rows, so the
+    # elimination charges 16 * 64 * 16 updates and 48 * 64 basis cells.
+    cost = 16 * 64 * 16 // lens._UPDATES_PER_CELL + 48 * 64
+    monkeypatch.setattr(lens, "FIXED_SPACE_BUDGET", cost)
+    assert fixed_point_space(rotation_system(8, 0)).dimension == 49
+    monkeypatch.setattr(lens, "FIXED_SPACE_BUDGET", cost - 1)
+    with pytest.raises(SizeGuard, match="elimination"):
+        fixed_point_space(rotation_system(8, 0))
 
 
 def test_product_coupling_always_fixed():
