@@ -32,7 +32,7 @@ from .errors import (
     ResolutionGuard,
     SizeGuard,
 )
-from .lens import lens_iterate, markov_commutation_residual
+from .lens import lens_iterate, lens_step, markov_commutation_residual
 from .partitions import FiniteSystem, refinement_from_parent
 from .zoo import SIZE_LIMIT, IETSpec, bernoulli_system
 
@@ -45,6 +45,7 @@ __all__ = [
     "realize_coupling_as_iet",
     "density_gap",
     "rigidity_probe",
+    "rigidity_sweep",
     "transitivity_witness",
     "entropy_factor_F",
     "realize_entropy_block",
@@ -193,6 +194,23 @@ def _validate_blocks(blocks, k: int) -> list[int]:
     return sizes
 
 
+def _block_probe(sys: FiniteSystem, blocks) -> tuple[np.ndarray, CouplingMatrix]:
+    """Block label of each cell, and the probe coupling: mass a_i =
+    |block_i| / k spread uniformly on each block square."""
+    k = sys.k
+    blocks = [list(map(int, b)) for b in blocks]
+    _validate_blocks(blocks, k)
+    label = np.empty(k, dtype=int)
+    for i, b in enumerate(blocks):
+        label[b] = i
+    # Mass 1 / (k |b|) per cell of each block square, over one denominator.
+    den = k * math.lcm(*(len(b) for b in blocks))
+    xi = exact.numerators((k, k), den)
+    for b in blocks:
+        xi[np.ix_(b, b)] = den // (k * len(b))
+    return label, CouplingMatrix(k=k, C=exact.from_scaled(xi, den, sys.backend))
+
+
 def rigidity_probe(sys: FiniteSystem, blocks, n: int):
     """Lens score of the block-diagonal probe coupling after n steps.
 
@@ -201,20 +219,21 @@ def rigidity_probe(sys: FiniteSystem, blocks, n: int):
     block squares.  Score 1 at n = 0; score 1 again exactly at returns of
     the cell dynamics, which is what distinct block masses detect.
     """
-    k = sys.k
-    blocks = [list(map(int, b)) for b in blocks]
-    _validate_blocks(blocks, k)
-    backend = sys.backend
-    # Mass 1 / (k |b|) per cell of each block square, over one denominator.
-    den = k * math.lcm(*(len(b) for b in blocks))
-    xi = exact.numerators((k, k), den)
-    for b in blocks:
-        xi[np.ix_(b, b)] = den // (k * len(b))
-    probe = CouplingMatrix(k=k, C=exact.from_scaled(xi, den, backend))
-    image = lens_iterate(sys, probe, n).matrix
-    # The image is nonnegative: the mass on a block square is its L1 norm.
-    return sum((exact.l1_norm(exact.select(image, np.ix_(b, b))) for b in blocks),
-               exact.scalar(0, backend))
+    label, probe = _block_probe(sys, blocks)
+    return exact.block_diagonal_sum(lens_iterate(sys, probe, n).matrix, label)
+
+
+def rigidity_sweep(sys: FiniteSystem, blocks, n_max: int) -> list:
+    """rigidity_probe(sys, blocks, n) for n = 0 .. n_max, from one probe
+    whose lens image is carried forward one lens step per n.  Floats on a
+    stochastic system round differently from the powered image, in the
+    last bits."""
+    label, image = _block_probe(sys, blocks)
+    scores = [exact.block_diagonal_sum(image.matrix, label)]
+    for _ in range(n_max):
+        image = lens_step(sys, image)
+        scores.append(exact.block_diagonal_sum(image.matrix, label))
+    return scores
 
 
 @dataclass(frozen=True, eq=False)

@@ -359,6 +359,21 @@ def block_sums(a, parent: np.ndarray, n: int):
     return _reduced(out, s.den)
 
 
+def block_diagonal_sum(a, label: np.ndarray):
+    """Sum of the entries a[i, j] with label[i] == label[j], for a label
+    numbering the blocks of a cell partition 0, 1, ...  Floats add block by
+    block in label order, each block's cells ascending; rationals add all
+    numerators under the block-diagonal mask at once."""
+    if backend_of(a) == FLOAT:
+        order = np.argsort(label, kind="stable")
+        total = 0.0
+        for cells in np.split(order, np.cumsum(np.bincount(label))[:-1]):
+            total += float(a[np.ix_(cells, cells)].sum())
+        return total
+    s = _split(a)
+    return Fraction(int(_int_sum(s.num[label[:, None] == label[None, :]])), s.den)
+
+
 def quadratic_form(w, c):
     """w^T C w for a vector w."""
     if backend_of(c) == FLOAT:

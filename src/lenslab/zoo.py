@@ -144,43 +144,52 @@ def skew_W_step(p: TorusPoint) -> TorusPoint:
     return torus_point(a, a + b, a + b + c)
 
 
-def _tbar(alpha: Fraction, p: TorusPoint) -> TorusPoint:
-    x, y, z = p
-    return torus_point(x + alpha, x + y, x + y + z)
+# Numerators below this bound keep every sum of three, and so every
+# intermediate of the maps below, inside int64.
+_SKEW_INT64_BOUND = 2**62 // 4
 
 
-def _tbar_inv(alpha: Fraction, p: TorusPoint) -> TorusPoint:
-    x, y, z = p
-    return torus_point(x - alpha, y - x + alpha, z - y)
+def _tbar(num: np.ndarray, a, den: int) -> np.ndarray:
+    """Tbar(x, y, z) = (x + alpha, x + y, x + y + z) on rows of numerators
+    over den, with alpha = a / den."""
+    x, y, z = num.T
+    return np.stack([x + a, x + y, x + y + z], axis=1) % den
+
+
+def _tbar_inv(num: np.ndarray, a, den: int) -> np.ndarray:
+    x, y, z = num.T
+    return np.stack([x - a, y - x + a, z - y], axis=1) % den
 
 
 @cache
-def _sample_grid() -> tuple[TorusPoint, ...]:
-    grid = [Fraction(0), Fraction(1, 3), Fraction(2, 5), Fraction(5, 7)]
-    return tuple(torus_point(a, b, c) for a, b, c in iter_product(grid, grid, grid))
+def _sample_grid() -> np.ndarray:
+    """The 64 sample points of {0, 1/3, 2/5, 5/7}^3 as numerators over 105."""
+    grid = [0, 35, 42, 75]
+    return exact.freeze(np.array(list(iter_product(grid, repeat=3)), dtype=np.int64))
 
 
 def skew_Tbar_conjugation(t: TorusPoint, alpha) -> TorusPoint:
     """Translation vector of Tbar o S_t o Tbar^{-1} where S_t adds t.
 
-    Composes the three maps pointwise on rational sample points, checks the
-    composite is one translation independent of the sample and of alpha's
-    role, and returns that translation.  The result always equals
-    skew_W_step(t) = (a, a+b, a+b+c).
+    Composes the three maps pointwise on the 64 rational sample points,
+    checks the composite is one translation independent of the sample and
+    of alpha's role, and returns that translation.  The result always
+    equals skew_W_step(t) = (a, a+b, a+b+c).  Every point is a row of
+    integer numerators over one common denominator, int64 while no
+    intermediate can overflow and Python ints past that.
     """
     alpha = Fraction(alpha)
     t = torus_point(*t)
-    vec = None
-    for p in _sample_grid():
-        q = _tbar_inv(alpha, p)
-        q = torus_point(*(qi + ti for qi, ti in zip(q, t)))
-        q = _tbar(alpha, q)
-        delta = torus_point(*(qi - pi for qi, pi in zip(q, p)))
-        if vec is None:
-            vec = delta
-        elif vec != delta:
-            raise ArithmeticError("composite is not a single translation")
-    return vec
+    den = math.lcm(105, alpha.denominator, *(ti.denominator for ti in t))
+    dtype = np.int64 if den < _SKEW_INT64_BOUND else object
+    p = _sample_grid().astype(dtype) * (den // 105)
+    a = alpha.numerator * (den // alpha.denominator) % den
+    shift = np.array([ti.numerator * (den // ti.denominator) for ti in t], dtype=dtype)
+    q = _tbar((_tbar_inv(p, a, den) + shift) % den, a, den)
+    delta = (q - p) % den
+    if not np.all(delta == delta[0]):
+        raise ArithmeticError("composite is not a single translation")
+    return tuple(Fraction(int(d), den) for d in delta[0])
 
 
 def skew_torus_restriction(a, p2d: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:

@@ -1,16 +1,21 @@
 """Constructive machinery: rational targets, IET realization, probes,
 witnesses, entropy blocks, and commuting permutations."""
 
+import math
 from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lenslab import (
     BadBlocks,
     BlockTarget,
+    CouplingMatrix,
     DimensionMismatch,
+    IETSpec,
     InfeasibleTarget,
     RationalTarget,
     ResolutionGuard,
@@ -27,12 +32,14 @@ from lenslab import (
     markov_commutation_residual,
     odometer_commuter,
     odometer_system,
+    parse_system_spec,
     product_coupling,
     random_coupling,
     random_rational_target,
     realize_coupling_as_iet,
     realize_entropy_block,
     rigidity_probe,
+    rigidity_sweep,
     rotation_system,
     system_from_permutation,
     target_from_json,
@@ -209,6 +216,84 @@ def brute_force_block_score(sys_float, blocks, n):
     for _ in range(n):
         xi = q.T @ xi @ q
     return sum(xi[np.ix_(b, b)].sum() for b in blocks)
+
+
+def _oracle_rigidity_probe(sys, blocks, n):
+    """The score built from scratch for one n: the probe, its n-step image
+    by lens_iterate, then each block square's mass on its own."""
+    k = sys.k
+    den = k * math.lcm(*(len(b) for b in blocks))
+    xi = exact.numerators((k, k), den)
+    for b in blocks:
+        xi[np.ix_(b, b)] = den // (k * len(b))
+    probe = CouplingMatrix(k=k, C=exact.from_scaled(xi, den, sys.backend))
+    image = lens_iterate(sys, probe, n).matrix
+    return sum((exact.l1_norm(exact.select(image, np.ix_(b, b))) for b in blocks),
+               exact.scalar(0, sys.backend))
+
+
+def _sweep_system(family, size, seed, backend):
+    rng = np.random.default_rng(seed)
+    if family == "rot":
+        return rotation_system(size + 2, int(rng.integers(size + 2)), backend)
+    if family == "odo":
+        return odometer_system(size % 5 + 1, backend)
+    if family == "iet":
+        return iet_system(IETSpec(n_intervals=size + 2,
+                                  permutation=tuple(rng.permutation(size + 2).tolist())),
+                          backend)
+    return bernoulli_system(2, size % 6 + 1, backend)
+
+
+def _distinct_sizes(k, rng):
+    """Distinct block sizes summing to k: 1, 2, ... while they fit, then
+    the rest added to the last block, in a shuffled order."""
+    sizes, s = [], 1
+    while sum(sizes) + s <= k and rng.random() < 0.7:
+        sizes.append(s)
+        s += 1
+    if sum(sizes) < k:
+        if sizes:
+            sizes[-1] += k - sum(sizes)
+        else:
+            sizes = [k]
+    rng.shuffle(sizes)
+    return sizes
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["rot", "odo", "iet", "bern"]), st.integers(0, 30),
+       st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(["rational", "float"]),
+       st.integers(0, 9))
+def test_rigidity_sweep_matches_the_per_step_oracle(family, size, seed, scattered,
+                                                   backend, n_max):
+    sys = _sweep_system(family, size, seed, backend)
+    rng = np.random.default_rng(seed + 1)
+    sizes = _distinct_sizes(sys.k, rng)
+    cells = rng.permutation(sys.k) if scattered else np.arange(sys.k)
+    bounds = np.cumsum(sizes)[:-1]
+    blocks = [part.tolist() for part in np.split(cells, bounds)]
+    expected = [_oracle_rigidity_probe(sys, blocks, n) for n in range(n_max + 1)]
+    swept = rigidity_sweep(sys, blocks, n_max)
+    probed = [rigidity_probe(sys, blocks, n) for n in range(n_max + 1)]
+    if backend == exact.RATIONAL:
+        assert swept == probed == expected
+        assert all(type(x) is Fraction for x in swept)
+    else:
+        for got in (swept, probed):
+            assert len(got) == len(expected)
+            assert all(abs(g - e) <= exact.FLOAT_TOL for g, e in zip(got, expected))
+            assert all(type(x) is float for x in got)
+
+
+def test_rigidity_probe_float_matches_oracle_bit_for_bit_on_consecutive_blocks():
+    # Consecutive blocks add in the oracle's order, and rigidity_probe takes
+    # the same powered image, so the floats agree to the last bit.
+    for spec in ("bern:d=2,L=4", "bern:d=2,L=5", "rot:k=12,s=5"):
+        sys = parse_system_spec(spec, exact.FLOAT)
+        blocks = consecutive_blocks(_distinct_sizes(sys.k, np.random.default_rng(3)))
+        for n in range(6):
+            assert rigidity_probe(sys, blocks, n) == _oracle_rigidity_probe(sys, blocks, n)
 
 
 def test_rigidity_probe_full_shift_frozen_plateau():

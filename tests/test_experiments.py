@@ -462,11 +462,24 @@ def _run_override(name, override, capsys):
     ("group-embedding", "matrix=1,1;0"),
     ("group-embedding", "moduli=-4,3"),
     ("rigidity-sweep", "blocks=0,1,2,3"),
+    ("one-sided-limit", "expect_graph_orbit=ye"),
 ])
 def test_cli_rejects_known_bad_overrides_as_config_errors(name, override, capsys):
     code, err = _run_override(name, override, capsys)
     assert code == 2
     assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value, checked", [
+    ("", False), ("0", False), ("off", False), (" No ", False), ("FALSE", False),
+    ("1", True), ("yes", True), ("On", True), (" TRUE ", True),
+])
+def test_expect_graph_orbit_reads_the_usual_yes_and_no_spellings(value, checked):
+    report = run_experiment(cfg_for("one-sided-limit", system="rot:k=5,s=2",
+                                    n_steps="3", init="graph:1,2,3,4,0",
+                                    expect_graph_orbit=value), write=False)
+    assert ("orbit_stays_on_graph_couplings" in report.verdicts) == checked
+    assert report.passed
 
 
 HUGE = "100000000000000000000"
@@ -543,13 +556,20 @@ def test_mixing_profile_dense_steps_are_admitted_by_cost(L, backend, n_max, refu
     assert code == (3 if refused else 1)
 
 
-@pytest.mark.parametrize("n_max, refused", [(2, False), (12, True)])
-def test_rigidity_sweep_charges_the_products_of_each_power(n_max, refused, capsys):
-    # Each n takes up to 2 * bitlen(n_max) + 2 products of 2^20 operations:
-    # n_max = 12 is 13 * 10 of them, past the budget of 128.
+@pytest.mark.parametrize("L, backend, n_max, refused", [
+    (9, "float", 63, False), (9, "float", 64, True),
+    (8, "rational", 31, False), (8, "rational", 32, True),
+])
+def test_rigidity_sweep_charges_the_products_of_each_power(L, backend, n_max, refused,
+                                                          capsys):
+    # Each n takes one lens step, two products: of 2^20 operations each at
+    # float k = 512 and 2^21 at rational k = 256, so the budget holds 64 and
+    # 32 values of n.  An admitted run fails the shipped config's
+    # expect_return_at verdict, since the shift never returns.
+    k = 2**L
     code = cli_main(["run", str(CONFIGS / "rigidity-sweep.cfg"), "--set", "output_dir=",
-                     "--set", "system=bern:d=2,L=9", "--set", "backend=float",
-                     "--set", "blocks=1,2,509", "--set", f"n_max={n_max}"])
+                     "--set", f"system=bern:d=2,L={L}", "--set", f"backend={backend}",
+                     "--set", f"blocks=1,2,{k - 3}", "--set", f"n_max={n_max}"])
     assert code == (3 if refused else 1)
 
 

@@ -6,6 +6,8 @@ from itertools import product as iter_product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lenslab import (
     DimensionMismatch,
@@ -32,7 +34,7 @@ from lenslab import (
     torus_point,
     word_index,
 )
-from lenslab import exact
+from lenslab import exact, zoo
 from lenslab.partitions import FiniteSystem
 
 
@@ -124,6 +126,57 @@ def test_skew_conjugation_is_alpha_free():
     outs = {skew_Tbar_conjugation(t, a)
             for a in (Fraction(0), Fraction(1, 3), Fraction(2, 7))}
     assert len(outs) == 1
+
+
+def _oracle_Tbar_conjugation(t, alpha):
+    """The conjugation composed one Fraction at a time: Tbar^{-1}, then S_t,
+    then Tbar, at each point of {0, 1/3, 2/5, 5/7}^3."""
+    alpha = Fraction(alpha)
+    t = torus_point(*t)
+    grid = [Fraction(0), Fraction(1, 3), Fraction(2, 5), Fraction(5, 7)]
+    vec = None
+    for p in iter_product(grid, repeat=3):
+        x, y, z = p
+        q = torus_point(x - alpha, y - x + alpha, z - y)
+        q = torus_point(*(qi + ti for qi, ti in zip(q, t)))
+        x, y, z = q
+        q = torus_point(x + alpha, x + y, x + y + z)
+        delta = torus_point(*(qi - pi for qi, pi in zip(q, p)))
+        if vec is None:
+            vec = delta
+        elif vec != delta:
+            raise ArithmeticError("composite is not a single translation")
+    return vec
+
+
+def _torus_fractions():
+    # Denominators up to 2**70 put the common denominator past the int64 path.
+    dens = st.one_of(st.integers(1, 60), st.integers(2**61, 2**70))
+    return dens.flatmap(lambda d: st.builds(Fraction, st.integers(-3 * d, 3 * d),
+                                            st.just(d)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.tuples(_torus_fractions(), _torus_fractions(), _torus_fractions()),
+       _torus_fractions())
+@example((Fraction(1, 3), Fraction(7, 10**20 + 3), Fraction(2, 5)), Fraction(1, 7))
+def test_skew_conjugation_matches_the_fraction_oracle(t, alpha):
+    out = skew_Tbar_conjugation(t, alpha)
+    assert out == _oracle_Tbar_conjugation(t, alpha) == skew_W_step(torus_point(*t))
+    assert all(type(x) is Fraction for x in out)
+
+
+def test_skew_conjugation_checks_every_sample_point(monkeypatch):
+    # Tbar with a square in its last coordinate: the composite moves points
+    # by amounts that depend on the point, so it is no translation.
+    def bent(num, a, den):
+        x, y, z = num.T
+        return np.stack([x + a, x + y, x * x + y + z], axis=1) % den
+
+    monkeypatch.setattr(zoo, "_tbar", bent)
+    with pytest.raises(ArithmeticError, match="single translation"):
+        skew_Tbar_conjugation((Fraction(1, 3), Fraction(1, 2), Fraction(5, 6)),
+                              Fraction(1, 7))
 
 
 def test_skew_power_identity_on_denominator_q_points():
