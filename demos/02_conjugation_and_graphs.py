@@ -50,6 +50,6 @@ current = graph_coupling(sigma)
 orbit_perms = []
 for _ in range(3):
     current = lens_step(sys, current)
-    scaled = np.asarray(current.C) * 3
+    scaled = exact.scale(current.matrix, 3)
     orbit_perms.append([int(x) for x in exact.permutation_of_matrix(scaled)])
 print("orbit of the transposition under the 3-cycle:", orbit_perms)

@@ -43,7 +43,7 @@ for n in range(6):
 # -- the mixing profile behind the plateau ----------------------------------
 # The probe flattens because Q^n itself flattens: by n = L every power
 # entry equals 1/k exactly, so couplings lose all memory in L steps.
-q = shift.Q
+q = shift.matrix
 power = exact.identity(8, shift.backend)
 for n in range(4):
     residual = exact.max_abs(power, Fraction(1, 8))

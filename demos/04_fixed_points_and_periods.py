@@ -11,8 +11,6 @@ are periodic points of the lens.
 
 from itertools import permutations
 
-import numpy as np
-
 from lenslab import (
     detect_period,
     fixed_point_space,
@@ -24,12 +22,13 @@ from lenslab import (
     self_joining_residual,
     system_power,
 )
+from lenslab import exact
 
 # -- the fixed space of a rotation ------------------------------------------
 for k in (3, 4, 5):
     space = fixed_point_space(rotation_system(k, 1))
     print(f"rotation on {k} cells: affine dimension {space.dimension}")
-d = np.asarray(fixed_point_space(rotation_system(3, 1)).basis[0])
+d = exact.entries(fixed_point_space(rotation_system(3, 1)).basis[0])
 print("one direction at k=3 (rows):", [list(row) for row in d])
 print("it is circulant:", all(d[i, j] == d[(i + 1) % 3, (j + 1) % 3]
                               for i in range(3) for j in range(3)))

@@ -143,7 +143,7 @@ class NeighborhoodSpec:
 
 def in_neighborhood(c: CouplingMatrix, spec: NeighborhoodSpec) -> bool:
     if spec.kind == "entrywise":
-        target = spec.target
+        target = exact.stored(spec.target)
         if target.shape != c.matrix.shape:
             raise DimensionMismatch("neighborhood target has the wrong shape")
         return bool(exact.max_abs(c.matrix, target) < spec.epsilon)
@@ -163,6 +163,7 @@ def repair_to_polytope(m, tol: float = 1e-8) -> CouplingMatrix:
     NotRepairable when the input is farther than tol from feasible, or a
     row or column carries no mass to rescale.
     """
+    m = exact.stored(m)
     if exact.backend_of(m) == exact.RATIONAL:
         # Exact arithmetic never drifts: accept valid input, refuse the rest.
         cm = _wrap(m)

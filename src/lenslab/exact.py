@@ -8,14 +8,16 @@ Elsewhere a value is written once, exactly, and handed to ``scalar``,
 fill integer numerators from ``numerators`` (the one allocator, guarded by
 ``SIZE_LIMIT``) and pass them to ``from_scaled``.
 
-Every rational kernel reads its operands through ``_split``, which passes a
-``Scaled`` through and splits a ``Fraction`` array once, lets numpy work on
-the numerators, and returns a ``Scaled``.  ``Fraction`` objects are built
-only when something asks for ``Scaled.fractions``: once, one per distinct
-value (``join_scaled``).  Numerators are int64 while every entry stays below
-``_INT64_SAFE`` (2**62) in magnitude, so a sum or difference of two cannot
-overflow; each kernel checks the worst case of its own operation before
-staying in int64, and otherwise works on Python ints, which never overflow.
+A ``Fraction`` array enters through one door, ``stored``, which splits it
+once (``split_common``); the public entry points that take a caller's
+matrix call it.  Every kernel takes stored forms only, lets numpy work on
+the numerators, and returns a ``Scaled``; ``backend_of`` refuses an object
+array.  ``Fraction`` objects are built only when something asks for
+``Scaled.fractions``: once, one per distinct value (``join_scaled``).
+Numerators are int64 while every entry stays below ``_INT64_SAFE`` (2**62)
+in magnitude, so a sum or difference of two cannot overflow; each kernel
+checks the worst case of its own operation before staying in int64, and
+otherwise works on Python ints, which never overflow.
 """
 
 from __future__ import annotations
@@ -92,7 +94,13 @@ def power_exceeds_limit(base: int, exp: int) -> bool:
 
 
 def backend_of(a) -> str:
-    return RATIONAL if isinstance(a, Scaled) or a.dtype == object else FLOAT
+    """RATIONAL for a Scaled, FLOAT for a numeric array; an object array
+    has not been through stored and is refused."""
+    if isinstance(a, Scaled):
+        return RATIONAL
+    if a.dtype == object:
+        raise TypeError("a Fraction array enters the kernels through exact.stored")
+    return FLOAT
 
 
 def frac_array(rows) -> np.ndarray:
@@ -138,16 +146,16 @@ def constant(shape, value, backend: str = RATIONAL):
     return from_scaled(num, q, backend)
 
 
-def zeros(shape, backend: str = RATIONAL):
-    return constant(shape, 0, backend)
-
-
 def stored(a):
-    """The stored form of a matrix: a Scaled when rational (a Fraction
-    array is split once), otherwise the array itself, made read-only."""
-    if backend_of(a) == RATIONAL:
-        return _split(a)
-    return freeze(np.asarray(a))
+    """The stored form of a caller's matrix, the one door for Fraction
+    arrays: a Scaled passes through, a Fraction array is split once into a
+    Scaled, and any other array is returned as it is, made read-only."""
+    if isinstance(a, Scaled):
+        return a
+    a = np.asarray(a)
+    if a.dtype == object:
+        return Scaled(*split_common(a))
+    return freeze(a)
 
 
 def flat_concat(arrays):
@@ -155,10 +163,9 @@ def flat_concat(arrays):
     form: a Scaled over the lcm of their denominators when rational."""
     if backend_of(arrays[0]) == FLOAT:
         return freeze(np.concatenate([np.ravel(a) for a in arrays]))
-    parts = [_split(a) for a in arrays]
-    den = math.lcm(*(s.den for s in parts))
+    den = math.lcm(*(s.den for s in arrays))
     return _reduced(np.concatenate([_rescale(s.num, den // s.den).ravel()
-                                    for s in parts]), den)
+                                    for s in arrays]), den)
 
 
 def entries(a) -> np.ndarray:
@@ -206,13 +213,6 @@ def _split_entries(a: np.ndarray) -> Scaled:
     return _reduced((nums * (den // dens)).reshape(a.shape), den)
 
 
-def _split(a) -> Scaled:
-    """The stored form of a rational operand: a Scaled passes through, a
-    Fraction array is split.  Kernels call this; split_common is for the
-    callers that ask for the split itself."""
-    return a if isinstance(a, Scaled) else _split_entries(np.asarray(a))
-
-
 def split_common(a: np.ndarray) -> tuple[np.ndarray, int]:
     """Write a Fraction array as (integer numerators, common denominator).
 
@@ -220,7 +220,7 @@ def split_common(a: np.ndarray) -> tuple[np.ndarray, int]:
     are int64 when they stay below _INT64_SAFE, Python ints otherwise, and
     are read-only.
     """
-    s = _split(a)
+    s = _split_entries(np.asarray(a))
     return s.num, s.den
 
 
@@ -269,32 +269,25 @@ def _scaled(a, b=None) -> tuple[np.ndarray, int]:
     Both operands go over one common denominator; the difference of two
     int64 numerator arrays is below 2**63, so it cannot overflow.
     """
-    sa = _split(a)
     if b is None:
-        return sa.num, sa.den
-    if isinstance(b, (np.ndarray, Scaled)):
-        sb = _split(b)
-        nb, db = sb.num, sb.den
-    else:
-        nb, db = Fraction(b).as_integer_ratio()
-    den = math.lcm(sa.den, db)
-    return _rescale(sa.num, den // sa.den) - _rescale(nb, den // db), den
+        return a.num, a.den
+    nb, db = (b.num, b.den) if isinstance(b, Scaled) else Fraction(b).as_integer_ratio()
+    den = math.lcm(a.den, db)
+    return _rescale(a.num, den // a.den) - _rescale(nb, den // db), den
 
 
 def mat_mul(a, b):
     if backend_of(a) == FLOAT:
         return a @ b
-    sa, sb = _split(a), _split(b)
-    return _reduced(_int_matmul(sa.num, sb.num), sa.den * sb.den)
+    return _reduced(_int_matmul(a.num, b.num), a.den * b.den)
 
 
 def mat_conjugate(q, c):
     """Return Q^T C Q."""
     if backend_of(q) == FLOAT:
         return q.T @ c @ q
-    sq, sc = _split(q), _split(c)
-    prod = _int_matmul(_int_matmul(sq.num.T, sc.num), sq.num)
-    return _reduced(prod, sq.den * sq.den * sc.den)
+    prod = _int_matmul(_int_matmul(q.num.T, c.num), q.num)
+    return _reduced(prod, q.den * q.den * c.den)
 
 
 def mat_power(a, n: int):
@@ -312,20 +305,12 @@ def mat_power(a, n: int):
     return result
 
 
-def mat_sub(a, b):
-    """a - b for b an array or scalar."""
-    if backend_of(a) == FLOAT:
-        return a - b
-    return _reduced(*_scaled(a, b))
-
-
 def scale(a, x):
     """a times the exact rational x."""
     if backend_of(a) == FLOAT:
         return a * scalar(x, FLOAT)
-    s = _split(a)
     p, q = Fraction(x).as_integer_ratio()
-    return _reduced(_rescale(s.num, p), s.den * q)
+    return _reduced(_rescale(a.num, p), a.den * q)
 
 
 def relabel(a, index):
@@ -333,16 +318,14 @@ def relabel(a, index):
     as a relabeling does: the values, and so the denominator, stay."""
     if backend_of(a) == FLOAT:
         return a[index]
-    s = _split(a)
-    return Scaled(s.num[index], s.den)
+    return Scaled(a.num[index], a.den)
 
 
 def select(a, index):
     """The entries a[index], as an array on the backend of a."""
     if backend_of(a) == FLOAT:
         return a[index]
-    s = _split(a)
-    return _reduced(s.num[index], s.den)
+    return _reduced(a.num[index], a.den)
 
 
 def block_sums(a, parent: np.ndarray, n: int):
@@ -353,10 +336,9 @@ def block_sums(a, parent: np.ndarray, n: int):
         out = np.zeros((n, n))
         np.add.at(out, index, a)
         return out
-    s = _split(a)
-    out = numerators((n, n), _magnitude(s.num) * s.size)
-    np.add.at(out, index, s.num.astype(out.dtype, copy=False))
-    return _reduced(out, s.den)
+    out = numerators((n, n), _magnitude(a.num) * a.size)
+    np.add.at(out, index, a.num.astype(out.dtype, copy=False))
+    return _reduced(out, a.den)
 
 
 def block_diagonal_sum(a, label: np.ndarray):
@@ -370,17 +352,15 @@ def block_diagonal_sum(a, label: np.ndarray):
         for cells in np.split(order, np.cumsum(np.bincount(label))[:-1]):
             total += float(a[np.ix_(cells, cells)].sum())
         return total
-    s = _split(a)
-    return Fraction(int(_int_sum(s.num[label[:, None] == label[None, :]])), s.den)
+    return Fraction(int(_int_sum(a.num[label[:, None] == label[None, :]])), a.den)
 
 
 def quadratic_form(w, c):
     """w^T C w for a vector w."""
     if backend_of(c) == FLOAT:
         return float(w @ (c @ w))
-    sw, sc = _split(w), _split(c)
-    n = _int_matmul(_int_matmul(sw.num, sc.num), sw.num)
-    return Fraction(int(n), sw.den * sw.den * sc.den)
+    n = _int_matmul(_int_matmul(w.num, c.num), w.num)
+    return Fraction(int(n), w.den * w.den * c.den)
 
 
 def identity(k: int, backend: str = RATIONAL):
@@ -409,17 +389,6 @@ def support(a) -> np.ndarray:
     return (a.num if isinstance(a, Scaled) else np.asarray(a)) != 0
 
 
-def mat_equal(a, b) -> bool:
-    if a.shape != b.shape:
-        return False
-    rational_a, rational_b = backend_of(a) == RATIONAL, backend_of(b) == RATIONAL
-    if rational_a and rational_b:
-        # Lowest terms are unique: equal values, equal numerators and denominator.
-        sa, sb = _split(a), _split(b)
-        return sa.den == sb.den and bool(np.array_equal(sa.num, sb.num))
-    return bool(np.array_equal(entries(a), entries(b)))
-
-
 def mat_mean(arrays):
     """Entrywise mean of equally shaped arrays; exact when rational, the
     float sum taken in list order otherwise."""
@@ -428,10 +397,8 @@ def mat_mean(arrays):
         for a in arrays[1:]:
             total = total + a
         return total / len(arrays)
-    first = _split(arrays[0])
-    total, den = first.num, first.den
-    for a in arrays[1:]:
-        s = _split(a)
+    total, den = arrays[0].num, arrays[0].den
+    for s in arrays[1:]:
         common = math.lcm(den, s.den)
         total = _rescale(total, common // den) + _rescale(s.num, common // s.den)
         if total.dtype != object and _magnitude(total) >= _INT64_SAFE:
@@ -447,7 +414,7 @@ def marginal_defects(m, target, tol: float) -> list[str]:
     that order.  target is exact; tol applies to float arrays only.
     """
     if backend_of(m) == RATIONAL:
-        num, den = _scaled(m)
+        num, den = m.num, m.den
         p, q = Fraction(target).as_integer_ratio()
         # A line sums to p/q exactly when its numerators sum to p*den/q.
         bad_rows = _rescale(_int_sum(num, axis=1), q) != p * den
@@ -467,8 +434,6 @@ def marginal_defects(m, target, tol: float) -> list[str]:
 def as_float(a) -> np.ndarray:
     if isinstance(a, Scaled):
         return _to_float(a.num, a.den)
-    if backend_of(a) == RATIONAL:
-        return a.astype(float)
     return np.asarray(a, dtype=float)
 
 
@@ -484,7 +449,7 @@ def permutation_of_matrix(q):
     """Forward cell map tau with Q[a, tau(a)] = 1, or None if Q is not one:
     on both backends each row must hold a single one and zeros elsewhere."""
     if backend_of(q) == RATIONAL:
-        num, one = _scaled(q)
+        num, one = q.num, q.den
     else:
         num, one = np.asarray(q, dtype=float), 1.0
     ones = num == one
@@ -540,15 +505,19 @@ def matrix_from_values(values, k: int, name: str) -> np.ndarray:
     return np.array(parsed, dtype=dtype).reshape(k, k)
 
 
-def exact_nullspace(a) -> list[np.ndarray]:
+def exact_nullspace(a) -> list[Scaled]:
     """Basis of {x : A x = 0} over the rationals, by integer Gauss-Jordan.
 
-    A is a matrix of ints or Fractions, or its stored form; it enters as
-    integer numerators over one denominator, which leaves the null space
-    unchanged.  Returns Fraction vectors.  Rows stay Python ints, each
-    divided by its gcd to keep magnitudes tame.
+    A is a matrix of ints or a Scaled, whose numerators span the same null
+    space.  Returns one Scaled vector per free column: 1 there, and minus
+    the reduced row's entry over its pivot at each pivot column.  Rows stay
+    Python ints, each divided by its gcd to keep magnitudes tame.
     """
-    work = split_common(a)[0].astype(object)  # rewritten in place
+    if isinstance(a, Scaled):
+        a = a.num
+    elif np.asarray(a).dtype.kind not in "iu":
+        raise TypeError("exact_nullspace takes an integer matrix or a Scaled (exact.stored)")
+    work = np.asarray(a).astype(object)  # rewritten in place
     m, n = work.shape
     pivots: list[int] = []
     for c in range(n):
@@ -565,11 +534,15 @@ def exact_nullspace(a) -> list[np.ndarray]:
         pivots.append(c)
         if len(pivots) == m:
             break
+    rows, pivot_cols = np.arange(len(pivots)), np.array(pivots, dtype=int)
+    diag = work[rows, pivot_cols]
     basis = []
     for fc in sorted(set(range(n)) - set(pivots)):
-        v = np.full(n, Fraction(0), dtype=object)
-        v[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            v[pc] = Fraction(-work[ri, fc], work[ri, pc])
-        basis.append(v)
+        col = work[rows, fc]
+        # den is a multiple of each pivot whose row meets fc: exact division.
+        den = math.lcm(*diag[col != 0].tolist())
+        num = np.zeros(n, dtype=object)
+        num[fc] = den
+        num[pivot_cols] = -col * den // diag
+        basis.append(_reduced(num, den))
     return basis

@@ -54,9 +54,10 @@ __all__ = [
 ]
 
 # Work fixed_point_space may do, in basis cells (one entry of one direction,
-# 2.8-5.8 us each through a fixed-points report on a 2-core machine): at
-# most this many class pairs to label (0.25 us each) and basis cells to
-# build.  2**21 basis cells took about 7 s and 800 MB (rot:k=128,s=1).
+# 2.3-3.3 us each through a fixed-points report on a 2-core machine,
+# rot:k=64..128): at most this many class pairs to label (0.25 us each) and
+# basis cells to build.  2**21 basis cells took about 6.5 s and 785 MB
+# (rot:k=128,s=1).
 FIXED_SPACE_BUDGET = 2**21
 
 # Entry updates of the integer elimination per basis cell of budget, from
@@ -177,12 +178,13 @@ class FixedPointSpace:
     """Affine hull of {C in the polytope : lens(C) = C}.
 
     dimension: dimension of the affine hull.
-    basis: direction matrices (zero marginals, lens-invariant).
+    basis: direction matrices (zero marginals, lens-invariant), each in
+        stored form (exact.stored): a Scaled, or a float64 array.
     interior: a strictly positive fixed coupling (the product coupling).
     """
 
     dimension: int
-    basis: tuple[np.ndarray, ...]
+    basis: tuple[exact.Scaled | np.ndarray, ...]
     interior: CouplingMatrix
 
 
@@ -263,10 +265,10 @@ def fixed_point_space(sys: FiniteSystem) -> FixedPointSpace:
     rank_bound = min(len({row.tobytes() for row in a}), n_orbits)
     _guard_cost("elimination", a.size * rank_bound // _UPDATES_PER_CELL
                 + (n_orbits - rank_bound) * k * k)
-    null = exact.exact_nullspace(a.astype(object))
+    null = exact.exact_nullspace(a)
     _guard_cost("basis cells", len(null) * k * k)
     cell_orbit = label[cls[:, None] * m + cls[None, :]] if null else None
-    basis = tuple(exact.freeze(np.array([exact.scalar(x, backend) for x in vec])[cell_orbit])
+    basis = tuple(exact.stored(exact.from_scaled(vec.num[cell_orbit], vec.den, backend))
                   for vec in null)
     return FixedPointSpace(dimension=len(basis), basis=basis,
                            interior=product_coupling(k, backend))

@@ -269,7 +269,7 @@ def test_criterion_07_fixed_and_periodic_points():
             assert self_joining_residual(
                 rotation_system(k, 1), space.interior) == 0
             for d in space.basis:
-                d = np.asarray(d)
+                d = exact.entries(d)
                 for i in range(k):
                     for j in range(k):
                         assert d[i, j] == d[(i + 1) % k, (j + 1) % k]

@@ -36,7 +36,7 @@ def test_split_join_roundtrip():
     num, den = exact.split_common(a)
     assert den == 6
     back = exact.join_scaled(num, den)
-    assert exact.mat_equal(a, back)
+    assert np.array_equal(a, back)
 
 
 def test_mat_mul_matches_fraction_reference():
@@ -48,23 +48,32 @@ def test_mat_mul_matches_fraction_reference():
         b = np.array([[Fraction(int(x), int(y)) for x, y in
                        zip(rng.integers(-9, 10, 4), rng.integers(1, 7, 4))]
                       for _ in range(4)], dtype=object)
-        fast = exact.mat_mul(a, b)
+        fast = exact.mat_mul(exact.stored(a), exact.stored(b))
         slow = a @ b  # numpy object matmul uses Fraction arithmetic directly
-        assert exact.mat_equal(fast, slow)
+        assert np.array_equal(exact.entries(fast), slow)
+
+
+def test_kernels_refuse_a_fraction_array():
+    a = frac_matrix([[Fraction(1, 2), 0], [0, 1]])
+    with pytest.raises(TypeError, match="exact.stored"):
+        exact.mat_mul(a, a)
+    assert exact.mat_mul(exact.stored(a), exact.stored(a)).fractions[0, 0] == Fraction(1, 4)
 
 
 def test_mat_conjugate_is_two_muls():
     q = exact.matrix_of_permutation([2, 0, 1])
-    c = frac_matrix([[Fraction(i * 3 + j, 9) for j in range(3)] for i in range(3)])
-    assert exact.mat_equal(exact.mat_conjugate(q, c),
-                           exact.mat_mul(exact.mat_mul(q.T, c), q))
+    c = exact.stored(frac_matrix([[Fraction(i * 3 + j, 9) for j in range(3)]
+                                  for i in range(3)]))
+    assert np.array_equal(exact.entries(exact.mat_conjugate(q, c)),
+                          exact.entries(exact.mat_mul(exact.mat_mul(q.T, c), q)))
 
 
 def test_mat_power_binary_exponentiation():
-    a = frac_matrix([[1, 1], [0, 1]])
+    a = exact.stored(frac_matrix([[1, 1], [0, 1]]))
     p = exact.mat_power(a, 25)
     assert p.fractions[0, 1] == 25
-    assert exact.mat_equal(exact.mat_power(a, 0), exact.identity(2))
+    assert np.array_equal(exact.entries(exact.mat_power(a, 0)),
+                          exact.entries(exact.identity(2)))
     with pytest.raises(ValueError):
         exact.mat_power(a, -1)
 
@@ -100,21 +109,21 @@ def test_matrix_of_permutation_convention():
     m = exact.matrix_of_permutation([1, 2, 0]).fractions
     # column j carries its mass to row perm[j]
     assert m[1, 0] == 1 and m[2, 1] == 1 and m[0, 2] == 1
-    assert exact.permutation_of_matrix(m.T) is not None
+    assert exact.permutation_of_matrix(exact.stored(m.T)) is not None
 
 
 def test_permutation_of_matrix_rejects_non_permutation():
-    m = exact.frac_array([[Fraction(1, 2), Fraction(1, 2)],
-                          [Fraction(1, 2), Fraction(1, 2)]])
+    m = exact.stored(exact.frac_array([[Fraction(1, 2), Fraction(1, 2)],
+                                       [Fraction(1, 2), Fraction(1, 2)]]))
     assert exact.permutation_of_matrix(m) is None
 
 
 def test_exact_nullspace_known_kernel():
     # x + y + z = 0 and x - z = 0 has kernel spanned by (1, -2, 1)
-    a = exact.frac_array([[1, 1, 1], [1, 0, -1]])
+    a = exact.stored(exact.frac_array([[1, 1, 1], [1, 0, -1]]))
     basis = exact.exact_nullspace(a)
     assert len(basis) == 1
-    v = basis[0]
+    v = basis[0].fractions
     ratio = v[0]
     assert v[1] == -2 * ratio and v[2] == ratio and ratio != 0
 
@@ -125,12 +134,11 @@ def test_exact_nullspace_agrees_with_scipy_dimension():
     rng = np.random.default_rng(5)
     for _ in range(10):
         a_int = rng.integers(-3, 4, (3, 5))
-        a = a_int.astype(object)
-        basis = exact.exact_nullspace(a)
+        basis = exact.exact_nullspace(a_int)
         dim = null_space(a_int.astype(float)).shape[1]
         assert len(basis) == dim
         for v in basis:
-            residual = exact.mat_mul(a, v.reshape(-1, 1))
+            residual = a_int.astype(object) @ v.fractions
             assert all(x == 0 for x in residual.ravel())
 
 
@@ -145,7 +153,7 @@ def test_format_parse_roundtrip():
 @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12),
                min_size=9, max_size=9))
 def test_l1_and_max_norms_consistent(vals):
-    a = np.array(vals, dtype=object).reshape(3, 3)
+    a = exact.stored(np.array(vals, dtype=object).reshape(3, 3))
     assert exact.l1_norm(a) >= exact.max_abs(a)
     assert exact.l1_norm(a) == sum(abs(v) for v in vals)
 
@@ -156,7 +164,7 @@ def test_permutation_matrix_roundtrip(perm):
     m = exact.matrix_of_permutation(perm).fractions
     # column sums and row sums are 1: doubly stochastic 0/1 matrix
     assert all(m[:, j].sum() == 1 for j in range(5))
-    tau = exact.permutation_of_matrix(m.T)
+    tau = exact.permutation_of_matrix(exact.stored(m.T))
     assert tau is not None
     assert list(m.T[np.arange(5), tau]) == [Fraction(1)] * 5
 
@@ -195,20 +203,24 @@ def test_split_join_roundtrip_matches_oracle(a):
 @given(matrices(), matrices(), fractions_st)
 def test_reductions_match_oracle(a, b, s):
     diff = [x - y for x, y in zip(a.ravel(), b.ravel())]
-    assert exact.l1_norm(a) == sum(abs(x) for x in a.ravel())
-    assert exact.max_abs(a) == max(abs(x) for x in a.ravel())
-    assert exact.l1_norm(a, b) == sum(abs(x) for x in diff)
-    assert exact.l1_norm(a, s) == sum(abs(x - s) for x in a.ravel())
-    assert exact.max_abs(a, b) == max(abs(x) for x in diff)
-    assert exact.max_abs(a, s) == max(abs(x - s) for x in a.ravel())
-    assert exact.mat_equal(a, b) == all(x == 0 for x in diff)
-    assert exact.mat_equal(a, exact.frac_array(a.tolist()))
+    sa, sb = exact.stored(a), exact.stored(b)
+    assert exact.l1_norm(sa) == sum(abs(x) for x in a.ravel())
+    assert exact.max_abs(sa) == max(abs(x) for x in a.ravel())
+    assert exact.l1_norm(sa, sb) == sum(abs(x) for x in diff)
+    assert exact.l1_norm(sa, s) == sum(abs(x - s) for x in a.ravel())
+    assert exact.max_abs(sa, sb) == max(abs(x) for x in diff)
+    assert exact.max_abs(sa, s) == max(abs(x - s) for x in a.ravel())
+    # Lowest terms are unique: equal values, equal numerators and denominator.
+    same = sa.den == sb.den and np.array_equal(sa.num, sb.num)
+    assert same == all(x == 0 for x in diff)
+    again = exact.stored(exact.frac_array(a.tolist()))
+    assert again.den == sa.den and np.array_equal(again.num, sa.num)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.lists(matrices(), min_size=1, max_size=5))
 def test_mat_mean_matches_oracle(arrays):
-    mean = exact.mat_mean(arrays).fractions
+    mean = exact.mat_mean([exact.stored(a) for a in arrays]).fractions
     for idx in np.ndindex(arrays[0].shape):
         assert mean[idx] == sum(a[idx] for a in arrays) / len(arrays)
 
@@ -220,7 +232,7 @@ def test_int64_bound_on_numerators():
     for big in (2**62, -(2**62), 2**80):
         num, den = exact.split_common(exact.frac_array([big, 1]))
         assert num.dtype == object and list(num) == [big, 1] and den == 1
-        assert exact.l1_norm(exact.frac_array([big, 1])) == abs(big) + 1
+        assert exact.l1_norm(exact.stored(exact.frac_array([big, 1]))) == abs(big) + 1
 
 
 def test_int64_bound_on_common_denominator():
@@ -229,17 +241,18 @@ def test_int64_bound_on_common_denominator():
     num, den = exact.split_common(a)
     assert den == math.prod(primes) and den > 2**63
     assert num.dtype == object
-    assert exact.mat_equal(exact.join_scaled(num, den), a)
-    assert exact.l1_norm(a) == sum(Fraction(1, p) for p in primes)
-    assert exact.max_abs(a, Fraction(1, 2)) == Fraction(1, 2) - Fraction(1, primes[1])
+    assert np.array_equal(exact.join_scaled(num, den), a)
+    s = exact.stored(a)
+    assert exact.l1_norm(s) == sum(Fraction(1, p) for p in primes)
+    assert exact.max_abs(s, Fraction(1, 2)) == Fraction(1, 2) - Fraction(1, primes[1])
 
 
 def test_sums_promote_before_int64_overflow():
     near = Fraction(2**62 - 1)
-    a = exact.frac_array([[near, near], [near, near]])
-    assert exact.split_common(a)[0].dtype == np.int64
+    a = exact.stored(exact.frac_array([[near, near], [near, near]]))
+    assert a.num.dtype == np.int64
     assert exact.l1_norm(a) == 4 * near
-    assert exact.l1_norm(a, -a) == 8 * near
+    assert exact.l1_norm(a, exact.scale(a, -1)) == 8 * near
     assert exact.mat_mean([a, a, a]).fractions[0, 0] == near
     assert exact.marginal_defects(a, 2 * near, 0.0) == []
 
@@ -253,7 +266,7 @@ def test_int_matmul_stays_int64_when_it_fits():
 
 
 def test_zero_operand_with_huge_denominator():
-    zero = exact.zeros((2, 2))
+    zero = exact.constant((2, 2), 0)
     tiny = exact.constant((2, 2), Fraction(1, 2**70))
     assert exact.l1_norm(zero, tiny) == Fraction(4, 2**70)
     assert exact.max_abs(zero, Fraction(1, 2**70)) == Fraction(1, 2**70)
@@ -264,16 +277,17 @@ def test_stored_form_kernels_past_int64_match_fraction_oracles():
     a = exact.frac_array([[2**70, 1], [Fraction(3, 2**70), Fraction(-5, 7)]])
     s = exact.stored(a)
     assert s.num.dtype == object
-    assert exact.mat_equal(exact.scale(s, Fraction(-3, 4)), a * Fraction(-3, 4))
-    assert exact.mat_equal(exact.relabel(s, np.ix_([1, 0], [1, 0])), a[np.ix_([1, 0], [1, 0])])
-    assert exact.mat_equal(exact.select(s, (0, slice(None))), a[0])
-    assert exact.mat_equal(exact.block_sums(s, np.array([0, 0]), 1),
-                           np.array([[a.sum()]], dtype=object))
-    assert exact.mat_equal(exact.mat_sub(s, a.T), a - a.T)
+    assert np.array_equal(exact.scale(s, Fraction(-3, 4)).fractions, a * Fraction(-3, 4))
+    assert np.array_equal(exact.relabel(s, np.ix_([1, 0], [1, 0])).fractions,
+                          a[np.ix_([1, 0], [1, 0])])
+    assert np.array_equal(exact.select(s, (0, slice(None))).fractions, a[0])
+    assert np.array_equal(exact.block_sums(s, np.array([0, 0]), 1).fractions,
+                          np.array([[a.sum()]], dtype=object))
+    assert exact.l1_norm(s, exact.stored(a.T)) == np.abs(a - a.T).sum()
     w = exact.frac_array([Fraction(1, 3), 2**65])
-    assert exact.quadratic_form(w, s) == w @ a @ w
+    assert exact.quadratic_form(exact.stored(w), s) == w @ a @ w
     assert exact.as_float(s).tolist() == a.astype(float).tolist()
-    zero = exact.mat_sub(s, s)  # results that fit go back to int64
+    zero = exact.scale(s, 0)  # results that fit go back to int64
     assert zero.num.dtype == np.int64 and zero.den == 1
 
 
@@ -287,8 +301,8 @@ def test_marginal_defects_match_per_entry_oracle():
         want += [f"col_sum({j})" for j in range(4) if sum(m[:, j]) != target]
         want += [f"negative_entry({i},{j})" for i in range(4) for j in range(4)
                  if m[i, j] < 0]
-        assert exact.marginal_defects(m, target, 1e-12) == want
-        mf = exact.as_float(m)
+        assert exact.marginal_defects(exact.stored(m), target, 1e-12) == want
+        mf = exact.as_float(exact.stored(m))
         assert exact.marginal_defects(mf, 0.25, 1e-12) == want
 
 
@@ -367,8 +381,8 @@ def test_scalar_tolerance_and_from_scaled_follow_the_backend():
     assert exact.tolerance(exact.FLOAT) == exact.FLOAT_TOL
     assert exact.tolerance(exact.FLOAT, exact.SOLVER_TOL) == exact.SOLVER_TOL
     num = np.array([[1, 3], [5, 0]])
-    assert exact.mat_equal(exact.from_scaled(num, 6),
-                           exact.frac_array([["1/6", "1/2"], ["5/6", 0]]))
+    assert np.array_equal(exact.from_scaled(num, 6).fractions,
+                          exact.frac_array([["1/6", "1/2"], ["5/6", 0]]))
     assert np.array_equal(exact.from_scaled(num, 6, exact.FLOAT), num / 6)
 
 

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lenslab import (
+    CouplingMatrix,
+    ExperimentConfig,
     IETSpec,
     NotExact,
     bernoulli_system,
@@ -32,6 +34,7 @@ from lenslab import (
     random_coupling,
     rigidity_probe,
     rotation_system,
+    run_experiment,
     self_joining_residual,
     system_from_matrix,
     system_from_permutation,
@@ -55,8 +58,8 @@ def test_lens_step_exact_equals_matrix_conjugation():
     sys = rotation_system(6, 1)
     c = random_coupling(6, rng)
     fast = lens_step(sys, c)
-    slow = exact.mat_conjugate(np.asarray(sys.Q), np.asarray(c.C))
-    assert exact.mat_equal(np.asarray(fast.C), slow)
+    slow = exact.mat_conjugate(exact.stored(sys.Q), exact.stored(c.C))
+    assert np.array_equal(fast.C, exact.entries(slow))
 
 
 def test_lens_preserves_polytope_and_is_affine():
@@ -65,10 +68,9 @@ def test_lens_preserves_polytope_and_is_affine():
     a, b = random_coupling(4, rng), random_coupling(4, rng)
     t = Fraction(2, 7)
     mix = (np.asarray(a.C) * t + np.asarray(b.C) * (1 - t))
-    from lenslab import CouplingMatrix
     lhs = lens_step(sys, CouplingMatrix(k=4, C=mix))
     rhs = np.asarray(lens_step(sys, a).C) * t + np.asarray(lens_step(sys, b).C) * (1 - t)
-    assert exact.mat_equal(np.asarray(lhs.C), rhs)
+    assert np.array_equal(lhs.C, rhs)
     assert not validate_coupling(lhs)
 
 
@@ -122,7 +124,7 @@ def test_fixed_space_rotation_dimension_and_circulants():
     for k in (3, 4, 5):
         space = fixed_point_space(rotation_system(k, 1))
         assert space.dimension == k - 1
-        for d in space.basis:
+        for d in map(exact.entries, space.basis):
             # invariance under the joint rotation forces circulant structure
             for i in range(k):
                 for j in range(k):
@@ -216,7 +218,8 @@ def _kronecker_system(q):
 
 
 def _rank(vectors, n):
-    return n - len(exact.exact_nullspace(np.array(vectors, dtype=object).reshape(-1, n)))
+    rows = np.array(vectors, dtype=object).reshape(-1, n)
+    return n - len(exact.exact_nullspace(exact.stored(rows)))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -230,13 +233,13 @@ def test_fixed_space_matches_the_kronecker_oracle(q):
     floating = fixed_point_space(system_from_matrix(q.astype(float)))
     dim = null_space(kron.astype(float), rcond=1e-10).shape[1]
     assert rational.dimension == floating.dimension == dim
-    new = [d.ravel() for d in rational.basis]
-    old = exact.exact_nullspace(kron)
+    new = [d.fractions.ravel() for d in rational.basis]
+    old = [v.fractions for v in exact.exact_nullspace(exact.stored(kron))]
     assert _rank(new, k * k) == _rank(old, k * k) == _rank(new + old, k * k) == dim
     for d, f in zip(rational.basis, floating.basis):
-        assert exact.mat_equal(exact.mat_conjugate(q, d), d)
-        assert not d.sum(axis=0).any() and not d.sum(axis=1).any()
-        assert np.array_equal(d.astype(float), f)
+        assert np.array_equal(exact.mat_conjugate(exact.stored(q), d).fractions, d.fractions)
+        assert not d.num.sum(axis=0).any() and not d.num.sum(axis=1).any()
+        assert np.array_equal(exact.as_float(d), f)
 
 
 def test_fixed_space_guard_refuses_before_the_work():
@@ -332,8 +335,8 @@ def test_exhaustive_conjugation_k3():
 
 def _dense_commutation_residual(sys, c):
     """|M Q - Q M|_1 for M = k C^T, with both products formed."""
-    m = c.C.T * c.k
-    return exact.l1_norm(exact.mat_mul(m, sys.Q), exact.mat_mul(sys.Q, m))
+    m, q = exact.stored(c.C.T * c.k), exact.stored(sys.Q)
+    return exact.l1_norm(exact.mat_mul(m, q), exact.mat_mul(q, m))
 
 
 def _random_iet(k, seed, backend):
@@ -366,14 +369,15 @@ def test_markov_commutation_residual_matches_dense_product(make):
         assert markov_commutation_residual(sys, couplings[2]) == 0
 
 
+def _refuse_split(a):
+    raise AssertionError("a Fraction array was split entry by entry")
+
+
 @pytest.mark.parametrize("spec", ["odo:m=6", "rot:k=48,s=5"])
 def test_exact_system_dynamics_read_no_fraction_entry(spec, monkeypatch):
     """Couplings and systems are built from integer numerators and exact
     dynamics relabel them, so no Fraction array is ever split."""
-    def refuse(a):
-        raise AssertionError("a Fraction array was split entry by entry")
-
-    monkeypatch.setattr(exact, "_split_entries", refuse)
+    monkeypatch.setattr(exact, "_split_entries", _refuse_split)
     sys = parse_system_spec(spec)
     k = sys.k
     c = random_coupling(k, np.random.default_rng(0))
@@ -388,3 +392,58 @@ def test_exact_system_dynamics_read_no_fraction_entry(spec, monkeypatch):
     blocks = consecutive_blocks([k // 4, k - k // 4])
     assert rigidity_probe(sys, blocks, 0) == rigidity_probe(sys, blocks, k) == 1
     assert rigidity_probe(sys, blocks, 1) < 1
+
+
+@pytest.mark.parametrize("backend", [exact.RATIONAL, exact.FLOAT])
+@pytest.mark.parametrize("spec", ["rot:k=16,s=3", "odo:m=4", "bern:d=2,L=4"])
+def test_fixed_points_split_no_fraction_array(spec, backend, monkeypatch):
+    """The null space comes out as integer numerators and the basis is
+    built from them, so the fixed-points path splits no Fraction array."""
+    monkeypatch.setattr(exact, "_split_entries", _refuse_split)
+    space = fixed_point_space(parse_system_spec(spec, backend))
+    assert all(exact.backend_of(d) == backend for d in space.basis)
+    cfg = ExperimentConfig(experiment="fixed-points", system=spec, backend=backend)
+    assert run_experiment(cfg, write=False).passed
+
+
+@st.composite
+def zoo_specs(draw):
+    """A system of each finite zoo family: rot, odo, iet and bern:d=2,L<=4."""
+    family = draw(st.sampled_from(["rot", "odo", "iet", "bern"]))
+    if family == "rot":
+        k = draw(st.integers(1, 24))
+        return f"rot:k={k},s={draw(st.integers(0, k - 1))}"
+    if family == "odo":
+        return f"odo:m={draw(st.integers(1, 5))}"
+    if family == "iet":
+        perm = draw(st.permutations(range(draw(st.integers(1, 8)))))
+        return "iet:perm=" + ",".join(map(str, perm))
+    return f"bern:d=2,L={draw(st.integers(1, 4))}"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(zoo_specs(), st.data())
+def test_relabelling_carries_the_lens_to_the_conjugate_system(spec, data):
+    """For a cell permutation tau, relabelling couplings by tau carries
+    lens_step(T, .) to lens_step(tau T tau^-1, .): equal on rationals,
+    within FLOAT_TOL on floats."""
+    k = parse_system_spec(spec).k
+    tau = np.array(data.draw(st.permutations(range(k))))
+    inv = exact.invert_permutation(tau)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+
+    def relabel(m):  # entry (i, j) moves to (tau[i], tau[j])
+        return exact.relabel(m, np.ix_(inv, inv))
+
+    for backend in (exact.RATIONAL, exact.FLOAT):
+        sys = parse_system_spec(spec, backend)
+        conj = system_from_matrix(relabel(sys.matrix))
+        assert conj.exact == sys.exact and conj.backend == backend
+        if sys.exact:
+            expected = exact.compose_permutations(
+                exact.compose_permutations(tau, sys.perm), inv)
+            assert list(conj.perm) == list(expected)
+        c = random_coupling(k, np.random.default_rng(seed), backend=backend)
+        image = relabel(lens_step(sys, c).matrix)
+        carried = lens_step(conj, CouplingMatrix(k=k, C=relabel(c.matrix))).matrix
+        assert exact.max_abs(image, carried) <= exact.tolerance(backend)

@@ -141,7 +141,7 @@ def test_fixed_points_series_matches_row_loop(system, backend):
         experiment="fixed-points", system=system, backend=backend), write=False)
     sys = parse_system_spec(system, backend=backend)
     k = sys.k
-    basis = fixed_point_space(sys).basis
+    basis = [exact.entries(d) for d in fixed_point_space(sys).basis]
     rows = [(t, i, j, d[i, j])
             for t, d in enumerate(basis) for i in range(k) for j in range(k)]
     assert report.series["basis"][1] == _cell_rows(rows)
