@@ -225,9 +225,8 @@ def rigidity_probe(sys: FiniteSystem, blocks, n: int):
 
 def rigidity_sweep(sys: FiniteSystem, blocks, n_max: int) -> list:
     """rigidity_probe(sys, blocks, n) for n = 0 .. n_max, from one probe
-    whose lens image is carried forward one lens step per n.  Floats on a
-    stochastic system round differently from the powered image, in the
-    last bits."""
+    whose lens image is carried forward one lens step per n, as
+    lens_iterate takes them."""
     label, image = _block_probe(sys, blocks)
     scores = [exact.block_diagonal_sum(image.matrix, label)]
     for _ in range(n_max):
@@ -303,22 +302,20 @@ def entropy_factor_F(sys: FiniteSystem, lam: CouplingMatrix, n_values: int) -> l
     """First n_values of n -> (lens^n lam)(A x A), A = cells labeled 0...
 
     Computed through the indicator vector: (lens^n C)(A x A) equals
-    w_n^T C w_n with w_n = Q^n 1_A, so each step costs one matrix-vector
-    product instead of a conjugation.
+    w_n^T C w_n with w_n = Q^n 1_A, so each step gathers one vector from
+    Q's row lines instead of conjugating.
     """
     cells = _half_cells(sys)
-    backend = exact.RATIONAL
-    q, c = sys.matrix, lam.matrix
+    backend, c = exact.RATIONAL, lam.matrix
     if sys.backend == exact.FLOAT or lam.backend == exact.FLOAT:
-        backend = exact.FLOAT
-        q, c = exact.as_float(q), exact.as_float(c)
+        backend, c = exact.FLOAT, exact.as_float(c)
     w = exact.numerators(sys.k)
     w[cells] = 1
     w = exact.from_scaled(w, 1, backend)
     values = []
     for _ in range(n_values):
         values.append(exact.quadratic_form(w, c))
-        w = exact.mat_mul(q, w)
+        w = exact.gather(w, sys.rows)
     return values
 
 

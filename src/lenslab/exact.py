@@ -84,6 +84,24 @@ class Scaled:
         return freeze(join_scaled(self.num, self.den))
 
 
+@dataclass(frozen=True, eq=False)
+class Support:
+    """A square matrix by the nonzeros of its lines, s to a line: line j
+    holds val[j, t] at idx[j, t] (read-only, ascending; a shorter line
+    repeats a position with value zero), val a (k, s) stored form over the
+    matrix's denominator.  Q's column lines give X Q and Q^T X, its row
+    lines Q X (gather)."""
+
+    idx: np.ndarray
+    val: Scaled | np.ndarray
+
+    @cached_property
+    def relabels(self) -> bool:
+        """One value per line, equal to one: a permutation matrix."""
+        num, one = (self.val.num, self.val.den) if isinstance(self.val, Scaled) else (self.val, 1)
+        return self.idx.shape[1] == 1 and bool((num == one).all())
+
+
 def power_exceeds_limit(base: int, exp: int) -> bool:
     """base**exp > SIZE_LIMIT, decided without building a huge power."""
     # base >= 2**(b - 1) for b = base.bit_length(), so a large exp is decided
@@ -142,20 +160,21 @@ def from_scaled(num: np.ndarray, den: int, backend: str = RATIONAL):
 def constant(shape, value, backend: str = RATIONAL):
     p, q = Fraction(value).as_integer_ratio()
     num = numerators(shape, abs(p))
-    num[...] = p
-    return from_scaled(num, q, backend)
+    num[...] = p  # every entry p / q, in lowest terms already
+    return Scaled(num, q) if backend == RATIONAL else _to_float(num, q)
 
 
 def stored(a):
     """The stored form of a caller's matrix, the one door for Fraction
     arrays: a Scaled passes through, a Fraction array is split once into a
-    Scaled, and any other array is returned as it is, made read-only."""
+    Scaled, a read-only array passes through, and a writable one is copied
+    read-only, so the caller's array stays theirs to write."""
     if isinstance(a, Scaled):
         return a
     a = np.asarray(a)
     if a.dtype == object:
         return Scaled(*split_common(a))
-    return freeze(a)
+    return freeze(a.copy()) if a.flags.writeable else a
 
 
 def flat_concat(arrays):
@@ -283,7 +302,7 @@ def mat_mul(a, b):
 
 
 def mat_conjugate(q, c):
-    """Return Q^T C Q."""
+    """Return Q^T C Q by dense products: the oracle of gather."""
     if backend_of(q) == FLOAT:
         return q.T @ c @ q
     prod = _int_matmul(_int_matmul(q.num.T, c.num), q.num)
@@ -313,11 +332,43 @@ def scale(a, x):
     return _reduced(_rescale(a.num, p), a.den * q)
 
 
+def gather(x, lines: Support, axes=(0,)):
+    """x times the matrix of lines along each axis in turn: along axis a,
+    entry j is sum_t x.take(idx[j, t], a) * val[j, t], the column-wise
+    sparse product (Gustavson 1978), k^2 s work.  Lines that relabel only
+    take entries: no multiply, no reduction.  Numerators stay int64 while
+    s * max|x| * max|val| per axis stays below _INT64_SAFE."""
+    if lines.relabels:
+        index = [lines.idx[:, 0] if a in axes else slice(None) for a in range(len(x.shape))]
+        return relabel(x, np.ix_(*index) if len(axes) > 1 else tuple(index))
+    if backend_of(x) == FLOAT:
+        for a in axes:
+            x = _gather_axis(x, lines.idx, as_float(lines.val), a)
+        return freeze(x)
+    num, bound = x.num, max(_magnitude(x.num), 1)  # >= 1: Python-int values move x too
+    for a in axes:
+        bound *= lines.idx.shape[1] * max(_magnitude(lines.val.num), 1)
+        num = num.astype(object, copy=False) if bound >= _INT64_SAFE else num
+        num = _gather_axis(num, lines.idx, lines.val.num, a)
+    return _reduced(num, x.den * lines.val.den ** len(axes))
+
+
+def _gather_axis(x: np.ndarray, idx: np.ndarray, val: np.ndarray, axis: int):
+    shape = (-1,) + (1,) * (x.ndim - 1 - axis)  # val[:, t] along axis
+    out = x.take(idx[:, 0], axis)
+    out *= val[:, 0].reshape(shape)
+    for t in range(1, idx.shape[1]):
+        part = x.take(idx[:, t], axis)
+        part *= val[:, t].reshape(shape)
+        out += part
+    return out
+
+
 def relabel(a, index):
     """The entries a[index] for an index that reaches every row and column,
     as a relabeling does: the values, and so the denominator, stay."""
     if backend_of(a) == FLOAT:
-        return a[index]
+        return freeze(a[index])
     return Scaled(a.num[index], a.den)
 
 
@@ -384,9 +435,19 @@ def max_abs(a, b=None):
     return Fraction(_magnitude(num), den)
 
 
-def support(a) -> np.ndarray:
-    """Boolean mask of the nonzero entries, on either backend."""
-    return (a.num if isinstance(a, Scaled) else np.asarray(a)) != 0
+def support(a) -> Support:
+    """The row lines of a square stored form, a shorter line repeating its
+    last position with value zero; support(a.T) gives the column lines."""
+    num = a.num if isinstance(a, Scaled) else a
+    line, pos = np.nonzero(num)
+    count = np.bincount(line, minlength=num.shape[0])
+    slot = np.arange(len(line)) - np.repeat(np.cumsum(count) - count, count)
+    idx = np.full((num.shape[0], max(count.max(initial=0), 1)), -1)
+    idx[line, slot] = pos
+    val = np.zeros(idx.shape, dtype=num.dtype)
+    val[line, slot] = num[line, pos]
+    val = Scaled(val, a.den) if isinstance(a, Scaled) else freeze(val)
+    return Support(freeze(np.maximum.accumulate(idx, axis=1)), val)
 
 
 def mat_mean(arrays):
@@ -447,18 +508,9 @@ def matrix_of_permutation(perm, backend: str = RATIONAL):
 
 def permutation_of_matrix(q):
     """Forward cell map tau with Q[a, tau(a)] = 1, or None if Q is not one:
-    on both backends each row must hold a single one and zeros elsewhere."""
-    if backend_of(q) == RATIONAL:
-        num, one = q.num, q.den
-    else:
-        num, one = np.asarray(q, dtype=float), 1.0
-    ones = num == one
-    if not (np.all(ones.sum(axis=1) == 1) and np.all((num != 0).sum(axis=1) == 1)):
-        return None
-    perm = ones.argmax(axis=1)
-    if not np.all(np.bincount(perm, minlength=len(perm)) == 1):
-        return None
-    return perm
+    on both backends every row and every column must hold a single one."""
+    rows = support(q)
+    return rows.idx[:, 0] if rows.relabels and support(q.T).relabels else None
 
 
 def invert_permutation(perm: np.ndarray) -> np.ndarray:

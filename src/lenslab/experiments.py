@@ -291,17 +291,11 @@ def _need_system(cfg: ExperimentConfig, backend: str) -> FiniteSystem:
     return obj
 
 
-# Cell operations one run's loops may take: a relabel step costs k^2, and no
-# step less than SIZE_LIMIT, its fixed Python cost (a rot:k=6 lens step takes
-# 86 us, so an operation is about 21 ns).  The orbits a run keeps then hold
-# at most 2^27 cells: 1 GB as int64.
+# Cell operations one run's loops may take: a step gathers k^2 cells from s
+# lines each (s = 1, a relabel, on an exact system), and none costs less than
+# SIZE_LIMIT, its fixed Python cost (a rot:k=6 lens step takes 86 us, so an
+# operation is about 21 ns).  Kept orbits hold at most 2^27 cells: 1 GB.
 STEP_BUDGET = 2**27
-
-# Multiply-adds of a dense k x k product per cell operation, from the slow
-# end of what a 2-core machine measured: int64 numerators take 0.8-1.7 ns
-# per multiply-add (k = 128 to 512), OpenBLAS float64 0.01-0.18 ns (k = 512
-# to 1024).  A product is charged at least the k^2 cells it writes.
-_MADDS_PER_OP = {exact.RATIONAL: 8, exact.FLOAT: 128}
 
 
 def _guard_steps(steps: int, step_cost: int):
@@ -311,14 +305,9 @@ def _guard_steps(steps: int, step_cost: int):
                         f"> {STEP_BUDGET}")
 
 
-def _product_cost(k: int, backend: str) -> int:
-    return max(k**2, k**3 // _MADDS_PER_OP[backend])
-
-
-def _step_cost(sys: FiniteSystem, products: int = 1) -> int:
-    """A lens step relabels on an exact system and otherwise takes
-    `products` dense products."""
-    return sys.k**2 if sys.exact else products * _product_cost(sys.k, sys.backend)
+def _step_cost(sys: FiniteSystem) -> int:
+    """k^2 s: a step gathers every cell of a k x k matrix from s lines."""
+    return sys.k**2 * sys.columns.idx.shape[1]
 
 
 def _flag(name: str, raw: str) -> bool:
@@ -360,8 +349,7 @@ def _run_rigidity_sweep(cfg, p, backend):
     sys = _need_system(cfg, backend)
     if sum(p["blocks"]) != sys.k:
         raise InvalidConfig(f"blocks must sum to k = {sys.k}")
-    # Each n takes one lens step, two products on a stochastic system.
-    _guard_steps(p["n_max"] + 1, _step_cost(sys, 2))
+    _guard_steps(p["n_max"] + 1, _step_cost(sys))
     tol = exact.tolerance(backend)
     scores = rigidity_sweep(sys, consecutive_blocks(p["blocks"]), p["n_max"])
     returns = [n for n, s in enumerate(scores) if n >= 1 and abs(s - 1) <= tol]
@@ -397,14 +385,13 @@ def _run_rigidity_sweep(cfg, p, backend):
 def _run_mixing_profile(cfg, p, backend):
     sys = _need_system(cfg, backend)
     k = sys.k
-    _guard_steps(p["n_max"] + 1, _product_cost(k, backend))
+    _guard_steps(p["n_max"] + 1, _step_cost(sys))
     tol = exact.tolerance(backend)
     uniform = exact.scalar(Fraction(1, k), backend)
-    power, q = exact.identity(k, backend), sys.matrix
-    residuals = []
+    power, residuals = exact.identity(k, backend), []
     for _ in range(p["n_max"] + 1):
         residuals.append(exact.max_abs(power, uniform) / k)
-        power = exact.mat_mul(power, q)
+        power = exact.gather(power, sys.columns, (1,))
     zeros = [n for n, r in enumerate(residuals) if r <= tol]
     scalars = {"k": k, "first_independent_n": zeros[0] if zeros else -1}
     verdicts = {
@@ -495,8 +482,8 @@ def _run_fixed_points(cfg, p, backend):
     # A direction is not a coupling, but the lens and the checks are linear.
     directions = [CouplingMatrix(k=k, C=d) for d in basis]
     # The product coupling's lens image Q^T (J/k^2) Q is s^T s / k^2 for the
-    # column sums s = 1^T Q: an outer product, not a dense conjugation.
-    sums = exact.mat_mul(exact.constant((1, k), 1, backend), sys.matrix)
+    # column sums s = 1^T Q: an outer product, not a conjugation.
+    sums = exact.gather(exact.constant((1, k), 1, backend), sys.columns, (1,))
     image = exact.scale(exact.mat_mul(sums.T, sums), Fraction(1, k * k))
     product_residual = exact.l1_norm(image, product_coupling(k, backend).matrix)
     scalars = {
@@ -673,9 +660,9 @@ def _run_cesaro_barycenter(cfg, p, backend):
     sys = _need_system(cfg, backend)
     k = sys.k
     n_values = sorted(set(p["N_values"]))
-    # Each initial takes an orbit of N lens steps (two products each) and
-    # one average per horizon, whose terms are charged as steps.
-    _guard_steps(p["n_initials"] * (n_values[-1] + sum(n_values)), _step_cost(sys, 2))
+    # Each initial takes an orbit of N lens steps and one average per
+    # horizon, whose terms are charged as steps.
+    _guard_steps(p["n_initials"] * (n_values[-1] + sum(n_values)), _step_cost(sys))
     rows = []
     for idx, rng in enumerate(_rng_children(p["seed"], p["n_initials"])):
         orb = orbit(sys, random_coupling(k, rng, backend=backend), n_values[-1])

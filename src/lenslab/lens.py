@@ -1,10 +1,11 @@
 """Lens dynamics: the conjugation action of a system on its couplings.
 
-One lens step sends C to Q^T C Q.  For an exact system with forward cell
-map tau this is the relabeling C[i, j] -> C[tau^{-1}(i), tau^{-1}(j)], so
-graph couplings transform by conjugation: graph(s) -> graph(tau o s o
-tau^{-1}).  For stochastic Q it is the step-coupling evaluation of
-rho(T^{-1}A_i x T^{-1}A_j) and is forward-only.
+One lens step sends C to Q^T C Q, gathered from Q's column lines on both
+axes (exact.gather).  For an exact system with forward cell map tau this
+relabels, C[i, j] -> C[tau^{-1}(i), tau^{-1}(j)], so graph couplings
+transform by conjugation: graph(s) -> graph(tau o s o tau^{-1}).  For
+stochastic Q it is the step-coupling evaluation of rho(T^{-1}A_i x
+T^{-1}A_j), k^2 s work for s nonzeros per column, and is forward-only.
 
 The one-sided map sends C to Q^T C; on graph couplings it composes:
 graph(s) -> graph(tau o s).
@@ -12,7 +13,6 @@ graph(s) -> graph(tau o s).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -50,7 +50,6 @@ __all__ = [
     "detect_period",
     "quasi_attractor_hits",
     "orbit_to_csv",
-    "period_report_to_json",
 ]
 
 # Work fixed_point_space may do, in basis cells (one entry of one direction,
@@ -75,10 +74,7 @@ def _check(sys: FiniteSystem, c: CouplingMatrix):
 def lens_step(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
     """One application of the lens: C -> Q^T C Q."""
     _check(sys, c)
-    if sys.exact:
-        inv = exact.invert_permutation(sys.perm)
-        return CouplingMatrix(k=c.k, C=exact.relabel(c.matrix, np.ix_(inv, inv)))
-    return CouplingMatrix(k=c.k, C=exact.mat_conjugate(sys.matrix, c.matrix))
+    return CouplingMatrix(k=c.k, C=exact.gather(c.matrix, sys.columns, (0, 1)))
 
 
 def lens_step_inverse(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
@@ -86,25 +82,24 @@ def lens_step_inverse(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
     _check(sys, c)
     if not sys.exact:
         raise NotExact("the stochastic lens is forward-only")
-    return CouplingMatrix(k=c.k, C=exact.relabel(c.matrix, np.ix_(sys.perm, sys.perm)))
+    return CouplingMatrix(k=c.k, C=exact.gather(c.matrix, sys.rows, (0, 1)))
 
 
 def one_sided_step(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
     """One-sided map C -> Q^T C: first coordinate moves, second stays."""
     _check(sys, c)
-    if sys.exact:
-        inv = exact.invert_permutation(sys.perm)
-        return CouplingMatrix(k=c.k, C=exact.relabel(c.matrix, inv))
-    return CouplingMatrix(k=c.k, C=exact.mat_mul(sys.matrix.T, c.matrix))
+    return CouplingMatrix(k=c.k, C=exact.gather(c.matrix, sys.columns))
 
 
 def lens_iterate(sys: FiniteSystem, c: CouplingMatrix, n: int) -> CouplingMatrix:
-    """n-fold lens step in one shot, via Q^n (equal by associativity)."""
+    """n lens steps; an exact system takes one, by its n-th power."""
     if n < 0:
         raise ValueError("lens_iterate expects n >= 0")
-    if n == 0:
-        return c
-    return lens_step(system_power(sys, n), c)
+    if sys.exact and n:
+        sys, n = system_power(sys, n), 1
+    for _ in range(n):
+        c = lens_step(sys, c)
+    return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,17 +155,16 @@ def self_joining_residual(sys: FiniteSystem, c: CouplingMatrix):
 def markov_commutation_residual(sys: FiniteSystem, c: CouplingMatrix):
     """L1 norm of M Q - Q M for the Markov matrix M = k C^T of the coupling.
 
-    Commutation with Q is the operator form of being a self-joining.  For
-    exact systems M Q and Q M relabel M by tau^{-1} and tau, and the residual
-    is k self_joining_residual; for stochastic systems it is the sharper
-    test, since the step-coupling lens spreads graph mass that the operator
+    Commutation with Q is the operator form of being a self-joining.  The
+    transposes Q^T C and C Q^T of C^T Q and Q C^T are gathered, and the
+    norm scaled by k.  For exact systems both relabel, and the residual is
+    k self_joining_residual; for stochastic systems it is the sharper test,
+    since the step-coupling lens spreads graph mass that the operator
     identity preserves.
     """
     _check(sys, c)
-    if sys.exact:
-        return self_joining_residual(sys, c) * c.k
-    m, q = exact.scale(c.matrix.T, c.k), sys.matrix
-    return exact.l1_norm(exact.mat_mul(m, q), exact.mat_mul(q, m))
+    m = c.matrix
+    return exact.l1_norm(exact.gather(m, sys.columns), exact.gather(m, sys.rows, (1,))) * c.k
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,14 +201,16 @@ def _cyclic_classes(sys: FiniteSystem) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic class of each cell, and step with Q^T 1_c = 1_{step[c]}.
 
     Q's support graph is a disjoint union of strongly connected components,
-    as Q is doubly stochastic.  A breadth-first search from each component's
-    first cell gives levels; its period is the gcd of level[u] + 1 - level[v]
-    over its edges u -> v, and a cell's class is its level mod the period.
+    as Q is doubly stochastic.  Lines that relabel make each cell a class.
+    Otherwise a breadth-first search on Q's row lines from each component's
+    first cell gives levels; its period is the gcd of level[u] + 1 -
+    level[v] over its edges u -> v, and a cell's class is its level mod the
+    period.
     """
-    k = sys.k
-    if sys.exact:
-        return np.arange(k), np.asarray(sys.perm, dtype=int)
-    support = exact.support(sys.matrix)
+    k, idx = sys.k, sys.rows.idx  # a repeated position is a repeated edge
+    if sys.rows.relabels:
+        return np.arange(k), idx[:, 0]
+    src, dst = np.repeat(np.arange(k), idx.shape[1]), idx.ravel()
     level, comp, n_comp = np.full(k, -1), np.zeros(k, dtype=int), 0
     for start in range(k):
         if level[start] >= 0:
@@ -222,10 +218,10 @@ def _cyclic_classes(sys: FiniteSystem) -> tuple[np.ndarray, np.ndarray]:
         frontier, depth = np.array([start]), 0
         while frontier.size:
             level[frontier], comp[frontier] = depth, n_comp
-            frontier = np.flatnonzero(support[frontier].any(axis=0) & (level < 0))
+            reached = np.bincount(idx[frontier].ravel(), minlength=k) > 0
+            frontier = np.flatnonzero(reached & (level < 0))
             depth += 1
         n_comp += 1
-    src, dst = np.nonzero(support)
     period = np.zeros(n_comp, dtype=int)
     np.gcd.at(period, comp[src], level[src] + 1 - level[dst])
     end = np.cumsum(period)  # a component's classes are end - period .. end - 1
@@ -340,15 +336,3 @@ def orbit_to_csv(orb: LensOrbit) -> str:
         )
     return "\n".join(lines) + "\n"
 
-
-def period_report_to_json(report: PeriodReport) -> str:
-    return json.dumps(
-        {
-            "period": report.period,
-            "residual_by_p": {
-                str(p): exact.format_value(v)
-                for p, v in sorted(report.residual_by_p.items())
-            },
-        },
-        sort_keys=True,
-    )

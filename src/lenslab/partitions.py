@@ -103,29 +103,33 @@ def refine(p: Partition, r: int) -> tuple[Partition, RefinementMap]:
 class FiniteSystem:
     """Doubly stochastic cell dynamics over an equal-mass partition.
 
-    An exact system holds its forward cell map perm and its backend; a
-    stochastic one holds the stored form of Q (exact.stored).  Q itself is
-    a derived per-entry view, built at most once and only when asked for.
+    A system holds Q by the nonzeros of its rows and of its columns
+    (exact.Support), given or read off a caller's Q (exact.stored).  An
+    exact system holds its forward cell map perm too, and its lines are
+    perm, so products with Q relabel.  The dense Q is built when asked for.
     """
 
     partition: Partition
     perm: np.ndarray | None
     backend: str
-    _q: object = field(repr=False)
+    rows: exact.Support = field(repr=False)
+    columns: exact.Support = field(repr=False)
 
     def __init__(self, partition: Partition, Q=None, perm=None,
-                 backend: str = exact.RATIONAL):
-        if (Q is None) == (perm is None):
-            raise ValueError("a system takes Q (stochastic) or perm (exact)")
+                 backend: str = exact.RATIONAL, support=None):
+        if (Q is None) + (perm is None) + (support is None) != 2:
+            raise ValueError("a system takes one of Q, perm or (rows, columns) support")
         if perm is not None:
             perm = exact.freeze(np.asarray(perm))
-        else:
+            one = exact.constant((len(perm), 1), 1, backend)
+            support = (exact.Support(perm[:, None], one),
+                       exact.Support(exact.freeze(exact.invert_permutation(perm)[:, None]), one))
+        elif Q is not None:
             Q = exact.stored(Q)
-            backend = exact.backend_of(Q)
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "_q", Q)
+            support = exact.support(Q), exact.support(Q.T)
+        for name, value in zip(("partition", "perm", "backend", "rows", "columns"),
+                               (partition, perm, exact.backend_of(support[0].val), *support)):
+            object.__setattr__(self, name, value)
 
     @property
     def k(self) -> int:
@@ -138,12 +142,8 @@ class FiniteSystem:
 
     @property
     def matrix(self):
-        """Q in stored form; built from perm, and not kept, when exact."""
-        if self.exact:
-            # Q[a, perm[a]] = 1, i.e. the transpose of matrix_of_permutation(perm).
-            return exact.matrix_of_permutation(exact.invert_permutation(self.perm),
-                                               self.backend)
-        return self._q
+        """Q in stored form, as Q I from the row support; not kept."""
+        return exact.gather(exact.identity(self.k, self.backend), self.rows)
 
     @cached_property
     def Q(self) -> np.ndarray:
@@ -170,11 +170,10 @@ def system_from_matrix(q, partition: Partition | None = None) -> FiniteSystem:
         partition = make_uniform_partition(k)
     if partition.k != k:
         raise DimensionMismatch("partition size must match the matrix")
-    perm = exact.permutation_of_matrix(q)
-    if perm is not None:
-        return FiniteSystem(partition=partition, perm=perm,
-                            backend=exact.backend_of(q))
-    return FiniteSystem(partition=partition, Q=q)
+    sys = FiniteSystem(partition=partition, Q=q)
+    if sys.rows.relabels and sys.columns.relabels:  # a permutation matrix
+        return FiniteSystem(partition=partition, perm=sys.rows.idx[:, 0], backend=sys.backend)
+    return sys
 
 
 def system_power(sys: FiniteSystem, n: int) -> FiniteSystem:

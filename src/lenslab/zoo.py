@@ -24,7 +24,7 @@ import numpy as np
 from . import exact
 from .errors import DimensionMismatch, NonInvertible, SizeGuard
 from .exact import SIZE_LIMIT
-from .partitions import FiniteSystem, make_uniform_partition, system_from_matrix, system_from_permutation
+from .partitions import FiniteSystem, make_uniform_partition, system_from_permutation
 
 __all__ = [
     "SIZE_LIMIT",
@@ -35,8 +35,6 @@ __all__ = [
     "odometer_system",
     "bernoulli_system",
     "iet_system",
-    "word_index",
-    "index_word",
     "torus_point",
     "skew_W_step",
     "skew_Tbar_conjugation",
@@ -69,22 +67,6 @@ def odometer_system(m: int, backend: str = exact.RATIONAL) -> FiniteSystem:
     return system_from_permutation(perm, labels=labels, backend=backend)
 
 
-def word_index(word, d: int) -> int:
-    """Big-endian index of a word over alphabet {0..d-1}."""
-    idx = 0
-    for symbol in word:
-        idx = idx * d + int(symbol)
-    return idx
-
-
-def index_word(idx: int, d: int, length: int) -> tuple[int, ...]:
-    word = []
-    for _ in range(length):
-        word.append(idx % d)
-        idx //= d
-    return tuple(reversed(word))
-
-
 def bernoulli_system(d: int, L: int, backend: str = exact.RATIONAL) -> FiniteSystem:
     """Full shift on d symbols at cylinder resolution L (de Bruijn matrix).
 
@@ -96,14 +78,16 @@ def bernoulli_system(d: int, L: int, backend: str = exact.RATIONAL) -> FiniteSys
     if exact.power_exceeds_limit(d, L):
         raise SizeGuard(f"d^L = {d}^{L} cells > {SIZE_LIMIT}")
     k = d**L
-    num = exact.numerators((k, k))
-    # Word w steps to the d words that drop its first symbol: columns
-    # (w mod d^(L-1)) * d + c for every last symbol c.
-    rows = np.arange(k)[:, None]
-    num[rows, rows % d ** (L - 1) * d + np.arange(d)] = 1
-    labels = tuple("".join(map(str, index_word(w, d, L))) for w in range(k))
-    part = make_uniform_partition(k, labels)
-    return system_from_matrix(exact.from_scaled(num, d, backend), partition=part)
+    # Q's lines: word w steps to (w mod d^(L-1)) * d + c, and is reached
+    # from c * d^(L-1) + w // d, for each symbol c.
+    words, symbols = np.arange(k)[:, None], np.arange(d)
+    value = exact.constant((k, d), Fraction(1, d), backend)
+    rows = exact.Support(exact.freeze(words % d ** (L - 1) * d + symbols), value)
+    columns = exact.Support(exact.freeze(words // d + symbols * d ** (L - 1)), value)
+    # A label spells its word's symbols, as strings joined by object sums.
+    digits = words // d ** np.arange(L - 1, -1, -1) % d
+    labels = np.array([str(c) for c in range(d)], dtype=object)[digits].sum(axis=1)
+    return FiniteSystem(make_uniform_partition(k, labels.tolist()), support=(rows, columns))
 
 
 @dataclass(frozen=True, eq=False)

@@ -288,7 +288,7 @@ def test_rigidity_sweep_matches_the_per_step_oracle(family, size, seed, scattere
 
 def test_rigidity_probe_float_matches_oracle_bit_for_bit_on_consecutive_blocks():
     # Consecutive blocks add in the oracle's order, and rigidity_probe takes
-    # the same powered image, so the floats agree to the last bit.
+    # the same lens_iterate image, so the floats agree to the last bit.
     for spec in ("bern:d=2,L=4", "bern:d=2,L=5", "rot:k=12,s=5"):
         sys = parse_system_spec(spec, exact.FLOAT)
         blocks = consecutive_blocks(_distinct_sizes(sys.k, np.random.default_rng(3)))

@@ -21,6 +21,7 @@ from lenslab import (
     product_coupling,
     random_coupling,
     refine,
+    repair_to_polytope,
     rotation_system,
     system_from_permutation,
     system_power,
@@ -410,3 +411,120 @@ def test_flat_concat_joins_stored_forms_over_one_denominator(parts):
     assert list(joined.fractions) == expected
     floats = exact.flat_concat([np.array([0.5, -0.0]), np.array([[1.5]])])
     assert floats.tolist() == [0.5, -0.0, 1.5] and not floats.flags.writeable
+
+
+#
+# The gather kernel against the dense integer product, its test-only oracle.
+#
+
+def _birkhoff_numerators(k, perms, weights):
+    """Integer numerators of sum_t w_t P_t, over the total weight: row perm[j]
+    of column j takes w_t for each permutation."""
+    num = np.zeros((k, k), dtype=object)
+    for perm, w in zip(perms, weights):
+        num[np.asarray(perm), np.arange(k)] += w
+    return num
+
+
+def _dense_oracle(xn, qn, mode):
+    """Integer numerators of the product gather takes in each mode, by dense
+    _int_matmul on the k x k numerators of Q."""
+    if mode == "QtXQ":
+        return exact._int_matmul(exact._int_matmul(qn.T, xn), qn)
+    if mode == "QtX":
+        return exact._int_matmul(qn.T, xn)
+    if mode == "XQ":
+        return exact._int_matmul(xn, qn)
+    return exact._int_matmul(qn, xn)  # "QX" and "Qw"
+
+
+_GATHER_MODES = {"QtXQ": ("columns", (0, 1)), "QtX": ("columns", (0,)),
+                 "XQ": ("columns", (1,)), "QX": ("rows", (0,)), "Qw": ("rows", (0,))}
+
+# Largest |entry| drawn: small, near 2^61 (int64 operands whose products pass
+# 2^62), and past int64 (Python-int operands).
+_MAGNITUDES = (9, 2**61, 2**70)
+
+
+@st.composite
+def _gather_cases(draw):
+    k = draw(st.integers(1, 9))
+    s = draw(st.integers(1, 3))
+    perms = [draw(st.permutations(range(k))) for _ in range(s)]
+    weights = draw(st.lists(st.integers(1, draw(st.sampled_from((1, 7, 2**70)))),
+                            min_size=s, max_size=s))
+    mode = draw(st.sampled_from(sorted(_GATHER_MODES)))
+    largest = draw(st.sampled_from(_MAGNITUDES))
+    shape = (k,) if mode == "Qw" else (k, k)
+    entries = draw(st.lists(st.integers(-largest, largest), min_size=math.prod(shape),
+                            max_size=math.prod(shape)))
+    den = draw(st.integers(1, 12))
+    return k, perms, weights, mode, np.array(entries, dtype=object).reshape(shape), den
+
+
+def _lines(q, side):
+    return exact.support(q.T if side == "columns" else q)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_gather_cases())
+def test_gather_equals_the_dense_product(case):
+    k, perms, weights, mode, xn, xden = case
+    qn, qden = _birkhoff_numerators(k, perms, weights), sum(weights)
+    side, axes = _GATHER_MODES[mode]
+    q, x = exact.from_scaled(qn, qden), exact.from_scaled(xn, xden)
+    lines = _lines(q, side)
+    assert lines.relabels == (np.count_nonzero(q.num == q.den) == k)
+    got = exact.gather(x, lines, axes)
+    expected = exact.from_scaled(_dense_oracle(xn, qn, mode), xden * qden ** len(axes))
+    assert got.den == expected.den and np.array_equal(got.num, expected.num)
+    assert got.num.dtype == expected.num.dtype
+    # Floats gather from the float lines; only rounding may differ.
+    qf, xf = exact.from_scaled(qn, qden, exact.FLOAT), exact.from_scaled(xn, xden, exact.FLOAT)
+    gotf = exact.gather(xf, _lines(qf, side), axes)
+    expectedf = exact.as_float(expected)
+    assert np.allclose(gotf, expectedf, rtol=1e-12, atol=0)
+    assert not gotf.flags.writeable
+
+
+@pytest.mark.parametrize("k, s", [(256, 1), (256, 2), (256, 3), (128, 3)])
+def test_gather_equals_the_dense_product_up_to_k_256(k, s):
+    rng = np.random.default_rng(k + s)
+    weights = [int(w) for w in rng.integers(1, 20, size=s)]
+    qn = _birkhoff_numerators(k, [rng.permutation(k) for _ in range(s)], weights)
+    q = exact.from_scaled(qn, sum(weights))
+    xn = rng.integers(-(2**40), 2**40, size=(k, k))
+    x = exact.from_scaled(xn, 7)
+    for mode, (side, axes) in _GATHER_MODES.items():
+        if mode == "Qw":
+            continue
+        expected = exact.from_scaled(_dense_oracle(xn, q.num, mode),
+                                     7 * q.den ** len(axes))
+        got = exact.gather(x, _lines(q, side), axes)
+        assert got.den == expected.den and np.array_equal(got.num, expected.num), mode
+
+
+@pytest.mark.parametrize("d, L", [(2, 1), (2, 4), (3, 3), (4, 2), (5, 1)])
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_bernoulli_lines_are_those_of_its_matrix(d, L, backend):
+    sys = bernoulli_system(d, L, backend)
+    q = sys.matrix
+    for built, read in ((sys.rows, exact.support(q)), (sys.columns, exact.support(q.T))):
+        assert np.array_equal(built.idx, read.idx)
+        assert np.array_equal(exact.entries(built.val), exact.entries(read.val))
+        assert not built.idx.flags.writeable
+
+
+def test_stored_copies_a_writable_array_and_keeps_a_read_only_one():
+    m = np.full((3, 3), 1 / 9)
+    c = repair_to_polytope(m)
+    m[0, 0] = 0.5  # the caller's array stays theirs to write
+    assert c.matrix[0, 0] == 1 / 9 and not c.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        c.matrix[0, 0] = 0.5
+    frozen = exact.freeze(np.full((3, 3), 1 / 9))
+    assert exact.stored(frozen) is frozen
+    q = np.eye(3)
+    sys = FiniteSystem(partition=make_uniform_partition(3), Q=q)
+    q[0, 0] = 0.0
+    assert sys.matrix[0, 0] == 1.0

@@ -21,13 +21,14 @@ from lenslab import (
     exact,
     list_experiments,
     load_config_file,
+    parse_system_spec,
     parse_config_text,
     run_experiment,
     validate_config,
     value_str,
 )
 from lenslab.cli import main as cli_main
-from lenslab.experiments import REGISTRY, STEP_BUDGET, _guard_steps, _product_cost
+from lenslab.experiments import REGISTRY, STEP_BUDGET, _guard_steps, _step_cost
 
 EXPECTED_NAMES = [
     "cesaro-barycenter",
@@ -530,26 +531,30 @@ def test_step_budget_refuses_one_step_past_it_before_running():
         _guard_steps(3, STEP_BUDGET // 2)
 
 
-@pytest.mark.parametrize("backend, k, products", [
-    ("rational", 256, 64),  # 2^24 multiply-adds, 8 per operation
-    ("float", 512, 128),  # 2^27 multiply-adds, 128 per operation
-    ("float", 1024, 16),
-    ("float", 100, 13421),  # below k = 128 the k^2 cells of the result dominate
+@pytest.mark.parametrize("spec, steps", [
+    ("bern:d=2,L=12", 4),  # k^2 s = 2^25 cell operations a step
+    ("bern:d=3,L=6", 84),  # 729^2 * 3
+    ("bern:d=4,L=5", 32),  # 2^22
+    ("rot:k=2048,s=1", 32),  # exact: k^2 = 2^22, one relabel
+    ("bern:d=2,L=5", STEP_BUDGET // exact.SIZE_LIMIT),  # below the floor cost
 ])
-def test_dense_products_are_charged_at_their_backends_rate(backend, k, products):
-    _guard_steps(products, _product_cost(k, backend))
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_steps_are_charged_k_squared_s_at_the_budget_edge(spec, steps, backend):
+    sys = parse_system_spec(spec, backend)
+    _guard_steps(steps, _step_cost(sys))
     with pytest.raises(SizeGuard):
-        _guard_steps(products + 1, _product_cost(k, backend))
+        _guard_steps(steps + 1, _step_cost(sys))
 
 
 @pytest.mark.parametrize("L, backend, n_max, refused", [
-    (8, "rational", 7, False), (8, "rational", 64, True),
-    (9, "float", 2, False), (9, "float", 128, True),
+    (9, "rational", 255, False), (9, "rational", 256, True),
+    (10, "float", 63, False), (10, "float", 64, True),
 ])
-def test_mixing_profile_dense_steps_are_admitted_by_cost(L, backend, n_max, refused,
-                                                         capsys):
-    # n_max + 1 products of 2^(3L) multiply-adds.  An admitted run fails the
-    # shipped config's expect_zero_by verdict, since k = 2^L needs L steps.
+def test_mixing_profile_steps_are_admitted_by_cost(L, backend, n_max, refused,
+                                                   capsys):
+    # n_max + 1 steps of k^2 s = 2^(2L + 1) operations.  An admitted run
+    # fails the shipped config's expect_zero_by verdict, since k = 2^L
+    # needs L steps.
     code = cli_main(["run", str(CONFIGS / "mixing-profile.cfg"), "--set", "output_dir=",
                      "--set", f"system=bern:d=2,L={L}", "--set", f"backend={backend}",
                      "--set", f"n_max={n_max}"])
@@ -557,15 +562,14 @@ def test_mixing_profile_dense_steps_are_admitted_by_cost(L, backend, n_max, refu
 
 
 @pytest.mark.parametrize("L, backend, n_max, refused", [
-    (9, "float", 63, False), (9, "float", 64, True),
-    (8, "rational", 31, False), (8, "rational", 32, True),
+    (10, "float", 63, False), (10, "float", 64, True),
+    (9, "rational", 255, False), (9, "rational", 256, True),
 ])
-def test_rigidity_sweep_charges_the_products_of_each_power(L, backend, n_max, refused,
-                                                          capsys):
-    # Each n takes one lens step, two products: of 2^20 operations each at
-    # float k = 512 and 2^21 at rational k = 256, so the budget holds 64 and
-    # 32 values of n.  An admitted run fails the shipped config's
-    # expect_return_at verdict, since the shift never returns.
+def test_rigidity_sweep_charges_each_lens_step(L, backend, n_max, refused, capsys):
+    # Each n takes one lens step of k^2 s = 2^(2L + 1) operations, so the
+    # budget holds 64 values of n at k = 1024 and 256 at k = 512.  An
+    # admitted run fails the shipped config's expect_return_at verdict,
+    # since the shift never returns.
     k = 2**L
     code = cli_main(["run", str(CONFIGS / "rigidity-sweep.cfg"), "--set", "output_dir=",
                      "--set", f"system=bern:d=2,L={L}", "--set", f"backend={backend}",

@@ -21,7 +21,6 @@ from lenslab import (
     group_elements,
     group_rotation_conjugation,
     iet_system,
-    index_word,
     lens_step,
     odometer_system,
     parse_system_spec,
@@ -32,7 +31,6 @@ from lenslab import (
     skew_torus_restriction,
     system_power,
     torus_point,
-    word_index,
 )
 from lenslab import exact, zoo
 from lenslab.partitions import FiniteSystem
@@ -60,11 +58,20 @@ def test_odometer_size_guard():
         odometer_system(20)
 
 
-def test_word_index_roundtrip():
-    for d, L in ((2, 3), (3, 2)):
-        for w in range(d**L):
-            assert word_index(index_word(w, d, L), d) == w
-    assert index_word(6, 2, 3) == (1, 1, 0)
+def _word(idx, d, length):
+    """Big-endian symbols of cell idx, one division per symbol."""
+    word = []
+    for _ in range(length):
+        word.append(idx % d)
+        idx //= d
+    return tuple(reversed(word))
+
+
+@pytest.mark.parametrize("d, L", [(2, 3), (3, 2), (4, 1), (12, 2), (2, 12)])
+def test_bernoulli_labels_spell_each_word(d, L):
+    labels = bernoulli_system(d, L).partition.labels
+    assert labels == tuple("".join(map(str, _word(w, d, L))) for w in range(d**L))
+    assert all(type(label) is str for label in labels)
 
 
 def test_bernoulli_de_bruijn_structure():
@@ -73,9 +80,9 @@ def test_bernoulli_de_bruijn_structure():
     q = np.asarray(b.Q)
     # word w = (w0 w1) may step to (w1 c) only
     for w in range(4):
-        w0, w1 = index_word(w, 2, 2)
+        w0, w1 = _word(w, 2, 2)
         for wp in range(4):
-            expected = Fraction(1, 2) if index_word(wp, 2, 2)[0] == w1 else 0
+            expected = Fraction(1, 2) if _word(wp, 2, 2)[0] == w1 else 0
             assert q[w, wp] == expected
 
 
@@ -83,9 +90,9 @@ def test_bernoulli_de_bruijn_structure():
 def test_bernoulli_steps_drop_the_first_symbol(d, L):
     q = np.asarray(bernoulli_system(d, L).Q)
     for w in range(d**L):
-        tail = index_word(w, d, L)[1:]
+        tail = _word(w, d, L)[1:]
         for wp in range(d**L):
-            expected = Fraction(1, d) if index_word(wp, d, L)[:-1] == tail else 0
+            expected = Fraction(1, d) if _word(wp, d, L)[:-1] == tail else 0
             assert q[w, wp] == expected
 
 
