@@ -96,9 +96,9 @@ class ExperimentReport:
     """Structured run result.
 
     scalars and verdicts are flat maps; series maps a name to (columns,
-    rows) with every cell already rendered to a canonical string.  The
-    stable JSON form excludes the wall-clock duration so that identical
-    (config, seed, backend) reruns are byte-identical.
+    texts, index), cell (r, c) being texts[index[r, c]], the value_str text of
+    a distinct cell held once.  The stable JSON form excludes the wall-clock
+    duration so that identical (config, seed, backend) reruns are byte-identical.
     """
 
     config: ExperimentConfig
@@ -108,93 +108,107 @@ class ExperimentReport:
     passed: bool
     duration_seconds: float
 
+    def rows(self, name: str) -> list[tuple]:
+        """The rows of a series as tuples of cell texts."""
+        _, texts, index = self.series[name]
+        return list(map(tuple, texts[index].tolist()))
+
+    def _json_chunks(self):
+        """to_stable_json in pieces, each series a chunk of rows at a time."""
+        rest = json.dumps({"config": vars(self.config), "passed": self.passed,
+                           "scalars": self.scalars, "verdicts": self.verdicts},
+                          sort_keys=True, indent=2)
+        cut = rest.index('\n  "verdicts": ')  # "series" sorts just before it
+        yield rest[:cut] + '\n  "series": {'
+        for n, name in enumerate(sorted(self.series)):
+            cols, texts, index = self.series[name]
+            columns = ("[\n        " + ",\n        ".join(map(encode_basestring_ascii, cols))
+                       + "\n      ]" if cols else "[]")
+            yield ((",\n    " if n else "\n    ") + encode_basestring_ascii(name)
+                   + ': {\n      "columns": ' + columns + ',\n      "rows": ')
+            row, close = ("[\n          ", "\n        ]") if cols else ("[]", "")
+            pool = np.array(list(map(encode_basestring_ascii, texts)), dtype=object)
+            yield from _row_chunks(pool, index, "[\n        " + row, ",\n          ",
+                                   close + ",\n        " + row, close + "\n      ]\n    }"
+                                   ) if len(index) else ("[]\n    }",)
+        yield ("\n  }," if self.series else "},") + rest[cut:] + "\n"
+
+    def _csv_chunks(self, name: str):
+        cols, texts, index = self.series[name]
+        return _row_chunks(texts, index, ",".join(cols) + "\n", ",", "\n", "\n")
+
     def to_stable_json(self) -> str:
         """json.dumps(doc, sort_keys=True, indent=2) + "\n", byte for byte."""
-        doc = {
-            "config": {
-                "experiment": self.config.experiment,
-                "system": self.config.system,
-                "backend": self.config.backend,
-                "output_dir": self.config.output_dir,
-                "parameters": dict(sorted(self.config.parameters.items())),
-            },
-            "scalars": self.scalars,
-            "series": {
-                name: {"columns": list(cols), "rows": []}
-                for name, (cols, _) in self.series.items()
-            },
-            "verdicts": self.verdicts,
-            "passed": self.passed,
-        }
-        # json's indent path is pure Python, so the rows are dumped empty and
-        # spliced in; only a series holds "rows": [], a string escapes quotes.
-        head, *tails = json.dumps(doc, sort_keys=True, indent=2).split('"rows": []')
-        rows = (_rows_json(self.series[name][1]) for name in sorted(self.series))
-        body = "".join(f'"rows": {r}{t}' for r, t in zip(rows, tails, strict=True))
-        return head + body + "\n"
+        return "".join(self._json_chunks())
 
     def series_csv(self, name: str) -> str:
-        cols, rows = self.series[name]
-        lines = [",".join(cols)]
-        lines.extend(",".join(r) for r in rows)
-        return "\n".join(lines) + "\n"
+        return "".join(self._csv_chunks(name))
 
     def write(self, out_dir: str | Path) -> list[Path]:
+        """report.json and one CSV per series, each overwritten in place (an
+        O_TRUNC open starts ext4 writeback that a rerun waits for) and cut at
+        its end, also where its stream fails."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        paths = []
-        report = out / "report.json"
-        _overwrite(report, self.to_stable_json())
-        paths.append(report)
-        for name in sorted(self.series):
-            p = out / f"{name}.csv"
-            _overwrite(p, self.series_csv(name))
-            paths.append(p)
+        names = sorted(self.series)
+        paths = [out / "report.json", *(out / f"{name}.csv" for name in names)]
+        for path, chunks in zip(paths, [self._json_chunks(), *map(self._csv_chunks, names)]):
+            with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+                try:
+                    f.writelines(map(str.encode, chunks))
+                finally:
+                    f.truncate()
         return paths
 
 
-def _overwrite(path: Path, text: str):
-    """Write text to path in place, then cut the file at its end.
-
-    Opening with O_TRUNC empties a file that a rerun is about to fill with
-    the same bytes; on ext4 that starts writeback at close, and the next
-    rewrite waits for the disk.  In place, a rerun costs a page-cache copy.
-    """
-    with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
-        f.write(text.encode())
-        f.truncate()
+# Rows a report lays out at once, so a write holds one chunk's text, not the file.
+_CHUNK_ROWS = 1024
 
 
-def _rows_json(rows) -> str:
-    """The rows as json.dumps(..., indent=2) lays them out at series depth."""
-    lines = ("[\n          " + ",\n          ".join(map(encode_basestring_ascii, row))
-             + "\n        ]" if row else "[]" for row in rows)
-    return "[\n        " + ",\n        ".join(lines) + "\n      ]" if rows else "[]"
+def _row_chunks(pool, index, head, mid, end, last):
+    """head, then the rows of cells pool[index] a chunk at a time: the cells
+    of a row joined by mid, each row followed by end and the last by last."""
+    yield head
+    n, c = index.shape
+    grid = np.empty((min(n, _CHUNK_ROWS), max(2 * c, 1)), dtype=object)
+    grid[:, 1::2], grid[:, -1] = mid, end
+    for a in range(0, n, _CHUNK_ROWS):
+        part = grid[:n - a]
+        part[:, :2 * c:2] = pool[index[a:a + _CHUNK_ROWS]]
+        part[-1, -1] = end if a + _CHUNK_ROWS < n else last
+        yield "".join(part.ravel().tolist())
 
 
 def value_str(x) -> str:
     """Canonical cell rendering: exact.format_value as text, 'true'/'false'
-    for booleans, strings unchanged."""
-    if isinstance(x, bool):
+    for booleans (numpy's too), strings unchanged."""
+    if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, str):
         return x
     return str(exact.format_value(x))
 
 
-def _render_column(column) -> list:
-    """value_str of each cell, with one dispatch on the column's type; a
-    numeric numpy or Scaled column is rendered once per distinct value."""
-    if isinstance(column, exact.Scaled):
-        keys, index = np.unique(column.num, return_inverse=True)
-        values = [Fraction(n, column.den) for n in keys.tolist()]
-    elif isinstance(column, np.ndarray) and column.dtype.kind in "iuf":
-        # Distinct bit patterns, so that -0.0 keeps its own text.
-        keys, index = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
-        values = keys.view(column.dtype).tolist()
-    else:
-        return list(map(value_str, column))
-    return np.array(list(map(value_str, values)), dtype=object)[index].tolist()
+def _render_series(columns) -> tuple:
+    """(texts, index): value_str of each distinct cell of each column once,
+    and the (rows x columns) place of each cell among them."""
+    texts, index = [], []
+    for column in columns:
+        if isinstance(column, exact.Scaled):
+            keys, at = np.unique(column.num, return_inverse=True)
+            values = [Fraction(n, column.den) for n in keys.tolist()]
+        elif isinstance(column, np.ndarray) and column.dtype.kind in "iuf":
+            # Distinct bit patterns, so that -0.0 keeps its own text.
+            keys, at = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+            values = keys.view(column.dtype).tolist()
+        else:
+            values, at = column, np.arange(len(column))
+        index.append(at + len(texts))
+        texts.extend(map(value_str, values))
+    # Places in the smallest type that holds them; unequal lengths raise, and
+    # a runner's empty list(zip(*rows)) is zero rows of one column.
+    return (np.array(texts, dtype=object),
+            np.array(index, np.min_scalar_type(len(texts)), ndmin=2).T)
 
 
 # ---------------------------------------------------------------------------
@@ -899,8 +913,7 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True) -> ExperimentRepor
         config=cfg,
         scalars={name: v if isinstance(v, int) else value_str(v)
                  for name, v in scalars.items()},
-        series={name: (spec.series[name],
-                       list(zip(*map(_render_column, cols), strict=True)))
+        series={name: (spec.series[name], *_render_series(cols))
                 for name, cols in columns.items()},
         verdicts=verdicts,
         passed=all(verdicts.values()),

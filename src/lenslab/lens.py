@@ -53,10 +53,10 @@ __all__ = [
 ]
 
 # Work fixed_point_space may do, in basis cells (one entry of one direction,
-# 2.3-3.3 us each through a fixed-points report on a 2-core machine,
+# 0.9-1.2 us each through a fixed-points report on a 2-core machine,
 # rot:k=64..128): at most this many class pairs to label (0.25 us each) and
-# basis cells to build.  2**21 basis cells took about 6.5 s and 785 MB
-# (rot:k=128,s=1).
+# basis cells to build.  2**21 basis cells took about 2 s and 240 MB with
+# their report written (rot:k=128,s=1).
 FIXED_SPACE_BUDGET = 2**21
 
 # Entry updates of the integer elimination per basis cell of budget, from

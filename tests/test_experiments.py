@@ -429,8 +429,8 @@ def test_float_backend_reports_are_written(name, tmp_path):
 def _numbers(report):
     """Scalars and series cells of a report as floats, keyed by position."""
     values = {("scalar", name): v for name, v in report.scalars.items()}
-    for name, (_, rows) in report.series.items():
-        for r, row in enumerate(rows):
+    for name in report.series:
+        for r, row in enumerate(report.rows(name)):
             values.update(((name, r, c), cell) for c, cell in enumerate(row))
     return {key: float(Fraction(v)) for key, v in values.items()}
 

@@ -1,8 +1,11 @@
-"""Report rendering: columns against per-cell value_str, stable JSON against
-json.dumps, and the column-built series against the row loops they replace."""
+"""Report rendering: columns against per-cell value_str, stable JSON and the
+streamed files against json.dumps and row joins, and the column-built series
+against the row loops they replace."""
 
 import dataclasses
 import json
+import tempfile
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,11 +23,12 @@ from lenslab import (
     run_experiment,
     value_str,
 )
-from lenslab.experiments import REGISTRY, _render_column
+from lenslab import experiments
+from lenslab.experiments import REGISTRY, _render_series
 
 
 def _old_stable_json(report):
-    """The renderer before rows were spliced in: json.dumps of the whole doc."""
+    """The renderer before reports streamed: json.dumps of the whole doc."""
     cfg = report.config
     doc = {
         "config": {
@@ -36,8 +40,8 @@ def _old_stable_json(report):
         },
         "scalars": report.scalars,
         "series": {
-            name: {"columns": list(cols), "rows": [list(r) for r in rows]}
-            for name, (cols, rows) in sorted(report.series.items())
+            name: {"columns": list(cols), "rows": [list(r) for r in report.rows(name)]}
+            for name, (cols, *_) in sorted(report.series.items())
         },
         "verdicts": report.verdicts,
         "passed": report.passed,
@@ -45,38 +49,139 @@ def _old_stable_json(report):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _old_csv(report, name):
+    """The CSV before reports streamed: one join per row."""
+    lines = [",".join(report.series[name][0])]
+    lines.extend(",".join(r) for r in report.rows(name))
+    return "\n".join(lines) + "\n"
+
+
+def _stored(cols, rows):
+    """A series given by its rows in the form a report keeps: the distinct
+    cell texts and a (rows x columns) index into them."""
+    cells = np.array([c for row in rows for c in row], dtype=object)
+    texts, index = np.unique(cells, return_inverse=True)
+    return cols, texts, index.reshape(len(rows), len(cols))
+
+
 def _report(parameters=None, scalars=None, series=None, verdicts=None):
     return ExperimentReport(
         config=ExperimentConfig(experiment="x", system="rot:k=2,s=1",
                                 parameters=parameters or {}),
-        scalars=scalars or {}, series=series or {}, verdicts=verdicts or {},
+        scalars=scalars or {}, verdicts=verdicts or {},
+        series={name: _stored(*s) for name, s in (series or {}).items()},
         passed=all((verdicts or {}).values()), duration_seconds=0.0)
 
 
-TRICKY = ['"', "\\", "\x00", "\x1f", "\n", "é", " ", "😀", '"rows": []', ""]
+TRICKY = ['"', "\\", "\x00", "\x1f", "\n", "é", "\u2028", "😀", '"rows": []', ""]
 texts = st.one_of(st.sampled_from(TRICKY), st.text())
-rows = st.lists(st.lists(texts, max_size=4).map(tuple), max_size=6)
-series = st.dictionaries(texts, st.tuples(st.lists(texts, max_size=4).map(tuple), rows),
-                         max_size=4)
+# A series name is also a file name: no "/" or NUL, and short enough for any
+# file system.
+file_names = texts.filter(lambda s: "/" not in s and "\x00" not in s
+                          and len(s.encode()) <= 200)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(parameters=st.dictionaries(texts, texts, max_size=4),
-       scalars=st.dictionaries(texts, st.one_of(st.integers(), texts), max_size=4),
-       series=series,
-       verdicts=st.dictionaries(texts, st.booleans(), max_size=3))
-@example(parameters={}, scalars={}, series={}, verdicts={})
-@example(parameters={}, scalars={}, series={"s": (("a", "b"), [])}, verdicts={})
-@example(parameters={}, scalars={}, series={"s": ((), [(), ()])}, verdicts={})
-@example(parameters={"rows": '"rows": []', '"rows": []': "[]"},
-         scalars={"rows": '"rows": []'},
-         series={"rows": (("rows",), [('"rows": []',)]), "a": (("x",), [])},
-         verdicts={"rows": True})
-@example(parameters={}, scalars={},
-         series={"t": (("c",), [(c,) for c in TRICKY])}, verdicts={})
+def _series(names):
+    """Series by name: up to four columns and six rows of one cell each."""
+    return st.dictionaries(names, st.lists(texts, max_size=4).map(tuple).flatmap(
+        lambda cols: st.tuples(st.just(cols), st.lists(
+            st.lists(texts, min_size=len(cols), max_size=len(cols)).map(tuple),
+            max_size=6))), max_size=4)
+
+
+def _reports(names):
+    """Given reports whose series are named from names, with the examples
+    every report writer must pass."""
+    def decorate(test):
+        test = example(parameters={}, scalars={}, series={}, verdicts={})(test)
+        test = example(parameters={}, scalars={}, series={"s": (("a", "b"), [])},
+                       verdicts={})(test)
+        test = example(parameters={}, scalars={}, series={"s": ((), [(), ()])},
+                       verdicts={})(test)
+        test = example(parameters={"rows": '"rows": []', '"rows": []': "[]"},
+                       scalars={"rows": '"rows": []'},
+                       series={"rows": (("rows",), [('"rows": []',)]), "a": (("x",), [])},
+                       verdicts={"rows": True})(test)
+        test = example(parameters={}, scalars={},
+                       series={"t": (("c",), [(c,) for c in TRICKY])}, verdicts={})(test)
+        test = given(parameters=st.dictionaries(texts, texts, max_size=4),
+                     scalars=st.dictionaries(texts, st.one_of(st.integers(), texts),
+                                             max_size=4),
+                     series=_series(names),
+                     verdicts=st.dictionaries(texts, st.booleans(), max_size=3))(test)
+        return settings(max_examples=200, deadline=None, derandomize=True)(test)
+    return decorate
+
+
+@_reports(texts)
 def test_stable_json_equals_json_dumps(parameters, scalars, series, verdicts):
     report = _report(parameters, scalars, series, verdicts)
     assert report.to_stable_json() == _old_stable_json(report)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@_reports(file_names)
+def test_written_report_equals_the_oracles_at_every_chunk_size(
+        chunk, parameters, scalars, series, verdicts):
+    report = _report(parameters, scalars, series, verdicts)
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
+        mp.setattr(experiments, "_CHUNK_ROWS", chunk)
+        paths = report.write(out)
+        assert paths[0].read_bytes() == _old_stable_json(report).encode()
+        assert [p.name for p in paths[1:]] == [f"{name}.csv" for name in sorted(series)]
+        for name, path in zip(sorted(series), paths[1:]):
+            assert path.read_bytes() == _old_csv(report, name).encode()
+
+
+def test_write_memory_follows_the_chunk_not_the_rows(tmp_path, monkeypatch):
+    report = run_experiment(ExperimentConfig(
+        experiment="fixed-points", system="rot:k=48,s=1"), write=False)
+    rows = len(report.series["basis"][2])
+    assert rows == 47 * 48**2
+    peaks = []
+    for chunk in (64, rows):
+        monkeypatch.setattr(experiments, "_CHUNK_ROWS", chunk)
+        tracemalloc.start()
+        try:
+            report.write(tmp_path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "report.json").read_text() == _old_stable_json(report)
+    assert 10 * peaks[0] < peaks[1], peaks
+
+
+@pytest.mark.parametrize("fails, name", [(0, "report.json"), (1, "s.csv")])
+def test_a_failed_write_leaves_no_stale_tail(fails, name, tmp_path, monkeypatch):
+    _report(series={"s": (("a", "b"), [(str(i), "x" * 20) for i in range(50)])}
+            ).write(tmp_path)
+    report = _report(series={"s": (("a", "b"), [(str(i), "y") for i in range(30)])})
+    whole = {"report.json": report.to_stable_json(), "s.csv": report.series_csv("s")}
+    streams, row_chunks = [], experiments._row_chunks
+
+    def failing(*args):
+        streams.append(args)
+        chunks = row_chunks(*args)
+        yield next(chunks)
+        yield next(chunks)
+        if len(streams) > fails:
+            raise RuntimeError("stream failed")
+        yield from chunks
+
+    monkeypatch.setattr(experiments, "_CHUNK_ROWS", 4)
+    monkeypatch.setattr(experiments, "_row_chunks", failing)
+    with pytest.raises(RuntimeError, match="stream failed"):
+        report.write(tmp_path)
+    written = (tmp_path / name).read_text()
+    assert whole[name].startswith(written) and len(written) < len(whole[name])
+    if name == "s.csv":
+        assert (tmp_path / "report.json").read_text() == whole["report.json"]
+
+
+def _cells(column):
+    """The rendered texts of a one-column series, one per cell."""
+    texts, index = _render_series([column])
+    return texts[index[:, 0]].tolist()
 
 
 CELLS = st.one_of(
@@ -89,7 +194,7 @@ CELLS = st.one_of(
     st.lists(st.fractions()), st.lists(st.integers()), st.lists(st.floats()),
     st.lists(st.booleans()), st.lists(st.text(max_size=3)), st.lists(CELLS)))
 def test_list_column_renders_as_per_cell_value_str(column):
-    assert _render_column(column) == [value_str(x) for x in column]
+    assert _cells(column) == [value_str(x) for x in column]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -100,19 +205,25 @@ def test_list_column_renders_as_per_cell_value_str(column):
     st.lists(st.booleans()).map(lambda v: np.array(v, dtype=bool)),
     st.lists(st.fractions()).map(lambda v: np.array(v, dtype=object))))
 def test_numpy_column_renders_as_per_cell_value_str(column):
-    assert _render_column(column) == [value_str(x) for x in column]
+    assert _cells(column) == [value_str(x) for x in column]
+
+
+def test_numpy_bools_render_as_booleans():
+    assert value_str(np.bool_(True)) == value_str(True) == "true"
+    assert value_str(np.bool_(False)) == value_str(False) == "false"
+    assert _cells(np.array([True, False, True])) == ["true", "false", "true"]
 
 
 @pytest.mark.parametrize("num, den", [
     ([3, -6, 0, 3, 9], 12), ([], 1), ([2**70, -(2**70), 1], 3), ([5, 5], 1)])
 def test_scaled_column_renders_its_fractions(num, den):
     column = exact.from_scaled(np.array(num, dtype=object), den)
-    assert _render_column(column) == [value_str(Fraction(n, den)) for n in num]
+    assert _cells(column) == [value_str(Fraction(n, den)) for n in num]
 
 
 def test_negative_zero_keeps_its_own_text():
     column = np.array([0.0, -0.0, 0.0, -0.0])
-    assert _render_column(column) == ["0.0", "-0.0", "0.0", "-0.0"]
+    assert _cells(column) == ["0.0", "-0.0", "0.0", "-0.0"]
 
 
 def test_ragged_columns_are_refused_not_cut(monkeypatch):
@@ -144,7 +255,7 @@ def test_fixed_points_series_matches_row_loop(system, backend):
     basis = [exact.entries(d) for d in fixed_point_space(sys).basis]
     rows = [(t, i, j, d[i, j])
             for t, d in enumerate(basis) for i in range(k) for j in range(k)]
-    assert report.series["basis"][1] == _cell_rows(rows)
+    assert report.rows("basis") == _cell_rows(rows)
 
 
 @pytest.mark.parametrize("k, L, seed", [(1, 3, 0), (4, 12, 5), (8, 16, 7), (6, 6, 2)])
@@ -156,4 +267,4 @@ def test_iet_target_series_matches_row_loop(k, L, seed):
     target = random_rational_target(k, L, rng)
     rows = [(i, j, Fraction(int(target.m[i, j]), L))
             for i in range(k) for j in range(k)]
-    assert report.series["target"][1] == _cell_rows(rows)
+    assert report.rows("target") == _cell_rows(rows)
