@@ -10,7 +10,6 @@ permutations commuting with shifts and odometers.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,8 +51,6 @@ __all__ = [
     "bernoulli_cyclic_commuter",
     "odometer_commuter",
     "random_rational_target",
-    "target_to_json",
-    "target_from_json",
 ]
 
 
@@ -87,20 +84,6 @@ class RationalTarget:
     def coupling(self, backend: str = exact.RATIONAL) -> CouplingMatrix:
         c = exact.from_scaled(np.asarray(self.m), self.L, backend)
         return CouplingMatrix(k=self.k, C=c)
-
-
-def target_to_json(t: RationalTarget) -> str:
-    return json.dumps(
-        {"k": t.k, "L": t.L, "m": [int(x) for x in np.asarray(t.m).ravel()]},
-        sort_keys=True,
-    )
-
-
-def target_from_json(text: str) -> RationalTarget:
-    doc = json.loads(text)
-    k, L = int(doc["k"]), int(doc["L"])
-    m = np.array(doc["m"], dtype=int).reshape(k, k)
-    return RationalTarget(k=k, L=L, m=m)
 
 
 def random_rational_target(k: int, L: int, rng: np.random.Generator) -> RationalTarget:

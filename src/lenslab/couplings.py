@@ -10,7 +10,6 @@ puts 1/k at (sigma(j), j), i.e. cell j is transported onto cell sigma(j).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,14 +29,11 @@ __all__ = [
     "coupling_distance",
     "in_neighborhood",
     "repair_to_polytope",
-    "compose_couplings",
     "validate_coupling",
     "random_coupling",
-    "coupling_to_json",
-    "coupling_from_json",
-    "coupling_to_csv",
 ]
 
+REPAIR_TOL = 1e-8
 REPAIR_TARGET = 1e-13
 
 
@@ -155,13 +151,13 @@ def in_neighborhood(c: CouplingMatrix, spec: NeighborhoodSpec) -> bool:
     return bool(exact.max_abs(diagonal, mass) < spec.epsilon)
 
 
-def repair_to_polytope(m, tol: float = 1e-8) -> CouplingMatrix:
+def repair_to_polytope(m) -> CouplingMatrix:
     """Project a slightly drifted float matrix back onto the polytope.
 
     Alternating row/column rescaling (Sinkhorn) after clamping negatives;
-    iterates until the largest marginal deviation is below 1e-13.  Raises
-    NotRepairable when the input is farther than tol from feasible, or a
-    row or column carries no mass to rescale.
+    iterates until the largest marginal deviation is below REPAIR_TARGET.
+    Raises NotRepairable when the input is farther than REPAIR_TOL from
+    feasible, or a row or column carries no mass to rescale.
     """
     m = exact.stored(m)
     if exact.backend_of(m) == exact.RATIONAL:
@@ -174,11 +170,11 @@ def repair_to_polytope(m, tol: float = 1e-8) -> CouplingMatrix:
     m = np.asarray(m, dtype=float)
     k = m.shape[0]
     target = 1.0 / k
-    if m.min() < -tol:
+    if m.min() < -REPAIR_TOL:
         raise NotRepairable(f"entry {m.min():.3e} below -tol")
-    if np.abs(m.sum(axis=1) - target).max() > tol:
+    if np.abs(m.sum(axis=1) - target).max() > REPAIR_TOL:
         raise NotRepairable("row sums drift beyond tol")
-    if np.abs(m.sum(axis=0) - target).max() > tol:
+    if np.abs(m.sum(axis=0) - target).max() > REPAIR_TOL:
         raise NotRepairable("column sums drift beyond tol")
     w = np.clip(m, 0.0, None)
     for _ in range(10_000):
@@ -197,31 +193,21 @@ def repair_to_polytope(m, tol: float = 1e-8) -> CouplingMatrix:
     raise NotRepairable("rescaling did not converge")
 
 
-def compose_couplings(a: CouplingMatrix, b: CouplingMatrix) -> CouplingMatrix:
-    """Semigroup product: k * (A @ B).
-
-    Matches Markov-operator composition, so graph couplings compose as the
-    underlying permutations: compose(graph(s), graph(t)) = graph(s o t).
-    """
-    _require_same(a, b)
-    return _wrap(exact.scale(exact.mat_mul(a.matrix, b.matrix), a.k))
-
-
-def validate_coupling(c: CouplingMatrix, tol: float = exact.FLOAT_TOL) -> list[str]:
+def validate_coupling(c: CouplingMatrix) -> list[str]:
     m = c.matrix
     k = c.k
     if m.shape != (k, k):
         return [f"shape{m.shape}"]
-    return exact.marginal_defects(m, Fraction(1, k), tol)
+    return exact.marginal_defects(m, Fraction(1, k), exact.FLOAT_TOL)
 
 
 def random_coupling(k: int, rng: np.random.Generator,
-                    backend: str = exact.RATIONAL, terms: int = 6) -> CouplingMatrix:
-    """Random interior point: convex combination of permutation couplings
-    with small rational weights.  Exact polytope membership by construction."""
+                    backend: str = exact.RATIONAL) -> CouplingMatrix:
+    """Random interior point: convex combination of six permutation
+    couplings with small rational weights.  Exact polytope membership by construction."""
     # Accumulate integer numerators over the common denominator total * k.
     numerators = exact.numerators((k, k))
-    weights = [int(w) for w in rng.integers(1, 20, size=terms)]
+    weights = [int(w) for w in rng.integers(1, 20, size=6)]
     total = sum(weights)
     cols = np.arange(k)
     for w in weights:
@@ -229,19 +215,3 @@ def random_coupling(k: int, rng: np.random.Generator,
         numerators[sigma, cols] += w
     return _wrap(exact.from_scaled(numerators, total * k, backend))
 
-
-def coupling_to_json(c: CouplingMatrix) -> str:
-    return json.dumps({"k": c.k, "C": exact.matrix_to_values(c.C)}, sort_keys=True)
-
-
-def coupling_from_json(text: str) -> CouplingMatrix:
-    doc = json.loads(text)
-    return _wrap(exact.matrix_from_values(doc["C"], int(doc["k"]), "C"))
-
-
-def coupling_to_csv(c: CouplingMatrix) -> str:
-    lines = ["i,j,value"]
-    for i in range(c.k):
-        for j in range(c.k):
-            lines.append(f"{i},{j},{exact.format_value(c.C[i, j])}")
-    return "\n".join(lines) + "\n"

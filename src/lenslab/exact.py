@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, SizeGuard
+from .errors import SizeGuard
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -531,30 +531,6 @@ def format_value(x) -> str | float | int:
     if isinstance(x, (int, np.integer)):
         return int(x)
     return float(x)
-
-
-def parse_value(s):
-    """Inverse of format_value: accepts 'p/q' strings and plain numbers."""
-    if isinstance(s, str):
-        return Fraction(s)
-    if isinstance(s, (int, np.integer)):
-        return Fraction(int(s))
-    return float(s)
-
-
-def matrix_to_values(a) -> list:
-    """Row-major JSON values of a matrix, each rendered by format_value."""
-    return [format_value(x) for x in np.asarray(a).ravel()]
-
-
-def matrix_from_values(values, k: int, name: str) -> np.ndarray:
-    """Inverse of matrix_to_values for a k x k matrix: a float array when
-    any entry is a float, a Fraction object array otherwise."""
-    parsed = [parse_value(v) for v in values]
-    if len(parsed) != k * k:
-        raise DimensionMismatch(f"{name} must hold k*k row-major entries")
-    dtype = float if any(isinstance(v, float) for v in parsed) else object
-    return np.array(parsed, dtype=dtype).reshape(k, k)
 
 
 def exact_nullspace(a) -> list[Scaled]:

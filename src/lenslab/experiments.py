@@ -564,6 +564,7 @@ def _run_periodic_commuters(cfg, p, backend):
         s = odometer_commuter(p["pi"], m)
         block = len(p["pi"])
         sys = odometer_system(m, backend=backend)
+        _guard_steps(block, _step_cost(sys))
         c = graph_coupling(s, backend=backend)
         power = system_power(sys, block)
         residual = markov_commutation_residual(power, c)

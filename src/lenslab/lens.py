@@ -37,7 +37,6 @@ __all__ = [
     "LensOrbit",
     "PeriodReport",
     "FixedPointSpace",
-    "HitStats",
     "lens_step",
     "lens_step_inverse",
     "one_sided_step",
@@ -48,8 +47,6 @@ __all__ = [
     "markov_commutation_residual",
     "fixed_point_space",
     "detect_period",
-    "quasi_attractor_hits",
-    "orbit_to_csv",
 ]
 
 # Work fixed_point_space may do, in basis cells (one entry of one direction,
@@ -278,10 +275,8 @@ class PeriodReport:
     residual_by_p: dict[int, Fraction | float] = field(compare=False)
 
 
-def detect_period(sys: FiniteSystem, c: CouplingMatrix, maxp: int,
-                  tol=None) -> PeriodReport:
-    if tol is None:
-        tol = exact.tolerance(c.backend, exact.SOLVER_TOL)
+def detect_period(sys: FiniteSystem, c: CouplingMatrix, maxp: int) -> PeriodReport:
+    tol = exact.tolerance(c.backend, exact.SOLVER_TOL)
     residuals: dict[int, Fraction | float] = {}
     period = None
     current = c
@@ -291,48 +286,4 @@ def detect_period(sys: FiniteSystem, c: CouplingMatrix, maxp: int,
         if period is None and residuals[p] <= tol:
             period = p
     return PeriodReport(period=period, residual_by_p=residuals)
-
-
-@dataclass(frozen=True, eq=False)
-class HitStats:
-    """Per-window densities of orbit states satisfying a target predicate."""
-
-    window: int
-    densities: tuple[float, ...]
-    overall: float
-    tail: float
-    nondecreasing: bool
-
-
-def quasi_attractor_hits(orb: LensOrbit, target, window: int) -> HitStats:
-    if window < 1:
-        raise ValueError("window must be positive")
-    hits = [bool(target(state)) for state in orb.states]
-    densities = []
-    for start in range(0, len(hits) - len(hits) % window, window):
-        chunk = hits[start:start + window]
-        densities.append(sum(chunk) / window)
-    if not densities:
-        densities = [sum(hits) / len(hits)]
-    nondecr = all(densities[i] <= densities[i + 1] for i in range(len(densities) - 1))
-    return HitStats(window=window, densities=tuple(densities),
-                    overall=sum(hits) / len(hits), tail=densities[-1],
-                    nondecreasing=nondecr)
-
-
-def orbit_to_csv(orb: LensOrbit) -> str:
-    """Orbit summary: residual to fixedness, drift from start, distance to
-    the product coupling, one row per step."""
-    sys = orb.system
-    k = orb.states[0].k
-    prod = product_coupling(k, orb.states[0].backend)
-    lines = ["n,residual_to_fixed,distance_to_initial,distance_to_product"]
-    for n, state in enumerate(orb.states):
-        res = self_joining_residual(sys, state)
-        d0 = coupling_distance(state, orb.states[0])
-        dp = coupling_distance(state, prod)
-        lines.append(
-            f"{n},{exact.format_value(res)},{exact.format_value(d0)},{exact.format_value(dp)}"
-        )
-    return "\n".join(lines) + "\n"
 

@@ -8,7 +8,6 @@ the forward cell map tau, and cell dynamics are lossless relabelings.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -31,9 +30,6 @@ __all__ = [
     "system_from_permutation",
     "system_from_matrix",
     "system_power",
-    "validate_system",
-    "system_to_json",
-    "system_from_json",
 ]
 
 
@@ -43,21 +39,22 @@ class Partition:
 
     k: int
     labels: tuple[str, ...]
-    cell_mass: Fraction
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("partition needs at least one cell")
         if len(self.labels) != self.k:
             raise ValueError("label count must equal k")
-        if self.cell_mass * self.k != 1:
-            raise ValueError("cells must have mass exactly 1/k")
+
+    @property
+    def cell_mass(self) -> Fraction:
+        return Fraction(1, self.k)
 
 
 def make_uniform_partition(k: int, labels=None) -> Partition:
     if labels is None:
         labels = tuple(str(i) for i in range(k))
-    return Partition(k=k, labels=tuple(labels), cell_mass=Fraction(1, k))
+    return Partition(k=k, labels=tuple(labels))
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +91,7 @@ def refine(p: Partition, r: int) -> tuple[Partition, RefinementMap]:
     if r < 1:
         raise ValueError("refinement factor must be positive")
     labels = tuple(f"{p.labels[u // r]}.{u % r}" for u in range(p.k * r))
-    fine = Partition(k=p.k * r, labels=labels, cell_mass=Fraction(1, p.k * r))
+    fine = Partition(k=p.k * r, labels=labels)
     parent = np.arange(p.k * r) // r
     return fine, refinement_from_parent(p, fine, parent)
 
@@ -197,25 +194,3 @@ def system_power(sys: FiniteSystem, n: int) -> FiniteSystem:
                                        backend=sys.backend)
     return system_from_matrix(exact.mat_power(sys.matrix, n), partition=sys.partition)
 
-
-def validate_system(sys: FiniteSystem, tol: float = exact.FLOAT_TOL) -> list[str]:
-    """Diagnostics list; empty when the system satisfies every invariant."""
-    q = sys.matrix
-    k = sys.k
-    if q.shape != (k, k):
-        return [f"shape{q.shape}"]
-    return exact.marginal_defects(q, 1, tol)
-
-
-def system_to_json(sys: FiniteSystem) -> str:
-    return json.dumps({"k": sys.k, "exact": sys.exact,
-                       "Q": exact.matrix_to_values(sys.Q)}, sort_keys=True)
-
-
-def system_from_json(text: str) -> FiniteSystem:
-    doc = json.loads(text)
-    q = exact.matrix_from_values(doc["Q"], int(doc["k"]), "Q")
-    sys = system_from_matrix(q)
-    if bool(doc["exact"]) != sys.exact:
-        raise ValueError("exact flag disagrees with whether Q is a permutation")
-    return sys

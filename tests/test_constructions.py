@@ -42,8 +42,6 @@ from lenslab import (
     rigidity_sweep,
     rotation_system,
     system_from_permutation,
-    target_from_json,
-    target_to_json,
     transitivity_witness,
     validate_coupling,
 )
@@ -78,14 +76,6 @@ def test_rational_target_rejects_bad_inputs():
         RationalTarget(k=2, L=6, m=np.array([[4, -1], [-1, 4]]))
     with pytest.raises(InfeasibleTarget):
         RationalTarget(k=2, L=6, m=np.array([[3, 1], [1, 2]]))  # bad sums
-
-
-def test_target_json_roundtrip():
-    rng = np.random.default_rng(7)
-    t = random_rational_target(4, 12, rng)
-    back = target_from_json(target_to_json(t))
-    assert back.k == t.k and back.L == t.L
-    assert np.array_equal(back.m, t.m)
 
 
 def test_random_rational_targets_are_always_valid():

@@ -11,11 +11,7 @@ from lenslab import (
     CouplingMatrix,
     NeighborhoodSpec,
     NotRepairable,
-    compose_couplings,
     coupling_distance,
-    coupling_from_json,
-    coupling_to_csv,
-    coupling_to_json,
     graph_coupling,
     in_neighborhood,
     lift_coupling,
@@ -29,7 +25,6 @@ from lenslab import (
     system_from_matrix,
     system_from_permutation,
     validate_coupling,
-    validate_system,
 )
 from lenslab import exact
 from lenslab.lens import cesaro_average, orbit
@@ -48,14 +43,6 @@ def test_graph_coupling_orientation():
     assert c.C[2, 1] == Fraction(1, 3)
     assert c.C[0, 2] == Fraction(1, 3)
     assert c.C[0, 0] == 0
-
-
-def test_compose_matches_permutation_composition():
-    s = np.array([1, 2, 0, 3])
-    t = np.array([3, 1, 0, 2])
-    st_perm = s[t]
-    composed = compose_couplings(graph_coupling(s), graph_coupling(t))
-    assert coupling_distance(composed, graph_coupling(st_perm)) == 0
 
 
 def test_lift_then_restrict_is_identity():
@@ -125,16 +112,6 @@ def test_repair_float_rejects_gross_violation():
         repair_to_polytope(bad)
 
 
-def test_coupling_json_csv_roundtrip():
-    rng = np.random.default_rng(6)
-    c = random_coupling(3, rng)
-    back = coupling_from_json(coupling_to_json(c))
-    assert coupling_distance(back, c) == 0
-    csv = coupling_to_csv(c)
-    assert csv.splitlines()[0] == "i,j,value"
-    assert len(csv.splitlines()) == 10
-
-
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_random_coupling_always_valid(seed):
@@ -184,8 +161,8 @@ def test_validate_coupling_and_system_match_oracle(k, seed, dents):
         m[i2, j2] += shift
     assert validate_coupling(CouplingMatrix(k=k, C=m)) == oracle_diagnostics(m, Fraction(1, k))
     q = m * k
-    sys = system_from_matrix(q)
-    assert validate_system(sys) == oracle_diagnostics(q, 1)
+    defects = exact.marginal_defects(system_from_matrix(q).matrix, 1, exact.FLOAT_TOL)
+    assert defects == oracle_diagnostics(q, 1)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

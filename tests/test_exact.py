@@ -143,13 +143,6 @@ def test_exact_nullspace_agrees_with_scipy_dimension():
             assert all(x == 0 for x in residual.ravel())
 
 
-def test_format_parse_roundtrip():
-    values = [Fraction(3, 7), Fraction(-1, 2), Fraction(5), 4, 0.25]
-    for v in values:
-        out = exact.parse_value(exact.format_value(v))
-        assert out == v
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12),
                min_size=9, max_size=9))

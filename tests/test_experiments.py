@@ -1,6 +1,7 @@
 """Experiment registry, config plumbing, report determinism, CLI exits."""
 
 import hashlib
+import importlib
 import importlib.util
 import json
 import sys
@@ -577,6 +578,22 @@ def test_rigidity_sweep_charges_each_lens_step(L, backend, n_max, refused, capsy
     assert code == (3 if refused else 1)
 
 
+@pytest.mark.parametrize("cells, refused", [(128, False), (256, True)])
+def test_periodic_commuters_charges_each_lens_step(cells, refused, capsys):
+    # The period check takes len(pi) exact lens steps of k^2 = 2^20
+    # operations at m = 10, so the budget holds 128 of them.
+    start = time.perf_counter()
+    code = cli_main(["run", str(CONFIGS / "periodic-commuters.cfg"), "--set", "output_dir=",
+                     "--set", "m=10", "--set", "pi=" + ",".join(map(str, range(cells)))])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    if refused:
+        assert code == 3 and elapsed < 1
+        assert err.startswith("size guard:") and err.count("\n") == 1
+    else:
+        assert code == 0
+
+
 @pytest.mark.parametrize("name, override, expected", [
     ("mixing-profile", f"system=bern:d=2,L={HUGE}", 3),
     ("mixing-profile", f"system=odo:m={HUGE}", 3),
@@ -623,18 +640,16 @@ def test_cli_list_json_matches_golden_file(capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
-def _benchmark_jobs(workload, seed):
-    """perfbench/workloads.make_jobs, loaded from its file without importing
-    anything else from perfbench."""
-    path = CONFIGS.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _perfbench_module(name, monkeypatch):
+    """perfbench/<name>.py loaded from its file under its own name, as
+    perfbench's scripts import each other, and out of sys.modules again
+    after the test."""
+    path = CONFIGS.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
-    try:
-        spec.loader.exec_module(module)
-        return module.make_jobs(workload, seed)
-    finally:
-        del sys.modules[spec.name]
+    monkeypatch.setitem(sys.modules, name, module)  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("workload", ["rational-permutation", "rational-stochastic"])
@@ -644,7 +659,7 @@ def test_benchmark_seed_zero_matches_recorded_digests(workload, tmp_path, monkey
     recorded = json.loads(DIGESTS.read_text())[workload]["0"]
     monkeypatch.chdir(tmp_path)
     digests = {}
-    for job in _benchmark_jobs(workload, 0):
+    for job in _perfbench_module("workloads", monkeypatch).make_jobs(workload, 0):
         mapping = {"experiment": job["experiment"], "backend": job["backend"],
                    "output_dir": f"out/{job['id']}", **job["parameters"]}
         if job["system"]:
@@ -652,3 +667,15 @@ def test_benchmark_seed_zero_matches_recorded_digests(workload, tmp_path, monkey
         assert run_experiment(config_from_mapping(mapping)).passed, job["id"]
         digests[job["id"]] = _digest_dir(tmp_path / "out" / job["id"])
     assert digests == recorded
+
+
+def test_every_traced_layer_name_resolves(monkeypatch):
+    # tracing.install raises on a missing name, so a deleted library
+    # function breaks a traced benchmark run.  install is not called here:
+    # it would wrap library functions for every later test.
+    _perfbench_module("workloads", monkeypatch)
+    tracing = _perfbench_module("tracing", monkeypatch)
+    for layer, names in tracing.LAYERS.items():
+        module = importlib.import_module(f"lenslab.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"

@@ -27,10 +27,8 @@ from lenslab import (
     odometer_system,
     one_sided_step,
     orbit,
-    orbit_to_csv,
     parse_system_spec,
     product_coupling,
-    quasi_attractor_hits,
     random_coupling,
     rigidity_probe,
     rotation_system,
@@ -287,28 +285,6 @@ def test_detect_period_odometer():
     # identity coupling has period equal to the cell-map order of tau^... 1
     ident = graph_coupling(np.arange(4))
     assert detect_period(sys, ident, maxp=4).period == 1
-
-
-def test_quasi_attractor_hits_windows():
-    sys = bernoulli_system(2, 2)
-    rng = np.random.default_rng(12)
-    c = random_coupling(4, rng)
-    orb = orbit(sys, c, 20, mode="one-sided")
-    prod = product_coupling(4)
-    stats = quasi_attractor_hits(
-        orb, lambda s: coupling_distance(s, prod) == 0, window=5)
-    assert stats.overall > 0
-    assert stats.tail == 1
-    assert stats.nondecreasing
-
-
-def test_orbit_csv_shape():
-    sys = rotation_system(3, 1)
-    c = graph_coupling(np.array([1, 0, 2]))
-    text = orbit_to_csv(orbit(sys, c, 4))
-    lines = text.splitlines()
-    assert lines[0] == "n,residual_to_fixed,distance_to_initial,distance_to_product"
-    assert len(lines) == 6
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)
