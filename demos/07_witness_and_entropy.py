@@ -40,8 +40,8 @@ print("image restriction row 0: ",
       [str(x) for x in w.restricted_image.C[0]])
 
 # -- entropy-factor sequences -------------------------------------------------
-# F(n) = mass the n-step lens image assigns to A x A, where A is the set
-# of cells whose label starts with the symbol 0.
+# F(n) = mass the n-step lens image assigns to A x A, where A is the
+# cylinder {x_0 = 0}: cells 0 .. k/2 - 1, as words are indexed big-endian.
 shift = bernoulli_system(2, 3)
 prod = product_coupling(8)
 print("\nproduct coupling: F(n) =",

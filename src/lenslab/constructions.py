@@ -32,7 +32,7 @@ from .errors import (
     SizeGuard,
 )
 from .lens import lens_iterate, lens_step, markov_commutation_residual
-from .partitions import FiniteSystem, refinement_from_parent
+from .partitions import FiniteSystem
 from .zoo import SIZE_LIMIT, IETSpec, bernoulli_system
 
 __all__ = [
@@ -159,7 +159,7 @@ def density_gap(c: CouplingMatrix, L: int) -> tuple[RationalTarget, Fraction]:
 
 
 def consecutive_blocks(sizes) -> list[list[int]]:
-    """Partition cells 0..sum(sizes)-1 into consecutive runs."""
+    """Split cells 0..sum(sizes)-1 into consecutive runs."""
     blocks, start = [], 0
     for sz in sizes:
         blocks.append(list(range(start, start + sz)))
@@ -252,14 +252,10 @@ def transitivity_witness(d: int, L: int, sigma, pi, epsilon=Fraction(1, 10**6)) 
 
     xi = graph_coupling((sigma[:, None] * k + pi[None, :]).ravel())
 
-    base = bernoulli_system(d, L)
-    fine = bernoulli_system(d, 2 * L)
-    ref = refinement_from_parent(base.partition, fine.partition,
-                                 np.arange(fine_k) // k)
-
-    restricted_source = restrict_coupling(xi, ref)
-    image = lens_iterate(fine, xi, L)
-    restricted_image = restrict_coupling(image, ref)
+    prefix = np.arange(fine_k) // k  # fine cell (i, s) -> base cell i
+    restricted_source = restrict_coupling(xi, prefix)
+    image = lens_iterate(bernoulli_system(d, 2 * L), xi, L)
+    restricted_image = restrict_coupling(image, prefix)
 
     check_source = in_neighborhood(
         restricted_source, NeighborhoodSpec(kind="permutation-diagonal",
@@ -273,27 +269,22 @@ def transitivity_witness(d: int, L: int, sigma, pi, epsilon=Fraction(1, 10**6)) 
                          check_source=check_source, check_image=check_image)
 
 
-def _half_cells(sys: FiniteSystem) -> np.ndarray:
-    cells = np.array([i for i, lab in enumerate(sys.partition.labels)
-                      if lab.startswith("0")], dtype=int)
-    if len(cells) * 2 != sys.k:
-        raise DimensionMismatch("system cells do not split on a binary symbol")
-    return cells
-
-
 def entropy_factor_F(sys: FiniteSystem, lam: CouplingMatrix, n_values: int) -> list:
-    """First n_values of n -> (lens^n lam)(A x A), A = cells labeled 0...
+    """First n_values of n -> (lens^n lam)(A x A), A = cells 0 .. k/2 - 1.
 
-    Computed through the indicator vector: (lens^n C)(A x A) equals
-    w_n^T C w_n with w_n = Q^n 1_A, so each step gathers one vector from
-    Q's row lines instead of conjugating.
+    On the binary shift bernoulli_system(2, L), whose words are indexed
+    big-endian, A is the cylinder {x_0 = 0}.  Computed through the
+    indicator vector: (lens^n C)(A x A) equals w_n^T C w_n with
+    w_n = Q^n 1_A, so each step gathers one vector from Q's row lines
+    instead of conjugating.
     """
-    cells = _half_cells(sys)
+    if sys.k % 2:
+        raise DimensionMismatch("A = cells 0 .. k/2 - 1 needs an even cell count")
     backend, c = exact.RATIONAL, lam.matrix
     if sys.backend == exact.FLOAT or lam.backend == exact.FLOAT:
         backend, c = exact.FLOAT, exact.as_float(c)
     w = exact.numerators(sys.k)
-    w[cells] = 1
+    w[:sys.k // 2] = 1
     w = exact.from_scaled(w, 1, backend)
     values = []
     for _ in range(n_values):

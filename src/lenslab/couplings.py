@@ -1,4 +1,4 @@
-"""Couplings of two copies of an equal-mass partition.
+"""Couplings of two copies of k equal-mass cells.
 
 A coupling is a k x k nonnegative matrix C with every row and column sum
 equal to 1/k, the entry C[i, j] standing for rho(A_i x A_j).  k * C is
@@ -17,7 +17,6 @@ import numpy as np
 
 from . import exact
 from .errors import BackendMismatch, DimensionMismatch, NotRepairable
-from .partitions import RefinementMap
 
 __all__ = [
     "CouplingMatrix",
@@ -88,22 +87,34 @@ def graph_coupling(sigma, backend: str = exact.RATIONAL) -> CouplingMatrix:
     return _wrap(exact.from_scaled(num, k, backend))
 
 
-def lift_coupling(coarse: CouplingMatrix, ref: RefinementMap) -> CouplingMatrix:
-    """Relatively independent extension: spread each entry uniformly over
-    the r x r block of fine children."""
-    if coarse.k != ref.coarse.k:
-        raise DimensionMismatch("coupling does not match the coarse partition")
-    parent = np.asarray(ref.parent, dtype=int)
+def _fibre_size(parent: np.ndarray, fine_k: int, coarse_k: int) -> int:
+    """r when parent sends exactly r fine cells onto each of coarse_k
+    cells, fine_k = r * coarse_k; DimensionMismatch otherwise."""
+    if len(parent) != fine_k:
+        raise DimensionMismatch("parent map must cover every fine cell")
+    counts = np.bincount(parent, minlength=coarse_k)
+    r = fine_k // coarse_k
+    if fine_k % coarse_k or len(counts) != coarse_k or not np.all(counts == r):
+        raise DimensionMismatch("each coarse cell needs exactly r fine children")
+    return r
+
+
+def lift_coupling(coarse: CouplingMatrix, parent) -> CouplingMatrix:
+    """Relatively independent extension along parent (fine cell -> coarse
+    cell): spread each entry uniformly over the r x r block of children."""
+    parent = np.asarray(parent, dtype=int)
+    r = _fibre_size(parent, len(parent), coarse.k)
     spread = exact.relabel(coarse.matrix, np.ix_(parent, parent))
-    return _wrap(exact.scale(spread, Fraction(1, ref.r ** 2)))
+    return _wrap(exact.scale(spread, Fraction(1, r ** 2)))
 
 
-def restrict_coupling(fine: CouplingMatrix, ref: RefinementMap) -> CouplingMatrix:
-    """Push a fine coupling down to the coarse partition by block sums."""
-    if fine.k != ref.fine.k:
-        raise DimensionMismatch("coupling does not match the fine partition")
-    parent = np.asarray(ref.parent, dtype=int)
-    return _wrap(exact.block_sums(fine.matrix, parent, ref.coarse.k))
+def restrict_coupling(fine: CouplingMatrix, parent) -> CouplingMatrix:
+    """Push a fine coupling down along parent (fine cell -> coarse cell,
+    coarse cells 0 .. max(parent)) by block sums."""
+    parent = np.asarray(parent, dtype=int)
+    coarse_k = int(parent.max(initial=0)) + 1
+    _fibre_size(parent, fine.k, coarse_k)
+    return _wrap(exact.block_sums(fine.matrix, parent, coarse_k))
 
 
 def coupling_distance(a: CouplingMatrix, b: CouplingMatrix):

@@ -173,7 +173,7 @@ def stored(a):
         return a
     a = np.asarray(a)
     if a.dtype == object:
-        return Scaled(*split_common(a))
+        return split_common(a)
     return freeze(a.copy()) if a.flags.writeable else a
 
 
@@ -224,23 +224,19 @@ def _to_float(num: np.ndarray, den: int) -> np.ndarray:
     return np.array(flat, dtype=float).reshape(num.shape)
 
 
-def _split_entries(a: np.ndarray) -> Scaled:
-    """Split a Fraction (or int) object array, reading every entry once."""
+def split_common(a: np.ndarray) -> Scaled:
+    """Split a Fraction (or int) object array into integer numerators over
+    one common denominator, reading every entry once.
+
+    The result is in lowest terms: the denominator is the lcm of the
+    entries' denominators.  Numerators are int64 when they stay below
+    _INT64_SAFE, Python ints otherwise, and are read-only.
+    """
+    a = np.asarray(a)
     nums = np.fromiter((x.numerator for x in a.flat), object, a.size)
     dens = np.fromiter((x.denominator for x in a.flat), object, a.size)
     den = math.lcm(*set(dens.tolist()))
     return _reduced((nums * (den // dens)).reshape(a.shape), den)
-
-
-def split_common(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """Write a Fraction array as (integer numerators, common denominator).
-
-    The denominator is the lcm of the entries' denominators.  Numerators
-    are int64 when they stay below _INT64_SAFE, Python ints otherwise, and
-    are read-only.
-    """
-    s = _split_entries(np.asarray(a))
-    return s.num, s.den
 
 
 def join_scaled(num: np.ndarray, den: int) -> np.ndarray:
@@ -471,7 +467,7 @@ def mat_mean(arrays):
 def marginal_defects(m, target, tol: float) -> list[str]:
     """Lines of m whose sum is not target, then negative entries.
 
-    Returns 'row_sum(i)', 'col_sum(j)' and 'negative_entry(i,j)' labels in
+    Returns 'row_sum(i)', 'col_sum(j)' and 'negative_entry(i,j)' names in
     that order.  target is exact; tol applies to float arrays only.
     """
     if backend_of(m) == RATIONAL:

@@ -3,9 +3,9 @@ exact torus/group maps used by the conjugation experiments.
 
 Conventions fixed here and relied on everywhere else:
 
-* odometer cells are binary strings read least-significant-digit first,
-  so adding one carries rightward: 000 -> 100 -> 010 -> 110 -> 001 -> ...
-  Cell index is the integer value, and the map is +1 mod 2^m.
+* odometer cells are the integers 0 .. 2^m - 1, and the map is +1 mod
+  2^m: written least-significant digit first, adding one carries
+  rightward, 000 -> 100 -> 010 -> 110 -> 001 -> ...
 * shift-system cells are words read left to right as coordinates 0..L-1,
   indexed big-endian; the shift drops the first symbol and appends one new
   symbol at the end, giving the de Bruijn matrix Q[w, w'] = 1/d.
@@ -24,7 +24,7 @@ import numpy as np
 from . import exact
 from .errors import DimensionMismatch, NonInvertible, SizeGuard
 from .exact import SIZE_LIMIT
-from .partitions import FiniteSystem, make_uniform_partition, system_from_permutation
+from .partitions import FiniteSystem, system_from_permutation
 
 __all__ = [
     "SIZE_LIMIT",
@@ -62,9 +62,7 @@ def odometer_system(m: int, backend: str = exact.RATIONAL) -> FiniteSystem:
     if exact.power_exceeds_limit(2, m):
         raise SizeGuard(f"odometer level {m} needs 2^{m} cells > {SIZE_LIMIT}")
     k = 2**m
-    labels = tuple(format(v, f"0{m}b")[::-1] for v in range(k))
-    perm = (np.arange(k) + 1) % k
-    return system_from_permutation(perm, labels=labels, backend=backend)
+    return system_from_permutation((np.arange(k) + 1) % k, backend=backend)
 
 
 def bernoulli_system(d: int, L: int, backend: str = exact.RATIONAL) -> FiniteSystem:
@@ -84,10 +82,7 @@ def bernoulli_system(d: int, L: int, backend: str = exact.RATIONAL) -> FiniteSys
     value = exact.constant((k, d), Fraction(1, d), backend)
     rows = exact.Support(exact.freeze(words % d ** (L - 1) * d + symbols), value)
     columns = exact.Support(exact.freeze(words // d + symbols * d ** (L - 1)), value)
-    # A label spells its word's symbols, as strings joined by object sums.
-    digits = words // d ** np.arange(L - 1, -1, -1) % d
-    labels = np.array([str(c) for c in range(d)], dtype=object)[digits].sum(axis=1)
-    return FiniteSystem(make_uniform_partition(k, labels.tolist()), support=(rows, columns))
+    return FiniteSystem(rows, columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,7 +268,10 @@ def parse_system_spec(spec: str, backend: str = exact.RATIONAL):
     params = {}
     for item in rest.split(","):
         key, _, value = item.partition("=")
-        params[key.strip()] = value.strip()
+        key = key.strip()
+        if key in params:
+            raise ValueError(f"{family} spec repeats {key}")
+        params[key] = value.strip()
 
     def take(*names):
         if set(params) != set(names):

@@ -342,10 +342,10 @@ def test_witness_guards_resolution_and_shape():
 #
 
 def brute_force_factor(sys, lam, n_values):
-    """Independent oracle: full lens iteration, then mass on A x A."""
-    cells = [i for i, lab in enumerate(sys.partition.labels)
-             if lab.startswith("0")]
-    idx = np.asarray(cells, dtype=int)
+    """Independent oracle: full lens iteration, then mass on A x A, A the
+    binary words w < k whose first (most significant) symbol is 0."""
+    L = sys.k.bit_length() - 1
+    idx = np.array([w for w in range(sys.k) if format(w, f"0{L}b")[0] == "0"])
     values = []
     for n in range(n_values):
         image = lens_iterate(sys, lam, n)

@@ -9,17 +9,15 @@ from hypothesis import strategies as st
 
 from lenslab import (
     CouplingMatrix,
+    DimensionMismatch,
     NeighborhoodSpec,
     NotRepairable,
     coupling_distance,
     graph_coupling,
     in_neighborhood,
     lift_coupling,
-    make_uniform_partition,
-    refinement_from_parent,
     product_coupling,
     random_coupling,
-    refine,
     repair_to_polytope,
     restrict_coupling,
     system_from_matrix,
@@ -46,23 +44,34 @@ def test_graph_coupling_orientation():
 
 
 def test_lift_then_restrict_is_identity():
-    coarse = make_uniform_partition(3)
-    _, ref = refine(coarse, 2)
+    parent = np.arange(6) // 2
     rng = np.random.default_rng(2)
     c = random_coupling(3, rng)
-    lifted = lift_coupling(c, ref)
+    lifted = lift_coupling(c, parent)
     assert not validate_coupling(lifted)
-    back = restrict_coupling(lifted, ref)
+    back = restrict_coupling(lifted, parent)
     assert coupling_distance(back, c) == 0
 
 
 def test_restrict_preserves_polytope():
-    coarse = make_uniform_partition(2)
-    _, ref = refine(coarse, 3)
+    parent = np.arange(6) // 3
     rng = np.random.default_rng(4)
     fine = random_coupling(6, rng)
-    coarse_c = restrict_coupling(fine, ref)
+    coarse_c = restrict_coupling(fine, parent)
     assert not validate_coupling(coarse_c)
+
+
+@pytest.mark.parametrize("fine_k, coarse_k, parent", [
+    (4, 2, [0, 0, 0, 1]),
+    (4, 2, [0, 0, 2, 2]),
+    (4, 2, [0, 0, 1]),
+    (5, 2, [0, 0, 1, 1, 1]),
+], ids=["uneven", "childless-coarse-cell", "uncovered-fine-cell", "not-a-multiple"])
+def test_parent_maps_with_uneven_fibres_are_rejected(fine_k, coarse_k, parent):
+    with pytest.raises(DimensionMismatch):
+        lift_coupling(product_coupling(coarse_k), parent)
+    with pytest.raises(DimensionMismatch):
+        restrict_coupling(product_coupling(fine_k), parent)
 
 
 def test_neighborhood_permutation_diagonal():
@@ -219,14 +228,12 @@ def _restrict_oracle(fine, parent, kc):
 def test_restrict_coupling_matches_block_sum_oracle(kc, r, seed):
     rng = np.random.default_rng(seed)
     parent = rng.permutation(np.arange(kc * r) // r)  # children need not be consecutive
-    ref = refinement_from_parent(make_uniform_partition(kc),
-                                 make_uniform_partition(kc * r), parent)
     for fine in (random_coupling(kc * r, rng), graph_coupling(rng.permutation(kc * r))):
-        coarse = restrict_coupling(fine, ref)
+        coarse = restrict_coupling(fine, parent)
         assert np.array_equal(coarse.C, _restrict_oracle(fine, parent, kc))
         assert not validate_coupling(coarse)
     fine = random_coupling(kc * r, rng, backend=exact.FLOAT)
-    assert np.allclose(restrict_coupling(fine, ref).C, _restrict_oracle(fine, parent, kc),
+    assert np.allclose(restrict_coupling(fine, parent).C, _restrict_oracle(fine, parent, kc),
                        rtol=0, atol=exact.FLOAT_TOL)
 
 

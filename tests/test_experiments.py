@@ -465,6 +465,9 @@ def _run_override(name, override, capsys):
     ("group-embedding", "moduli=-4,3"),
     ("rigidity-sweep", "blocks=0,1,2,3"),
     ("one-sided-limit", "expect_graph_orbit=ye"),
+    ("fixed-points", "system=rot:k=4,k=6,s=1"),
+    ("fixed-points", "system=rot:k=6,s=1,s=2"),
+    ("mixing-profile", "system=bern:d=2,L=2,d=2"),
 ])
 def test_cli_rejects_known_bad_overrides_as_config_errors(name, override, capsys):
     code, err = _run_override(name, override, capsys)

@@ -30,6 +30,7 @@ from lenslab import (
     parse_system_spec,
     product_coupling,
     random_coupling,
+    restrict_coupling,
     rigidity_probe,
     rotation_system,
     run_experiment,
@@ -353,7 +354,7 @@ def _refuse_split(a):
 def test_exact_system_dynamics_read_no_fraction_entry(spec, monkeypatch):
     """Couplings and systems are built from integer numerators and exact
     dynamics relabel them, so no Fraction array is ever split."""
-    monkeypatch.setattr(exact, "_split_entries", _refuse_split)
+    monkeypatch.setattr(exact, "split_common", _refuse_split)
     sys = parse_system_spec(spec)
     k = sys.k
     c = random_coupling(k, np.random.default_rng(0))
@@ -375,7 +376,7 @@ def test_exact_system_dynamics_read_no_fraction_entry(spec, monkeypatch):
 def test_fixed_points_split_no_fraction_array(spec, backend, monkeypatch):
     """The null space comes out as integer numerators and the basis is
     built from them, so the fixed-points path splits no Fraction array."""
-    monkeypatch.setattr(exact, "_split_entries", _refuse_split)
+    monkeypatch.setattr(exact, "split_common", _refuse_split)
     space = fixed_point_space(parse_system_spec(spec, backend))
     assert all(exact.backend_of(d) == backend for d in space.basis)
     cfg = ExperimentConfig(experiment="fixed-points", system=spec, backend=backend)
@@ -423,3 +424,62 @@ def test_relabelling_carries_the_lens_to_the_conjugate_system(spec, data):
         image = relabel(lens_step(sys, c).matrix)
         carried = lens_step(conj, CouplingMatrix(k=k, C=relabel(c.matrix))).matrix
         assert exact.max_abs(image, carried) <= exact.tolerance(backend)
+
+
+def _factor_matrix(parent, kc):
+    """The 0/1 matrix P of a parent map: P[i, parent(i)] = 1."""
+    p = np.zeros((len(parent), kc), dtype=int)
+    p[np.arange(len(parent)), parent] = 1
+    return p
+
+
+def _is_factor_map(fine, coarse, parent):
+    """Q_f P = P Q_c, entry by entry on the rational Q's."""
+    p = _factor_matrix(parent, coarse.k)
+    return np.array_equal(fine.Q.dot(p), p.dot(coarse.Q))
+
+
+@st.composite
+def factor_pairs(draw):
+    """(fine spec, coarse spec, parent): rot:k=rk,s=rs -> rot:k=k,s=s along
+    a // r, or bern:d,L+1 -> bern:d,L along w % d**L, which drops the first
+    symbol of the big-endian word."""
+    if draw(st.booleans()):
+        k, r = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+        s = draw(st.integers(0, k - 1))
+        return f"rot:k={r * k},s={r * s}", f"rot:k={k},s={s}", np.arange(r * k) // r
+    d = draw(st.integers(2, 3))
+    L = draw(st.integers(1, 3 if d == 2 else 2))
+    return f"bern:d={d},L={L + 1}", f"bern:d={d},L={L}", np.arange(d ** (L + 1)) % d**L
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(factor_pairs(), st.integers(0, 2**32 - 1))
+def test_restriction_along_a_factor_map_commutes_with_the_lens(pair, seed):
+    """Where Q_f P = P Q_c holds, restrict o lens_fine = lens_coarse o
+    restrict, since both equal (Q_f P)^T C (Q_f P); restrict itself is
+    P^T C P.  Equal on rationals, within FLOAT_TOL on floats."""
+    fine_spec, coarse_spec, parent = pair
+    assert _is_factor_map(parse_system_spec(fine_spec), parse_system_spec(coarse_spec), parent)
+    for backend in (exact.RATIONAL, exact.FLOAT):
+        fine, coarse = parse_system_spec(fine_spec, backend), parse_system_spec(coarse_spec, backend)
+        p = _factor_matrix(parent, coarse.k).astype(object if backend == exact.RATIONAL else float)
+        c = random_coupling(fine.k, np.random.default_rng(seed), backend=backend)
+        down = restrict_coupling(c, parent)
+        tol = exact.tolerance(backend)
+        assert exact.max_abs(down.matrix, exact.stored(p.T.dot(c.C).dot(p))) <= tol
+        pushed = restrict_coupling(lens_step(fine, c), parent)
+        assert exact.max_abs(pushed.matrix, lens_step(coarse, down).matrix) <= tol
+
+
+def test_dropping_the_last_symbol_is_not_a_factor_map_of_the_shift():
+    """bern:d=2,L=4 -> bern:d=2,L=3 factors along w % 8 (first symbol
+    dropped) but not along w // 2 (last symbol dropped), and there
+    restriction does not commute with the lens."""
+    fine, coarse = bernoulli_system(2, 4), bernoulli_system(2, 3)
+    drop_first, drop_last = np.arange(16) % 8, np.arange(16) // 2
+    assert _is_factor_map(fine, coarse, drop_first)
+    assert not _is_factor_map(fine, coarse, drop_last)
+    c = random_coupling(16, np.random.default_rng(0))
+    pushed = restrict_coupling(lens_step(fine, c), drop_last)
+    assert coupling_distance(pushed, lens_step(coarse, restrict_coupling(c, drop_last))) > 0

@@ -1,4 +1,4 @@
-"""Partitions, refinements, and finite systems."""
+"""Finite systems: constructors, exactness, powers."""
 
 import math
 from fractions import Fraction
@@ -10,38 +10,12 @@ from lenslab import (
     FiniteSystem,
     NegativePowerOfStochastic,
     bernoulli_system,
-    make_uniform_partition,
-    refine,
-    refinement_from_parent,
     rotation_system,
     system_from_matrix,
     system_from_permutation,
     system_power,
 )
 from lenslab import exact
-
-
-def test_uniform_partition_masses():
-    p = make_uniform_partition(4)
-    assert p.k == 4
-    assert p.cell_mass == Fraction(1, 4)
-    assert len(set(p.labels)) == 4
-
-
-def test_refine_parent_structure():
-    coarse = make_uniform_partition(3)
-    fine, ref = refine(coarse, 2)
-    assert fine.k == 6
-    assert list(ref.parent) == [0, 0, 1, 1, 2, 2]
-    assert ref.r == 2
-    assert fine.labels[3] == "1.1"
-
-
-def test_refinement_from_parent_rejects_uneven_fibers():
-    coarse = make_uniform_partition(2)
-    fine = make_uniform_partition(4)
-    with pytest.raises(Exception):
-        refinement_from_parent(coarse, fine, [0, 0, 0, 1])
 
 
 def test_system_from_permutation_is_exact():
@@ -119,10 +93,14 @@ def test_system_power_matches_repeated_composition(sys):
         assert (list(power.perm) == identity) == (n % order == 0)
 
 
-def test_exact_is_derived_from_the_permutation():
-    q = exact.matrix_of_permutation([1, 2, 0]).T
-    assert FiniteSystem(partition=make_uniform_partition(3), Q=q).exact is False
+@pytest.mark.parametrize("backend", [exact.RATIONAL, exact.FLOAT])
+def test_exact_is_derived_from_the_permutation(backend):
+    # However a permutation matrix's system is built, it is exact.
+    q = exact.matrix_of_permutation([1, 2, 0], backend).T
+    assert FiniteSystem(exact.support(q), exact.support(q.T)).exact is True
     assert system_from_matrix(q).exact and list(system_from_matrix(q).perm) == [1, 2, 0]
+    assert list(system_from_permutation([1, 2, 0], backend).perm) == [1, 2, 0]
+    assert system_from_matrix(exact.entries(q)).exact
     with pytest.raises(AttributeError):
         system_from_matrix(q).exact = False
 
