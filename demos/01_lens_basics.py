@@ -34,12 +34,12 @@ print("one row of its matrix:", list(shift.Q[0]))
 
 # -- couplings ------------------------------------------------------------
 # Three landmarks of the polytope: the independent (product) coupling, a
-# graph coupling sitting on a permutation, and a random interior point.
+# graph coupling sitting on a permutation, and a random point.
 prod = product_coupling(6)
 diag = graph_coupling(np.array([1, 2, 3, 4, 5, 0]))
 rng = np.random.default_rng(1)
-interior = random_coupling(6, rng)
-for name, c in (("product", prod), ("graph", diag), ("random", interior)):
+mixed = random_coupling(6, rng)
+for name, c in (("product", prod), ("graph", diag), ("random", mixed)):
     problems = validate_coupling(c)
     print(f"{name:8s} coupling valid: {not problems}")
 
@@ -60,6 +60,6 @@ print("product is fixed under the shift:",
 from fractions import Fraction
 
 t = Fraction(2, 7)
-lhs = lens_step(rot, type(diag)(k=6, C=t * diag.C + (1 - t) * prod.C))
+lhs = lens_step(rot, type(diag)(t * diag.C + (1 - t) * prod.C))
 rhs = t * lens_step(rot, diag).C + (1 - t) * lens_step(rot, prod).C
 print("lens step is affine:", np.array_equal(lhs.C, rhs))

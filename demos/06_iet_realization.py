@@ -23,7 +23,7 @@ from lenslab import (
 )
 
 # -- realize a small target exactly -----------------------------------------
-target = RationalTarget(k=2, L=4, m=np.array([[1, 1], [1, 1]]))
+target = RationalTarget(L=4, m=np.array([[1, 1], [1, 1]]))
 spec = realize_coupling_as_iet(target)
 print("target m =", target.m.tolist(), "over denominator", target.L)
 print("interval exchange on", spec.n_intervals, "equal subintervals")

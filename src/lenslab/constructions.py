@@ -58,21 +58,20 @@ __all__ = [
 class RationalTarget:
     """Integer transportation matrix: the coupling m / L with denominator L.
 
-    m is k x k with nonnegative integer entries and every row and column
-    summing to L / k, so m / L lies in the coupling polytope.
+    m is square, k = len(m) on a side, with nonnegative integer entries and
+    every row and column summing to L / k, so m / L lies in the coupling
+    polytope.
     """
 
-    k: int
     L: int
     m: np.ndarray
 
     def __post_init__(self):
-        exact.freeze(np.asarray(self.m))
+        m = exact.freeze(np.asarray(self.m))
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+            raise InfeasibleTarget("m must be square and nonempty")
         if self.L % self.k != 0:
             raise InfeasibleTarget("k must divide L")
-        m = np.asarray(self.m)
-        if m.shape != (self.k, self.k):
-            raise InfeasibleTarget("m must be k x k")
         if not np.issubdtype(m.dtype, np.integer):
             raise InfeasibleTarget("m must hold integers")
         if m.min() < 0:
@@ -81,9 +80,12 @@ class RationalTarget:
         if not np.all(m.sum(axis=1) == quota) or not np.all(m.sum(axis=0) == quota):
             raise InfeasibleTarget("rows and columns must sum to L/k")
 
+    @property
+    def k(self) -> int:
+        return len(self.m)
+
     def coupling(self, backend: str = exact.RATIONAL) -> CouplingMatrix:
-        c = exact.from_scaled(np.asarray(self.m), self.L, backend)
-        return CouplingMatrix(k=self.k, C=c)
+        return CouplingMatrix(exact.from_scaled(np.asarray(self.m), self.L, backend))
 
 
 def random_rational_target(k: int, L: int, rng: np.random.Generator) -> RationalTarget:
@@ -94,7 +96,7 @@ def random_rational_target(k: int, L: int, rng: np.random.Generator) -> Rational
     for _ in range(L // k):
         sigma = rng.permutation(k)
         m[sigma, np.arange(k)] += 1
-    return RationalTarget(k=k, L=L, m=m)
+    return RationalTarget(L=L, m=m)
 
 
 def realize_coupling_as_iet(target: RationalTarget) -> IETSpec:
@@ -117,7 +119,7 @@ def realize_coupling_as_iet(target: RationalTarget) -> IETSpec:
     lengths = counts.ravel()
     run_start = np.cumsum(lengths) - lengths
     perm = np.repeat(dest_start.ravel() - run_start, lengths) + np.arange(total)
-    return IETSpec(n_intervals=total, permutation=tuple(perm.tolist()))
+    return IETSpec(permutation=tuple(perm.tolist()))
 
 
 def density_gap(c: CouplingMatrix, L: int) -> tuple[RationalTarget, Fraction]:
@@ -152,7 +154,7 @@ def density_gap(c: CouplingMatrix, L: int) -> tuple[RationalTarget, Fraction]:
         base[i, j] += 1
         row_need[i] -= 1
         col_need[j] -= 1
-    target = RationalTarget(k=k, L=L, m=base)
+    target = RationalTarget(L=L, m=base)
     # |base / L - num / den| over the denominator L * den.
     distance = Fraction(int(np.abs(base.astype(object) * s.den - scaled).sum()), L * s.den)
     return target, distance
@@ -191,7 +193,7 @@ def _block_probe(sys: FiniteSystem, blocks) -> tuple[np.ndarray, CouplingMatrix]
     xi = exact.numerators((k, k), den)
     for b in blocks:
         xi[np.ix_(b, b)] = den // (k * len(b))
-    return label, CouplingMatrix(k=k, C=exact.from_scaled(xi, den, sys.backend))
+    return label, CouplingMatrix(exact.from_scaled(xi, den, sys.backend))
 
 
 def rigidity_probe(sys: FiniteSystem, blocks, n: int):
@@ -220,15 +222,19 @@ def rigidity_sweep(sys: FiniteSystem, blocks, n_max: int) -> list:
 
 @dataclass(frozen=True, eq=False)
 class WitnessResult:
-    """Fine coupling steering one permutation neighborhood into another."""
+    """Fine coupling xi, over fine_k = xi.k cells, steering one permutation
+    neighborhood into another in n lens steps."""
 
     n: int
-    fine_k: int
     xi: CouplingMatrix
     restricted_source: CouplingMatrix
     restricted_image: CouplingMatrix
     check_source: bool
     check_image: bool
+
+    @property
+    def fine_k(self) -> int:
+        return self.xi.k
 
 
 def transitivity_witness(d: int, L: int, sigma, pi, epsilon=Fraction(1, 10**6)) -> WitnessResult:
@@ -263,7 +269,7 @@ def transitivity_witness(d: int, L: int, sigma, pi, epsilon=Fraction(1, 10**6)) 
     check_image = in_neighborhood(
         restricted_image, NeighborhoodSpec(kind="permutation-diagonal",
                                            epsilon=epsilon, eta=pi))
-    return WitnessResult(n=L, fine_k=fine_k, xi=xi,
+    return WitnessResult(n=L, xi=xi,
                          restricted_source=restricted_source,
                          restricted_image=restricted_image,
                          check_source=check_source, check_image=check_image)
@@ -328,10 +334,10 @@ def realize_entropy_block(block) -> CouplingMatrix:
 
 @dataclass(frozen=True, eq=False)
 class CommuterResult:
-    """Cell permutation commuting with the system, plus its graph coupling."""
+    """Cell permutation commuting with the system, with the commutation
+    residual of its graph coupling."""
 
     perm: np.ndarray
-    coupling: CouplingMatrix
     commutation_residual: Fraction | float
     cycles_blocks: bool
 
@@ -353,11 +359,10 @@ def bernoulli_cyclic_commuter(d: int, ell: int, L: int) -> CommuterResult:
     place = D ** np.arange(L - 1, -1, -1)
     words = np.arange(k)[:, None] // place % D
     perm = ((words // ell + 1) % d * ell + words % ell) @ place
-    coupling = graph_coupling(perm)
-    residual = markov_commutation_residual(shift, coupling)
+    residual = markov_commutation_residual(shift, graph_coupling(perm))
     cycles = bool(np.all(perm // place[0] // ell == (words[:, 0] // ell + 1) % d))
-    return CommuterResult(perm=perm, coupling=coupling,
-                          commutation_residual=residual, cycles_blocks=cycles)
+    return CommuterResult(perm=perm, commutation_residual=residual,
+                          cycles_blocks=cycles)
 
 
 def odometer_commuter(pi, m: int) -> np.ndarray:

@@ -41,15 +41,17 @@ class CouplingMatrix:
     """Transportation-polytope point: rows and columns each sum to 1/k.
 
     matrix is the stored form of the given C (exact.stored); C is its
-    per-entry view, built at most once and only when asked for.
+    per-entry view, built at most once and only when asked for.  k is the
+    side of the stored matrix, read once here.
     """
 
     k: int
     matrix: object
 
-    def __init__(self, k: int, C):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "matrix", exact.stored(C))
+    def __init__(self, C):
+        matrix = exact.stored(C)
+        object.__setattr__(self, "k", matrix.shape[0])
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def backend(self) -> str:
@@ -58,10 +60,6 @@ class CouplingMatrix:
     @property
     def C(self) -> np.ndarray:
         return exact.entries(self.matrix)
-
-
-def _wrap(c) -> CouplingMatrix:
-    return CouplingMatrix(k=c.shape[0], C=c)
 
 
 def _require_same(a: CouplingMatrix, b: CouplingMatrix):
@@ -73,7 +71,7 @@ def _require_same(a: CouplingMatrix, b: CouplingMatrix):
 
 def product_coupling(k: int, backend: str = exact.RATIONAL) -> CouplingMatrix:
     """Independent coupling: every entry 1/k^2."""
-    return _wrap(exact.constant((k, k), Fraction(1, k * k), backend))
+    return CouplingMatrix(exact.constant((k, k), Fraction(1, k * k), backend))
 
 
 def graph_coupling(sigma, backend: str = exact.RATIONAL) -> CouplingMatrix:
@@ -84,7 +82,7 @@ def graph_coupling(sigma, backend: str = exact.RATIONAL) -> CouplingMatrix:
         raise ValueError("sigma must be a permutation of 0..k-1")
     num = exact.numerators((k, k))
     num[sigma, np.arange(k)] = 1
-    return _wrap(exact.from_scaled(num, k, backend))
+    return CouplingMatrix(exact.from_scaled(num, k, backend))
 
 
 def _fibre_size(parent: np.ndarray, fine_k: int, coarse_k: int) -> int:
@@ -105,7 +103,7 @@ def lift_coupling(coarse: CouplingMatrix, parent) -> CouplingMatrix:
     parent = np.asarray(parent, dtype=int)
     r = _fibre_size(parent, len(parent), coarse.k)
     spread = exact.relabel(coarse.matrix, np.ix_(parent, parent))
-    return _wrap(exact.scale(spread, Fraction(1, r ** 2)))
+    return CouplingMatrix(exact.scale(spread, Fraction(1, r ** 2)))
 
 
 def restrict_coupling(fine: CouplingMatrix, parent) -> CouplingMatrix:
@@ -114,7 +112,7 @@ def restrict_coupling(fine: CouplingMatrix, parent) -> CouplingMatrix:
     parent = np.asarray(parent, dtype=int)
     coarse_k = int(parent.max(initial=0)) + 1
     _fibre_size(parent, fine.k, coarse_k)
-    return _wrap(exact.block_sums(fine.matrix, parent, coarse_k))
+    return CouplingMatrix(exact.block_sums(fine.matrix, parent, coarse_k))
 
 
 def coupling_distance(a: CouplingMatrix, b: CouplingMatrix):
@@ -173,7 +171,7 @@ def repair_to_polytope(m) -> CouplingMatrix:
     m = exact.stored(m)
     if exact.backend_of(m) == exact.RATIONAL:
         # Exact arithmetic never drifts: accept valid input, refuse the rest.
-        cm = _wrap(m)
+        cm = CouplingMatrix(m)
         bad = validate_coupling(cm)
         if bad:
             raise NotRepairable(f"exact matrix violates {bad[0]}")
@@ -200,7 +198,7 @@ def repair_to_polytope(m) -> CouplingMatrix:
         dev = max(np.abs(w.sum(axis=1) - target).max(),
                   np.abs(w.sum(axis=0) - target).max())
         if dev < REPAIR_TARGET:
-            return _wrap(w)
+            return CouplingMatrix(w)
     raise NotRepairable("rescaling did not converge")
 
 
@@ -214,8 +212,8 @@ def validate_coupling(c: CouplingMatrix) -> list[str]:
 
 def random_coupling(k: int, rng: np.random.Generator,
                     backend: str = exact.RATIONAL) -> CouplingMatrix:
-    """Random interior point: convex combination of six permutation
-    couplings with small rational weights.  Exact polytope membership by construction."""
+    """Random point: convex combination of six permutation couplings with
+    small rational weights.  Exact polytope membership by construction."""
     # Accumulate integer numerators over the common denominator total * k.
     numerators = exact.numerators((k, k))
     weights = [int(w) for w in rng.integers(1, 20, size=6)]
@@ -224,5 +222,5 @@ def random_coupling(k: int, rng: np.random.Generator,
     for w in weights:
         sigma = rng.permutation(k)
         numerators[sigma, cols] += w
-    return _wrap(exact.from_scaled(numerators, total * k, backend))
+    return CouplingMatrix(exact.from_scaled(numerators, total * k, backend))
 

@@ -520,15 +520,6 @@ def compose_permutations(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.asarray(p, dtype=int)[np.asarray(q, dtype=int)]
 
 
-def format_value(x) -> str | float | int:
-    """JSON-friendly value: 'p/q' strings for rationals, numbers otherwise."""
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    return float(x)
-
-
 def exact_nullspace(a) -> list[Scaled]:
     """Basis of {x : A x = 0} over the rationals, by integer Gauss-Jordan.
 

@@ -97,16 +97,20 @@ class ExperimentReport:
 
     scalars and verdicts are flat maps; series maps a name to (columns,
     texts, index), cell (r, c) being texts[index[r, c]], the value_str text of
-    a distinct cell held once.  The stable JSON form excludes the wall-clock
-    duration so that identical (config, seed, backend) reruns are byte-identical.
+    a distinct cell held once.  passed is whether every verdict holds.  The
+    stable JSON form excludes the wall-clock duration so that identical
+    (config, seed, backend) reruns are byte-identical.
     """
 
     config: ExperimentConfig
     scalars: dict
     series: dict
     verdicts: dict
-    passed: bool
     duration_seconds: float
+
+    @property
+    def passed(self) -> bool:
+        return all(self.verdicts.values())
 
     def rows(self, name: str) -> list[tuple]:
         """The rows of a series as tuples of cell texts."""
@@ -180,13 +184,14 @@ def _row_chunks(pool, index, head, mid, end, last):
 
 
 def value_str(x) -> str:
-    """Canonical cell rendering: exact.format_value as text, 'true'/'false'
-    for booleans (numpy's too), strings unchanged."""
+    """Canonical cell rendering: 'true'/'false' for booleans (numpy's too),
+    strings unchanged, a Fraction as exact 'p/q', integers (numpy's too) as
+    integers, and any other number as its float."""
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
-    if isinstance(x, str):
-        return x
-    return str(exact.format_value(x))
+    if isinstance(x, (str, Fraction)):
+        return str(x)
+    return str(int(x) if isinstance(x, (int, np.integer)) else float(x))
 
 
 def _render_series(columns) -> tuple:
@@ -254,9 +259,12 @@ def _coerce(kind: str, raw: str):
 class ExperimentSpec:
     """A registered experiment.
 
-    series maps each CSV series name to its column names.  The runner
-    takes (config, typed parameters, backend) and returns raw values:
-    (scalars, columns by series name, verdicts); run_experiment renders them.
+    series maps each CSV series name to its column names.  needs_system
+    is the type of system the runner takes, FiniteSystem or SkewSpec, or
+    None when it takes none.  The runner takes (system, typed parameters,
+    backend), system being the parsed spec (None without one), and returns
+    raw values: (scalars, columns by series name, verdicts); run_experiment
+    renders them.
     """
 
     name: str
@@ -264,7 +272,7 @@ class ExperimentSpec:
     backends: tuple
     series: dict
     runner: object
-    needs_system: bool = False
+    needs_system: type | None = None
     params: tuple = ()
 
     @property
@@ -288,21 +296,6 @@ def _experiment(**fields):
         REGISTRY[spec.name] = spec
         return runner
     return register
-
-
-def _parse_system(spec: str, backend: str):
-    try:
-        return parse_system_spec(spec, backend=backend)
-    except (ValueError, ZeroDivisionError) as e:
-        raise InvalidConfig(f"bad system spec {spec!r}: {e}") from None
-
-
-def _need_system(cfg: ExperimentConfig, backend: str) -> FiniteSystem:
-    obj = _parse_system(cfg.system, backend)
-    if not isinstance(obj, FiniteSystem):
-        raise InvalidConfig(
-            f"system {cfg.system!r} does not define cell dynamics here")
-    return obj
 
 
 # Cell operations one run's loops may take: a step gathers k^2 cells from s
@@ -349,7 +342,7 @@ def _rng_children(seed: int, n: int) -> list[np.random.Generator]:
     description="Block-probe lens scores over a step range; score 1 returns "
                 "certify rigidity of the cell dynamics.",
     backends=_BOTH,
-    needs_system=True,
+    needs_system=FiniteSystem,
     params=(
         ParamSpec("blocks", "intlist", help="distinct block sizes summing to k",
                   minimum=1),
@@ -359,8 +352,7 @@ def _rng_children(seed: int, n: int) -> list[np.random.Generator]:
     ),
     series={"scores": ("n", "score")},
 )
-def _run_rigidity_sweep(cfg, p, backend):
-    sys = _need_system(cfg, backend)
+def _run_rigidity_sweep(sys, p, backend):
     if sum(p["blocks"]) != sys.k:
         raise InvalidConfig(f"blocks must sum to k = {sys.k}")
     _guard_steps(p["n_max"] + 1, _step_cost(sys))
@@ -388,7 +380,7 @@ def _run_rigidity_sweep(cfg, p, backend):
     description="Residual max|Q^n[i,j]/k - 1/k^2| per step; zero residual "
                 "means n-step independence of the partition from itself.",
     backends=_BOTH,
-    needs_system=True,
+    needs_system=FiniteSystem,
     params=(
         ParamSpec("n_max", "int", help="largest power to profile"),
         ParamSpec("expect_zero_by", "int", required=False,
@@ -396,8 +388,7 @@ def _run_rigidity_sweep(cfg, p, backend):
     ),
     series={"residuals": ("n", "residual")},
 )
-def _run_mixing_profile(cfg, p, backend):
-    sys = _need_system(cfg, backend)
+def _run_mixing_profile(sys, p, backend):
     k = sys.k
     _guard_steps(p["n_max"] + 1, _step_cost(sys))
     tol = exact.tolerance(backend)
@@ -434,7 +425,7 @@ def _run_mixing_profile(cfg, p, backend):
     ),
     series={"restrictions": ("which", "i", "j", "mass")},
 )
-def _run_transitivity_witness(cfg, p, backend):
+def _run_transitivity_witness(_, p, backend):
     if p["epsilon"] <= 0:
         raise InvalidConfig("epsilon must be positive")
     w = transitivity_witness(p["d"], p["L"], p["sigma"], p["pi"], p["epsilon"])
@@ -463,7 +454,7 @@ def _run_transitivity_witness(cfg, p, backend):
     ),
     series={"factor_sequence": ("n", "F")},
 )
-def _run_entropy_factor(cfg, p, backend):
+def _run_entropy_factor(_, p, backend):
     block = p["block"]
     if any(b not in (0, Fraction(1, 2)) for b in block):
         raise InvalidConfig("block entries must be 0 or 1/2")
@@ -485,16 +476,15 @@ def _run_entropy_factor(cfg, p, backend):
     description="Affine hull of the lens fixed couplings: dimension, basis "
                 "directions, and the always-fixed product coupling.",
     backends=_BOTH,
-    needs_system=True,
+    needs_system=FiniteSystem,
     series={"basis": ("direction", "i", "j", "value")},
 )
-def _run_fixed_points(cfg, p, backend):
-    sys = _need_system(cfg, backend)
+def _run_fixed_points(sys, p, backend):
     k = sys.k
     tol = exact.tolerance(backend)
     basis = fixed_point_space(sys).basis
     # A direction is not a coupling, but the lens and the checks are linear.
-    directions = [CouplingMatrix(k=k, C=d) for d in basis]
+    directions = [CouplingMatrix(d) for d in basis]
     # The product coupling's lens image Q^T (J/k^2) Q is s^T s / k^2 for the
     # column sums s = 1^T Q: an outer product, not a conjugation.
     sums = exact.gather(exact.constant((1, k), 1, backend), sys.columns, (1,))
@@ -539,7 +529,7 @@ def _run_fixed_points(cfg, p, backend):
     ),
     series={"commuter": ("cell", "image"), "period_residuals": ("p", "residual")},
 )
-def _run_periodic_commuters(cfg, p, backend):
+def _run_periodic_commuters(_, p, backend):
     family = p["family"]
     if family == "bernoulli":
         for name in ("d", "ell", "L"):
@@ -611,7 +601,7 @@ def _initial_coupling(init: str, k: int, backend: str, p) -> CouplingMatrix:
     description="One-sided orbit C -> Q^T C: distance to the product "
                 "coupling per step, with optional attractor expectations.",
     backends=_BOTH,
-    needs_system=True,
+    needs_system=FiniteSystem,
     params=(
         ParamSpec("n_steps", "int", help="orbit length"),
         ParamSpec("init", "str", required=False, default="random",
@@ -624,11 +614,10 @@ def _initial_coupling(init: str, k: int, backend: str, p) -> CouplingMatrix:
     ),
     series={"distance_to_product": ("n", "distance")},
 )
-def _run_one_sided_limit(cfg, p, backend):
+def _run_one_sided_limit(sys, p, backend):
     graph_orbit = _flag("expect_graph_orbit", p["expect_graph_orbit"])
     if graph_orbit and backend != exact.RATIONAL:
         raise InvalidConfig("expect_graph_orbit needs the rational backend")
-    sys = _need_system(cfg, backend)
     k = sys.k
     _guard_steps(p["n_steps"], _step_cost(sys))
     tol = exact.tolerance(backend)
@@ -661,7 +650,7 @@ def _run_one_sided_limit(cfg, p, backend):
     description="Orbit averages (1/N) sum of lens states: the self-joining "
                 "residual of the average obeys the 2/N telescoping bound.",
     backends=_BOTH,
-    needs_system=True,
+    needs_system=FiniteSystem,
     params=(
         ParamSpec("N_values", "intlist", required=False, default="10,100",
                   help="averaging horizons", minimum=1),
@@ -671,8 +660,7 @@ def _run_one_sided_limit(cfg, p, backend):
     ),
     series={"residuals": ("initial", "N", "residual", "bound")},
 )
-def _run_cesaro_barycenter(cfg, p, backend):
-    sys = _need_system(cfg, backend)
+def _run_cesaro_barycenter(sys, p, backend):
     k = sys.k
     n_values = sorted(set(p["N_values"]))
     # Each initial takes an orbit of N lens steps and one average per
@@ -702,17 +690,14 @@ def _run_cesaro_barycenter(cfg, p, backend):
     description="Orbit of the exact skew map W(a,b,c)=(a,a+b,a+b+c) with "
                 "pointwise conjugation and invariant-torus checks.",
     backends=_EXACT_ONLY,
-    needs_system=True,
+    needs_system=SkewSpec,
     params=(
         ParamSpec("start", "fraclist", help="initial point a,b,c"),
         ParamSpec("N", "int", help="number of steps"),
     ),
     series={"orbit": ("n", "a", "b", "c")},
 )
-def _run_skew_orbit(cfg, p, backend):
-    spec = _parse_system(cfg.system, backend)
-    if not isinstance(spec, SkewSpec):
-        raise InvalidConfig("skew-orbit needs a skew:alpha=... system spec")
+def _run_skew_orbit(skew, p, backend):
     start = p["start"]
     if len(start) != 3:
         raise InvalidConfig("start must have three coordinates")
@@ -726,10 +711,10 @@ def _run_skew_orbit(cfg, p, backend):
         point = skew_W_step(point)
         points.append(point)
     ret = next((n for n in range(1, len(points)) if points[n] == points[0]), -1)
-    scalars = {"alpha": Fraction(spec.alpha), "return_step": ret}
+    scalars = {"alpha": Fraction(skew.alpha), "return_step": ret}
     verdicts = {
         "conjugation_matches_skew_step": all(
-            skew_Tbar_conjugation(t, spec.alpha) == skew_W_step(t) for t in points),
+            skew_Tbar_conjugation(t, skew.alpha) == skew_W_step(t) for t in points),
         "torus_restriction_is_affine_map": all(
             skew_torus_restriction(t[0], t[1:]) == skew_W_step(t)[1:] for t in points),
     }
@@ -748,7 +733,7 @@ def _run_skew_orbit(cfg, p, backend):
     ),
     series={"target": ("i", "j", "mass")},
 )
-def _run_iet_realize(cfg, p, backend):
+def _run_iet_realize(_, p, backend):
     k, L = p["k"], p["L"]
     if k * L > SIZE_LIMIT:  # before the k x k target is drawn
         raise SizeGuard(f"k*L = {k * L} subintervals > {SIZE_LIMIT}")
@@ -778,7 +763,7 @@ def _run_iet_realize(cfg, p, backend):
     ),
     series={"images": ("z", "image")},
 )
-def _run_group_embedding(cfg, p, backend):
+def _run_group_embedding(_, p, backend):
     moduli = tuple(p["moduli"])
     mat = p["matrix"]
     elements = group_elements(moduli)
@@ -853,8 +838,9 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     )
 
 
-def validate_config(cfg: ExperimentConfig) -> dict:
-    """Check cfg against the registry; return the typed parameter map."""
+def validate_config(cfg: ExperimentConfig) -> tuple:
+    """Check cfg against the registry; return (system, typed parameter
+    map), the system parsed from its spec (None without one)."""
     if cfg.experiment not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
         raise UnknownExperiment(
@@ -867,8 +853,10 @@ def validate_config(cfg: ExperimentConfig) -> dict:
         raise InvalidConfig(
             f"experiment {spec.name!r} is exact-only; backend "
             f"{cfg.backend!r} is not allowed")
-    if spec.needs_system and not cfg.system:
+    if spec.needs_system is not None and not cfg.system:
         raise InvalidConfig(f"experiment {spec.name!r} needs a system spec")
+    if spec.needs_system is None and cfg.system:
+        raise InvalidConfig(f"experiment {spec.name!r} takes no system spec")
     known = spec.param_map()
     for name in cfg.parameters:
         if name not in known:
@@ -893,7 +881,16 @@ def validate_config(cfg: ExperimentConfig) -> dict:
         if any(v < p.minimum for v in entries):
             raise InvalidConfig(
                 f"parameter {p.name!r} must be >= {p.minimum}, got {value}")
-    return typed
+    if not cfg.system:
+        return None, typed
+    try:
+        system = parse_system_spec(cfg.system, backend=cfg.backend)
+    except (ValueError, ZeroDivisionError) as e:
+        raise InvalidConfig(f"bad system spec {cfg.system!r}: {e}") from None
+    if not isinstance(system, spec.needs_system):
+        raise InvalidConfig(f"system {cfg.system!r} is not a "
+                            f"{spec.needs_system.__name__} for {spec.name!r}")
+    return system, typed
 
 
 def run_experiment(cfg: ExperimentConfig, write: bool = True) -> ExperimentReport:
@@ -903,10 +900,10 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True) -> ExperimentRepor
     int scalars stay JSON integers and every other scalar is rendered
     with value_str.
     """
-    typed = validate_config(cfg)
+    system, typed = validate_config(cfg)
     spec = REGISTRY[cfg.experiment]
     start = time.perf_counter()
-    scalars, columns, verdicts = spec.runner(cfg, typed, cfg.backend)
+    scalars, columns, verdicts = spec.runner(system, typed, cfg.backend)
     duration = time.perf_counter() - start
     # Float comparisons yield numpy.bool_, which json refuses.
     verdicts = {name: bool(v) for name, v in verdicts.items()}
@@ -917,7 +914,6 @@ def run_experiment(cfg: ExperimentConfig, write: bool = True) -> ExperimentRepor
         series={name: (spec.series[name], *_render_series(cols))
                 for name, cols in columns.items()},
         verdicts=verdicts,
-        passed=all(verdicts.values()),
         duration_seconds=duration,
     )
     if write and cfg.output_dir:
@@ -934,7 +930,7 @@ def list_experiments() -> list[dict]:
             "name": spec.name,
             "description": spec.description,
             "backends": list(spec.backends),
-            "needs_system": spec.needs_system,
+            "needs_system": spec.needs_system is not None,
             "needs_seed": spec.needs_seed,
             "parameters": [
                 {

@@ -19,12 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exact
-from .couplings import (
-    CouplingMatrix,
-    coupling_distance,
-    product_coupling,
-    repair_to_polytope,
-)
+from .couplings import CouplingMatrix, coupling_distance, repair_to_polytope
 from .errors import (
     BackendMismatch,
     DimensionMismatch,
@@ -71,7 +66,7 @@ def _check(sys: FiniteSystem, c: CouplingMatrix):
 def lens_step(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
     """One application of the lens: C -> Q^T C Q."""
     _check(sys, c)
-    return CouplingMatrix(k=c.k, C=exact.gather(c.matrix, sys.columns, (0, 1)))
+    return CouplingMatrix(exact.gather(c.matrix, sys.columns, (0, 1)))
 
 
 def lens_step_inverse(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
@@ -79,13 +74,13 @@ def lens_step_inverse(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
     _check(sys, c)
     if not sys.exact:
         raise NotExact("the stochastic lens is forward-only")
-    return CouplingMatrix(k=c.k, C=exact.gather(c.matrix, sys.rows, (0, 1)))
+    return CouplingMatrix(exact.gather(c.matrix, sys.rows, (0, 1)))
 
 
 def one_sided_step(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
     """One-sided map C -> Q^T C: first coordinate moves, second stays."""
     _check(sys, c)
-    return CouplingMatrix(k=c.k, C=exact.gather(c.matrix, sys.columns))
+    return CouplingMatrix(exact.gather(c.matrix, sys.columns))
 
 
 def lens_iterate(sys: FiniteSystem, c: CouplingMatrix, n: int) -> CouplingMatrix:
@@ -101,14 +96,13 @@ def lens_iterate(sys: FiniteSystem, c: CouplingMatrix, n: int) -> CouplingMatrix
 
 @dataclass(frozen=True, eq=False)
 class LensOrbit:
-    """Finite orbit segment: states[n+1] = step(system, states[n]).
+    """Finite orbit segment of orbit(system, c, n_steps, mode):
+    states[n+1] = step(system, states[n]).
 
     On the float backend each step is followed by drift repair; the L1 size
     of each repair is logged in repair_residuals (zeros when rational).
     """
 
-    system: FiniteSystem
-    mode: str
     states: tuple[CouplingMatrix, ...]
     repair_residuals: tuple[float, ...]
 
@@ -130,8 +124,7 @@ def orbit(sys: FiniteSystem, c: CouplingMatrix, n_steps: int,
         else:
             residuals.append(0.0)
         states.append(current)
-    return LensOrbit(system=sys, mode=mode, states=tuple(states),
-                     repair_residuals=tuple(residuals))
+    return LensOrbit(states=tuple(states), repair_residuals=tuple(residuals))
 
 
 def cesaro_average(orb: LensOrbit, n: int | None = None) -> CouplingMatrix:
@@ -140,8 +133,7 @@ def cesaro_average(orb: LensOrbit, n: int | None = None) -> CouplingMatrix:
         n = len(orb.states) - 1
     if n < 1 or n >= len(orb.states):
         raise ValueError("cesaro_average needs 1 <= N < len(states)")
-    avg = exact.mat_mean([s.matrix for s in orb.states[1:n + 1]])
-    return CouplingMatrix(k=orb.states[0].k, C=avg)
+    return CouplingMatrix(exact.mat_mean([s.matrix for s in orb.states[1:n + 1]]))
 
 
 def self_joining_residual(sys: FiniteSystem, c: CouplingMatrix):
@@ -168,15 +160,17 @@ def markov_commutation_residual(sys: FiniteSystem, c: CouplingMatrix):
 class FixedPointSpace:
     """Affine hull of {C in the polytope : lens(C) = C}.
 
-    dimension: dimension of the affine hull.
     basis: direction matrices (zero marginals, lens-invariant), each in
-        stored form (exact.stored): a Scaled, or a float64 array.
-    interior: a strictly positive fixed coupling (the product coupling).
+        stored form (exact.stored): a Scaled, or a float64 array.  The
+        product coupling is a strictly positive point of the hull.
+    dimension: dimension of the affine hull, the number of directions.
     """
 
-    dimension: int
     basis: tuple[exact.Scaled | np.ndarray, ...]
-    interior: CouplingMatrix
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
 
 
 def _pair_orbit_labels(perm: np.ndarray, k: int) -> np.ndarray:
@@ -261,10 +255,9 @@ def fixed_point_space(sys: FiniteSystem) -> FixedPointSpace:
     null = exact.exact_nullspace(a)
     _guard_cost("basis cells", len(null) * k * k)
     cell_orbit = label[cls[:, None] * m + cls[None, :]] if null else None
-    basis = tuple(exact.stored(exact.from_scaled(vec.num[cell_orbit], vec.den, backend))
-                  for vec in null)
-    return FixedPointSpace(dimension=len(basis), basis=basis,
-                           interior=product_coupling(k, backend))
+    return FixedPointSpace(basis=tuple(
+        exact.stored(exact.from_scaled(vec.num[cell_orbit], vec.den, backend))
+        for vec in null))
 
 
 @dataclass(frozen=True)

@@ -87,15 +87,18 @@ def bernoulli_system(d: int, L: int, backend: str = exact.RATIONAL) -> FiniteSys
 
 @dataclass(frozen=True, eq=False)
 class IETSpec:
-    """Interval exchange on n equal intervals: interval u moves to slot
-    permutation[u] by translation."""
+    """Interval exchange on n_intervals = len(permutation) equal intervals:
+    interval u moves to slot permutation[u] by translation."""
 
-    n_intervals: int
     permutation: tuple[int, ...]
 
     def __post_init__(self):
         if sorted(self.permutation) != list(range(self.n_intervals)):
             raise ValueError("permutation must be a bijection on the intervals")
+
+    @property
+    def n_intervals(self) -> int:
+        return len(self.permutation)
 
 
 def iet_system(spec: IETSpec, backend: str = exact.RATIONAL) -> FiniteSystem:
@@ -263,8 +266,7 @@ def parse_system_spec(spec: str, backend: str = exact.RATIONAL):
         if key.strip() != "perm":
             raise ValueError("iet spec takes perm=<comma-separated cells>")
         perm = tuple(int(x) for x in value.split(","))
-        return iet_system(IETSpec(n_intervals=len(perm), permutation=perm),
-                          backend=backend)
+        return iet_system(IETSpec(permutation=perm), backend=backend)
     params = {}
     for item in rest.split(","):
         key, _, value = item.partition("=")

@@ -54,7 +54,7 @@ from lenslab import exact
 
 def test_rational_target_accepts_valid_matrix():
     m = np.array([[2, 1], [1, 2]])
-    t = RationalTarget(k=2, L=6, m=m)
+    t = RationalTarget(L=6, m=m)
     c = t.coupling()
     assert c.C[0, 0] == Fraction(1, 3)
     assert c.C[0, 1] == Fraction(1, 6)
@@ -67,15 +67,17 @@ def test_rational_target_accepts_valid_matrix():
 def test_rational_target_rejects_bad_inputs():
     good = np.array([[2, 1], [1, 2]])
     with pytest.raises(InfeasibleTarget):
-        RationalTarget(k=2, L=5, m=good)          # k does not divide L
+        RationalTarget(L=5, m=good)          # k does not divide L
     with pytest.raises(InfeasibleTarget):
-        RationalTarget(k=2, L=6, m=np.zeros((3, 3), dtype=int))
+        RationalTarget(L=6, m=np.zeros((2, 3), dtype=int))
     with pytest.raises(InfeasibleTarget):
-        RationalTarget(k=2, L=6, m=np.array([[2.0, 1.0], [1.0, 2.0]]))
+        RationalTarget(L=6, m=np.zeros((0, 0), dtype=int))
     with pytest.raises(InfeasibleTarget):
-        RationalTarget(k=2, L=6, m=np.array([[4, -1], [-1, 4]]))
+        RationalTarget(L=6, m=np.array([[2.0, 1.0], [1.0, 2.0]]))
     with pytest.raises(InfeasibleTarget):
-        RationalTarget(k=2, L=6, m=np.array([[3, 1], [1, 2]]))  # bad sums
+        RationalTarget(L=6, m=np.array([[4, -1], [-1, 4]]))
+    with pytest.raises(InfeasibleTarget):
+        RationalTarget(L=6, m=np.array([[3, 1], [1, 2]]))  # bad sums
 
 
 def test_random_rational_targets_are_always_valid():
@@ -102,7 +104,7 @@ def induced_counts(spec, k, L):
 
 
 def test_iet_realizes_frozen_target_exactly():
-    t = RationalTarget(k=2, L=4, m=np.array([[1, 1], [1, 1]]))
+    t = RationalTarget(L=4, m=np.array([[1, 1], [1, 1]]))
     spec = realize_coupling_as_iet(t)
     assert spec.n_intervals == 8
     assert induced_counts(spec, 2, 4).tolist() == (2 * t.m).tolist()
@@ -129,7 +131,7 @@ def test_iet_realizes_random_targets_exactly():
 
 def test_iet_realization_respects_size_guard():
     quota = 4096
-    t = RationalTarget(k=2, L=2 * quota, m=np.diag([quota, quota]).astype(int))
+    t = RationalTarget(L=2 * quota, m=np.diag([quota, quota]).astype(int))
     with pytest.raises(SizeGuard):
         realize_coupling_as_iet(t)
 
@@ -216,7 +218,7 @@ def _oracle_rigidity_probe(sys, blocks, n):
     xi = exact.numerators((k, k), den)
     for b in blocks:
         xi[np.ix_(b, b)] = den // (k * len(b))
-    probe = CouplingMatrix(k=k, C=exact.from_scaled(xi, den, sys.backend))
+    probe = CouplingMatrix(exact.from_scaled(xi, den, sys.backend))
     image = lens_iterate(sys, probe, n).matrix
     return sum((exact.l1_norm(exact.select(image, np.ix_(b, b))) for b in blocks),
                exact.scalar(0, sys.backend))
@@ -229,8 +231,7 @@ def _sweep_system(family, size, seed, backend):
     if family == "odo":
         return odometer_system(size % 5 + 1, backend)
     if family == "iet":
-        return iet_system(IETSpec(n_intervals=size + 2,
-                                  permutation=tuple(rng.permutation(size + 2).tolist())),
+        return iet_system(IETSpec(permutation=tuple(rng.permutation(size + 2).tolist())),
                           backend)
     return bernoulli_system(2, size % 6 + 1, backend)
 

@@ -85,7 +85,7 @@ def test_neighborhood_permutation_diagonal():
                             epsilon=Fraction(1, 2), eta=sigma)
     mix = np.asarray(graph_coupling(sigma).C) * Fraction(9, 10) \
         + np.asarray(product_coupling(3).C) * Fraction(1, 10)
-    assert in_neighborhood(CouplingMatrix(k=3, C=mix), wide)
+    assert in_neighborhood(CouplingMatrix(mix), wide)
 
 
 def test_entrywise_neighborhood():
@@ -168,7 +168,7 @@ def test_validate_coupling_and_system_match_oracle(k, seed, dents):
         shift = Fraction(int(rng.integers(1, 4)), 2 * k * k)
         m[i, j] -= shift
         m[i2, j2] += shift
-    assert validate_coupling(CouplingMatrix(k=k, C=m)) == oracle_diagnostics(m, Fraction(1, k))
+    assert validate_coupling(CouplingMatrix(m)) == oracle_diagnostics(m, Fraction(1, k))
     q = m * k
     defects = exact.marginal_defects(system_from_matrix(q).matrix, 1, exact.FLOAT_TOL)
     assert defects == oracle_diagnostics(q, 1)
@@ -244,7 +244,7 @@ def test_permutation_diagonal_neighborhood_is_strict_on_both_backends(backend):
     shifted = np.array(c.C)
     shifted[2, 0] -= exact.scalar(Fraction(1, 8), backend)  # diagonal entry 1/8 below 1/4
     shifted[2, 1] += exact.scalar(Fraction(1, 8), backend)
-    c2 = CouplingMatrix(k=4, C=shifted)
+    c2 = CouplingMatrix(shifted)
     for eps, inside in ((Fraction(1, 8), False), (Fraction(1, 8) + Fraction(1, 10**9), True)):
         spec = NeighborhoodSpec(kind="permutation-diagonal", epsilon=eps, eta=sigma)
         assert in_neighborhood(c2, spec) is inside

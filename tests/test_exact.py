@@ -318,7 +318,7 @@ BUILDERS = {
     "random_coupling": lambda b: random_coupling(
         6, np.random.default_rng(3), backend=b),
     "RationalTarget.coupling": lambda b: RationalTarget(
-        k=3, L=9, m=np.array([[2, 1, 0], [0, 1, 2], [1, 1, 1]])).coupling(b),
+        L=9, m=np.array([[2, 1, 0], [0, 1, 2], [1, 1, 1]])).coupling(b),
     # Derived results whose float images round exactly like their entries.
     "lens_step(rotation)": lambda b: lens_step(
         rotation_system(6, 5, b), random_coupling(6, np.random.default_rng(4), backend=b)),
@@ -342,7 +342,7 @@ def _stored_and_view(obj):
 def _rebuilt(obj, view):
     """The same kind of object built again from its per-entry view."""
     if isinstance(obj, CouplingMatrix):
-        return CouplingMatrix(k=obj.k, C=view).matrix
+        return CouplingMatrix(view).matrix
     if isinstance(obj, FiniteSystem):
         return system_from_matrix(view).matrix
     return exact.stored(view)

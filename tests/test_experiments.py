@@ -189,12 +189,14 @@ def test_validate_rejects_unparsable_values():
 
 
 def test_validate_applies_defaults_and_types():
-    typed = validate_config(cfg_for(
+    system, typed = validate_config(cfg_for(
         "transitivity-witness", d=2, L=1, sigma="1,0", pi="0,1"))
+    assert system is None
     assert typed["epsilon"] == Fraction(1, 10**6)
     assert typed["sigma"] == (1, 0)
-    typed = validate_config(cfg_for("cesaro-barycenter",
-                                    system="rot:k=5,s=1", seed=7))
+    system, typed = validate_config(cfg_for("cesaro-barycenter",
+                                            system="rot:k=5,s=1", seed=7))
+    assert system.k == 5 and system.exact
     assert typed["N_values"] == (10, 100)
     assert typed["n_initials"] == 3
 
@@ -450,10 +452,15 @@ def test_shipped_config_agrees_across_backends(name):
         assert abs(float_values[key] - x) <= exact.FLOAT_TOL, key
 
 
-def _run_override(name, override, capsys):
-    code = cli_main(["run", str(CONFIGS / f"{name}.cfg"),
+def _run_override(name, override, capsys, command="run"):
+    code = cli_main([command, str(CONFIGS / f"{name}.cfg"),
                      "--set", "output_dir=", "--set", override])
     return code, capsys.readouterr().err
+
+
+# Values only a runner can refuse; validate checks the schema and the system.
+RUN_ONLY = {("one-sided-limit", "init=graph:0,x"),
+            ("one-sided-limit", "expect_graph_orbit=ye")}
 
 
 @pytest.mark.parametrize("name, override", [
@@ -468,11 +475,47 @@ def _run_override(name, override, capsys):
     ("fixed-points", "system=rot:k=4,k=6,s=1"),
     ("fixed-points", "system=rot:k=6,s=1,s=2"),
     ("mixing-profile", "system=bern:d=2,L=2,d=2"),
+    ("fixed-points", "system=rot:k=abc,s=1"),
+    ("fixed-points", "system=skew:alpha=1/7"),
+    ("skew-orbit", "system=rot:k=4,s=1"),
+    ("fixed-points", "system=nope:x=1"),
+    ("entropy-factor", "system=rot:k=4,s=1"),
 ])
 def test_cli_rejects_known_bad_overrides_as_config_errors(name, override, capsys):
-    code, err = _run_override(name, override, capsys)
-    assert code == 2
-    assert err.startswith("config error:") and err.count("\n") == 1
+    commands = ("run",) if (name, override) in RUN_ONLY else ("run", "validate")
+    for command in commands:
+        code, err = _run_override(name, override, capsys, command)
+        assert code == 2, command
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_cli_refuses_an_oversized_system_under_run_and_validate(capsys):
+    for command in ("run", "validate"):
+        code, err = _run_override("fixed-points", "system=rot:k=5000,s=1", capsys, command)
+        assert code == 3, command
+        assert err.startswith("size guard:") and err.count("\n") == 1
+
+
+def test_an_empty_system_is_allowed_where_none_is_taken(capsys):
+    code, _ = _run_override("entropy-factor", "system=", capsys, "validate")
+    assert code == 0
+
+
+def test_a_run_parses_its_system_spec_once(monkeypatch):
+    calls = []
+
+    def counted(spec, backend):
+        calls.append(spec)
+        return parse_system_spec(spec, backend)
+
+    monkeypatch.setattr("lenslab.experiments.parse_system_spec", counted)
+    for cfg, parses in (
+            (cfg_for("mixing-profile", system="bern:d=2,L=2", n_max=3), 1),
+            (cfg_for("skew-orbit", system="skew:alpha=1/7", start="0,0,0", N=4), 1),
+            (cfg_for("entropy-factor", block="0,1/2"), 0)):
+        del calls[:]
+        assert run_experiment(cfg, write=False).passed
+        assert len(calls) == parses, cfg.experiment
 
 
 @pytest.mark.parametrize("value, checked", [

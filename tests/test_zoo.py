@@ -93,11 +93,11 @@ def test_bernoulli_power_uniformizes():
 
 
 def test_iet_system_permutes_subintervals():
-    spec = IETSpec(n_intervals=4, permutation=(2, 3, 0, 1))
+    spec = IETSpec(permutation=(2, 3, 0, 1))
     sys = iet_system(spec)
     assert sys.exact and sys.k == 4
     with pytest.raises(ValueError):
-        IETSpec(n_intervals=3, permutation=(0, 1, 1))
+        IETSpec(permutation=(0, 1, 1))
 
 
 def test_torus_point_reduces_mod_one():
@@ -219,7 +219,7 @@ def test_group_rotation_conjugation_identity():
             assert img == ((m * z[0]) % 5,)
 
 
-def test_parse_system_spec_grammar():
+def test_system_spec_grammar():
     sys = parse_system_spec("rot:k=5,s=2")
     assert isinstance(sys, FiniteSystem) and sys.k == 5
     assert parse_system_spec("odo:m=2").k == 4
