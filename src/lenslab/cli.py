@@ -82,11 +82,7 @@ def _cmd_list(args) -> int:
     for entry in listing:
         print(f"{entry['name']}: {entry['description']}")
         backends = ", ".join(entry["backends"])
-        needs = []
-        if entry["needs_system"]:
-            needs.append("system")
-        if entry["needs_seed"]:
-            needs.append("seed")
+        needs = [n for n in ("system", "seed") if entry[f"needs_{n}"]]
         extra = f"; needs {', '.join(needs)}" if needs else ""
         print(f"  backends: {backends}{extra}")
         for p in entry["parameters"]:

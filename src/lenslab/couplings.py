@@ -102,7 +102,7 @@ def lift_coupling(coarse: CouplingMatrix, parent) -> CouplingMatrix:
     cell): spread each entry uniformly over the r x r block of children."""
     parent = np.asarray(parent, dtype=int)
     r = _fibre_size(parent, len(parent), coarse.k)
-    spread = exact.relabel(coarse.matrix, np.ix_(parent, parent))
+    spread = exact.relabel(coarse.matrix, (parent[:, None], parent))
     return CouplingMatrix(exact.scale(spread, Fraction(1, r ** 2)))
 
 

@@ -74,6 +74,9 @@ class Scaled:
     def ravel(self) -> np.ndarray:
         return self.num.ravel()
 
+    def reshape(self, *shape) -> Scaled:
+        return Scaled(self.num.reshape(*shape), self.den)
+
     @property
     def T(self) -> Scaled:
         return Scaled(self.num.T, self.den)
@@ -123,12 +126,8 @@ def backend_of(a) -> str:
 
 def frac_array(rows) -> np.ndarray:
     """Object array of Fractions from nested ints/Fractions/strings."""
-    arr = np.array(
-        [[Fraction(x) for x in row] for row in rows] if np.ndim(rows) == 2
-        else [Fraction(x) for x in rows],
-        dtype=object,
-    )
-    return arr
+    return np.array([[Fraction(x) for x in row] for row in rows] if np.ndim(rows) == 2
+                    else [Fraction(x) for x in rows], dtype=object)
 
 
 def scalar(x, backend: str = RATIONAL):
@@ -272,7 +271,7 @@ def _rescale(num, factor: int):
 
 def _int_sum(x: np.ndarray, axis=None):
     """Exact sum of integer entries, in int64 only when it cannot overflow."""
-    count = x.size if axis is None else x.shape[axis]
+    count = x.size if axis is None else math.prod(x.shape[a] for a in np.atleast_1d(axis))
     if x.dtype != object and _magnitude(x) * count >= _INT64_SAFE:
         x = x.astype(object)
     return x.sum(axis=axis)
@@ -335,8 +334,12 @@ def gather(x, lines: Support, axes=(0,)):
     take entries: no multiply, no reduction.  Numerators stay int64 while
     s * max|x| * max|val| per axis stays below _INT64_SAFE."""
     if lines.relabels:
-        index = [lines.idx[:, 0] if a in axes else slice(None) for a in range(len(x.shape))]
-        return relabel(x, np.ix_(*index) if len(axes) > 1 else tuple(index))
+        # One broadcast index, p[:, None] and p on two axes, after any
+        # leading ones; an axis between two of axes keeps its order.
+        p, first, last = lines.idx[:, 0], min(axes), max(axes)
+        return relabel(x, (slice(None),) * first + tuple(
+            (p if a in axes else np.arange(x.shape[a])).reshape((-1,) + (1,) * (last - a))
+            for a in range(first, last + 1)))
     if backend_of(x) == FLOAT:
         for a in axes:
             x = _gather_axis(x, lines.idx, as_float(lines.val), a)
@@ -414,12 +417,17 @@ def identity(k: int, backend: str = RATIONAL):
     return matrix_of_permutation(np.arange(k), backend)
 
 
-def l1_norm(a, b=None):
-    """Entrywise L1 norm of a, or of a - b when b (array or scalar) is given."""
+def l1_norm(a, b=None, axis=None):
+    """Entrywise L1 norm of a, or of a - b when b (array or scalar) is given;
+    with axis, the norms over those axes as a stored form."""
     if backend_of(a) == FLOAT:
-        return float(np.abs(a if b is None else a - b).sum())
+        d = np.subtract(a, 0.0 if b is None else b)  # a new array: abs in place
+        total = np.abs(d, out=d).sum(axis=axis)
+        return float(total) if axis is None else freeze(total)
     num, den = _scaled(a, b)
-    return Fraction(int(_int_sum(np.abs(num))), den)
+    if axis is None:
+        return Fraction(int(_int_sum(np.abs(num))), den)
+    return _reduced(_int_sum(np.abs(num), axis), den)
 
 
 def max_abs(a, b=None):

@@ -226,24 +226,35 @@ def group_automorphism_check(moduli: tuple[int, ...], mat) -> None:
     _automorphism_images(tuple(moduli), mat)
 
 
-def group_rotation_conjugation(moduli, mat, z) -> tuple[int, ...]:
+def group_rotation_conjugation(moduli, mat, z):
     """Conjugate the rotation by z with the automorphism M: T R_z T^{-1}.
 
     Verifies pointwise over the whole group that the composite equals the
-    rotation by M z, then returns M z.
+    rotation by M z, for a block of about 2^14 (z, element) pairs at once.
+    For one element z, returns M z as a tuple of ints and raises
+    ArithmeticError if the identity fails; for an (n, r) array of elements,
+    returns the (n, r) array of M z and the mask of rows where it holds.
     """
     moduli = tuple(int(m) for m in moduli)
     elements, images = _automorphism_images(moduli, mat)
-    z = [int(zi) % m for zi, m in zip(z, moduli)]
+    one = np.ndim(z) == 1  # reduced in Python ints: a huge coordinate stays out of numpy
+    zs = np.array([[int(zi) % m for zi, m in zip(z, moduli)]] if one else np.asarray(z) % moduli)
+    mz = elements[images[np.ravel_multi_index(tuple(zs.T), moduli)]]
+    inverse, holds = exact.invert_permutation(images), np.empty(len(zs), dtype=bool)
 
-    def rotate(w):  # flat index of g + w for every element g
-        return np.ravel_multi_index(tuple((elements + w).T), moduli, mode="wrap")
+    def rotate(w):  # flat index of g + w for every element g, a row per w
+        return np.ravel_multi_index(tuple(np.moveaxis(elements + w[:, None], 2, 0)),
+                                    moduli, mode="wrap")
 
-    mz = elements[images[np.ravel_multi_index(z, moduli)]]
-    composite = images[rotate(z)][exact.invert_permutation(images)]
-    if not np.array_equal(composite, rotate(mz)):
+    rows = max(1, 2**14 // len(elements))
+    for b in range(0, len(zs), rows):
+        block = slice(b, b + rows)
+        holds[block] = (images[rotate(zs[block])][:, inverse] == rotate(mz[block])).all(axis=1)
+    if not one:
+        return mz, holds
+    if not holds[0]:
         raise ArithmeticError("conjugation identity failed")
-    return tuple(int(x) for x in mz)
+    return tuple(int(x) for x in mz[0])
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from lenslab import (
     lens_iterate,
     lens_step,
     lens_step_inverse,
+    lift_coupling,
     markov_commutation_residual,
     odometer_system,
     one_sided_step,
@@ -40,8 +42,8 @@ from lenslab import (
     validate_coupling,
 )
 from lenslab import SizeGuard, consecutive_blocks, exact
-from lenslab import lens
-from lenslab.lens import _pair_orbit_labels
+from lenslab import experiments, lens
+from lenslab.lens import FixedPointSpace, _pair_orbit_labels
 
 
 def test_lens_step_conjugates_graph_couplings():
@@ -386,6 +388,41 @@ def _zoo_pair(spec, seed, backend):
     return sys, random_coupling(sys.k, np.random.default_rng(seed), backend=backend)
 
 
+def _stack(matrices, backend, k):
+    """Stored forms of k x k matrices as one (n, k, k) stored form."""
+    if not matrices:
+        return exact.constant((0, k, k), 0, backend)
+    return exact.flat_concat(matrices).reshape(-1, k, k)
+
+
+def _same(a, b):
+    """Equal stored forms: the same Scaled, or bit-equal floats."""
+    if isinstance(a, exact.Scaled):
+        return a.den == b.den and np.array_equal(a.num, b.num)
+    return np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(zoo_specs(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_gather_of_a_stack_equals_the_gathers_of_its_matrices(spec, n, seed):
+    """gather of an (n, k, k) stack along axes (1, 2), (1,) or (2,) equals
+    gathering each matrix along (0, 1), (0,) or (1,), on the row and the
+    column lines: relabel lines on exact systems, spread ones on bern.
+    Equal on rationals, bit-equal on floats."""
+    for backend in (exact.RATIONAL, exact.FLOAT):
+        sys = parse_system_spec(spec, backend)
+        rng = np.random.default_rng(seed)
+        matrices = [random_coupling(sys.k, rng, backend=backend).matrix for _ in range(n)]
+        stack = _stack(matrices, backend, sys.k)
+        for lines in (sys.rows, sys.columns):
+            assert lines.relabels == sys.exact
+            for axes in ((1, 2), (1,), (2,)):
+                got = exact.gather(stack, lines, axes)
+                one = tuple(a - 1 for a in axes)
+                want = _stack([exact.gather(m, lines, one) for m in matrices], backend, sys.k)
+                assert got.shape == (n, sys.k, sys.k) and _same(got, want), (lines, axes)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(zoo_specs(), st.integers(0, 6), st.integers(0, 2**32 - 1))
 def test_lens_iterate_matches_repeated_steps(spec, n, seed):
@@ -504,3 +541,100 @@ def test_dropping_the_last_symbol_is_not_a_factor_map_of_the_shift():
     c = random_coupling(16, np.random.default_rng(0))
     pushed = restrict_coupling(lens_step(fine, c), drop_last)
     assert coupling_distance(pushed, lens_step(coarse, restrict_coupling(c, drop_last))) > 0
+
+
+def _directions(sys, backend, kinds, seed):
+    """Directions of each kind: a fixed-point basis direction ("fixed"), a
+    difference of two random couplings ("zero": zero line sums, not fixed
+    unless the lens is trivial), a random coupling ("coupling": line sums
+    1/k), or a matrix whose rows only, or columns only, sum to zero ("rows",
+    "cols")."""
+    rng, basis = np.random.default_rng(seed), fixed_point_space(sys).basis
+    out = []
+    for t, kind in enumerate(kinds):
+        if kind == "fixed" and basis:
+            out.append(basis[t % len(basis)])
+            continue
+        if kind in ("rows", "cols"):
+            y = rng.integers(-9, 10, (sys.k, sys.k))
+            y = y - np.roll(y, 1, axis=1)
+            out.append(exact.from_scaled(y if kind == "rows" else y.T, 7, backend))
+            continue
+        a = random_coupling(sys.k, rng, backend=backend).matrix
+        if kind != "coupling":
+            b = random_coupling(sys.k, rng, backend=backend).matrix
+            a = exact.stored(exact.entries(a) - exact.entries(b))
+        out.append(a)
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(zoo_specs(), st.lists(st.sampled_from(["fixed", "zero", "coupling", "rows", "cols"]),
+                            max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_fixed_points_checks_every_direction_as_the_per_direction_oracle(spec, kinds, seed):
+    """The fixed-points verdicts, decided on the whole (n, k, k) stack of
+    directions at once, equal the per-direction oracle: directions_fixed is
+    every self_joining_residual <= tol, directions_have_zero_marginals is
+    every marginal_defects list against 0 naming no line.  The residual of
+    each direction is that direction's self_joining_residual."""
+    for backend in (exact.RATIONAL, exact.FLOAT):
+        sys = parse_system_spec(spec, backend)
+        tol = exact.tolerance(backend)
+        directions = _directions(sys, backend, kinds, seed)
+        residuals = [self_joining_residual(sys, CouplingMatrix(d)) for d in directions]
+        want = {
+            "directions_fixed": all(r <= tol for r in residuals),
+            "directions_have_zero_marginals": all(
+                defect.startswith("negative") for d in directions
+                for defect in exact.marginal_defects(d, 0, tol)),
+        }
+        space = FixedPointSpace(basis=tuple(directions))
+        with mock.patch.object(experiments, "fixed_point_space", lambda _: space):
+            report = run_experiment(ExperimentConfig(
+                experiment="fixed-points", system=spec, backend=backend), write=False)
+        assert {name: report.verdicts[name] for name in want} == want
+        stack = _stack(directions, backend, sys.k)
+        got = exact.entries(experiments._direction_checks(sys, stack)[0])
+        assert len(got) == len(residuals)
+        if backend == exact.RATIONAL:
+            assert list(got) == residuals
+        else:
+            assert np.allclose(got, residuals, rtol=1e-9, atol=1e-15)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(factor_pairs(), st.integers(0, 2**32 - 1))
+def test_lifting_along_a_factor_map_commutes_with_the_lens_where_it_also_factors_back(
+        pair, seed):
+    """lift(C) = P C P^T / r^2 for the parent matrix P of r children per
+    coarse cell.  Where Q_f P = P Q_c and Q_f^T P = P Q_c^T, lifting
+    commutes with the lens, as Q_f^T P C P^T Q_f = P Q_c^T C Q_c P^T.  That
+    holds on the rot pairs along a // r.  On the bern pairs along w % d^L
+    only Q_f P = P Q_c holds: Q_f^T P reads the first L symbols of a word
+    and P the last L, so a lifted graph coupling's lens image is not a lift
+    of anything its coarse lens image lifts to."""
+    fine_spec, coarse_spec, parent = pair
+    fine, coarse = parse_system_spec(fine_spec), parse_system_spec(coarse_spec)
+    p = _factor_matrix(parent, coarse.k)
+    r = fine.k // coarse.k
+    assert np.array_equal(fine.Q.dot(p), p.dot(coarse.Q))
+    both_ways = np.array_equal(fine.Q.T.dot(p), p.dot(coarse.Q.T))
+    assert both_ways == fine_spec.startswith("rot")
+    rng = np.random.default_rng(seed)
+    sigma = rng.permutation(coarse.k)
+    for backend in (exact.RATIONAL, exact.FLOAT):
+        fine, coarse = parse_system_spec(fine_spec, backend), parse_system_spec(coarse_spec, backend)
+        tol = exact.tolerance(backend)
+        pb = p.astype(object if backend == exact.RATIONAL else float)
+        for c in (random_coupling(coarse.k, rng, backend=backend),
+                  graph_coupling(sigma, backend=backend)):
+            lifted = lift_coupling(c, parent)
+            spread = exact.stored(pb.dot(c.C).dot(pb.T) * exact.scalar(Fraction(1, r * r), backend))
+            assert exact.max_abs(lifted.matrix, spread) <= tol
+            gap = exact.max_abs(lens_step(fine, lifted).matrix,
+                                lift_coupling(lens_step(coarse, c), parent).matrix)
+            if both_ways:
+                assert gap <= tol
+        if not both_ways:
+            assert gap > tol  # the graph coupling, drawn last

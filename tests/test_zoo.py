@@ -273,6 +273,62 @@ def test_group_rotation_conjugation_matches_loop_oracle(moduli, mat):
         assert all(type(x) is int for x in img)
 
 
+_GROUPS = [
+    ((8, 8), [[1, 3], [0, 1]]),
+    ((8, 8), [[3, 2], [1, 1]]),
+    ((6, 6), [[5, 1], [-1, 0]]),
+    ((4, 2), [[1, 2], [1, 1]]),
+    ((5,), [[3]]),
+    ((2, 2, 2), [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+    ((64, 64), [[1, 1], [0, 1]]),  # order 4096: four z rows a block
+]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(_GROUPS), st.data())
+def test_group_rotation_conjugation_on_an_array_matches_the_oracle_row_by_row(group, data):
+    """An (n, r) array of elements, in any order, with repeats and with
+    coordinates outside 0..m-1, gives the (n, r) array of M z and a mask
+    that holds on every row; each row equals the oracle and the one-z call."""
+    moduli, mat = group
+    coords = [st.integers(-2 * m, 2 * m) for m in moduli]
+    zs = data.draw(st.lists(st.tuples(*coords), min_size=1, max_size=12))
+    images, holds = group_rotation_conjugation(moduli, mat, np.array(zs))
+    assert images.shape == (len(zs), len(moduli)) and holds.all()
+    for z, img in zip(zs, images.tolist()):
+        assert tuple(img) == _conjugation_oracle(moduli, mat, z)
+        assert tuple(img) == group_rotation_conjugation(moduli, mat, z)
+
+
+def test_group_rotation_conjugation_masks_the_rows_where_the_identity_fails(monkeypatch):
+    """With a map T that is a bijection but no homomorphism, the identity
+    T R_z T^{-1} = R_{T z} fails for some z: the mask is False on exactly
+    those rows (checked tuple by tuple), in every block, and the one-z
+    call raises ArithmeticError there."""
+    moduli = (64, 64)
+    elements, images = zoo._automorphism_images(moduli, [[1, 1], [0, 1]])
+    broken = images.copy()
+    broken[[1, 2]] = broken[[2, 1]]  # T swaps the images of (0, 1) and (0, 2)
+    monkeypatch.setattr(zoo, "_automorphism_images", lambda *_: (elements, broken))
+    rng = np.random.default_rng(0)
+    zs = np.concatenate([elements[:6], elements[rng.choice(len(elements), 14)]])
+    _, holds = group_rotation_conjugation(moduli, [[1, 1], [0, 1]], zs)
+    flat = {tuple(g): i for i, g in enumerate(elements.tolist())}
+    image = {tuple(g): tuple(elements[broken[i]]) for g, i in flat.items()}
+    inverse = {v: g for g, v in image.items()}
+
+    def add(a, b):
+        return tuple((x + y) % m for x, y, m in zip(a, b, moduli))
+
+    for z, ok in zip(map(tuple, zs.tolist()), holds.tolist()):
+        tz = image[z]
+        assert ok == all(image[add(inverse[g], z)] == add(g, tz) for g in flat)
+        if not ok:
+            with pytest.raises(ArithmeticError, match="conjugation identity failed"):
+                group_rotation_conjugation(moduli, [[1, 1], [0, 1]], z)
+    assert holds[0] and not holds[1:3].any()
+
+
 @pytest.mark.parametrize("moduli, mat, error, message", [
     ((4, 4), [[1]], DimensionMismatch, "matrix shape must match the number of factors"),
     ((64, 65), [[1, 0], [0, 1]], SizeGuard, "group of order 4160 > 4096"),
