@@ -33,23 +33,23 @@ c0 = random_coupling(8, rng)
 one_sided = orbit(shift, c0, 6, mode="one-sided")
 prod = product_coupling(8)
 print("one-sided distances to the product under the full shift:")
-for n, state in enumerate(one_sided.states):
+for n, state in enumerate(one_sided):
     print(f"  n={n}  distance = {coupling_distance(state, prod)}")
 
 # -- under a rotation, graph couplings just circulate ------------------------
 rot = rotation_system(8, 1)
 sigma = rng.permutation(8)
-states = orbit(rot, graph_coupling(sigma), 8, mode="one-sided").states
-hits = sum(coupling_distance(s, prod) == 0 for s in states)
-print(f"\nrotation one-sided orbit: {hits} of {len(states)} states on the product")
+walk = orbit(rot, graph_coupling(sigma), 8, mode="one-sided")
+distances = [coupling_distance(s, prod) for s in walk]
+hits = sum(d == 0 for d in distances)
+print(f"\nrotation one-sided orbit: {hits} of {len(distances)} states on the product")
 print("(each state is the graph coupling of the rotated permutation)")
 
 # -- Cesaro averages are nearly fixed ----------------------------------------
 print("\nself-joining residual of the N-step average (bound 2/N):")
 for sys_name, sys in (("rotation", rot), ("full shift", shift)):
     c0 = random_coupling(8, rng)
-    orb = orbit(sys, c0, 100)
-    for n in (10, 100):
-        res = self_joining_residual(sys, cesaro_average(orb, n))
+    for n, avg in cesaro_average(orbit(sys, c0, 100), (10, 100)):
+        res = self_joining_residual(sys, avg)
         print(f"  {sys_name:10s} N={n:3d}  residual = {res}  "
               f"(bound {Fraction(2, n)})  ok: {res <= Fraction(2, n)}")

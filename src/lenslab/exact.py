@@ -49,9 +49,9 @@ _INT64_SAFE = 2**62
 @dataclass(frozen=True, eq=False)
 class Scaled:
     """The rational array num / den in lowest terms, gcd(num, den) == 1,
-    which makes it unique.  num is read-only, int64 while every |entry| <
-    _INT64_SAFE and Python ints otherwise; from_scaled reduces and picks
-    the dtype, this constructor trusts its caller."""
+    which makes it unique (a mat_add sum excepted).  num is read-only, int64
+    while every |entry| < _INT64_SAFE and Python ints otherwise; from_scaled
+    reduces and picks the dtype, this constructor trusts its caller."""
 
     num: np.ndarray
     den: int
@@ -454,22 +454,24 @@ def support(a) -> Support:
     return Support(freeze(np.maximum.accumulate(idx, axis=1)), val)
 
 
-def mat_mean(arrays):
-    """Entrywise mean of equally shaped arrays; exact when rational, the
-    float sum taken in list order otherwise."""
-    if backend_of(arrays[0]) == FLOAT:
-        total = arrays[0].copy()
-        for a in arrays[1:]:
-            total = total + a
-        return total / len(arrays)
-    total, den = arrays[0].num, arrays[0].den
-    for s in arrays[1:]:
-        common = math.lcm(den, s.den)
-        total = _rescale(total, common // den) + _rescale(s.num, common // s.den)
-        if total.dtype != object and _magnitude(total) >= _INT64_SAFE:
-            total = total.astype(object)
-        den = common
-    return _reduced(total, den * len(arrays))
+def mat_add(a, b):
+    """Entrywise a + b.  A rational sum stays over the lcm of the
+    denominators, unreduced: a running sum skips a gcd pass (about ten adds'
+    time) per term, and mat_div reduces once."""
+    if backend_of(a) == FLOAT:
+        return a + b
+    den = math.lcm(a.den, b.den)
+    total = _rescale(a.num, den // a.den) + _rescale(b.num, den // b.den)
+    if total.dtype != object and _magnitude(total) >= _INT64_SAFE:
+        total = total.astype(object)
+    return Scaled(total, den)
+
+
+def mat_div(a, n: int):
+    """a / n for an int n > 0: exact in lowest terms, or a float division."""
+    if backend_of(a) == FLOAT:
+        return freeze(a / n)
+    return _reduced(a.num, a.den * n)
 
 
 def marginal_defects(m, target, tol: float) -> list[str]:

@@ -300,7 +300,7 @@ def _experiment(**fields):
 # Cell operations one run's loops may take: a step gathers k^2 cells from s
 # lines each (s = 1, a relabel, on an exact system), and none costs less than
 # SIZE_LIMIT, its fixed Python cost (a rot:k=6 lens step takes 86 us, so an
-# operation is about 21 ns).  Kept orbits hold at most 2^27 cells: 1 GB.
+# operation is about 21 ns).
 STEP_BUDGET = 2**27
 
 
@@ -626,25 +626,21 @@ def _run_one_sided_limit(sys, p, backend):
     _guard_steps(p["n_steps"], _step_cost(sys))
     tol = exact.tolerance(backend)
     c0 = _initial_coupling(p["init"], k, backend, p)
-    orb = orbit(sys, c0, p["n_steps"], mode="one-sided")
     mass = exact.scalar(Fraction(1, k * k), backend)  # each entry of the product
-    distances = [exact.l1_norm(state.matrix, mass) for state in orb.states]
+    distances, on_graphs = [], graph_orbit
+    for last in orbit(sys, c0, p["n_steps"], mode="one-sided"):
+        distances.append(exact.l1_norm(last.matrix, mass))
+        on_graphs = on_graphs and exact.permutation_of_matrix(
+            exact.scale(last.matrix, k)) is not None
     hit = next((n for n, d in enumerate(distances) if d <= tol), -1)
-    last = orb.states[-1]
-    scalars = {
-        "k": k,
-        "final_distance_to_product": distances[-1],
-        "first_product_hit": hit,
-    }
+    scalars = {"k": k, "final_distance_to_product": distances[-1], "first_product_hit": hit}
     verdicts = {"states_stay_in_polytope": not validate_coupling(last)}
     if p["expect_product_by"] is not None:
         m = p["expect_product_by"]
         verdicts["product_from_expected_step"] = (
             m <= p["n_steps"] and all(d <= tol for d in distances[m:]))
     if graph_orbit:
-        verdicts["orbit_stays_on_graph_couplings"] = all(
-            exact.permutation_of_matrix(exact.scale(state.matrix, k)) is not None
-            for state in orb.states)
+        verdicts["orbit_stays_on_graph_couplings"] = on_graphs
     series = {"distance_to_product": (range(len(distances)), distances)}
     return scalars, series, verdicts
 
@@ -667,25 +663,19 @@ def _run_one_sided_limit(sys, p, backend):
 def _run_cesaro_barycenter(sys, p, backend):
     k = sys.k
     n_values = sorted(set(p["N_values"]))
-    # Each initial takes an orbit of N lens steps and one average per
-    # horizon, whose terms are charged as steps.
-    _guard_steps(p["n_initials"] * (n_values[-1] + sum(n_values)), _step_cost(sys))
+    # Each initial walks N lens steps with a running sum, and takes one
+    # residual step per horizon.
+    _guard_steps(p["n_initials"] * (n_values[-1] + len(n_values)), _step_cost(sys))
     rows = []
     for idx, rng in enumerate(_rng_children(p["seed"], p["n_initials"])):
         orb = orbit(sys, random_coupling(k, rng, backend=backend), n_values[-1])
-        for n in n_values:
+        for n, average in cesaro_average(orb, n_values):
             bound = exact.scalar(Fraction(2, n), backend)
-            residual = self_joining_residual(sys, cesaro_average(orb, n))
-            rows.append((idx, n, residual, bound))
-    scalars = {
-        "k": k,
-        "n_initials": p["n_initials"],
-        "worst_margin": max(r - bound for *_, r, bound in rows),
-    }
+            rows.append((idx, n, self_joining_residual(sys, average), bound))
+    scalars = {"k": k, "n_initials": p["n_initials"],
+               "worst_margin": max(r - bound for *_, r, bound in rows)}
     tol = exact.tolerance(backend)
-    verdicts = {
-        "residual_within_two_over_N": all(r <= bound + tol for *_, r, bound in rows),
-    }
+    verdicts = {"residual_within_two_over_N": all(r <= bound + tol for *_, r, bound in rows)}
     return scalars, {"residuals": list(zip(*rows))}, verdicts
 
 

@@ -15,17 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
 from . import exact
 from .couplings import CouplingMatrix, coupling_distance, repair_to_polytope
-from .errors import (
-    BackendMismatch,
-    DimensionMismatch,
-    NotExact,
-    SizeGuard,
-)
+from .errors import BackendMismatch, DimensionMismatch, NotExact, SizeGuard
 from .partitions import FiniteSystem, system_power
 
 __all__ = [
@@ -96,44 +92,51 @@ def lens_iterate(sys: FiniteSystem, c: CouplingMatrix, n: int) -> CouplingMatrix
 
 @dataclass(frozen=True, eq=False)
 class LensOrbit:
-    """Finite orbit segment of orbit(system, c, n_steps, mode):
-    states[n+1] = step(system, states[n]).
+    """orbit(system, c, n_steps, mode) as a walk: iterating yields states
+    0..n_steps, states[n+1] = step(system, states[n]), each step taken when
+    it is asked for and only the current state kept.  A float step is
+    followed by drift repair, whose L1 size the walk appends to
+    repair_residuals (emptied as each walk starts)."""
 
-    On the float backend each step is followed by drift repair; the L1 size
-    of each repair is logged in repair_residuals (zeros when rational).
-    """
+    sys: FiniteSystem
+    start: CouplingMatrix
+    n_steps: int
+    mode: str
+    repair_residuals: list[float] = field(default_factory=list)
 
-    states: tuple[CouplingMatrix, ...]
-    repair_residuals: tuple[float, ...]
+    def __iter__(self):
+        step = lens_step if self.mode == "lens" else one_sided_step
+        self.repair_residuals.clear()
+        current = self.start
+        yield current
+        for _ in range(self.n_steps):
+            current = step(self.sys, current)
+            if current.backend == exact.FLOAT:
+                repaired = repair_to_polytope(current.matrix)
+                self.repair_residuals.append(exact.l1_norm(repaired.matrix, current.matrix))
+                current = repaired
+            yield current
 
 
 def orbit(sys: FiniteSystem, c: CouplingMatrix, n_steps: int,
           mode: str = "lens") -> LensOrbit:
     if mode not in ("lens", "one-sided"):
         raise ValueError("mode must be 'lens' or 'one-sided'")
-    step = lens_step if mode == "lens" else one_sided_step
-    states = [c]
-    residuals = [0.0]
-    current = c
-    for _ in range(n_steps):
-        current = step(sys, current)
-        if current.backend == exact.FLOAT:
-            repaired = repair_to_polytope(current.matrix)
-            residuals.append(exact.l1_norm(repaired.matrix, current.matrix))
-            current = repaired
-        else:
-            residuals.append(0.0)
-        states.append(current)
-    return LensOrbit(states=tuple(states), repair_residuals=tuple(residuals))
+    return LensOrbit(sys, c, n_steps, mode)
 
 
-def cesaro_average(orb: LensOrbit, n: int | None = None) -> CouplingMatrix:
-    """Average (1/N) sum of states[1..N]; exact weights when rational."""
-    if n is None:
-        n = len(orb.states) - 1
-    if n < 1 or n >= len(orb.states):
-        raise ValueError("cesaro_average needs 1 <= N < len(states)")
-    return CouplingMatrix(exact.mat_mean([s.matrix for s in orb.states[1:n + 1]]))
+def cesaro_average(orb: LensOrbit, horizons):
+    """(N, average (1/N) sum of states[1..N]) for each horizon N, ascending,
+    from one walk of orb with a running sum; exact weights when rational,
+    the float sum taken in state order."""
+    horizons = set(horizons)
+    if not horizons or min(horizons) < 1 or max(horizons) > orb.n_steps:
+        raise ValueError("cesaro_average needs 1 <= N <= n_steps")
+    total = None
+    for n, state in enumerate(islice(orb, 1, max(horizons) + 1), 1):
+        total = state.matrix if total is None else exact.mat_add(total, state.matrix)
+        if n in horizons:
+            yield n, CouplingMatrix(exact.mat_div(total, n))
 
 
 def self_joining_residual(sys: FiniteSystem, c: CouplingMatrix):

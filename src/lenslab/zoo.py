@@ -242,9 +242,11 @@ def group_rotation_conjugation(moduli, mat, z):
     mz = elements[images[np.ravel_multi_index(tuple(zs.T), moduli)]]
     inverse, holds = exact.invert_permutation(images), np.empty(len(zs), dtype=bool)
 
+    # (g_i + w_i) mod m_i times its flat stride, for g_i + w_i < 2 m_i.
+    tables = [np.arange(2 * m) % m * math.prod(moduli[i + 1:]) for i, m in enumerate(moduli)]
+
     def rotate(w):  # flat index of g + w for every element g, a row per w
-        return np.ravel_multi_index(tuple(np.moveaxis(elements + w[:, None], 2, 0)),
-                                    moduli, mode="wrap")
+        return sum(t[elements[:, i] + w[:, i, None]] for i, t in enumerate(tables))
 
     rows = max(1, 2**14 // len(elements))
     for b in range(0, len(zs), rows):

@@ -320,8 +320,8 @@ def test_criterion_08_one_sided_quasi_attractor():
         rng = np.random.default_rng(808)
         for _ in range(20):
             c0 = random_coupling(8, rng)
-            orb = orbit(shift, c0, 10, mode="one-sided")
-            dists = [coupling_distance(st, prod) for st in orb.states]
+            dists = [coupling_distance(st, prod)
+                     for st in orbit(shift, c0, 10, mode="one-sided")]
             hit = next(n for n, d in enumerate(dists) if d == 0)
             assert hit <= 6  # 2L = 6
             assert all(d == 0 for d in dists[hit:])
@@ -332,7 +332,7 @@ def test_criterion_08_one_sided_quasi_attractor():
             sigma = rng.permutation(8)
             orb = orbit(rot, graph_coupling(sigma), 16, mode="one-sided")
             current = sigma
-            for n, state in enumerate(orb.states):
+            for n, state in enumerate(orb):
                 assert np.array_equal(state.C, graph_coupling(current).C), n
                 current = tau[current]
 
@@ -351,9 +351,7 @@ def test_criterion_09_cesaro_barycenter_bound():
             rng = np.random.default_rng(909)
             for _ in range(20):
                 c0 = random_coupling(sys.k, rng)
-                orb = orbit(sys, c0, 1000)
-                for n in (10, 100, 1000):
-                    avg = cesaro_average(orb, n)
+                for n, avg in cesaro_average(orbit(sys, c0, 1000), (10, 100, 1000)):
                     assert self_joining_residual(sys, avg) <= Fraction(2, n)
 
         # the stochastic full shift: exact arithmetic to N = 100, floats
@@ -363,13 +361,10 @@ def test_criterion_09_cesaro_barycenter_bound():
         rng = np.random.default_rng(919)
         for _ in range(20):
             c0 = random_coupling(8, rng)
-            orb = orbit(shift, c0, 100)
-            for n in (10, 100):
-                avg = cesaro_average(orb, n)
+            for n, avg in cesaro_average(orbit(shift, c0, 100), (10, 100)):
                 assert self_joining_residual(shift, avg) <= Fraction(2, n)
             c0f = CouplingMatrix(exact.as_float(np.asarray(c0.C)))
-            orbf = orbit(shift_f, c0f, 1000)
-            avgf = cesaro_average(orbf, 1000)
+            [(_, avgf)] = cesaro_average(orbit(shift_f, c0f, 1000), [1000])
             assert self_joining_residual(shift_f, avgf) <= 2 / 1000 + 1e-9
 
 

@@ -16,16 +16,17 @@ from lenslab import (
     graph_coupling,
     in_neighborhood,
     lift_coupling,
+    parse_system_spec,
     product_coupling,
     random_coupling,
     repair_to_polytope,
     restrict_coupling,
     system_from_matrix,
-    system_from_permutation,
     validate_coupling,
 )
 from lenslab import exact
-from lenslab.lens import cesaro_average, orbit
+from lenslab.lens import cesaro_average, lens_step, orbit
+from test_lens import zoo_specs
 
 
 def test_product_and_graph_are_couplings():
@@ -200,18 +201,31 @@ def test_distance_neighborhood_and_random_coupling_match_oracle(k, seed):
         assert c.C[i, j] == Fraction(int(n), sum(weights) * k)
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(st.integers(min_value=2, max_value=6),
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(zoo_specs(), st.sampled_from([exact.RATIONAL, exact.FLOAT]),
        st.integers(min_value=0, max_value=10**6),
-       st.integers(min_value=1, max_value=8))
-def test_cesaro_average_matches_oracle(k, seed, n):
-    rng = np.random.default_rng(seed)
-    sys = system_from_permutation(rng.permutation(k))
-    orb = orbit(sys, random_coupling(k, rng), n)
-    avg = cesaro_average(orb, n)
-    for idx in np.ndindex(k, k):
-        assert avg.C[idx] == sum(s.C[idx] for s in orb.states[1:n + 1]) / n
-    assert not validate_coupling(avg)
+       st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=4))
+def test_cesaro_average_matches_oracle(spec, backend, seed, horizons):
+    sys = parse_system_spec(spec, backend)
+    c = random_coupling(sys.k, np.random.default_rng(seed), backend=backend)
+    states, state = [], c  # the oracle steps on its own
+    for _ in range(max(horizons)):
+        state = lens_step(sys, state)
+        if backend == exact.FLOAT:
+            state = repair_to_polytope(state.matrix)
+        states.append(state.C)
+    averages = dict(cesaro_average(orbit(sys, c, max(horizons)), horizons))
+    assert sorted(averages) == sorted(set(horizons))
+    for n, avg in averages.items():
+        total = states[0]  # summed in state order, then divided by N
+        for s in states[1:n]:
+            total = total + s
+        expected = total / n
+        if backend == exact.FLOAT:
+            assert avg.C.tobytes() == expected.tobytes()
+        else:
+            assert np.array_equal(avg.C, expected)
+        assert not validate_coupling(avg)
 
 
 def _restrict_oracle(fine, parent, kc):

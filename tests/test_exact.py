@@ -214,10 +214,14 @@ def test_reductions_match_oracle(a, b, s):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.lists(matrices(), min_size=1, max_size=5))
-def test_mat_mean_matches_oracle(arrays):
-    mean = exact.mat_mean([exact.stored(a) for a in arrays]).fractions
+def test_mat_add_and_mat_div_match_oracle(arrays):
+    total = exact.stored(arrays[0])
+    for a in arrays[1:]:
+        total = exact.mat_add(total, exact.stored(a))
+    mean = exact.mat_div(total, len(arrays))
+    assert math.gcd(int(np.gcd.reduce(mean.num, axis=None)), mean.den) == 1
     for idx in np.ndindex(arrays[0].shape):
-        assert mean[idx] == sum(a[idx] for a in arrays) / len(arrays)
+        assert mean.fractions[idx] == sum(a[idx] for a in arrays) / len(arrays)
 
 
 def test_int64_bound_on_numerators():
@@ -251,7 +255,9 @@ def test_sums_promote_before_int64_overflow():
     assert a.num.dtype == np.int64
     assert exact.l1_norm(a) == 4 * near
     assert exact.l1_norm(a, exact.scale(a, -1)) == 8 * near
-    assert exact.mat_mean([a, a, a]).fractions[0, 0] == near
+    total = exact.mat_add(exact.mat_add(a, a), a)
+    assert total.num.dtype == object
+    assert exact.mat_div(total, 3).fractions[0, 0] == near
     assert exact.marginal_defects(a, 2 * near, 0.0) == []
 
 
@@ -268,7 +274,7 @@ def test_zero_operand_with_huge_denominator():
     tiny = exact.constant((2, 2), Fraction(1, 2**70))
     assert exact.l1_norm(zero, tiny) == Fraction(4, 2**70)
     assert exact.max_abs(zero, Fraction(1, 2**70)) == Fraction(1, 2**70)
-    assert exact.mat_mean([zero, tiny]).fractions[0, 0] == Fraction(1, 2**71)
+    assert exact.mat_div(exact.mat_add(zero, tiny), 2).fractions[0, 0] == Fraction(1, 2**71)
 
 
 def test_stored_form_kernels_past_int64_match_fraction_oracles():

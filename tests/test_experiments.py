@@ -640,6 +640,23 @@ def test_periodic_commuters_charges_each_lens_step(cells, refused, capsys):
         assert code == 0
 
 
+@pytest.mark.parametrize("n, refused", [(31, False), (32, True)])
+def test_cesaro_barycenter_charges_each_lens_step_and_horizon(n, refused, capsys):
+    # rot:k=2048,s=1 costs k^2 = 2^22 a step, so the budget holds 32 steps:
+    # N lens steps and one residual step for the one horizon.
+    start = time.perf_counter()
+    code = cli_main(["run", str(CONFIGS / "cesaro-barycenter.cfg"), "--set", "output_dir=",
+                     "--set", "system=rot:k=2048,s=1", "--set", "n_initials=1",
+                     "--set", f"N_values={n}"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    if refused:
+        assert code == 3 and elapsed < 1
+        assert err.startswith("size guard:") and err.count("\n") == 1
+    else:
+        assert code == 0
+
+
 @pytest.mark.parametrize("name, override, expected", [
     ("mixing-profile", f"system=bern:d=2,L={HUGE}", 3),
     ("mixing-profile", f"system=odo:m={HUGE}", 3),

@@ -87,18 +87,29 @@ def test_orbit_float_states_stay_repaired():
     rng = np.random.default_rng(1)
     c = random_coupling(4, rng, backend=exact.FLOAT)
     orb = orbit(sys, c, 12)
-    assert len(orb.states) == 13
+    for _ in range(2):  # each walk logs its own repairs
+        states = list(orb)
+        assert len(states) == 13 and len(orb.repair_residuals) == 12
     assert max(orb.repair_residuals) < 1e-10
-    assert not validate_coupling(orb.states[-1])
+    assert not validate_coupling(states[-1])
+
+
+def test_orbit_steps_only_when_a_state_is_asked_for():
+    sys = rotation_system(5, 2)
+    c = random_coupling(5, np.random.default_rng(3))
+    orb = orbit(sys, c, 10**9)  # nothing is stepped up front
+    for _ in range(2):  # each walk starts again at c
+        walk = iter(orb)
+        for n in range(4):
+            assert np.array_equal(next(walk).C, lens_iterate(sys, c, n).C)
+        assert orb.repair_residuals == []  # no float step to repair
 
 
 def test_cesaro_average_residual_bound():
     sys = rotation_system(7, 3)
     rng = np.random.default_rng(8)
     c = random_coupling(7, rng)
-    orb = orbit(sys, c, 100)
-    for n in (10, 100):
-        avg = cesaro_average(orb, n)
+    for n, avg in cesaro_average(orbit(sys, c, 100), (10, 100)):
         assert not validate_coupling(avg)
         assert self_joining_residual(sys, avg) <= Fraction(2, n)
 
@@ -348,8 +359,7 @@ def test_exact_system_dynamics_read_no_fraction_entry(spec, monkeypatch):
     assert markov_commutation_residual(sys, shift) == 0
     assert markov_commutation_residual(sys, c) > 0
     for mode in ("lens", "one-sided"):
-        orb = orbit(sys, c, 3, mode=mode)
-        assert all(not validate_coupling(state) for state in orb.states)
+        assert all(not validate_coupling(state) for state in orbit(sys, c, 3, mode=mode))
     blocks = consecutive_blocks([k // 4, k - k // 4])
     assert rigidity_probe(sys, blocks, 0) == rigidity_probe(sys, blocks, k) == 1
     assert rigidity_probe(sys, blocks, 1) < 1
