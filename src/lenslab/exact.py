@@ -18,6 +18,19 @@ Numerators are int64 while every entry stays below ``_INT64_SAFE`` (2**62)
 in magnitude, so a sum or difference of two cannot overflow; each kernel
 checks the worst case of its own operation before staying in int64, and
 otherwise works on Python ints, which never overflow.
+
+The worst case comes from an upper bound on the numerators that travels
+with each value (``Scaled.bound``).  The kernel that makes a value fills it
+in from what it already computed (a gather's s * max|x| * max|val|, a sum's
+rescaled operands, a relabel's unchanged entries), so no result is scanned
+again.  A bound only ever proves int64 safe: at or past ``_INT64_SAFE`` one
+exact scan decides, so every result has the dtype, numerators and
+denominator that scanning everything gives.  Every entry is scanned only
+for a value made without a bound (``from_scaled``, ``split_common``: its
+max and min), by ``max_abs``, whose answer is the exact maximum, and where a
+bound reaches ``_INT64_SAFE``.  ``_reduced`` probes for a common factor
+first, as the gcd of the denominator with that max and min or with a few
+entries, and takes the gcd of every entry only when the probe is above 1.
 """
 
 from __future__ import annotations
@@ -45,19 +58,31 @@ SOLVER_TOL = 1e-9
 # Worst-case |entry| bound under which int64 accumulation cannot overflow.
 _INT64_SAFE = 2**62
 
+# Entries _reduced reads, beside the denominator, to probe a common factor.
+_PROBES = 16
+
 
 @dataclass(frozen=True, eq=False)
 class Scaled:
     """The rational array num / den in lowest terms, gcd(num, den) == 1,
     which makes it unique (a mat_add sum excepted).  num is read-only, int64
     while every |entry| < _INT64_SAFE and Python ints otherwise; from_scaled
-    reduces and picks the dtype, this constructor trusts its caller."""
+    reduces and picks the dtype, this constructor trusts its caller.  bound,
+    when the kernel that made the value knew one, is an upper bound on every
+    |entry| of num."""
 
     num: np.ndarray
     den: int
+    bound: int | None = None
 
     def __post_init__(self):
         freeze(self.num)
+
+    @cached_property
+    def magnitude(self) -> int:
+        """An upper bound on every |numerator|: the carried one, or, for a
+        value made without one, max |num| from one scan."""
+        return _magnitude(self.num) if self.bound is None else self.bound
 
     @property
     def shape(self) -> tuple:
@@ -75,11 +100,11 @@ class Scaled:
         return self.num.ravel()
 
     def reshape(self, *shape) -> Scaled:
-        return Scaled(self.num.reshape(*shape), self.den)
+        return Scaled(self.num.reshape(*shape), self.den, self.bound)
 
     @property
     def T(self) -> Scaled:
-        return Scaled(self.num.T, self.den)
+        return Scaled(self.num.T, self.den, self.bound)
 
     @cached_property
     def fractions(self) -> np.ndarray:
@@ -160,7 +185,7 @@ def constant(shape, value, backend: str = RATIONAL):
     p, q = Fraction(value).as_integer_ratio()
     num = numerators(shape, abs(p))
     num[...] = p  # every entry p / q, in lowest terms already
-    return Scaled(num, q) if backend == RATIONAL else _to_float(num, q)
+    return Scaled(num, q, abs(p)) if backend == RATIONAL else _to_float(num, q)
 
 
 def stored(a):
@@ -182,8 +207,9 @@ def flat_concat(arrays):
     if backend_of(arrays[0]) == FLOAT:
         return freeze(np.concatenate([np.ravel(a) for a in arrays]))
     den = math.lcm(*(s.den for s in arrays))
-    return _reduced(np.concatenate([_rescale(s.num, den // s.den).ravel()
-                                    for s in arrays]), den)
+    return _reduced(np.concatenate([_rescale(s.num, den // s.den, s.magnitude).ravel()
+                                    for s in arrays]),
+                    den, max(s.magnitude * (den // s.den) for s in arrays))
 
 
 def entries(a) -> np.ndarray:
@@ -202,17 +228,46 @@ def _magnitude(x: np.ndarray) -> int:
     return max(int(x.max()), -int(x.min())) if x.size else 0
 
 
-def _reduced(num: np.ndarray, den: int) -> Scaled:
-    """num / den in lowest terms, numerators int64 exactly when they fit."""
-    g = math.gcd(int(np.gcd.reduce(num, axis=None)), den) if num.size else den
+def _settled(num: np.ndarray, bound: int, factor: int = 1) -> int:
+    """max(bound, 1), for bound >= max|num|, when its product with factor
+    stays below _INT64_SAFE or num holds Python ints already; otherwise
+    max(|num|, 1) from one exact scan.  A carried bound only ever proves that
+    int64 is safe; at or past _INT64_SAFE the exact scan decides."""
+    if max(bound, 1) * factor >= _INT64_SAFE and num.dtype != object:
+        bound = _magnitude(num)
+    return max(bound, 1)
+
+
+def _reduced(num: np.ndarray, den: int, bound: int | None = None) -> Scaled:
+    """num / den in lowest terms, numerators int64 exactly when they fit.
+
+    bound, if given, is an upper bound on |num|; without one, num's max and
+    min are read and give it exactly.  The common factor is probed first, as
+    the gcd of den with that max and min, or with a few entries when bound
+    is given; every entry is read only when the probe is above 1."""
+    if not num.size:
+        return Scaled(np.zeros(num.shape, np.int64), 1, 0)
+    scanned = bound is None
+    if scanned:
+        high, low = int(num.max()), int(num.min())
+        bound, probe = max(high, -low), math.gcd(den, high, low)
+    else:
+        probe = math.gcd(den, *num.flat[::num.size // _PROBES + 1].tolist())
+    # The gcd of den and every entry divides the probe.
+    common = int(np.gcd.reduce(num, axis=None)) if probe > 1 else 1
+    if not common:  # every entry is zero, whatever den is
+        return Scaled(np.zeros(num.shape, np.int64), 1, 0)
+    g = math.gcd(common, probe)
     if g > 1:
-        num, den = num // g, den // g
+        num, den, bound = num // g, den // g, bound // g
     if num.dtype != object:
         num = num.astype(np.int64, copy=False)
-    fits = _magnitude(num) < _INT64_SAFE
+    if bound >= _INT64_SAFE and not scanned:
+        bound = _magnitude(num)
+    fits = bound < _INT64_SAFE
     if fits != (num.dtype == np.int64):
         num = num.astype(np.int64 if fits else object)
-    return Scaled(num, den)
+    return Scaled(num, den, bound)
 
 
 def _to_float(num: np.ndarray, den: int) -> np.ndarray:
@@ -251,49 +306,68 @@ def join_scaled(num: np.ndarray, den: int) -> np.ndarray:
     return values[index.reshape(num.shape)]
 
 
-def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integer matmul with an int64 fast path guarded by a magnitude bound."""
+def _int_matmul(a: np.ndarray, b: np.ndarray, bound_a: int | None = None,
+                bound_b: int | None = None) -> np.ndarray:
+    """Integer matmul with an int64 fast path guarded by a magnitude bound:
+    the operands' bounds, when given, and otherwise, or when they do not
+    prove it safe, their exact magnitudes."""
     # max(.., 1): an all-zero operand must not let the other skip the bound.
-    if a.shape[-1] * max(_magnitude(a), 1) * max(_magnitude(b), 1) < _INT64_SAFE:
+    def worst(ma, mb):
+        return a.shape[-1] * max(ma, 1) * max(mb, 1)
+    if bound_a is None or bound_b is None or worst(bound_a, bound_b) >= _INT64_SAFE:
+        bound_a, bound_b = _magnitude(a), _magnitude(b)
+    if worst(bound_a, bound_b) < _INT64_SAFE:
         return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
     return a.astype(object, copy=False) @ b.astype(object, copy=False)
 
 
-def _rescale(num, factor: int):
-    """num * factor; int64 arrays move to Python ints if it could overflow."""
+def _rescale(num, factor: int, bound: int):
+    """num * factor, for bound >= |num|; int64 arrays move to Python ints if
+    it could overflow."""
     if factor == 1:
         return num
-    if (isinstance(num, np.ndarray) and num.dtype != object
-            and max(_magnitude(num), 1) * abs(factor) >= _INT64_SAFE):
-        num = num.astype(object)
+    f = abs(factor)
+    if isinstance(num, np.ndarray) and _settled(num, bound, f) * f >= _INT64_SAFE:
+        num = num.astype(object, copy=False)
     return num * factor
 
 
-def _int_sum(x: np.ndarray, axis=None):
-    """Exact sum of integer entries, in int64 only when it cannot overflow."""
+def _int_sum(x: np.ndarray, bound: int, axis=None):
+    """Exact sums of integer entries, for bound >= |x|, in int64 only when
+    they cannot overflow; with an upper bound on the |sums|."""
     count = x.size if axis is None else math.prod(x.shape[a] for a in np.atleast_1d(axis))
-    if x.dtype != object and _magnitude(x) * count >= _INT64_SAFE:
-        x = x.astype(object)
-    return x.sum(axis=axis)
+    if _settled(x, bound, count) * count >= _INT64_SAFE:
+        x = x.astype(object, copy=False)
+    return x.sum(axis=axis), bound * count
 
 
-def _scaled(a, b=None) -> tuple[np.ndarray, int]:
-    """(numerators, denominator) of a, or of a - b for b an array or scalar.
-
-    Both operands go over one common denominator; the difference of two
-    int64 numerator arrays is below 2**63, so it cannot overflow.
-    """
-    if b is None:
-        return a.num, a.den
+def _over_lcm(a, b):
+    """The numerators of a and of b (an array or scalar) over the lcm of
+    their denominators, that lcm, and a bound on the sum of their |entries|.
+    Each numerator array rescaled in int64 stays below 2**62, so their sum or
+    difference cannot overflow."""
     nb, db = (b.num, b.den) if isinstance(b, Scaled) else Fraction(b).as_integer_ratio()
+    mb = b.magnitude if isinstance(b, Scaled) else abs(nb)
     den = math.lcm(a.den, db)
-    return _rescale(a.num, den // a.den) - _rescale(nb, den // db), den
+    fa, fb = den // a.den, den // db
+    return (_rescale(a.num, fa, a.magnitude), _rescale(nb, fb, mb), den,
+            a.magnitude * fa + mb * fb)
+
+
+def _scaled(a, b=None) -> tuple[np.ndarray, int, int]:
+    """(numerators, denominator, bound on |numerators|) of a, or of a - b
+    for b an array or scalar."""
+    if b is None:
+        return a.num, a.den, a.magnitude
+    na, nb, den, bound = _over_lcm(a, b)
+    return na - nb, den, bound
 
 
 def mat_mul(a, b):
     if backend_of(a) == FLOAT:
         return a @ b
-    return _reduced(_int_matmul(a.num, b.num), a.den * b.den)
+    return _reduced(_int_matmul(a.num, b.num, a.magnitude, b.magnitude), a.den * b.den,
+                    a.shape[-1] * a.magnitude * b.magnitude)
 
 
 def mat_conjugate(q, c):
@@ -324,7 +398,7 @@ def scale(a, x):
     if backend_of(a) == FLOAT:
         return a * scalar(x, FLOAT)
     p, q = Fraction(x).as_integer_ratio()
-    return _reduced(_rescale(a.num, p), a.den * q)
+    return _reduced(_rescale(a.num, p, a.magnitude), a.den * q, a.magnitude * abs(p))
 
 
 def gather(x, lines: Support, axes=(0,)):
@@ -332,7 +406,8 @@ def gather(x, lines: Support, axes=(0,)):
     entry j is sum_t x.take(idx[j, t], a) * val[j, t], the column-wise
     sparse product (Gustavson 1978), k^2 s work.  Lines that relabel only
     take entries: no multiply, no reduction.  Numerators stay int64 while
-    s * max|x| * max|val| per axis stays below _INT64_SAFE."""
+    s * max|x| * max|val| per axis stays below _INT64_SAFE; that product,
+    from the operands' bounds, is the result's bound."""
     if lines.relabels:
         # One broadcast index, p[:, None] and p on two axes, after any
         # leading ones; an axis between two of axes keeps its order.
@@ -344,12 +419,14 @@ def gather(x, lines: Support, axes=(0,)):
         for a in axes:
             x = _gather_axis(x, lines.idx, as_float(lines.val), a)
         return freeze(x)
-    num, bound = x.num, max(_magnitude(x.num), 1)  # >= 1: Python-int values move x too
+    # >= 1: Python-int values move x too.
+    step = lines.idx.shape[1] * max(lines.val.magnitude, 1)
+    num, bound = x.num, _settled(x.num, x.magnitude, step ** len(axes))
     for a in axes:
-        bound *= lines.idx.shape[1] * max(_magnitude(lines.val.num), 1)
+        bound *= step
         num = num.astype(object, copy=False) if bound >= _INT64_SAFE else num
         num = _gather_axis(num, lines.idx, lines.val.num, a)
-    return _reduced(num, x.den * lines.val.den ** len(axes))
+    return _reduced(num, x.den * lines.val.den ** len(axes), bound)
 
 
 def _gather_axis(x: np.ndarray, idx: np.ndarray, val: np.ndarray, axis: int):
@@ -368,14 +445,14 @@ def relabel(a, index):
     as a relabeling does: the values, and so the denominator, stay."""
     if backend_of(a) == FLOAT:
         return freeze(a[index])
-    return Scaled(a.num[index], a.den)
+    return Scaled(a.num[index], a.den, a.magnitude)
 
 
 def select(a, index):
     """The entries a[index], as an array on the backend of a."""
     if backend_of(a) == FLOAT:
         return a[index]
-    return _reduced(a.num[index], a.den)
+    return _reduced(a.num[index], a.den, a.magnitude)
 
 
 def block_sums(a, parent: np.ndarray, n: int):
@@ -386,9 +463,9 @@ def block_sums(a, parent: np.ndarray, n: int):
         out = np.zeros((n, n))
         np.add.at(out, index, a)
         return out
-    out = numerators((n, n), _magnitude(a.num) * a.size)
+    out = numerators((n, n), _settled(a.num, a.magnitude, a.size) * a.size)
     np.add.at(out, index, a.num.astype(out.dtype, copy=False))
-    return _reduced(out, a.den)
+    return _reduced(out, a.den, a.magnitude * a.size)
 
 
 def block_diagonal_sum(a, label: np.ndarray):
@@ -402,14 +479,16 @@ def block_diagonal_sum(a, label: np.ndarray):
         for cells in np.split(order, np.cumsum(np.bincount(label))[:-1]):
             total += float(a[np.ix_(cells, cells)].sum())
         return total
-    return Fraction(int(_int_sum(a.num[label[:, None] == label[None, :]])), a.den)
+    total, _ = _int_sum(a.num[label[:, None] == label[None, :]], a.magnitude)
+    return Fraction(int(total), a.den)
 
 
 def quadratic_form(w, c):
     """w^T C w for a vector w."""
     if backend_of(c) == FLOAT:
         return float(w @ (c @ w))
-    n = _int_matmul(_int_matmul(w.num, c.num), w.num)
+    wc = _int_matmul(w.num, c.num, w.magnitude, c.magnitude)
+    n = _int_matmul(wc, w.num, w.size * w.magnitude * c.magnitude, w.magnitude)
     return Fraction(int(n), w.den * w.den * c.den)
 
 
@@ -424,10 +503,10 @@ def l1_norm(a, b=None, axis=None):
         d = np.subtract(a, 0.0 if b is None else b)  # a new array: abs in place
         total = np.abs(d, out=d).sum(axis=axis)
         return float(total) if axis is None else freeze(total)
-    num, den = _scaled(a, b)
-    if axis is None:
-        return Fraction(int(_int_sum(np.abs(num))), den)
-    return _reduced(_int_sum(np.abs(num), axis), den)
+    num, den, bound = _scaled(a, b)
+    # a - b is a new array: abs in place; a alone is read-only.
+    total, bound = _int_sum(np.abs(num, out=None if b is None else num), bound, axis)
+    return Fraction(int(total), den) if axis is None else _reduced(total, den, bound)
 
 
 def max_abs(a, b=None):
@@ -435,7 +514,7 @@ def max_abs(a, b=None):
     if backend_of(a) == FLOAT:
         d = np.abs(a if b is None else a - b)
         return float(d.max()) if d.size else 0.0
-    num, den = _scaled(a, b)
+    num, den, _ = _scaled(a, b)
     return Fraction(_magnitude(num), den)
 
 
@@ -450,7 +529,7 @@ def support(a) -> Support:
     idx[line, slot] = pos
     val = np.zeros(idx.shape, dtype=num.dtype)
     val[line, slot] = num[line, pos]
-    val = Scaled(val, a.den) if isinstance(a, Scaled) else freeze(val)
+    val = Scaled(val, a.den, a.magnitude) if isinstance(a, Scaled) else freeze(val)
     return Support(freeze(np.maximum.accumulate(idx, axis=1)), val)
 
 
@@ -460,18 +539,19 @@ def mat_add(a, b):
     time) per term, and mat_div reduces once."""
     if backend_of(a) == FLOAT:
         return a + b
-    den = math.lcm(a.den, b.den)
-    total = _rescale(a.num, den // a.den) + _rescale(b.num, den // b.den)
-    if total.dtype != object and _magnitude(total) >= _INT64_SAFE:
-        total = total.astype(object)
-    return Scaled(total, den)
+    na, nb, den, bound = _over_lcm(a, b)
+    total = na + nb
+    bound = _settled(total, bound)
+    if bound >= _INT64_SAFE:
+        total = total.astype(object, copy=False)
+    return Scaled(total, den, bound)
 
 
 def mat_div(a, n: int):
     """a / n for an int n > 0: exact in lowest terms, or a float division."""
     if backend_of(a) == FLOAT:
         return freeze(a / n)
-    return _reduced(a.num, a.den * n)
+    return _reduced(a.num, a.den * n, a.magnitude)
 
 
 def marginal_defects(m, target, tol: float) -> list[str]:
@@ -484,8 +564,10 @@ def marginal_defects(m, target, tol: float) -> list[str]:
         num, den = m.num, m.den
         p, q = Fraction(target).as_integer_ratio()
         # A line sums to p/q exactly when its numerators sum to p*den/q.
-        bad_rows = _rescale(_int_sum(num, axis=1), q) != p * den
-        bad_cols = _rescale(_int_sum(num, axis=0), q) != p * den
+        def bad(axis):
+            sums, bound = _int_sum(num, m.magnitude, axis)
+            return _rescale(sums, q, bound) != p * den
+        bad_rows, bad_cols = bad(1), bad(0)
         negative = np.argwhere(num < 0)
     else:
         target = float(target)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lenslab import (
@@ -530,3 +530,154 @@ def test_stored_copies_a_writable_array_and_keeps_a_read_only_one():
     sys = system_from_matrix(q)
     q[0, 0] = 0.0
     assert sys.matrix[0, 0] == 1.0
+
+
+#
+# Carried numerator bounds: results against a scan-everything oracle.
+#
+
+_SAFE = 2**62
+
+
+def _largest(num):
+    return max((abs(int(n)) for n in np.asarray(num, dtype=object).flat), default=0)
+
+
+def _canonical(num, den):
+    """(numerators as Python ints, denominator, dtype) of num / den in lowest
+    terms, by one gcd over every entry: int64 exactly when every |entry| is
+    below 2**62."""
+    flat = [int(n) for n in np.ravel(num)]
+    g = math.gcd(den, *flat)
+    flat = [n // g for n in flat]
+    return flat, den // g, np.int64 if _largest(flat) < _SAFE else object
+
+
+def _assert_result(got, num, den, dtype=None):
+    """got equals num / den in lowest terms (or, with dtype, exactly num over
+    den with that dtype), and carries a bound no entry passes."""
+    want, want_den, want_dtype = _canonical(num, den) if dtype is None else (
+        [int(n) for n in np.ravel(num)], den, dtype)
+    assert got.den == want_den and [int(n) for n in got.num.ravel()] == want
+    assert got.num.dtype == want_dtype and got.shape == np.shape(num)
+    assert got.bound is not None and got.bound >= _largest(want)
+
+
+def _loosened(s, slack):
+    """s with its carried bound raised by slack: still a bound, no longer tight."""
+    return exact.Scaled(s.num, s.den, s.magnitude + slack)
+
+
+# Largest |numerator| drawn: small, at int64's edge of safety, past int64.
+_REACH = (9, 2**31, 2**61, 2**62 - 1, 2**62, 2**70)
+_DENS = (1, 6, 12, 2**64 + 13, 3 * 2**65, 5**30)
+_SLACKS = (0, 7, 2**40, 2**62)
+
+
+@st.composite
+def _operands(draw, shape):
+    largest = draw(st.sampled_from(_REACH))
+    # One sign throughout makes the sums that reach their bounds.
+    lowest = draw(st.sampled_from((-largest, 0)))
+    entries = draw(st.lists(st.integers(lowest, largest), min_size=math.prod(shape),
+                            max_size=math.prod(shape)))
+    num = np.array(entries, dtype=object).reshape(shape)
+    den = draw(st.sampled_from(_DENS))
+    s = exact.from_scaled(num, den)
+    _assert_result(s, num, den)
+    return _loosened(s, draw(st.sampled_from(_SLACKS)))
+
+
+@st.composite
+def _bound_cases(draw):
+    k = draw(st.integers(1, 5))
+    a, b = draw(_operands((k, k))), draw(_operands((k, k)))
+    s = draw(st.integers(1, 3))
+    perms = [draw(st.permutations(range(k))) for _ in range(s)]
+    weights = draw(st.lists(st.integers(1, draw(st.sampled_from((1, 7, 2**40)))),
+                            min_size=s, max_size=s))
+    q = exact.from_scaled(_birkhoff_numerators(k, perms, weights), sum(weights))
+    q = _loosened(q, draw(st.sampled_from(_SLACKS)))
+    parent = np.array(draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)))
+    factor = draw(st.sampled_from((Fraction(1), Fraction(-3, 4), Fraction(2**61),
+                                   Fraction(1, 2**64 + 1), Fraction(0))))
+    return a, b, q, parent, factor, draw(st.integers(1, 7))
+
+
+def _object(s):
+    return s.num.astype(object)
+
+
+def _tight_case():
+    """Two-term lines and a rescaled sum at 2**61, all bounds tight: a bound
+    that drops the term count s or the rescale factor falls below the
+    entries, and the int64 path it allows overflows."""
+    a = exact.from_scaled(np.full((2, 2), 2**61), 1)
+    b = exact.from_scaled(np.ones((2, 2), dtype=np.int64), 3)
+    q = exact.from_scaled(_birkhoff_numerators(2, [[0, 1], [1, 0]], [1, 1]), 2)
+    return a, b, q, np.array([0, 1]), Fraction(1), 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_bound_cases())
+@example(_tight_case())
+def test_carried_bounds_give_the_scanned_results(case):
+    a, b, q, parent, factor, n = case
+    an, bn, qn = _object(a), _object(b), _object(q)
+    lines = exact.support(q.T)
+    for axes, dense in (((0,), qn.T @ an), ((1,), an @ qn), ((0, 1), qn.T @ an @ qn)):
+        got = exact.gather(a, lines, axes)
+        if lines.relabels:  # entries move, so the values, dtype and den stay
+            _assert_result(got, dense, a.den, a.num.dtype)
+        else:
+            _assert_result(got, dense, a.den * q.den ** len(axes))
+    den = math.lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    total = an * fa + bn * fb
+
+    def leaves_int64(s, f):
+        """An operand that holds Python ints, or whose rescale may pass 2**62."""
+        return s.num.dtype == object or (f > 1 and max(_largest(s.num), 1) * f >= _SAFE)
+    # A sum stays over the lcm, unreduced, in Python ints where an operand or the sum is.
+    in_python_ints = leaves_int64(a, fa) or leaves_int64(b, fb) or _largest(total) >= _SAFE
+    summed = exact.mat_add(a, b)
+    _assert_result(summed, total, den, object if in_python_ints else np.int64)
+    _assert_result(exact.mat_div(summed, n), total, den * n)
+    _assert_result(exact.mat_mul(a, b), an @ bn, a.den * b.den)
+    p, r = factor.as_integer_ratio()
+    _assert_result(exact.scale(a, factor), an * p, a.den * r)
+    diagonal = (np.arange(len(an)), np.arange(len(an))[::-1])
+    _assert_result(exact.select(a, diagonal), an[diagonal], a.den)
+    sums = np.zeros((2, 2), dtype=object)
+    np.add.at(sums, (parent[:, None], parent), an)
+    _assert_result(exact.block_sums(a, parent, 2), sums, a.den)
+    _assert_result(exact.flat_concat([a, b]),
+                   np.concatenate([an.ravel() * fa, bn.ravel() * fb]), den)
+    difference = np.abs(an * fa - bn * fb)
+    assert exact.l1_norm(a, b) == Fraction(int(difference.sum()), den)
+    for axis in (0, 1):
+        _assert_result(exact.l1_norm(a, b, axis), difference.sum(axis=axis), den)
+        _assert_result(exact.l1_norm(a, None, axis), np.abs(an).sum(axis=axis), a.den)
+    assert exact.max_abs(a, b) == Fraction(int(difference.max()), den)
+
+
+@pytest.mark.parametrize("bound", [None, 4, 4 + 2**40, 2**62, 2**70])
+def test_reduced_reaches_lowest_terms_past_a_common_probe(bound):
+    """The probe is a gcd of den with a few entries; when it is above 1, a gcd
+    over every entry decides, so no common factor is missed or assumed."""
+    cases = [([2, 3, 4], 6)]  # probe gcd(6, 4, 2) = 2, but gcd(6, 2, 3, 4) = 1
+    # One entry off the common factor, at every place, probed or not.
+    cases += [([2] * i + [3] + [2] * (40 - i), 6) for i in range(41)]
+    cases += [([4] * i + [2] + [4] * (40 - i), 12) for i in range(41)]
+    # Zero probes: their gcd with den is den itself.
+    cases += [([0] * i + [3] + [0] * (40 - i), 6) for i in range(41)]
+    cases += [([0, 0, 0], 6), ([0] * 50, 2**64 + 13), ([0], 1)]
+    for entries, den in cases:
+        num = np.array(entries, dtype=np.int64)
+        _assert_result(exact._reduced(num, den, bound), num, den)
+    # Python-int numerators, reducing into int64 or staying past it.
+    big = 2**70
+    for entries, den in (([2 * big, 3 * big, 4 * big], 6 * big),
+                         ([big, 3, 0, 5 * big], 2 * big), ([6 * big, 9 * big], 2**62 * 3)):
+        num = np.array(entries, dtype=object)
+        _assert_result(exact._reduced(num, den, None if bound is None else 9 * big), num, den)
