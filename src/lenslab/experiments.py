@@ -8,8 +8,8 @@ identical report.json and CSV bytes, so runs can be diffed across machines.
 
 from __future__ import annotations
 
-import json
 import os
+import stat
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -118,23 +118,26 @@ class ExperimentReport:
 
     def _json_chunks(self):
         """to_stable_json in pieces, each series a chunk of rows at a time."""
-        rest = json.dumps({"config": vars(self.config), "passed": self.passed,
-                           "scalars": self.scalars, "verdicts": self.verdicts},
-                          sort_keys=True, indent=2)
-        cut = rest.index('\n  "verdicts": ')  # "series" sorts just before it
-        yield rest[:cut] + '\n  "series": {'
+        lead = ('{\n  "config": ' + _json_object(vars(self.config), "  ")
+                + ',\n  "passed": ' + ("true" if self.passed else "false")
+                + ',\n  "scalars": ' + _json_object(self.scalars, "  ")
+                + ',\n  "series": {')
         for n, name in enumerate(sorted(self.series)):
             cols, texts, index = self.series[name]
             columns = ("[\n        " + ",\n        ".join(map(encode_basestring_ascii, cols))
                        + "\n      ]" if cols else "[]")
-            yield ((",\n    " if n else "\n    ") + encode_basestring_ascii(name)
-                   + ': {\n      "columns": ' + columns + ',\n      "rows": ')
+            lead += ((",\n    " if n else "\n    ") + encode_basestring_ascii(name)
+                     + ': {\n      "columns": ' + columns + ',\n      "rows": ')
+            if not len(index):
+                lead += "[]\n    }"
+                continue
             row, close = ("[\n          ", "\n        ]") if cols else ("[]", "")
             pool = np.array(list(map(encode_basestring_ascii, texts)), dtype=object)
-            yield from _row_chunks(pool, index, "[\n        " + row, ",\n          ",
-                                   close + ",\n        " + row, close + "\n      ]\n    }"
-                                   ) if len(index) else ("[]\n    }",)
-        yield ("\n  }," if self.series else "},") + rest[cut:] + "\n"
+            yield from _row_chunks(pool, index, lead + "[\n        " + row, ",\n          ",
+                                   close + ",\n        " + row, close + "\n      ]\n    }")
+            lead = ""
+        yield (lead + ("\n  }," if self.series else "},") + '\n  "verdicts": '
+               + _json_object(self.verdicts, "  ") + "\n}\n")
 
     def _csv_chunks(self, name: str):
         cols, texts, index = self.series[name]
@@ -148,20 +151,58 @@ class ExperimentReport:
         return "".join(self._csv_chunks(name))
 
     def write(self, out_dir: str | Path) -> list[Path]:
-        """report.json and one CSV per series, each overwritten in place (an
-        O_TRUNC open starts ext4 writeback that a rerun waits for) and cut at
-        its end, also where its stream fails."""
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        """report.json and one CSV per series in out_dir, made if missing,
+        each overwritten in place (an O_TRUNC open starts ext4 writeback
+        that a rerun waits for) and cut at its end, also where its stream
+        fails."""
+        base = os.fspath(out_dir) or "."  # Path("") is the working directory
         names = sorted(self.series)
-        paths = [out / "report.json", *(out / f"{name}.csv" for name in names)]
-        for path, chunks in zip(paths, [self._json_chunks(), *map(self._csv_chunks, names)]):
-            with os.fdopen(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as f:
+        files = ["report.json", *(f"{name}.csv" for name in names)]
+        for file, chunks in zip(files, [self._json_chunks(), *map(self._csv_chunks, names)]):
+            path = f"{base}/{file}"
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+            except FileNotFoundError:  # the directory is not there yet
+                os.makedirs(base, exist_ok=True)
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+            end = 0
+            try:
+                for chunk in chunks:
+                    data = memoryview(chunk.encode())
+                    at = 0
+                    while at < len(data):  # a write may take fewer bytes than given
+                        at += os.write(fd, data[at:])
+                    end += at
+            finally:
                 try:
-                    f.writelines(map(str.encode, chunks))
+                    os.ftruncate(fd, end)
                 finally:
-                    f.truncate()
-        return paths
+                    os.close(fd)
+        out = Path(base)
+        return [out / file for file in files]
+
+
+def _json_object(d: dict, pad: str) -> str:
+    """d as json.dumps(d, sort_keys=True, indent=2) lays it out at indent
+    pad: str keys, and values that are str, bool (tested before int, which
+    a bool also is), int, or a dict of these."""
+    if not d:
+        return "{}"
+    inner = pad + "  "
+    lines = []
+    for k, v in sorted(d.items()):
+        if isinstance(v, str):
+            text = encode_basestring_ascii(v)
+        elif isinstance(v, bool):
+            text = "true" if v else "false"
+        elif isinstance(v, int):
+            text = int.__repr__(v)
+        elif isinstance(v, dict):
+            text = _json_object(v, inner)
+        else:
+            raise TypeError(f"a report holds no {type(v).__name__} value: {v!r}")
+        lines.append(encode_basestring_ascii(k) + ": " + text)
+    return "{\n" + inner + (",\n" + inner).join(lines) + "\n" + pad + "}"
 
 
 # Rows a report lays out at once, so a write holds one chunk's text, not the file.
@@ -182,15 +223,32 @@ def _row_chunks(pool, index, head, mid, end, last):
         yield "".join(part.ravel().tolist())
 
 
+def _bool_text(x) -> str:
+    return "true" if x else "false"
+
+
+def _int_text(x) -> str:
+    return str(int(x))
+
+
+def _float_text(x) -> str:
+    return str(float(x))
+
+
+# Cell renderers by type: a cell takes the renderer of the first class on
+# its type's MRO that has one, object's at the latest.
+_CELL_TEXT = {bool: _bool_text, np.bool_: _bool_text, str: str, Fraction: str,
+              int: int.__repr__, np.integer: _int_text, object: _float_text}
+
+
 def value_str(x) -> str:
     """Canonical cell rendering: 'true'/'false' for booleans (numpy's too),
     strings unchanged, a Fraction as exact 'p/q', integers (numpy's too) as
     integers, and any other number as its float."""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (str, Fraction)):
-        return str(x)
-    return str(int(x) if isinstance(x, (int, np.integer)) else float(x))
+    for cls in type(x).__mro__:
+        render = _CELL_TEXT.get(cls)
+        if render is not None:
+            return render(x)
 
 
 def _render_series(columns) -> tuple:
@@ -826,6 +884,10 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig) -> tuple:
     """Check cfg against the registry; return (system, typed parameter
     map), the system parsed from its spec (None without one)."""
+    for name, value in [*((f, getattr(cfg, f)) for f in _RESERVED), *cfg.parameters.items()]:
+        if not isinstance(value, str):
+            raise InvalidConfig(f"config value {name!r} must be a string, "
+                                f"got {type(value).__name__} {value!r}")
     if cfg.experiment not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
         raise UnknownExperiment(
@@ -866,6 +928,8 @@ def validate_config(cfg: ExperimentConfig) -> tuple:
         if any(v < p.minimum for v in entries):
             raise InvalidConfig(
                 f"parameter {p.name!r} must be >= {p.minimum}, got {value}")
+    if cfg.output_dir:
+        _check_output_dir(cfg.output_dir)
     if not cfg.system:
         return None, typed
     try:
@@ -876,6 +940,20 @@ def validate_config(cfg: ExperimentConfig) -> tuple:
         raise InvalidConfig(f"system {cfg.system!r} is not a "
                             f"{spec.needs_system.__name__} for {spec.name!r}")
     return system, typed
+
+
+def _check_output_dir(path: str):
+    """Refuse an output_dir that write could not make a directory: a file,
+    or a path under one.  One stat; a missing directory is made by write."""
+    try:
+        if stat.S_ISDIR(os.stat(path).st_mode):
+            return
+    except FileNotFoundError:
+        return
+    except NotADirectoryError:
+        pass
+    raise InvalidConfig(f"output_dir {path!r} is a file or lies under one, "
+                        f"so it cannot be a directory")
 
 
 def run_experiment(cfg: ExperimentConfig, write: bool = True) -> ExperimentReport:

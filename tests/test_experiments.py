@@ -1,5 +1,6 @@
 """Experiment registry, config plumbing, report determinism, CLI exits."""
 
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -201,6 +202,22 @@ def test_validate_applies_defaults_and_types():
     assert typed["n_initials"] == 3
 
 
+@pytest.mark.parametrize("change", [
+    {"parameters": {"n_max": 2.9}}, {"parameters": {"n_max": 3}},
+    {"output_dir": Path("out")}, {"system": None}, {"backend": b"rational"},
+    {"experiment": ["mixing-profile"]}])
+def test_config_values_that_are_not_strings_are_refused(change, tmp_path, monkeypatch):
+    # A float n_max would run as int(2.9) = 2 and be reported as 2.9, and a
+    # Path output_dir would run the experiment and fail only in its report.
+    monkeypatch.chdir(tmp_path)
+    cfg = dataclasses.replace(cfg_for("mixing-profile", system="bern:d=2,L=2", n_max=3),
+                              output_dir="out")
+    with pytest.raises(InvalidConfig, match="must be a string"):
+        run_experiment(dataclasses.replace(cfg, **change))
+    assert not any(tmp_path.iterdir())
+    assert run_experiment(cfg).passed and (tmp_path / "out" / "report.json").is_file()
+
+
 def test_run_rejects_bad_system_spec_as_config_error():
     with pytest.raises(InvalidConfig, match="bad system spec"):
         run_experiment(cfg_for("mixing-profile", system="rot:k=0,s=1",
@@ -222,7 +239,7 @@ def test_seeded_run_is_byte_identical():
 
 
 def test_report_files_roundtrip(tmp_path):
-    out = tmp_path / "run1"
+    out = tmp_path / "runs" / "run1"  # write makes both directories
     cfg = ExperimentConfig(
         experiment="mixing-profile", system="bern:d=2,L=2",
         output_dir=str(out),
@@ -351,15 +368,38 @@ def test_cli_size_guard_refuses_oversized_permutation_systems(system, capsys):
     assert capsys.readouterr().err.startswith("size guard:")
 
 
-def test_cli_crash_exits_four_with_one_stderr_line(capsys):
-    # An output_dir naming an existing file makes the report write fail:
+def test_cli_crash_exits_four_with_one_stderr_line(tmp_path, capsys):
+    # A directory where report.json should go makes the report write fail:
     # that is neither a failed verdict (1) nor a config problem (2).
-    readme = CONFIGS.parent / "README.md"
+    (tmp_path / "report.json").mkdir()
     code = cli_main(["run", str(CONFIGS / "mixing-profile.cfg"),
-                     "--set", f"output_dir={readme}"])
+                     "--set", f"output_dir={tmp_path}"])
     err = capsys.readouterr().err
     assert code == 4
-    assert err.startswith("error: FileExistsError: ") and err.count("\n") == 1
+    assert err.startswith("error: IsADirectoryError: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_an_output_dir_that_cannot_be_a_directory_is_refused_before_running(
+        under, tmp_path, monkeypatch, capsys):
+    file = tmp_path / "file"
+    file.write_text("")
+    out = file / "out" if under else file
+    ran = []
+    spec = REGISTRY["mixing-profile"]
+    monkeypatch.setitem(REGISTRY, spec.name, dataclasses.replace(
+        spec, runner=lambda *args: ran.append(args)))
+    for command in ("validate", "run"):
+        assert cli_main([command, str(CONFIGS / "mixing-profile.cfg"),
+                         "--set", f"output_dir={out}"]) == 2
+        assert capsys.readouterr().err.startswith("config error: output_dir ")
+    assert not ran and file.read_text() == ""
+
+
+def test_an_empty_output_dir_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_experiment(cfg_for("mixing-profile", system="bern:d=2,L=2", n_max=3)).passed
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_list_shows_every_experiment(capsys):

@@ -3,7 +3,9 @@ streamed files against json.dumps and row joins, and the column-built series
 against the row loops they replace."""
 
 import dataclasses
+import enum
 import json
+import os
 import tempfile
 import tracemalloc
 from fractions import Fraction
@@ -104,9 +106,11 @@ def _reports(names):
                        verdicts={"rows": True})(test)
         test = example(parameters={}, scalars={},
                        series={"t": (("c",), [(c,) for c in TRICKY])}, verdicts={})(test)
+        test = example(parameters={}, scalars={"b": True, "f": False, "i": 1, "z": 0},
+                       series={}, verdicts={})(test)
         test = given(parameters=st.dictionaries(texts, texts, max_size=4),
-                     scalars=st.dictionaries(texts, st.one_of(st.integers(), texts),
-                                             max_size=4),
+                     scalars=st.dictionaries(texts, st.one_of(st.integers(), st.booleans(),
+                                                              texts), max_size=4),
                      series=_series(names),
                      verdicts=st.dictionaries(texts, st.booleans(), max_size=3))(test)
         return settings(max_examples=200, deadline=None, derandomize=True)(test)
@@ -129,6 +133,23 @@ def test_written_report_equals_the_oracles_at_every_chunk_size(
         paths = report.write(out)
         assert paths[0].read_bytes() == _old_stable_json(report).encode()
         assert [p.name for p in paths[1:]] == [f"{name}.csv" for name in sorted(series)]
+        for name, path in zip(sorted(series), paths[1:]):
+            assert path.read_bytes() == _old_csv(report, name).encode()
+
+
+@_reports(file_names)
+def test_short_writes_still_write_every_byte(parameters, scalars, series, verdicts):
+    report = _report(parameters, scalars, series, verdicts)
+    write = os.write
+
+    def at_most_seven(fd, data):
+        return write(fd, data[:7])
+
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
+        mp.setattr(experiments.os, "write", at_most_seven)
+        paths = report.write(out)
+        mp.undo()
+        assert paths[0].read_bytes() == _old_stable_json(report).encode()
         for name, path in zip(sorted(series), paths[1:]):
             assert path.read_bytes() == _old_csv(report, name).encode()
 
@@ -206,6 +227,32 @@ def test_list_column_renders_as_per_cell_value_str(column):
     st.lists(st.fractions()).map(lambda v: np.array(v, dtype=object))))
 def test_numpy_column_renders_as_per_cell_value_str(column):
     assert _cells(column) == [value_str(x) for x in column]
+
+
+def _old_value_str(x) -> str:
+    """value_str before it dispatched on the cell's type: an isinstance chain."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (str, Fraction)):
+        return str(x)
+    return str(int(x) if isinstance(x, (int, np.integer)) else float(x))
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2**70
+
+
+NUMPY_AND_ENUM_CELLS = st.one_of(
+    st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.integers(-128, 127).map(np.int8), st.integers(0, 2**64 - 1).map(np.uint64),
+    st.text(max_size=3).map(np.str_), st.booleans().map(np.bool_), st.sampled_from(_Level))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(CELLS, NUMPY_AND_ENUM_CELLS))
+def test_value_str_equals_the_isinstance_chain(x):
+    assert value_str(x) == _old_value_str(x)
 
 
 def test_numpy_bools_render_as_booleans():
