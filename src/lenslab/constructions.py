@@ -6,6 +6,13 @@ whose lens scores certify rigidity, fine graph couplings witnessing
 transitivity between permutation neighborhoods, graph couplings realizing a
 prescribed 0/half block of the entropy-factor sequence, and cell
 permutations commuting with shifts and odometers.
+
+The readings that sum a lens image over blocks pull the block indicator
+matrix P (k x m) back through the system instead of building the k x k
+image: the restriction of lens^n C along P is (Q^n P)^T C (Q^n P), and
+Q^n P takes n gathers on Q's row lines (lens.pull_back).  The entropy
+factor, the transitivity witness and the rigidity sweep read their sums
+this way; rigidity_probe keeps the dense image as the definition.
 """
 
 from __future__ import annotations
@@ -13,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -22,7 +31,6 @@ from .couplings import (
     NeighborhoodSpec,
     graph_coupling,
     in_neighborhood,
-    restrict_coupling,
 )
 from .errors import (
     BadBlocks,
@@ -31,7 +39,7 @@ from .errors import (
     ResolutionGuard,
     SizeGuard,
 )
-from .lens import lens_iterate, lens_step, markov_commutation_residual
+from .lens import lens_iterate, markov_commutation_residual, pull_back
 from .partitions import FiniteSystem
 from .zoo import SIZE_LIMIT, IETSpec, bernoulli_system
 
@@ -209,24 +217,29 @@ def rigidity_probe(sys: FiniteSystem, blocks, n: int):
 
 
 def rigidity_sweep(sys: FiniteSystem, blocks, n_max: int) -> list:
-    """rigidity_probe(sys, blocks, n) for n = 0 .. n_max, from one probe
-    whose lens image is carried forward one lens step per n, as
-    lens_iterate takes them."""
-    label, image = _block_probe(sys, blocks)
-    scores = [exact.block_diagonal_sum(image.matrix, label)]
-    for _ in range(n_max):
-        image = lens_step(sys, image)
-        scores.append(exact.block_diagonal_sum(image.matrix, label))
-    return scores
+    """rigidity_probe(sys, blocks, n) for n = 0 .. n_max, read off the
+    block indicator matrix B pulled back through Q: with G = B^T Q^n B,
+    the score is the sum over block pairs of G[b, b']^2 / (k |b|), the
+    probe's mass 1 / (k |b|) per cell of block square b carried into each
+    block square b'."""
+    blocks = [list(map(int, b)) for b in blocks]
+    weights = [sys.k * size for size in _validate_blocks(blocks, sys.k)]
+    indicator = exact.numerators((sys.k, len(blocks)))
+    for i, cells in enumerate(blocks):
+        indicator[cells, i] = 1
+    b = exact.from_scaled(indicator, 1, sys.backend)
+    bt = b.T
+    return [exact.weighted_squares(exact.mat_mul(bt, w), weights)
+            for w in islice(pull_back(sys, b), n_max + 1)]
 
 
 @dataclass(frozen=True, eq=False)
 class WitnessResult:
-    """Fine coupling xi, over fine_k = xi.k cells, steering one permutation
-    neighborhood into another in n lens steps."""
+    """Fine graph coupling xi = graph(fine_perm), over fine_k cells,
+    steering one permutation neighborhood into another in n lens steps."""
 
     n: int
-    xi: CouplingMatrix
+    fine_perm: np.ndarray
     restricted_source: CouplingMatrix
     restricted_image: CouplingMatrix
     check_source: bool
@@ -234,7 +247,12 @@ class WitnessResult:
 
     @property
     def fine_k(self) -> int:
-        return self.xi.k
+        return len(self.fine_perm)
+
+    @cached_property
+    def xi(self) -> CouplingMatrix:
+        """The dense fine coupling, built when it is read."""
+        return graph_coupling(self.fine_perm)
 
 
 def transitivity_witness(d: int, L: int, sigma, pi, epsilon=Fraction(1, 10**6)) -> WitnessResult:
@@ -245,6 +263,11 @@ def transitivity_witness(d: int, L: int, sigma, pi, epsilon=Fraction(1, 10**6)) 
     prefix i and suffix s.  The witness transports (i, s) onto
     (sigma(i), pi(s)); the L-step lens shifts the suffix block into view,
     so the restriction moves from graph(sigma) to graph(pi), both exactly.
+
+    With tau the fine permutation, xi[tau(j), j] = 1 / fine_k, and P the
+    prefix indicator matrix, the restricted image P^T (lens^L xi) P is
+    W[tau]^T W / fine_k for W = Q^L P; the restricted source counts the
+    fine cells j per pair (prefix(tau(j)), prefix(j)).  Neither builds xi.
     """
     if exact.power_exceeds_limit(d, 2 * L):
         raise ResolutionGuard(f"needs d^(2L) = {d}^{2 * L} cells > {SIZE_LIMIT}")
@@ -255,13 +278,16 @@ def transitivity_witness(d: int, L: int, sigma, pi, epsilon=Fraction(1, 10**6)) 
         raise DimensionMismatch("sigma and pi must permute the d^L base cells")
     sigma = np.asarray(sigma, dtype=int)
     pi = np.asarray(pi, dtype=int)
-
-    xi = graph_coupling((sigma[:, None] * k + pi[None, :]).ravel())
+    tau = exact.freeze((sigma[:, None] * k + pi[None, :]).ravel())
 
     prefix = np.arange(fine_k) // k  # fine cell (i, s) -> base cell i
-    restricted_source = restrict_coupling(xi, prefix)
-    image = lens_iterate(bernoulli_system(d, 2 * L), xi, L)
-    restricted_image = restrict_coupling(image, prefix)
+    pairs = np.bincount(prefix[tau] * k + prefix, minlength=fine_k)
+    restricted_source = CouplingMatrix(exact.from_scaled(pairs.reshape(k, k), fine_k))
+    p = exact.numerators((fine_k, k))
+    p[np.arange(fine_k), prefix] = 1
+    w = next(islice(pull_back(bernoulli_system(d, 2 * L), exact.from_scaled(p, 1)), L, None))
+    restricted_image = CouplingMatrix(
+        exact.mat_div(exact.mat_mul(exact.relabel(w, tau).T, w), fine_k))
 
     check_source = in_neighborhood(
         restricted_source, NeighborhoodSpec(kind="permutation-diagonal",
@@ -269,7 +295,7 @@ def transitivity_witness(d: int, L: int, sigma, pi, epsilon=Fraction(1, 10**6)) 
     check_image = in_neighborhood(
         restricted_image, NeighborhoodSpec(kind="permutation-diagonal",
                                            epsilon=epsilon, eta=pi))
-    return WitnessResult(n=L, xi=xi,
+    return WitnessResult(n=L, fine_perm=tau,
                          restricted_source=restricted_source,
                          restricted_image=restricted_image,
                          check_source=check_source, check_image=check_image)
@@ -281,7 +307,8 @@ def entropy_factor_F(sys: FiniteSystem, lam: CouplingMatrix, n_values: int) -> l
     On the binary shift bernoulli_system(2, L), whose words are indexed
     big-endian, A is the cylinder {x_0 = 0}.  Computed through the
     indicator vector: (lens^n C)(A x A) equals w_n^T C w_n with
-    w_n = Q^n 1_A, so each step gathers one vector from Q's row lines
+    w_n = Q^n 1_A, the indicator vector pulled back through Q
+    (lens.pull_back), so each step gathers one vector from Q's row lines
     instead of conjugating.
     """
     if sys.k % 2:
@@ -289,14 +316,10 @@ def entropy_factor_F(sys: FiniteSystem, lam: CouplingMatrix, n_values: int) -> l
     backend, c = exact.RATIONAL, lam.matrix
     if sys.backend == exact.FLOAT or lam.backend == exact.FLOAT:
         backend, c = exact.FLOAT, exact.as_float(c)
-    w = exact.numerators(sys.k)
-    w[:sys.k // 2] = 1
-    w = exact.from_scaled(w, 1, backend)
-    values = []
-    for _ in range(n_values):
-        values.append(exact.quadratic_form(w, c))
-        w = exact.gather(w, sys.rows)
-    return values
+    indicator = exact.numerators(sys.k)
+    indicator[:sys.k // 2] = 1
+    walk = pull_back(sys, exact.from_scaled(indicator, 1, backend))
+    return [exact.quadratic_form(w, c) for w in islice(walk, n_values)]
 
 
 @dataclass(frozen=True)

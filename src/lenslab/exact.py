@@ -58,6 +58,14 @@ SOLVER_TOL = 1e-9
 # Worst-case |entry| bound under which int64 accumulation cannot overflow.
 _INT64_SAFE = 2**62
 
+# Bound under which every integer sum of products is exact in float64.
+_FLOAT_EXACT = 2**53
+
+# Multiply-adds from which a matrix product runs in float64: at 16 x 256 x 16
+# BLAS took 14 us against 79 us in numpy's integer loop, at 9 x 81 x 9 7 us
+# against 11, and on an inner dimension of 1 (an outer product) it is slower.
+_FLOAT_WORK = 2**16
+
 # Entries _reduced reads, beside the denominator, to probe a common factor.
 _PROBES = 16
 
@@ -308,14 +316,22 @@ def join_scaled(num: np.ndarray, den: int) -> np.ndarray:
 
 def _int_matmul(a: np.ndarray, b: np.ndarray, bound_a: int | None = None,
                 bound_b: int | None = None) -> np.ndarray:
-    """Integer matmul with an int64 fast path guarded by a magnitude bound:
-    the operands' bounds, when given, and otherwise, or when they do not
-    prove it safe, their exact magnitudes."""
+    """Integer matmul with fast paths guarded by a magnitude bound: the
+    operands' bounds, when given, and otherwise, or when they do not prove
+    a path safe, their exact magnitudes.  Below 2**53 a product of two
+    matrices of at least _FLOAT_WORK multiply-adds runs in float64, below
+    _INT64_SAFE any product runs in int64, and on Python ints past that."""
     # max(.., 1): an all-zero operand must not let the other skip the bound.
     def worst(ma, mb):
         return a.shape[-1] * max(ma, 1) * max(mb, 1)
     if bound_a is None or bound_b is None or worst(bound_a, bound_b) >= _INT64_SAFE:
         bound_a, bound_b = _magnitude(a), _magnitude(b)
+    if (a.ndim == b.ndim == 2 and a.shape[1] > 1 and a.size * b.shape[1] >= _FLOAT_WORK
+            and worst(bound_a, bound_b) < _FLOAT_EXACT):
+        # Every partial sum is an integer below 2**53, so float64 is exact, and
+        # BLAS multiplies large matrices far faster than numpy's integer loop.
+        # Smaller products, outer products and vector products stay in int64.
+        return (a.astype(float) @ b.astype(float)).astype(np.int64)
     if worst(bound_a, bound_b) < _INT64_SAFE:
         return a.astype(np.int64, copy=False) @ b.astype(np.int64, copy=False)
     return a.astype(object, copy=False) @ b.astype(object, copy=False)
@@ -490,6 +506,21 @@ def quadratic_form(w, c):
     wc = _int_matmul(w.num, c.num, w.magnitude, c.magnitude)
     n = _int_matmul(wc, w.num, w.size * w.magnitude * c.magnitude, w.magnitude)
     return Fraction(int(n), w.den * w.den * c.den)
+
+
+def weighted_squares(a, weights):
+    """The sum over i, j of a[i, j]^2 / weights[i], for positive int weights:
+    on rationals one Fraction, the squared numerators summed over the one
+    denominator a.den^2 lcm(weights), in int64 while the bound allows."""
+    if backend_of(a) == FLOAT:
+        return float((np.square(a).sum(axis=1) / np.asarray(weights, dtype=float)).sum())
+    lcm = math.lcm(*weights)
+    num, worst = a.num, a.size * lcm
+    bound = _settled(num, a.magnitude, a.magnitude * worst)
+    dtype = object if bound * bound * worst >= _INT64_SAFE else np.int64
+    factor = np.array([lcm // w for w in weights], dtype)
+    total = np.square(num.astype(dtype, copy=False)).sum(axis=1) @ factor
+    return Fraction(int(total), a.den * a.den * lcm)
 
 
 def identity(k: int, backend: str = RATIONAL):

@@ -251,17 +251,28 @@ def value_str(x) -> str:
             return render(x)
 
 
+def _distinct(keys: np.ndarray) -> tuple:
+    """np.unique(keys, return_inverse=True) for a 1-d array.  Nonnegative
+    integers below len(keys) are counted instead of sorted: one bincount,
+    and the rank of each key among the keys present."""
+    if keys.dtype.kind in "iu" and keys.size and keys.min() >= 0 and keys.max() < keys.size:
+        present = np.bincount(keys.astype(np.intp, copy=False)) > 0
+        rank = np.cumsum(present) - 1
+        return np.flatnonzero(present).astype(keys.dtype), rank[keys]
+    return np.unique(keys, return_inverse=True)
+
+
 def _render_series(columns) -> tuple:
     """(texts, index): value_str of each distinct cell of each column once,
     and the (rows x columns) place of each cell among them."""
     texts, index = [], []
     for column in columns:
         if isinstance(column, exact.Scaled):
-            keys, at = np.unique(column.num, return_inverse=True)
+            keys, at = _distinct(column.num)
             values = [Fraction(n, column.den) for n in keys.tolist()]
         elif isinstance(column, np.ndarray) and column.dtype.kind in "iuf":
             # Distinct bit patterns, so that -0.0 keeps its own text.
-            keys, at = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+            keys, at = _distinct(column.view(f"u{column.itemsize}"))
             values = keys.view(column.dtype).tolist()
         else:
             values, at = column, np.arange(len(column))
@@ -356,9 +367,10 @@ def _experiment(**fields):
 
 
 # Cell operations one run's loops may take: a step gathers k^2 cells from s
-# lines each (s = 1, a relabel, on an exact system), and none costs less than
-# SIZE_LIMIT, its fixed Python cost (a rot:k=6 lens step takes 86 us, so an
-# operation is about 21 ns).
+# lines each (s = 1, a relabel, on an exact system), or k m cells when it
+# pulls a k x m indicator matrix back (lens.pull_back), and none costs less
+# than SIZE_LIMIT, its fixed Python cost (a rot:k=6 lens step takes 86 us,
+# so an operation is about 21 ns).
 STEP_BUDGET = 2**27
 
 
@@ -412,7 +424,8 @@ def _rng_children(seed: int, n: int) -> list[np.random.Generator]:
 def _run_rigidity_sweep(sys, p, backend):
     if sum(p["blocks"]) != sys.k:
         raise InvalidConfig(f"blocks must sum to k = {sys.k}")
-    _guard_steps(p["n_max"] + 1, _step_cost(sys))
+    # Each n pulls the k x m block indicator back one step: k s m operations.
+    _guard_steps(p["n_max"] + 1, sys.k * sys.rows.idx.shape[1] * len(p["blocks"]))
     tol = exact.tolerance(backend)
     scores = rigidity_sweep(sys, consecutive_blocks(p["blocks"]), p["n_max"])
     returns = [n for n, s in enumerate(scores) if n >= 1 and abs(s - 1) <= tol]
@@ -485,6 +498,8 @@ def _run_mixing_profile(sys, p, backend):
 def _run_transitivity_witness(_, p, backend):
     if p["epsilon"] <= 0:
         raise InvalidConfig("epsilon must be positive")
+    # No step charge: the witness's ResolutionGuard (d^(2L) <= SIZE_LIMIT)
+    # bounds its L pull-back steps to L d^(3L+1) <= 2^24 < STEP_BUDGET.
     w = transitivity_witness(p["d"], p["L"], p["sigma"], p["pi"], p["epsilon"])
     k = w.restricted_source.k
     # Cell c of the restrictions series is entry (i, j) of source, then image.

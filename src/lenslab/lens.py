@@ -9,6 +9,11 @@ T^{-1}A_j), k^2 s work for s nonzeros per column, and is forward-only.
 
 The one-sided map sends C to Q^T C; on graph couplings it composes:
 graph(s) -> graph(tau o s).
+
+A fine -> coarse indicator matrix P (k x m) pulls back the other way: the
+restriction P^T (lens^n C) P of the n-step image is (Q^n P)^T C (Q^n P), so
+a reading of a few block sums walks Q^n P (pull_back), k s m work a step,
+and never builds the k x k image.
 """
 
 from __future__ import annotations
@@ -88,6 +93,19 @@ def lens_iterate(sys: FiniteSystem, c: CouplingMatrix, n: int) -> CouplingMatrix
     for _ in range(n):
         c = lens_step(sys, c)
     return c
+
+
+def pull_back(sys: FiniteSystem, p):
+    """The walk P, Q P, Q^2 P, ... of a stored form P with k rows, each
+    step one gather on Q's row lines (k s m work for m columns), taken when
+    the next term is asked for.  For P the indicator matrix of a map from
+    cells to blocks, (Q^n P)^T C (Q^n P) is lens^n C summed over block
+    pairs."""
+    if p.shape[0] != sys.k:
+        raise DimensionMismatch("system and pulled-back matrix sizes differ")
+    while True:
+        yield p
+        p = exact.gather(p, sys.rows)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,7 @@ witnesses, entropy blocks, and commuting permutations."""
 
 import math
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import numpy as np
 import pytest
@@ -38,6 +38,7 @@ from lenslab import (
     random_rational_target,
     realize_coupling_as_iet,
     realize_entropy_block,
+    restrict_coupling,
     rigidity_probe,
     rigidity_sweep,
     rotation_system,
@@ -46,6 +47,7 @@ from lenslab import (
     validate_coupling,
 )
 from lenslab import exact
+from lenslab.lens import pull_back
 
 
 #
@@ -233,7 +235,8 @@ def _sweep_system(family, size, seed, backend):
     if family == "iet":
         return iet_system(IETSpec(permutation=tuple(rng.permutation(size + 2).tolist())),
                           backend)
-    return bernoulli_system(2, size % 6 + 1, backend)
+    d = 2 + size % 3
+    return bernoulli_system(d, 1 + (size // 3) % {2: 6, 3: 3, 4: 3}[d], backend)
 
 
 def _distinct_sizes(k, rng):
@@ -252,7 +255,7 @@ def _distinct_sizes(k, rng):
     return sizes
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from(["rot", "odo", "iet", "bern"]), st.integers(0, 30),
        st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from(["rational", "float"]),
        st.integers(0, 9))
@@ -268,6 +271,8 @@ def test_rigidity_sweep_matches_the_per_step_oracle(family, size, seed, scattere
     swept = rigidity_sweep(sys, blocks, n_max)
     probed = [rigidity_probe(sys, blocks, n) for n in range(n_max + 1)]
     if backend == exact.RATIONAL:
+        # Fractions in lowest terms: equal exactly when their numerators
+        # and denominators are.
         assert swept == probed == expected
         assert all(type(x) is Fraction for x in swept)
     else:
@@ -329,6 +334,62 @@ def test_witness_seeded_pairs_at_depth_two():
         assert res.check_source and res.check_image
         assert np.array_equal(res.restricted_source.C, graph_coupling(sigma).C)
         assert np.array_equal(res.restricted_image.C, graph_coupling(pi).C)
+
+
+def _non_involution(k, rng):
+    """A random permutation of k >= 3 cells that is not its own inverse."""
+    while True:
+        perm = rng.permutation(k)
+        if not np.array_equal(perm[perm], np.arange(k)):
+            return perm
+
+
+def _witness_oracle(d, L, sigma, pi):
+    """The dense fine graph coupling and its L-step lens image, each
+    restricted along the prefix map by block sums."""
+    k = d**L
+    xi = graph_coupling((np.asarray(sigma)[:, None] * k + np.asarray(pi)[None, :]).ravel())
+    prefix = np.arange(k * k) // k
+    image = lens_iterate(bernoulli_system(d, 2 * L), xi, L)
+    return restrict_coupling(xi, prefix).matrix, restrict_coupling(image, prefix).matrix
+
+
+def _same_scaled(a, b):
+    return a.den == b.den and a.num.dtype == b.num.dtype and np.array_equal(a.num, b.num)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (4, 1), (4, 2)]),
+       st.integers(0, 2**32 - 1))
+def test_witness_restrictions_match_the_dense_lens_image(d_L, seed):
+    d, L = d_L
+    rng = np.random.default_rng(seed)
+    sigma, pi = _non_involution(d**L, rng), _non_involution(d**L, rng)
+    w = transitivity_witness(d, L, sigma, pi)
+    source, image = _witness_oracle(d, L, sigma, pi)
+    assert _same_scaled(w.restricted_source.matrix, source)
+    assert _same_scaled(w.restricted_image.matrix, image)
+    assert w.check_source and w.check_image
+    assert w.fine_k == d ** (2 * L) == w.xi.k
+
+
+def test_witness_image_is_not_the_transposed_product():
+    # W^T W[tau] is the transpose of the restricted image, graph(pi^-1):
+    # it agrees only when pi is an involution, as the shipped config's
+    # sigma = 1,0,3,2 and pi = 2,3,0,1 are.
+    d, L, k = 2, 2, 4
+    prefix = np.arange(k * k) // k
+    p = exact.numerators((k * k, k))
+    p[np.arange(k * k), prefix] = 1
+    w = next(islice(pull_back(bernoulli_system(d, 2 * L), exact.from_scaled(p, 1)), L, None))
+    for sigma, pi, involutions in (([1, 0, 3, 2], [2, 3, 0, 1], True),
+                                   ([1, 2, 3, 0], [2, 0, 3, 1], False)):
+        tau = transitivity_witness(d, L, sigma, pi).fine_perm
+        _, image = _witness_oracle(d, L, sigma, pi)
+        transposed = exact.mat_div(exact.mat_mul(w.T, exact.relabel(w, tau)), k * k)
+        correct = exact.mat_div(exact.mat_mul(exact.relabel(w, tau).T, w), k * k)
+        assert _same_scaled(correct, image)
+        assert _same_scaled(transposed, image) is involutions
 
 
 def test_witness_guards_resolution_and_shape():

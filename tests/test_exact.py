@@ -269,6 +269,22 @@ def test_int_matmul_stays_int64_when_it_fits():
     assert (exact._int_matmul(zero, big) == 0).all()
 
 
+@pytest.mark.parametrize("m, k, n", [(16, 256, 16), (15, 256, 17), (64, 1, 64), (3, 7, 5)])
+@pytest.mark.parametrize("worst", [2**53 - 1, 2**53, 2**58, 2**61])
+def test_int_matmul_is_exact_on_either_side_of_the_float_path(m, k, n, worst):
+    """Products of at least _FLOAT_WORK multiply-adds whose worst sum is
+    below 2**53 run in float64; the rest in int64.  Entries at the bound
+    make every sum as wide as allowed, so a float path taken past 2**53
+    would drop low bits."""
+    top = math.isqrt(worst // k)
+    rng = np.random.default_rng(k * m + n)
+    a = rng.choice([-top, top - 1, 1, top], (m, k))
+    b = rng.choice([-top, top, top - 3, 7], (k, n))
+    out = exact._int_matmul(a, b)
+    assert out.dtype == np.int64
+    assert np.array_equal(out.astype(object), a.astype(object) @ b.astype(object))
+
+
 def test_zero_operand_with_huge_denominator():
     zero = exact.constant((2, 2), 0)
     tiny = exact.constant((2, 2), Fraction(1, 2**70))
@@ -651,6 +667,9 @@ def test_carried_bounds_give_the_scanned_results(case):
     sums = np.zeros((2, 2), dtype=object)
     np.add.at(sums, (parent[:, None], parent), an)
     _assert_result(exact.block_sums(a, parent, 2), sums, a.den)
+    weights = [n * (i + 1) for i in range(len(an))]
+    assert exact.weighted_squares(a, weights) == sum(
+        Fraction(int(x * x), a.den**2 * weights[i]) for (i, _), x in np.ndenumerate(an))
     _assert_result(exact.flat_concat([a, b]),
                    np.concatenate([an.ravel() * fa, bn.ravel() * fb]), den)
     difference = np.abs(an * fa - bn * fb)
@@ -681,3 +700,42 @@ def test_reduced_reaches_lowest_terms_past_a_common_probe(bound):
                          ([big, 3, 0, 5 * big], 2 * big), ([6 * big, 9 * big], 2**62 * 3)):
         num = np.array(entries, dtype=object)
         _assert_result(exact._reduced(num, den, None if bound is None else 9 * big), num, den)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.integers(1, 4), st.booleans(), st.booleans(),
+       st.sampled_from((9, 2**61, 2**70)), st.integers(0, 2**32 - 1))
+def test_block_sums_match_the_cell_by_cell_oracle(n, r, equal, scattered, largest, seed):
+    """Equal blocks of consecutive cells, equal scattered blocks, and
+    unequal or empty ones, on int64, Python-int and float numerators:
+    every sum is the cell-by-cell one."""
+    rng = np.random.default_rng(seed)
+    k = n * r
+    parent = np.arange(k) // r if equal else np.sort(rng.integers(0, n, k))
+    if scattered:
+        parent = rng.permutation(parent)
+    num = np.array([[int(x) * (largest // 9) for x in row]
+                    for row in rng.integers(-9, 10, (k, k))], dtype=object)
+    a = exact.from_scaled(num, 7)
+    sums = np.zeros((n, n), dtype=object)
+    for i, j in np.ndindex(k, k):
+        sums[parent[i], parent[j]] += num[i, j]
+    _assert_result(exact.block_sums(a, parent, n), sums, 7)
+    floats = exact.block_sums(exact.as_float(a), parent, n)
+    assert floats.dtype == float and floats.shape == (n, n)
+    # Float sums cancel to within rounding of the largest cell, times the cells.
+    assert np.allclose(floats, (sums / 7).astype(float), rtol=0,
+                       atol=exact.FLOAT_TOL * k * k * largest)
+
+
+@pytest.mark.parametrize("weights", [[1], [3, 5], [2**40, 3, 7**25]])
+def test_weighted_squares_past_int64_and_on_floats(weights):
+    rows = len(weights)
+    for largest in (3, 2**31, 2**40, 2**70):
+        num = np.array([[largest, -1, 2]] * rows, dtype=object)
+        a = exact.from_scaled(num, 5)
+        want = sum(Fraction(int(x) ** 2, 25 * weights[i]) for (i, _), x in np.ndenumerate(num))
+        assert exact.weighted_squares(a, weights) == want
+        if largest < 2**40:
+            assert exact.weighted_squares(exact.as_float(a), weights) == pytest.approx(
+                float(want), rel=1e-15)

@@ -649,19 +649,26 @@ def test_mixing_profile_steps_are_admitted_by_cost(L, backend, n_max, refused,
 
 
 @pytest.mark.parametrize("L, backend, n_max, refused", [
-    (10, "float", 63, False), (10, "float", 64, True),
-    (9, "rational", 255, False), (9, "rational", 256, True),
+    (12, "float", 5460, False), (12, "float", 5461, True),
+    (12, "rational", 5460, False), (12, "rational", 5461, True),
 ])
 def test_rigidity_sweep_charges_each_lens_step(L, backend, n_max, refused, capsys):
-    # Each n takes one lens step of k^2 s = 2^(2L + 1) operations, so the
-    # budget holds 64 values of n at k = 1024 and 256 at k = 512.  An
-    # admitted run fails the shipped config's expect_return_at verdict,
-    # since the shift never returns.
+    # Each n pulls the k x 3 block indicator back one step on s = 2 lines,
+    # k s m = 6 * 2^12 = 24576 operations at k = 4096, so the budget holds
+    # 5461 values of n.  An admitted run fails the shipped config's
+    # expect_return_at verdict, since the shift never returns.
     k = 2**L
+    start = time.perf_counter()
     code = cli_main(["run", str(CONFIGS / "rigidity-sweep.cfg"), "--set", "output_dir=",
                      "--set", f"system=bern:d=2,L={L}", "--set", f"backend={backend}",
                      "--set", f"blocks=1,2,{k - 3}", "--set", f"n_max={n_max}"])
-    assert code == (3 if refused else 1)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    if refused:
+        assert code == 3 and elapsed < 1
+        assert err == "size guard: 5462 steps of 24576 cell operations > 134217728\n"
+    else:
+        assert code == 1
 
 
 @pytest.mark.parametrize("cells, refused", [(128, False), (256, True)])

@@ -1,7 +1,7 @@
 """Lens dynamics: conjugation action, orbits, fixed spaces, periods."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 from unittest import mock
 
 import numpy as np
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lenslab import (
     CouplingMatrix,
+    DimensionMismatch,
     ExperimentConfig,
     IETSpec,
     NotExact,
@@ -410,6 +411,39 @@ def _same(a, b):
     if isinstance(a, exact.Scaled):
         return a.den == b.den and np.array_equal(a.num, b.num)
     return np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(zoo_specs(), st.integers(1, 4), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_pull_back_restricts_the_dense_lens_image(spec, m, n, seed):
+    """The n-th term W of pull_back from a block indicator P is Q^n P, and
+    W^T C W sums lens^n C over block pairs: the block sums of the dense
+    lens_iterate image, for any map of cells to m blocks (some may be
+    empty).  Equal on rationals, within FLOAT_TOL on floats."""
+    for backend in (exact.RATIONAL, exact.FLOAT):
+        sys = parse_system_spec(spec, backend)
+        rng = np.random.default_rng(seed)
+        parent = rng.integers(0, m, sys.k)
+        p = exact.numerators((sys.k, m))
+        p[np.arange(sys.k), parent] = 1
+        p = exact.from_scaled(p, 1, backend)
+        c = random_coupling(sys.k, rng, backend=backend)
+        dense = p
+        for t, w in enumerate(islice(lens.pull_back(sys, p), n + 1)):
+            assert w.shape == (sys.k, m)
+            want = exact.block_sums(lens_iterate(sys, c, t).matrix, parent, m)
+            got = exact.mat_mul(exact.mat_mul(w.T, c.matrix), w)
+            if backend == exact.RATIONAL:
+                assert _same(w, dense) and _same(got, want)
+            else:
+                assert np.allclose(w, dense, rtol=0, atol=exact.FLOAT_TOL)
+                assert np.allclose(got, want, rtol=0, atol=exact.FLOAT_TOL)
+            dense = exact.mat_mul(sys.matrix, dense)
+
+
+def test_pull_back_refuses_a_matrix_of_another_size():
+    with pytest.raises(DimensionMismatch):
+        next(lens.pull_back(rotation_system(4, 1), exact.constant((3, 2), 0)))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

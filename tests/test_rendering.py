@@ -315,3 +315,59 @@ def test_iet_target_series_matches_row_loop(k, L, seed):
     rows = [(i, j, Fraction(int(target.m[i, j]), L))
             for i in range(k) for j in range(k)]
     assert report.rows("target") == _cell_rows(rows)
+
+
+def _column_of(kind, values):
+    """values as a series column of one kind: an int64 array, the float64
+    cells whose bit patterns are |values| (NaNs among them), or a Scaled
+    over 6."""
+    if kind == "scaled":
+        return exact.from_scaled(np.array(values, dtype=object), 6)
+    if kind == "float-bits":
+        return np.array([abs(v) for v in values], dtype=np.uint64).view(np.float64)
+    return np.array(values, dtype=np.int64)
+
+
+def _cell_texts(column):
+    cells = column.fractions if isinstance(column, exact.Scaled) else column
+    return [value_str(x) for x in cells]
+
+
+@st.composite
+def _integer_columns(draw):
+    """Up to three columns of one length n: nonnegative keys below n (the
+    counted path), keys with negatives or reaching n, and keys as wide as
+    int64, as integer, float-bit and Scaled columns."""
+    n = draw(st.integers(1, 40))
+    ranges = [(0, n - 1), (-3, n), (0, n), (-2**63, 2**63 - 1), (0, 2**62)]
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        low, high = draw(st.sampled_from(ranges))
+        values = draw(st.lists(st.integers(low, high), min_size=n, max_size=n))
+        columns.append(_column_of(draw(st.sampled_from(["int", "float-bits", "scaled"])),
+                                  values))
+    return columns
+
+
+def _sorting_distinct(keys):
+    return np.unique(keys, return_inverse=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_integer_columns())
+@example([np.arange(5), np.array([4, 0, 4, 0, 1]), np.array([-1, 0, 1, 2, 3])])
+@example([np.array([0.0, 5e-324, 1e-323, 5e-324]), np.array([0.0, -0.0, 0.0, 0.0])])
+def test_counted_columns_render_the_rows_the_sort_renders(columns):
+    def rendered():
+        cols = tuple(f"c{i}" for i in range(len(columns)))
+        return dataclasses.replace(_report(), series={"s": (cols, *_render_series(columns))})
+    counted = rendered()
+    original = experiments._distinct
+    experiments._distinct = _sorting_distinct
+    try:
+        sorted_ = rendered()
+    finally:
+        experiments._distinct = original
+    expected = list(zip(*(_cell_texts(c) for c in columns)))
+    assert counted.rows("s") == sorted_.rows("s") == expected
+    assert counted.to_stable_json() == sorted_.to_stable_json()
