@@ -10,9 +10,11 @@ permutations commuting with shifts and odometers.
 The readings that sum a lens image over blocks pull the block indicator
 matrix P (k x m) back through the system instead of building the k x k
 image: the restriction of lens^n C along P is (Q^n P)^T C (Q^n P), and
-Q^n P takes n gathers on Q's row lines (lens.pull_back).  The entropy
-factor, the transitivity witness and the rigidity sweep read their sums
-this way; rigidity_probe keeps the dense image as the definition.
+Q^n P takes n gathers on Q's row lines (lens.pull_back), up to the first
+step that gives Q^n P back unchanged.  The entropy factor, the
+transitivity witness and the rigidity sweep read their sums this way, one
+reading per run of equal terms; rigidity_probe keeps the dense image as
+the definition.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -229,8 +230,10 @@ def rigidity_sweep(sys: FiniteSystem, blocks, n_max: int) -> list:
         indicator[cells, i] = 1
     b = exact.from_scaled(indicator, 1, sys.backend)
     bt = b.T
-    return [exact.weighted_squares(exact.mat_mul(bt, w), weights)
-            for w in islice(pull_back(sys, b), n_max + 1)]
+    scores = []
+    for w, count in pull_back(sys, b, n_max):
+        scores += [exact.weighted_squares(exact.mat_mul(bt, w), weights)] * count
+    return scores
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +288,8 @@ def transitivity_witness(d: int, L: int, sigma, pi, epsilon=Fraction(1, 10**6)) 
     restricted_source = CouplingMatrix(exact.from_scaled(pairs.reshape(k, k), fine_k))
     p = exact.numerators((fine_k, k))
     p[np.arange(fine_k), prefix] = 1
-    w = next(islice(pull_back(bernoulli_system(d, 2 * L), exact.from_scaled(p, 1)), L, None))
+    for w, _ in pull_back(bernoulli_system(d, 2 * L), exact.from_scaled(p, 1), L):
+        pass  # the last run holds Q^L P
     restricted_image = CouplingMatrix(
         exact.mat_div(exact.mat_mul(exact.relabel(w, tau).T, w), fine_k))
 
@@ -318,8 +322,10 @@ def entropy_factor_F(sys: FiniteSystem, lam: CouplingMatrix, n_values: int) -> l
         backend, c = exact.FLOAT, exact.as_float(c)
     indicator = exact.numerators(sys.k)
     indicator[:sys.k // 2] = 1
-    walk = pull_back(sys, exact.from_scaled(indicator, 1, backend))
-    return [exact.quadratic_form(w, c) for w in islice(walk, n_values)]
+    values = []
+    for w, count in pull_back(sys, exact.from_scaled(indicator, 1, backend), n_values - 1):
+        values += [exact.quadratic_form(w, c)] * count
+    return values
 
 
 @dataclass(frozen=True)

@@ -564,18 +564,41 @@ def support(a) -> Support:
     return Support(freeze(np.maximum.accumulate(idx, axis=1)), val)
 
 
-def mat_add(a, b):
-    """Entrywise a + b.  A rational sum stays over the lcm of the
-    denominators, unreduced: a running sum skips a gcd pass (about ten adds'
-    time) per term, and mat_div reduces once."""
+def mat_add(a, b, times: int = 1):
+    """Entrywise a + times b, for an int times >= 0.  A float sum adds b
+    times over, in turn, so its bits are those of a running sum.  A rational
+    sum scales b once, and stays over the lcm of the denominators,
+    unreduced: a running sum skips a gcd pass (about ten adds' time) per
+    term, and mat_div reduces once."""
+    if not times:
+        return a
     if backend_of(a) == FLOAT:
-        return a + b
+        total = a + b
+        for _ in range(times - 1):
+            total += b
+        return total
+    if times > 1:
+        b = Scaled(_rescale(b.num, times, b.magnitude), b.den, b.magnitude * times)
     na, nb, den, bound = _over_lcm(a, b)
     total = na + nb
     bound = _settled(total, bound)
     if bound >= _INT64_SAFE:
         total = total.astype(object, copy=False)
     return Scaled(total, den, bound)
+
+
+def same(a, b) -> bool:
+    """Whether two stored forms are one value written alike: the same
+    denominator and numerators, or the same float64 bits.  The first line
+    is compared before the rest: two states that differ mostly differ
+    there already."""
+    if isinstance(a, Scaled):
+        if a.den != b.den:
+            return False
+        a, b = a.num, b.num
+    else:
+        a, b = a.view(np.int64), b.view(np.int64)
+    return a.shape == b.shape and bool((a[:1] == b[:1]).all()) and bool((a == b).all())
 
 
 def mat_div(a, n: int):

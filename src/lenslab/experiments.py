@@ -13,6 +13,7 @@ import stat
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -45,6 +46,7 @@ from .lens import (
     markov_commutation_residual,
     orbit,
     self_joining_residual,
+    walk,
 )
 from .partitions import FiniteSystem, system_power
 from .zoo import (
@@ -370,7 +372,9 @@ def _experiment(**fields):
 # lines each (s = 1, a relabel, on an exact system), or k m cells when it
 # pulls a k x m indicator matrix back (lens.pull_back), and none costs less
 # than SIZE_LIMIT, its fixed Python cost (a rot:k=6 lens step takes 86 us,
-# so an operation is about 21 ns).
+# so an operation is about 21 ns).  Every step is charged, although a walk
+# ends at its first fixed point (lens.walk): the charge is the worst case,
+# a walk that never settles.
 STEP_BUDGET = 2**27
 
 
@@ -463,10 +467,11 @@ def _run_mixing_profile(sys, p, backend):
     _guard_steps(p["n_max"] + 1, _step_cost(sys))
     tol = exact.tolerance(backend)
     uniform = exact.scalar(Fraction(1, k), backend)
-    power, residuals = exact.identity(k, backend), []
-    for _ in range(p["n_max"] + 1):
-        residuals.append(exact.max_abs(power, uniform) / k)
-        power = exact.gather(power, sys.columns, (1,))
+    residuals = []
+    powers = walk(partial(exact.gather, lines=sys.columns, axes=(1,)),
+                  exact.identity(k, backend), p["n_max"], sys.exact)
+    for power, count in powers:
+        residuals += [exact.max_abs(power, uniform) / k] * count
     zeros = [n for n, r in enumerate(residuals) if r <= tol]
     scalars = {"k": k, "first_independent_n": zeros[0] if zeros else -1}
     verdicts = {
@@ -600,7 +605,7 @@ def _direction_checks(sys, stack):
                   minimum=1),
         ParamSpec("L", "int", required=False, help="bernoulli: cylinder length",
                   minimum=1),
-        ParamSpec("m", "int", required=False, help="odometer: level"),
+        ParamSpec("m", "int", required=False, help="odometer: level", minimum=1),
         ParamSpec("pi", "intlist", required=False,
                   help="odometer: permutation of the low-digit values"),
     ),
@@ -701,8 +706,8 @@ def _run_one_sided_limit(sys, p, backend):
     c0 = _initial_coupling(p["init"], k, backend, p)
     mass = exact.scalar(Fraction(1, k * k), backend)  # each entry of the product
     distances, on_graphs = [], graph_orbit
-    for last in orbit(sys, c0, p["n_steps"], mode="one-sided"):
-        distances.append(exact.l1_norm(last.matrix, mass))
+    for last, count in orbit(sys, c0, p["n_steps"], mode="one-sided").runs():
+        distances += [exact.l1_norm(last.matrix, mass)] * count
         on_graphs = on_graphs and exact.permutation_of_matrix(
             exact.scale(last.matrix, k)) is not None
     hit = next((n for n, d in enumerate(distances) if d <= tol), -1)

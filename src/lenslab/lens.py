@@ -14,13 +14,20 @@ A fine -> coarse indicator matrix P (k x m) pulls back the other way: the
 restriction P^T (lens^n C) P of the n-step image is (Q^n P)^T C (Q^n P), so
 a reading of a few block sums walks Q^n P (pull_back), k s m work a step,
 and never builds the k x k image.
+
+Orbits, pull-backs and powers are walks (walk): runs (state, count) that
+end at the first step whose result is its input.  Every step is
+deterministic, so the steps left would repeat that state; on a Bernoulli
+shift bern:d,L, where Q^L = J/k, a walk settles by step L + 1.  A reader
+takes one reading per run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from functools import partial
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -95,26 +102,57 @@ def lens_iterate(sys: FiniteSystem, c: CouplingMatrix, n: int) -> CouplingMatrix
     return c
 
 
-def pull_back(sys: FiniteSystem, p):
-    """The walk P, Q P, Q^2 P, ... of a stored form P with k rows, each
-    step one gather on Q's row lines (k s m work for m columns), taken when
-    the next term is asked for.  For P the indicator matrix of a map from
-    cells to blocks, (Q^n P)^T C (Q^n P) is lens^n C summed over block
-    pairs."""
+def _stored(state):
+    """The stored form of a walk's state: a coupling's matrix, or the state."""
+    return state.matrix if isinstance(state, CouplingMatrix) else state
+
+
+def walk(step, start, n_steps: int, relabels: bool):
+    """The n_steps + 1 states start, step(start), ... as runs (state,
+    count), each step taken when the run after it is asked for.
+
+    The walk ends at the first step whose result is its input, the same
+    stored form (exact.same): that state is yielded once, with the count of
+    the steps left, which a deterministic step would each repeat.  relabels
+    says that each step relabels, as an exact system's does: a relabeling
+    is a bijection, so a walk it moves at its first step never settles, and
+    it is compared after that step only.  (A float orbit's repair rounds
+    after the relabel, but a comparison left out changes no state, only
+    the number of steps taken.)"""
+    if n_steps < 0:
+        return
+    yield start, 1
+    state, compare = start, True
+    for left in range(n_steps, 0, -1):
+        new = step(state)
+        if compare:
+            if exact.same(_stored(new), _stored(state)):
+                yield new, left
+                return
+            compare = not relabels
+        state = new
+        yield state, 1
+
+
+def pull_back(sys: FiniteSystem, p, n_steps: int):
+    """The walk P, Q P, ..., Q^n_steps P of a stored form P with k rows, as
+    runs (walk), each step one gather on Q's row lines (k s m work for m
+    columns).  For P the indicator matrix of a map from cells to blocks,
+    (Q^n P)^T C (Q^n P) is lens^n C summed over block pairs."""
     if p.shape[0] != sys.k:
         raise DimensionMismatch("system and pulled-back matrix sizes differ")
-    while True:
-        yield p
-        p = exact.gather(p, sys.rows)
+    return walk(partial(exact.gather, lines=sys.rows), p, n_steps, sys.exact)
 
 
 @dataclass(frozen=True, eq=False)
 class LensOrbit:
     """orbit(system, c, n_steps, mode) as a walk: iterating yields states
     0..n_steps, states[n+1] = step(system, states[n]), each step taken when
-    it is asked for and only the current state kept.  A float step is
-    followed by drift repair, whose L1 size the walk appends to
-    repair_residuals (emptied as each walk starts)."""
+    it is asked for and only the current state kept; runs() yields them as
+    the runs of walk.  A float step is followed by drift repair, whose L1
+    size the walk appends to repair_residuals (emptied as each walk starts);
+    a settled run repeats its step's residual for each step it stands
+    for."""
 
     sys: FiniteSystem
     start: CouplingMatrix
@@ -122,18 +160,30 @@ class LensOrbit:
     mode: str
     repair_residuals: list[float] = field(default_factory=list)
 
-    def __iter__(self):
-        step = lens_step if self.mode == "lens" else one_sided_step
+    def runs(self):
+        step = partial(lens_step if self.mode == "lens" else one_sided_step, self.sys)
         self.repair_residuals.clear()
-        current = self.start
-        yield current
-        for _ in range(self.n_steps):
-            current = step(self.sys, current)
-            if current.backend == exact.FLOAT:
-                repaired = repair_to_polytope(current.matrix)
-                self.repair_residuals.append(exact.l1_norm(repaired.matrix, current.matrix))
-                current = repaired
-            yield current
+        if self.start.backend == exact.FLOAT:
+            return self._repaired_runs(step)
+        return walk(step, self.start, self.n_steps, self.sys.exact)
+
+    def _repaired_runs(self, step):
+        residuals = self.repair_residuals
+
+        def repaired(c: CouplingMatrix) -> CouplingMatrix:
+            current = step(c)
+            fixed = repair_to_polytope(current.matrix)
+            residuals.append(exact.l1_norm(fixed.matrix, current.matrix))
+            return fixed
+
+        for state, count in walk(repaired, self.start, self.n_steps, self.sys.exact):
+            if count > 1:  # each step a settled run stands for repeats its repair
+                residuals.extend(residuals[-1:] * (count - 1))
+            yield state, count
+
+    def __iter__(self):
+        for state, count in self.runs():
+            yield from repeat(state, count)
 
 
 def orbit(sys: FiniteSystem, c: CouplingMatrix, n_steps: int,
@@ -145,16 +195,24 @@ def orbit(sys: FiniteSystem, c: CouplingMatrix, n_steps: int,
 
 def cesaro_average(orb: LensOrbit, horizons):
     """(N, average (1/N) sum of states[1..N]) for each horizon N, ascending,
-    from one walk of orb with a running sum; exact weights when rational,
-    the float sum taken in state order."""
-    horizons = set(horizons)
-    if not horizons or min(horizons) < 1 or max(horizons) > orb.n_steps:
+    from one walk of orb's runs with a running sum: a run of a settled
+    state is added once with its count as weight when rational, and count
+    times in state order when float (exact.mat_add)."""
+    horizons = sorted(set(horizons))
+    if not horizons or horizons[0] < 1 or horizons[-1] > orb.n_steps:
         raise ValueError("cesaro_average needs 1 <= N <= n_steps")
-    total = None
-    for n, state in enumerate(islice(orb, 1, max(horizons) + 1), 1):
-        total = state.matrix if total is None else exact.mat_add(total, state.matrix)
-        if n in horizons:
-            yield n, CouplingMatrix(exact.mat_div(total, n))
+    runs = islice(orb.runs(), 1, None)
+    total, summed, left = None, 0, 0  # states 1..summed are in total
+    for h in horizons:
+        while summed < h:
+            if not left:
+                state, left = next(runs)
+            take = min(left, h - summed)
+            m = state.matrix
+            total = (exact.mat_add(m, m, take - 1) if total is None
+                     else exact.mat_add(total, m, take))
+            summed, left = summed + take, left - take
+        yield h, CouplingMatrix(exact.mat_div(total, h))
 
 
 def self_joining_residual(sys: FiniteSystem, c: CouplingMatrix):
@@ -290,14 +348,13 @@ class PeriodReport:
 
 
 def detect_period(sys: FiniteSystem, c: CouplingMatrix, maxp: int) -> PeriodReport:
+    """Residuals of lens^p C against C for p = 1 .. maxp, one per run of the
+    lens walk from C."""
     tol = exact.tolerance(c.backend, exact.SOLVER_TOL)
-    residuals: dict[int, Fraction | float] = {}
-    period = None
-    current = c
-    for p in range(1, maxp + 1):
-        current = lens_step(sys, current)
-        residuals[p] = coupling_distance(current, c)
-        if period is None and residuals[p] <= tol:
-            period = p
+    values = []
+    for state, count in islice(walk(partial(lens_step, sys), c, maxp, sys.exact), 1, None):
+        values += [coupling_distance(state, c)] * count
+    residuals: dict[int, Fraction | float] = dict(enumerate(values, 1))
+    period = next((p for p, r in residuals.items() if r <= tol), None)
     return PeriodReport(period=period, residual_by_p=residuals)
 

@@ -3,7 +3,7 @@ witnesses, entropy blocks, and commuting permutations."""
 
 import math
 from fractions import Fraction
-from itertools import islice, permutations, product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -282,6 +282,34 @@ def test_rigidity_sweep_matches_the_per_step_oracle(family, size, seed, scattere
             assert all(type(x) is float for x in got)
 
 
+@pytest.mark.parametrize("spec, sizes, n_max", [
+    ("bern:d=2,L=3", [1, 3, 4], 12), ("bern:d=3,L=2", [2, 1, 6], 8), ("rot:k=7,s=3", [4, 1, 2], 12),
+])
+@pytest.mark.parametrize("backend", [exact.RATIONAL, exact.FLOAT])
+def test_rigidity_sweep_past_the_settling_step_matches_the_per_step_readings(
+        spec, sizes, n_max, backend):
+    """On bern:d,L the pull-back walk ends at step L + 1, where Q^L B = J B / k
+    comes back, and the sweep repeats that score up to n = 4L: on rationals
+    each equals rigidity_probe; on floats each is, to the last bit, the
+    reading of a stepwise gather loop, one gather and one score per n."""
+    sys = parse_system_spec(spec, backend)
+    blocks = consecutive_blocks(sizes)
+    swept = rigidity_sweep(sys, blocks, n_max)
+    assert len(swept) == n_max + 1
+    if backend == exact.RATIONAL:
+        assert swept == [rigidity_probe(sys, blocks, n) for n in range(n_max + 1)]
+        return
+    indicator = np.zeros((sys.k, len(blocks)), dtype=np.int64)
+    for i, cells in enumerate(blocks):
+        indicator[cells, i] = 1
+    w = exact.from_scaled(indicator, 1, backend)
+    bt, expected = w.T, []
+    for _ in range(n_max + 1):
+        expected.append(exact.weighted_squares(exact.mat_mul(bt, w), [sys.k * s for s in sizes]))
+        w = exact.gather(w, sys.rows)
+    assert [x.hex() for x in swept] == [x.hex() for x in expected]
+
+
 def test_rigidity_probe_float_matches_oracle_bit_for_bit_on_consecutive_blocks():
     # Consecutive blocks add in the oracle's order, and rigidity_probe takes
     # the same lens_iterate image, so the floats agree to the last bit.
@@ -381,7 +409,7 @@ def test_witness_image_is_not_the_transposed_product():
     prefix = np.arange(k * k) // k
     p = exact.numerators((k * k, k))
     p[np.arange(k * k), prefix] = 1
-    w = next(islice(pull_back(bernoulli_system(d, 2 * L), exact.from_scaled(p, 1)), L, None))
+    *_, (w, _) = pull_back(bernoulli_system(d, 2 * L), exact.from_scaled(p, 1), L)
     for sigma, pi, involutions in (([1, 0, 3, 2], [2, 3, 0, 1], True),
                                    ([1, 2, 3, 0], [2, 0, 3, 1], False)):
         tau = transitivity_witness(d, L, sigma, pi).fine_perm

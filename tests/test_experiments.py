@@ -520,6 +520,7 @@ RUN_ONLY = {("one-sided-limit", "init=graph:0,x"),
     ("skew-orbit", "system=rot:k=4,s=1"),
     ("fixed-points", "system=nope:x=1"),
     ("entropy-factor", "system=rot:k=4,s=1"),
+    ("periodic-commuters", "m=0"),
 ])
 def test_cli_rejects_known_bad_overrides_as_config_errors(name, override, capsys):
     commands = ("run",) if (name, override) in RUN_ONLY else ("run", "validate")
@@ -527,6 +528,34 @@ def test_cli_rejects_known_bad_overrides_as_config_errors(name, override, capsys
         code, err = _run_override(name, override, capsys, command)
         assert code == 2, command
         assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_odometer_level_zero_is_a_config_error_with_any_pi(capsys):
+    # pi=0 permutes the one low-digit value, so only m is out of range.
+    for command in ("run", "validate"):
+        code = cli_main([command, str(CONFIGS / "periodic-commuters.cfg"), "--set", "output_dir=",
+                         "--set", "m=0", "--set", "pi=0"])
+        err = capsys.readouterr().err
+        assert code == 2, command
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", ["bern:d=2,L=3", "bern:d=3,L=2", "rot:k=7,s=3"])
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_mixing_profile_past_the_settling_step_matches_a_stepwise_loop(spec, backend):
+    # The power walk of bern:d,L ends at step L + 1, where Q^L = J/k comes
+    # back; each residual is the parent formula's over one gather per n, to
+    # the last bit on floats.
+    n_max = 12
+    report = run_experiment(cfg_for("mixing-profile", system=spec, backend=backend,
+                                    n_max=n_max), write=False)
+    sys = parse_system_spec(spec, backend)
+    uniform = exact.scalar(Fraction(1, sys.k), backend)
+    power, expected = exact.identity(sys.k, backend), []
+    for n in range(n_max + 1):
+        expected.append((str(n), value_str(exact.max_abs(power, uniform) / sys.k)))
+        power = exact.gather(power, sys.columns, (1,))
+    assert report.rows("residuals") == expected
 
 
 def test_cli_refuses_an_oversized_system_under_run_and_validate(capsys):

@@ -33,6 +33,7 @@ from lenslab import (
     parse_system_spec,
     product_coupling,
     random_coupling,
+    repair_to_polytope,
     restrict_coupling,
     rigidity_probe,
     rotation_system,
@@ -429,7 +430,9 @@ def test_pull_back_restricts_the_dense_lens_image(spec, m, n, seed):
         p = exact.from_scaled(p, 1, backend)
         c = random_coupling(sys.k, rng, backend=backend)
         dense = p
-        for t, w in enumerate(islice(lens.pull_back(sys, p), n + 1)):
+        terms = [w for w, count in lens.pull_back(sys, p, n) for _ in range(count)]
+        assert len(terms) == n + 1
+        for t, w in enumerate(terms):
             assert w.shape == (sys.k, m)
             want = exact.block_sums(lens_iterate(sys, c, t).matrix, parent, m)
             got = exact.mat_mul(exact.mat_mul(w.T, c.matrix), w)
@@ -443,7 +446,7 @@ def test_pull_back_restricts_the_dense_lens_image(spec, m, n, seed):
 
 def test_pull_back_refuses_a_matrix_of_another_size():
     with pytest.raises(DimensionMismatch):
-        next(lens.pull_back(rotation_system(4, 1), exact.constant((3, 2), 0)))
+        lens.pull_back(rotation_system(4, 1), exact.constant((3, 2), 0), 0)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -682,3 +685,144 @@ def test_lifting_along_a_factor_map_commutes_with_the_lens_where_it_also_factors
                 assert gap <= tol
         if not both_ways:
             assert gap > tol  # the graph coupling, drawn last
+
+
+#
+# Walks end at their first fixed point.
+#
+
+def _start(kind, sys, seed):
+    """A random, the product or a graph coupling over the cells of sys."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return random_coupling(sys.k, rng, backend=sys.backend)
+    if kind == "product":
+        return product_coupling(sys.k, sys.backend)
+    return graph_coupling(rng.permutation(sys.k), sys.backend)
+
+
+def _stepped(sys, c, n_steps, mode):
+    """The oracle: states 0..n_steps of a plain stepping loop, each float
+    step repaired, and the repair residuals."""
+    step = lens_step if mode == "lens" else one_sided_step
+    states, residuals = [c], []
+    for _ in range(n_steps):
+        c = step(sys, c)
+        if c.backend == exact.FLOAT:
+            repaired = repair_to_polytope(c.matrix)
+            residuals.append(exact.l1_norm(repaired.matrix, c.matrix))
+            c = repaired
+        states.append(c)
+    return states, residuals
+
+
+def _identical(a, b):
+    """The same stored form: numerators and denominator, or float bytes."""
+    if isinstance(a, exact.Scaled):
+        return a.den == b.den and np.array_equal(a.num, b.num)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(zoo_specs(), st.sampled_from([exact.RATIONAL, exact.FLOAT]),
+       st.sampled_from(["random", "product", "graph"]), st.sampled_from(["lens", "one-sided"]),
+       st.integers(0, 12), st.integers(0, 2**32 - 1), st.data())
+def test_a_settled_walk_expands_to_the_plain_stepping_loop(spec, backend, start, mode,
+                                                            n_steps, seed, data):
+    """Iterating an orbit, whose walk ends at its first fixed point, gives
+    the states and repair residuals of a plain stepping loop, state by
+    state; cesaro_average equals the running-sum oracle at horizons before,
+    at, inside and after the settling step."""
+    sys = parse_system_spec(spec, backend)
+    c = _start(start, sys, seed)
+    states, residuals = _stepped(sys, c, n_steps, mode)
+    orb = orbit(sys, c, n_steps, mode)
+    walked = list(orb)
+    assert len(walked) == n_steps + 1
+    assert all(_identical(a.matrix, b.matrix) for a, b in zip(walked, states))
+    assert orb.repair_residuals == residuals
+    if not n_steps:
+        return
+    settled = next((n for n in range(1, n_steps + 1)
+                    if _identical(states[n].matrix, states[n - 1].matrix)), n_steps)
+    near = {n for n in range(settled - 1, settled + 3) if 1 <= n <= n_steps}
+    drawn = data.draw(st.sets(st.integers(1, n_steps), max_size=3))
+    horizons = near | drawn | {n_steps}
+    averages = dict(cesaro_average(orbit(sys, c, n_steps, mode), horizons))
+    assert sorted(averages) == sorted(horizons)
+    for n, avg in averages.items():
+        total = states[1].C  # summed in state order, then divided by N
+        for s in states[2:n + 1]:
+            total = total + s.C
+        expected = CouplingMatrix(total / n).matrix
+        assert _identical(avg.matrix, expected), n
+
+
+@pytest.mark.parametrize("backend", [exact.RATIONAL, exact.FLOAT])
+@pytest.mark.parametrize("L", range(2, 7))
+def test_a_walk_on_a_bernoulli_shift_stops_by_step_L_plus_one(L, backend, monkeypatch):
+    """Q^L = J/k on bern:d=2,L, so lens^L C is the product coupling and
+    Q^L B is constant: each walk of N = 100 steps takes at most L + 1
+    gathers, the last of which finds its input again.  (A float one-sided
+    walk settles later, as its repair rounds.)"""
+    gathers = []
+    real = exact.gather
+
+    def counted(*args, **kwargs):
+        gathers.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(exact, "gather", counted)
+    sys = bernoulli_system(2, L, backend=backend)
+    c = random_coupling(sys.k, np.random.default_rng(L), backend=backend)
+    blocks = exact.from_scaled(np.eye(sys.k, 3, dtype=np.int64), 1, backend)
+    mixing = ExperimentConfig(experiment="mixing-profile", system=f"bern:d=2,L={L}",
+                              backend=backend, parameters={"n_max": "100"})
+    walks = {
+        "lens": lambda: list(orbit(sys, c, 100)),
+        "cesaro": lambda: list(cesaro_average(orbit(sys, c, 100), [3, 100])),
+        "pull_back": lambda: list(lens.pull_back(sys, blocks, 100)),
+        "mixing": lambda: run_experiment(mixing, write=False),
+    }
+    if backend == exact.RATIONAL:
+        walks["one-sided"] = lambda: list(orbit(sys, c, 100, "one-sided"))
+    for name, run in walks.items():
+        del gathers[:]
+        run()
+        assert len(gathers) <= L + 1, name
+
+
+@pytest.mark.parametrize("backend", [exact.RATIONAL, exact.FLOAT])
+def test_an_exact_walk_is_compared_once_and_a_fixed_start_settles_at_step_one(
+        backend, monkeypatch):
+    """A relabeling step is a bijection: a walk on rot:k=16 that moves at
+    its first step compares states that once.  The product coupling is
+    tau-invariant: its walk settles at step 1, one gather and one run for
+    every later state."""
+    compared = []
+    same = exact.same
+
+    def counted(a, b):
+        compared.append(1)
+        return same(a, b)
+
+    monkeypatch.setattr(exact, "same", counted)
+    sys = rotation_system(16, 3, backend=backend)
+    c = random_coupling(16, np.random.default_rng(5), backend=backend)
+    mixing = ExperimentConfig(experiment="mixing-profile", system="rot:k=16,s=3",
+                              backend=backend, parameters={"n_max": "40"})
+    for run in (lambda: list(orbit(sys, c, 40)),
+                lambda: list(orbit(sys, c, 40, "one-sided")),
+                lambda: list(cesaro_average(orbit(sys, c, 40), [7, 40])),
+                lambda: list(lens.pull_back(sys, c.matrix, 40)),
+                lambda: detect_period(sys, c, 40),
+                lambda: run_experiment(mixing, write=False)):
+        del compared[:]
+        run()
+        assert len(compared) == 1
+    product = product_coupling(16, backend)
+    for mode in ("lens", "one-sided"):
+        runs = list(orbit(sys, product, 40, mode).runs())
+        assert [count for _, count in runs] == [1, 40]
+        assert _identical(runs[1][0].matrix, product.matrix)
+    assert detect_period(sys, product, 40).period == 1
