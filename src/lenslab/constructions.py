@@ -12,9 +12,11 @@ matrix P (k x m) back through the system instead of building the k x k
 image: the restriction of lens^n C along P is (Q^n P)^T C (Q^n P), and
 Q^n P takes n gathers on Q's row lines (lens.pull_back), up to the first
 step that gives Q^n P back unchanged.  The entropy factor, the
-transitivity witness and the rigidity sweep read their sums this way, one
-reading per run of equal terms; rigidity_probe keeps the dense image as
-the definition.
+transitivity witness and the rigidity sweep on a stochastic system read
+their sums this way, one reading per run of equal terms; rigidity_probe
+keeps the dense image as the definition.  On an exact system Q^n B is B
+relabelled by tau^n, so the rigidity sweep counts the pairs (label of i,
+label of tau^n(i)) for a chunk of n values at once, off tau's cycles.
 """
 
 from __future__ import annotations
@@ -188,20 +190,27 @@ def _validate_blocks(blocks, k: int) -> list[int]:
     return sizes
 
 
+def _block_labels(blocks, k: int) -> tuple[list[int], np.ndarray]:
+    """The sizes of validated blocks, and the block label of each cell."""
+    blocks = [list(map(int, b)) for b in blocks]
+    sizes = _validate_blocks(blocks, k)
+    label = np.empty(k, dtype=int)
+    for i, b in enumerate(blocks):
+        label[b] = i
+    return sizes, label
+
+
 def _block_probe(sys: FiniteSystem, blocks) -> tuple[np.ndarray, CouplingMatrix]:
     """Block label of each cell, and the probe coupling: mass a_i =
     |block_i| / k spread uniformly on each block square."""
     k = sys.k
-    blocks = [list(map(int, b)) for b in blocks]
-    _validate_blocks(blocks, k)
-    label = np.empty(k, dtype=int)
-    for i, b in enumerate(blocks):
-        label[b] = i
+    sizes, label = _block_labels(blocks, k)
     # Mass 1 / (k |b|) per cell of each block square, over one denominator.
-    den = k * math.lcm(*(len(b) for b in blocks))
+    den = k * math.lcm(*sizes)
     xi = exact.numerators((k, k), den)
-    for b in blocks:
-        xi[np.ix_(b, b)] = den // (k * len(b))
+    for i, size in enumerate(sizes):
+        cells = np.flatnonzero(label == i)
+        xi[np.ix_(cells, cells)] = den // (k * size)
     return label, CouplingMatrix(exact.from_scaled(xi, den, sys.backend))
 
 
@@ -217,20 +226,63 @@ def rigidity_probe(sys: FiniteSystem, blocks, n: int):
     return exact.block_diagonal_sum(lens_iterate(sys, probe, n).matrix, label)
 
 
+# Cells an exact rigidity sweep indexes at once: a chunk of c values of n
+# over the counted cells (and the c m^2 counts) holds at most this many,
+# about 8 MB per int64 array.
+SWEEP_CHUNK = 2**20
+
+
+def _label_pair_counts(tau: np.ndarray, label: np.ndarray, sizes, n_max: int):
+    """G_n[b, b'] = #{i in b : label[tau^n(i)] = b'} for n = 0 .. n_max, as
+    (c, m, m) count stacks, c values of n a chunk, one at least.
+
+    tau^n(i) is read off tau's cycles (exact.permutation_cycles), one index
+    a chunk, and the (n, b, b') codes are counted by one bincount, for the
+    cells outside the largest block only: tau^n is a bijection, so column
+    b' of G_n sums to |b'|, which gives that block's row."""
+    m, big = len(sizes), int(np.argmax(sizes))
+    order, first, pos, length = exact.permutation_cycles(tau)
+    cells = np.flatnonzero(label != big)
+    image_label, own = label[order], label[cells] * m
+    first, pos, length = first[cells], pos[cells], length[cells]
+    per = max(1, SWEEP_CHUNK // (len(cells) + m * m))
+    for start in range(0, n_max + 1, per):
+        c = min(per, n_max + 1 - start)
+        code = pos + np.arange(start, start + c)[:, None]
+        code %= length
+        code += first
+        code = image_label[code]
+        code += own
+        code += np.arange(0, c * m * m, m * m)[:, None]
+        counts = np.bincount(code.ravel(), minlength=c * m * m).reshape(c, m, m)
+        counts[:, big] = np.asarray(sizes) - counts.sum(axis=1)
+        yield counts
+
+
 def rigidity_sweep(sys: FiniteSystem, blocks, n_max: int) -> list:
-    """rigidity_probe(sys, blocks, n) for n = 0 .. n_max, read off the
-    block indicator matrix B pulled back through Q: with G = B^T Q^n B,
-    the score is the sum over block pairs of G[b, b']^2 / (k |b|), the
-    probe's mass 1 / (k |b|) per cell of block square b carried into each
-    block square b'."""
-    blocks = [list(map(int, b)) for b in blocks]
-    weights = [sys.k * size for size in _validate_blocks(blocks, sys.k)]
-    indicator = exact.numerators((sys.k, len(blocks)))
-    for i, cells in enumerate(blocks):
-        indicator[cells, i] = 1
+    """rigidity_probe(sys, blocks, n) for n = 0 .. n_max, read off G_n =
+    B^T Q^n B for B the block indicator matrix: the score is the sum over
+    block pairs of G_n[b, b']^2 / (k |b|), the probe's mass 1 / (k |b|) per
+    cell of block square b carried into each block square b'
+    (exact.weighted_squares, one value per n).
+
+    On an exact system, G_n[b, b'] counts the cells i of b with tau^n(i)
+    in b' for the forward cell map tau, taken a chunk of n values at a time
+    from tau's cycles (_label_pair_counts); no lens step is taken.  A
+    stochastic system pulls B back through Q (lens.pull_back), one score
+    per run of equal terms."""
+    sizes, label = _block_labels(blocks, sys.k)
+    weights = [sys.k * size for size in sizes]
+    m = len(sizes)
+    scores = []
+    if sys.exact:
+        for counts in _label_pair_counts(sys.perm, label, sizes, n_max):
+            scores += exact.weighted_squares(exact.from_scaled(counts, 1, sys.backend), weights)
+        return scores
+    indicator = exact.numerators((sys.k, m))
+    indicator[np.arange(sys.k), label] = 1
     b = exact.from_scaled(indicator, 1, sys.backend)
     bt = b.T
-    scores = []
     for w, count in pull_back(sys, b, n_max):
         scores += [exact.weighted_squares(exact.mat_mul(bt, w), weights)] * count
     return scores

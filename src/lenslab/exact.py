@@ -509,18 +509,24 @@ def quadratic_form(w, c):
 
 
 def weighted_squares(a, weights):
-    """The sum over i, j of a[i, j]^2 / weights[i], for positive int weights:
-    on rationals one Fraction, the squared numerators summed over the one
-    denominator a.den^2 lcm(weights), in int64 while the bound allows."""
+    """The sum over i, j of a[i, j]^2 / weights[i], for positive int weights,
+    of a matrix, or of each matrix of an (n, m, m) stack, a list of n values.
+    On rationals each is one Fraction, the squared numerators summed over
+    the one denominator a.den^2 lcm(weights), in int64 while the bound
+    allows; on floats each matrix reduces as it would on its own."""
     if backend_of(a) == FLOAT:
-        return float((np.square(a).sum(axis=1) / np.asarray(weights, dtype=float)).sum())
+        totals = (np.square(a).sum(axis=-1) / np.asarray(weights, dtype=float)).sum(axis=-1)
+        return float(totals) if a.ndim == 2 else totals.tolist()
     lcm = math.lcm(*weights)
-    num, worst = a.num, a.size * lcm
+    num, worst = a.num, a.shape[-2] * a.shape[-1] * lcm
     bound = _settled(num, a.magnitude, a.magnitude * worst)
     dtype = object if bound * bound * worst >= _INT64_SAFE else np.int64
     factor = np.array([lcm // w for w in weights], dtype)
-    total = np.square(num.astype(dtype, copy=False)).sum(axis=1) @ factor
-    return Fraction(int(total), a.den * a.den * lcm)
+    totals = np.square(num.astype(dtype, copy=False)).sum(axis=-1) @ factor
+    den = a.den * a.den * lcm
+    if num.ndim == 2:
+        return Fraction(int(totals), den)
+    return [Fraction(int(t), den) for t in totals.tolist()]
 
 
 def identity(k: int, backend: str = RATIONAL):
@@ -664,6 +670,39 @@ def invert_permutation(perm: np.ndarray) -> np.ndarray:
 def compose_permutations(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Composition p after q: j -> p[q[j]]."""
     return np.asarray(p, dtype=int)[np.asarray(q, dtype=int)]
+
+
+def cycle_min(perm: np.ndarray) -> np.ndarray:
+    """The smallest cell of each cell's cycle under a permutation.  Pointer
+    doubling: after t rounds, low[x] is the smallest of the first 2^t cells
+    of x's orbit, and no cycle is longer than len(perm)."""
+    low, step = np.arange(len(perm)), np.asarray(perm, dtype=int)
+    for _ in range(len(perm).bit_length()):
+        low = np.minimum(low, low[step])
+        step = step[step]
+    return low
+
+
+def permutation_cycles(perm: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(order, first, pos, length): the cells listed cycle by cycle, each
+    cycle from its smallest cell in step order, and for each cell the slot
+    in order where its cycle starts, its position in its cycle and the
+    cycle's length, so that perm^n(x) = order[first + (pos + n) % length].
+
+    A cell's distance forward to its cycle's smallest cell is ranked by
+    pointer jumping (Wyllie 1979), the smallest cell standing still."""
+    k, perm = len(perm), np.asarray(perm, dtype=int)
+    low = cycle_min(perm)
+    cells = np.arange(k)
+    at_low = low == cells
+    ahead, dist = np.where(at_low, cells, perm), (~at_low).astype(int)
+    for _ in range(k.bit_length()):
+        dist = dist + dist[ahead]
+        ahead = ahead[ahead]
+    size = np.bincount(low, minlength=k)
+    length = size[low]
+    pos = (length - dist) % length
+    return np.lexsort((pos, low)), (np.cumsum(size) - size)[low], pos, length
 
 
 def exact_nullspace(a) -> list[Scaled]:

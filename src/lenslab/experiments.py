@@ -373,8 +373,9 @@ def _experiment(**fields):
 # pulls a k x m indicator matrix back (lens.pull_back), and none costs less
 # than SIZE_LIMIT, its fixed Python cost (a rot:k=6 lens step takes 86 us,
 # so an operation is about 21 ns).  Every step is charged, although a walk
-# ends at its first fixed point (lens.walk): the charge is the worst case,
-# a walk that never settles.
+# ends at its first fixed point (lens.walk) and an exact system reads its
+# Cesaro sums and sweep scores off powers of tau: the charge is the worst
+# case, a walk that never settles.
 STEP_BUDGET = 2**27
 
 
@@ -421,14 +422,15 @@ def _rng_children(seed: int, n: int) -> list[np.random.Generator]:
                   minimum=1),
         ParamSpec("n_max", "int", help="largest lens step to score"),
         ParamSpec("expect_return_at", "int", required=False,
-                  help="step where the score must return to 1"),
+                  help="step where the score must return to 1", minimum=1),
     ),
     series={"scores": ("n", "score")},
 )
 def _run_rigidity_sweep(sys, p, backend):
     if sum(p["blocks"]) != sys.k:
         raise InvalidConfig(f"blocks must sum to k = {sys.k}")
-    # Each n pulls the k x m block indicator back one step: k s m operations.
+    # Each n is charged one pull-back step of the k x m block indicator,
+    # k s m operations, also where an exact system counts label pairs instead.
     _guard_steps(p["n_max"] + 1, sys.k * sys.rows.idx.shape[1] * len(p["blocks"]))
     tol = exact.tolerance(backend)
     scores = rigidity_sweep(sys, consecutive_blocks(p["blocks"]), p["n_max"])
@@ -741,8 +743,9 @@ def _run_one_sided_limit(sys, p, backend):
 def _run_cesaro_barycenter(sys, p, backend):
     k = sys.k
     n_values = sorted(set(p["N_values"]))
-    # Each initial walks N lens steps with a running sum, and takes one
-    # residual step per horizon.
+    # Each initial is charged N lens steps, also where an exact rational
+    # start reads its sums off powers of tau in fewer, and one residual step
+    # per horizon.
     _guard_steps(p["n_initials"] * (n_values[-1] + len(n_values)), _step_cost(sys))
     rows = []
     for idx, rng in enumerate(_rng_children(p["seed"], p["n_initials"])):

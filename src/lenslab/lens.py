@@ -20,6 +20,11 @@ end at the first step whose result is its input.  Every step is
 deterministic, so the steps left would repeat that state; on a Bernoulli
 shift bern:d,L, where Q^L = J/k, a walk settles by step L + 1.  A reader
 takes one reading per run.
+
+An exact system's lens is itself a relabeling, so lens^n C is C relabelled
+by the n-th power of the cell map: cesaro_average reads a rational orbit's
+sums off powers of it, by doubling, in O(log N) relabels a horizon
+instead of N steps.  Float orbits keep the walk, as each step is repaired.
 """
 
 from __future__ import annotations
@@ -193,14 +198,47 @@ def orbit(sys: FiniteSystem, c: CouplingMatrix, n_steps: int,
     return LensOrbit(sys, c, n_steps, mode)
 
 
+def _power_sum(orb: LensOrbit, n: int):
+    """states[1] + ... + states[n] of an exact system's rational orbit, by
+    doubling on the bits of n: S_2m = S_m + lens^m S_m and S_m+1 = S_m +
+    lens^(m+1) C, where lens^m relabels by q = p^m, the m-th power of the
+    column map p (on axis 0 only in one-sided mode).  At most
+    2 bit_length(n) relabels and adds."""
+    p, c = orb.sys.columns.idx[:, 0], orb.start.matrix
+
+    def power(a, q):
+        return exact.relabel(a, (q[:, None], q) if orb.mode == "lens" else q)
+
+    q = p
+    total = power(c, q)
+    for bit in bin(n)[3:]:
+        total = exact.mat_add(total, power(total, q))
+        q = q[q]
+        if bit == "1":
+            q = p[q]
+            total = exact.mat_add(total, power(c, q))
+    return total
+
+
 def cesaro_average(orb: LensOrbit, horizons):
-    """(N, average (1/N) sum of states[1..N]) for each horizon N, ascending,
-    from one walk of orb's runs with a running sum: a run of a settled
-    state is added once with its count as weight when rational, and count
-    times in state order when float (exact.mat_add)."""
+    """(N, average (1/N) sum of states[1..N]) for each horizon N, ascending.
+
+    On an exact system with a rational start, lens^n C is C relabelled by
+    the n-th power of the cell map, and each sum is read off powers of it
+    (_power_sum): O(log N) relabels and adds a horizon.  mat_div reduces,
+    so the average is the Scaled a running sum gives.  Otherwise one walk of
+    orb's runs keeps a running sum: a run of a settled state is added once
+    with its count as weight when rational, and count times in state order
+    when float (exact.mat_add), so a float sum's bits are those of its
+    repaired steps added in turn."""
     horizons = sorted(set(horizons))
     if not horizons or horizons[0] < 1 or horizons[-1] > orb.n_steps:
         raise ValueError("cesaro_average needs 1 <= N <= n_steps")
+    if orb.sys.exact and orb.start.backend == exact.RATIONAL:
+        _check(orb.sys, orb.start)
+        for h in horizons:
+            yield h, CouplingMatrix(exact.mat_div(_power_sum(orb, h), h))
+        return
     runs = islice(orb.runs(), 1, None)
     total, summed, left = None, 0, 0  # states 1..summed are in total
     for h in horizons:
@@ -255,16 +293,11 @@ class FixedPointSpace:
 def _pair_orbit_labels(perm: np.ndarray, k: int) -> np.ndarray:
     """Orbit of each flat (i, j) under (i, j) -> (perm[i], perm[j]).
 
-    Orbits are numbered in order of their smallest flat index.  Pointer
-    doubling: after t rounds, low[x] is the smallest index among the first
-    2^t points of x's orbit, and no orbit is longer than k^2.
+    Orbits are numbered in order of their smallest flat index
+    (exact.cycle_min).
     """
     step = (perm[:, None] * k + perm[None, :]).ravel()
-    low = np.arange(k * k)
-    for _ in range((k * k).bit_length()):
-        low = np.minimum(low, low[step])
-        step = step[step]
-    return np.unique(low, return_inverse=True)[1]
+    return np.unique(exact.cycle_min(step), return_inverse=True)[1]
 
 
 def _cyclic_classes(sys: FiniteSystem) -> tuple[np.ndarray, np.ndarray]:

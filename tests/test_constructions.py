@@ -46,7 +46,7 @@ from lenslab import (
     transitivity_witness,
     validate_coupling,
 )
-from lenslab import exact
+from lenslab import constructions, exact
 from lenslab.lens import pull_back
 
 
@@ -299,15 +299,58 @@ def test_rigidity_sweep_past_the_settling_step_matches_the_per_step_readings(
     if backend == exact.RATIONAL:
         assert swept == [rigidity_probe(sys, blocks, n) for n in range(n_max + 1)]
         return
+    assert [x.hex() for x in swept] == [x.hex() for x in _stepwise_scores(sys, blocks, n_max)]
+
+
+def _stepwise_scores(sys, blocks, n_max):
+    """The per-n formula over a stepwise gather loop: one gather of the
+    block indicator B on Q's row lines and one score of B^T Q^n B per n."""
     indicator = np.zeros((sys.k, len(blocks)), dtype=np.int64)
     for i, cells in enumerate(blocks):
         indicator[cells, i] = 1
-    w = exact.from_scaled(indicator, 1, backend)
-    bt, expected = w.T, []
+    w = exact.from_scaled(indicator, 1, sys.backend)
+    bt, scores = w.T, []
     for _ in range(n_max + 1):
-        expected.append(exact.weighted_squares(exact.mat_mul(bt, w), [sys.k * s for s in sizes]))
+        scores.append(exact.weighted_squares(exact.mat_mul(bt, w), [sys.k * len(b) for b in blocks]))
         w = exact.gather(w, sys.rows)
-    assert [x.hex() for x in swept] == [x.hex() for x in expected]
+    return scores
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40, constructions.SWEEP_CHUNK])
+@pytest.mark.parametrize("spec, sizes, n_max", [
+    ("rot:k=7,s=3", [4, 1, 2], 30), ("rot:k=12,s=5", [5, 3, 4], 40), ("odo:m=3", [3, 5], 20),
+    ("iet:perm=4,0,3,1,2,5", [1, 2, 3], 25), ("rot:k=5,s=0", [2, 3], 4), ("rot:k=3,s=1", [3], 5),
+])
+@pytest.mark.parametrize("scattered", [False, True])
+@pytest.mark.parametrize("backend", [exact.RATIONAL, exact.FLOAT])
+def test_exact_rigidity_sweep_in_chunks_matches_the_per_step_readings(
+        spec, sizes, n_max, scattered, backend, chunk, monkeypatch):
+    """An exact sweep counts label pairs off the cycles of tau, a chunk of n
+    values at a time, past ord(tau) and on scattered blocks: on rationals
+    each score equals the dense oracle, on floats, to the last bit, the
+    stepwise gather loop's reading, whatever the chunk size."""
+    monkeypatch.setattr(constructions, "SWEEP_CHUNK", chunk)
+    sys = parse_system_spec(spec, backend)
+    cells = np.random.default_rng(sys.k).permutation(sys.k) if scattered else np.arange(sys.k)
+    blocks = [part.tolist() for part in np.split(cells, np.cumsum(sizes)[:-1])]
+    swept = rigidity_sweep(sys, blocks, n_max)
+    assert len(swept) == n_max + 1
+    if backend == exact.RATIONAL:
+        assert swept == [_oracle_rigidity_probe(sys, blocks, n) for n in range(n_max + 1)]
+        assert all(type(x) is Fraction for x in swept)
+    else:
+        assert [x.hex() for x in swept] == [x.hex() for x in _stepwise_scores(sys, blocks, n_max)]
+
+
+@pytest.mark.parametrize("backend", [exact.RATIONAL, exact.FLOAT])
+def test_exact_rigidity_sweep_takes_no_lens_step(backend, monkeypatch):
+    """On an exact system the sweep neither gathers nor multiplies matrices."""
+    calls = []
+    for name in ("gather", "mat_mul"):
+        monkeypatch.setattr(exact, name, lambda *args, _name=name, **kwargs: calls.append(_name))
+    sys = rotation_system(45, 7, backend)
+    rigidity_sweep(sys, consecutive_blocks(range(1, 10)), 100)
+    assert calls == []
 
 
 def test_rigidity_probe_float_matches_oracle_bit_for_bit_on_consecutive_blocks():

@@ -521,6 +521,7 @@ RUN_ONLY = {("one-sided-limit", "init=graph:0,x"),
     ("fixed-points", "system=nope:x=1"),
     ("entropy-factor", "system=rot:k=4,s=1"),
     ("periodic-commuters", "m=0"),
+    ("rigidity-sweep", "expect_return_at=0"),
 ])
 def test_cli_rejects_known_bad_overrides_as_config_errors(name, override, capsys):
     commands = ("run",) if (name, override) in RUN_ONLY else ("run", "validate")

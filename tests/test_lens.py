@@ -796,9 +796,10 @@ def test_a_walk_on_a_bernoulli_shift_stops_by_step_L_plus_one(L, backend, monkey
 def test_an_exact_walk_is_compared_once_and_a_fixed_start_settles_at_step_one(
         backend, monkeypatch):
     """A relabeling step is a bijection: a walk on rot:k=16 that moves at
-    its first step compares states that once.  The product coupling is
-    tau-invariant: its walk settles at step 1, one gather and one run for
-    every later state."""
+    its first step compares states that once.  (A rational cesaro_average
+    on an exact system walks no orbit, and compares none.)  The product
+    coupling is tau-invariant: its walk settles at step 1, one gather and
+    one run for every later state."""
     compared = []
     same = exact.same
 
@@ -811,18 +812,98 @@ def test_an_exact_walk_is_compared_once_and_a_fixed_start_settles_at_step_one(
     c = random_coupling(16, np.random.default_rng(5), backend=backend)
     mixing = ExperimentConfig(experiment="mixing-profile", system="rot:k=16,s=3",
                               backend=backend, parameters={"n_max": "40"})
-    for run in (lambda: list(orbit(sys, c, 40)),
-                lambda: list(orbit(sys, c, 40, "one-sided")),
-                lambda: list(cesaro_average(orbit(sys, c, 40), [7, 40])),
-                lambda: list(lens.pull_back(sys, c.matrix, 40)),
-                lambda: detect_period(sys, c, 40),
-                lambda: run_experiment(mixing, write=False)):
+    walked = int(backend == exact.FLOAT)
+    for run, expected in ((lambda: list(orbit(sys, c, 40)), 1),
+                          (lambda: list(orbit(sys, c, 40, "one-sided")), 1),
+                          (lambda: list(cesaro_average(orbit(sys, c, 40), [7, 40])), walked),
+                          (lambda: list(lens.pull_back(sys, c.matrix, 40)), 1),
+                          (lambda: detect_period(sys, c, 40), 1),
+                          (lambda: run_experiment(mixing, write=False), 1)):
         del compared[:]
         run()
-        assert len(compared) == 1
+        assert len(compared) == expected
     product = product_coupling(16, backend)
     for mode in ("lens", "one-sided"):
         runs = list(orbit(sys, product, 40, mode).runs())
         assert [count for _, count in runs] == [1, 40]
         assert _identical(runs[1][0].matrix, product.matrix)
     assert detect_period(sys, product, 40).period == 1
+
+
+#
+# An exact system's Cesaro sums are read off powers of its cell map.
+#
+
+# Horizons at and beside the powers of two up to 1025, where the doubling
+# turns: 1, 2^j - 1, 2^j and 2^j + 1.
+_TURNS = sorted({1} | {2**j + d for j in range(1, 11) for d in (-1, 0, 1)})
+
+
+def _running_sums(sys, c, n_steps, mode):
+    """The oracle: sum of states 1..N of a plain stepping loop, divided by N,
+    for N = 1 .. n_steps."""
+    step = lens_step if mode == "lens" else one_sided_step
+    total, averages = None, {}
+    for n in range(1, n_steps + 1):
+        c = step(sys, c)
+        total = c.matrix if total is None else exact.mat_add(total, c.matrix)
+        averages[n] = exact.mat_div(total, n)
+    return averages
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(zoo_specs().filter(lambda spec: not spec.startswith("bern")),
+       st.sampled_from(["lens", "one-sided"]),
+       st.lists(st.sampled_from(_TURNS), min_size=1, max_size=6),
+       st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_exact_cesaro_sums_by_doubling_match_the_running_sum(spec, mode, horizons,
+                                                           extra, seed):
+    """On rot, odo and iet systems a rational cesaro_average, which doubles
+    on powers of the cell map, gives at every horizon, in any order and
+    with repeats, the numerators and denominator of the stepwise running
+    sum."""
+    sys, c = _zoo_pair(spec, seed, exact.RATIONAL)
+    n_steps = max(horizons) + extra
+    expected = _running_sums(sys, c, max(horizons), mode)
+    averages = list(cesaro_average(orbit(sys, c, n_steps, mode), horizons))
+    assert [n for n, _ in averages] == sorted(set(horizons))
+    for n, avg in averages:
+        want = expected[n]
+        assert avg.matrix.dtype == want.dtype
+        assert _identical(avg.matrix, want), (n, mode)
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("horizons", [[1000], [1000, 999, 513, 1]])
+def test_exact_cesaro_average_relabels_log_n_times_a_horizon(horizons, monkeypatch):
+    """A rational cesaro_average on rot:k=8 takes at most 2 bit_length(N) + 2
+    relabels a horizon, where a walk would take N, and no lens step."""
+    relabels = _counting(monkeypatch, exact, "relabel")
+    steps = _counting(monkeypatch, lens, "lens_step")
+    sys = rotation_system(8, 3)
+    c = random_coupling(8, np.random.default_rng(2))
+    list(cesaro_average(orbit(sys, c, 1000), horizons))
+    assert len(relabels) <= sum(2 * n.bit_length() + 2 for n in horizons)
+    assert not steps
+
+
+def test_float_exact_cesaro_average_still_steps_each_state(monkeypatch):
+    """A float orbit repairs each step, so its average keeps the walk: N
+    lens steps on rot:k=8."""
+    steps = _counting(monkeypatch, lens, "lens_step")
+    sys = rotation_system(8, 3, backend=exact.FLOAT)
+    c = random_coupling(8, np.random.default_rng(2), backend=exact.FLOAT)
+    list(cesaro_average(orbit(sys, c, 200), [50, 200]))
+    assert len(steps) == 200
