@@ -365,13 +365,14 @@ def entropy_factor_F(sys: FiniteSystem, lam: CouplingMatrix, n_values: int) -> l
     indicator vector: (lens^n C)(A x A) equals w_n^T C w_n with
     w_n = Q^n 1_A, the indicator vector pulled back through Q
     (lens.pull_back), so each step gathers one vector from Q's row lines
-    instead of conjugating.
+    instead of conjugating; w^T C w is one gather on C's lines when they
+    are sparse.
     """
     if sys.k % 2:
         raise DimensionMismatch("A = cells 0 .. k/2 - 1 needs an even cell count")
-    backend, c = exact.RATIONAL, lam.matrix
+    backend, c = exact.RATIONAL, lam.lines if lam.sparse else lam.matrix
     if sys.backend == exact.FLOAT or lam.backend == exact.FLOAT:
-        backend, c = exact.FLOAT, exact.as_float(c)
+        backend, c = exact.FLOAT, exact.as_float(lam.matrix)
     indicator = exact.numerators(sys.k)
     indicator[:sys.k // 2] = 1
     values = []

@@ -6,12 +6,22 @@ doubly stochastic, so the coupling space is a scaled Birkhoff polytope.
 
 Graph couplings carry the mass of a cell permutation: graph_coupling(sigma)
 puts 1/k at (sigma(j), j), i.e. cell j is transported onto cell sigma(j).
+
+A coupling is held as its row lines (exact.Support), as a system is.  A
+graph coupling has one nonzero a line and random_coupling at most six, and
+both are built as lines, never as a k x k array.  A dense matrix is the
+line set of width k, its stored form itself (exact.dense_lines); the dense
+form of narrower lines is built when matrix is asked for, and not kept.  On
+rationals the distances, validation and the graph test read sparse lines
+(exact.l1_lines, exact.marginal_defects); a float sum reads the matrix, so
+that it keeps the dense summation order a float report's bits come from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +36,8 @@ __all__ = [
     "lift_coupling",
     "restrict_coupling",
     "coupling_distance",
+    "product_distance",
+    "graph_permutation",
     "in_neighborhood",
     "repair_to_polytope",
     "validate_coupling",
@@ -40,24 +52,45 @@ REPAIR_TARGET = 1e-13
 class CouplingMatrix:
     """Transportation-polytope point: rows and columns each sum to 1/k.
 
-    matrix is the stored form of the given C (exact.stored); C is its
-    per-entry view, built at most once and only when asked for.  k is the
-    side of the stored matrix, read once here.
+    lines are C's row lines (exact.Support): the lines given, or the dense
+    lines of the stored form of a given square matrix (exact.dense_lines),
+    whose val is matrix, the stored k x k form, itself.  Other lines build
+    matrix when asked and do not keep it.  C is the per-entry view of
+    matrix, built at most once and only when asked for.
     """
 
-    k: int
-    matrix: object
+    lines: exact.Support
 
     def __init__(self, C):
-        matrix = exact.stored(C)
-        object.__setattr__(self, "k", matrix.shape[0])
-        object.__setattr__(self, "matrix", matrix)
+        if isinstance(C, exact.Support):
+            lines = C
+        else:
+            m = exact.stored(C)
+            if len(m.shape) != 2 or m.shape[0] != m.shape[1]:
+                raise DimensionMismatch(f"a coupling matrix is square, not {m.shape}")
+            lines = exact.dense_lines(m)
+        object.__setattr__(self, "lines", lines)
+
+    @property
+    def k(self) -> int:
+        return len(self.lines.idx)
 
     @property
     def backend(self) -> str:
-        return exact.backend_of(self.matrix)
+        return exact.backend_of(self.lines.val)
 
     @property
+    def sparse(self) -> bool:
+        """Whether the kernels read the lines: rational lines narrower than
+        k.  Dense lines are the matrix, and a float sum keeps the dense
+        summation order that a float report's bits come from."""
+        return self.lines.idx.shape[1] < self.k and self.backend == exact.RATIONAL
+
+    @property
+    def matrix(self):
+        return exact.lines_matrix(self.lines)
+
+    @cached_property
     def C(self) -> np.ndarray:
         return exact.entries(self.matrix)
 
@@ -69,20 +102,42 @@ def _require_same(a: CouplingMatrix, b: CouplingMatrix):
         raise BackendMismatch("cannot mix rational and float couplings")
 
 
+def _cell_count(k: int) -> int:
+    if k < 1:
+        raise ValueError("k must be positive")
+    return k
+
+
+def _permutation(sigma, what: str) -> np.ndarray:
+    """sigma as an int array, refused unless its entries are integers that
+    permute 0 .. k-1 for its length k >= 1."""
+    sigma = np.asarray(sigma)
+    if sigma.ndim != 1:
+        raise ValueError(f"{what} must list one cell for each cell")
+    _cell_count(len(sigma))
+    cells = sigma.astype(int)
+    if not np.array_equal(cells, sigma):
+        raise ValueError(f"{what} must have integer entries")
+    if not np.array_equal(np.sort(cells), np.arange(len(cells))):
+        raise ValueError(f"{what} must be a permutation of 0..k-1")
+    return cells
+
+
 def product_coupling(k: int, backend: str = exact.RATIONAL) -> CouplingMatrix:
     """Independent coupling: every entry 1/k^2."""
+    k = _cell_count(k)
     return CouplingMatrix(exact.constant((k, k), Fraction(1, k * k), backend))
 
 
 def graph_coupling(sigma, backend: str = exact.RATIONAL) -> CouplingMatrix:
-    """Coupling concentrated on the graph of a forward cell permutation."""
-    sigma = np.asarray(sigma, dtype=int)
+    """Coupling concentrated on the graph of a forward cell permutation:
+    line i holds 1/k at sigma^-1(i)."""
+    sigma = _permutation(sigma, "sigma")
     k = len(sigma)
-    if sorted(sigma.tolist()) != list(range(k)):
-        raise ValueError("sigma must be a permutation of 0..k-1")
-    num = exact.numerators((k, k))
-    num[sigma, np.arange(k)] = 1
-    return CouplingMatrix(exact.from_scaled(num, k, backend))
+    ones = exact.numerators((k, 1))
+    ones[:] = 1
+    return CouplingMatrix(exact.collect_lines(
+        exact.invert_permutation(sigma)[:, None], ones, k, backend))
 
 
 def _fibre_size(parent: np.ndarray, fine_k: int, coarse_k: int) -> int:
@@ -116,9 +171,28 @@ def restrict_coupling(fine: CouplingMatrix, parent) -> CouplingMatrix:
 
 
 def coupling_distance(a: CouplingMatrix, b: CouplingMatrix):
-    """Entrywise L1 distance; exact Fraction on the rational backend."""
+    """Entrywise L1 distance; exact Fraction on the rational backend, read
+    off the lines when both are sparse."""
     _require_same(a, b)
+    if a.sparse and b.sparse:
+        return exact.l1_lines(a.lines, b.lines)
     return exact.l1_norm(a.matrix, b.matrix)
+
+
+def product_distance(c: CouplingMatrix):
+    """Entrywise L1 distance to the product coupling, each entry 1/k^2."""
+    mass = Fraction(1, c.k * c.k)
+    if c.sparse:
+        return exact.l1_lines(c.lines, mass)
+    return exact.l1_norm(c.matrix, exact.scalar(mass, c.backend))
+
+
+def graph_permutation(c: CouplingMatrix):
+    """sigma with c == graph_coupling(sigma), or None when c is no graph
+    coupling: k C must be a permutation matrix (exact.permutation_of_lines)."""
+    lines = exact.Support(c.lines.idx, exact.scale(c.lines.val, c.k))
+    tau = exact.permutation_of_lines(lines)
+    return None if tau is None else exact.invert_permutation(tau)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,14 +216,16 @@ class NeighborhoodSpec:
             raise ValueError("epsilon must be positive")
         if self.kind == "entrywise" and self.target is None:
             raise ValueError("entrywise neighborhood needs a target")
-        if self.kind == "permutation-diagonal" and self.eta is None:
-            raise ValueError("permutation-diagonal neighborhood needs eta")
+        if self.kind == "permutation-diagonal":
+            if self.eta is None:
+                raise ValueError("permutation-diagonal neighborhood needs eta")
+            _permutation(self.eta, "eta")
 
 
 def in_neighborhood(c: CouplingMatrix, spec: NeighborhoodSpec) -> bool:
     if spec.kind == "entrywise":
         target = exact.stored(spec.target)
-        if target.shape != c.matrix.shape:
+        if target.shape != (c.k, c.k):
             raise DimensionMismatch("neighborhood target has the wrong shape")
         return bool(exact.max_abs(c.matrix, target) < spec.epsilon)
     eta = np.asarray(spec.eta, dtype=int)
@@ -203,24 +279,20 @@ def repair_to_polytope(m) -> CouplingMatrix:
 
 
 def validate_coupling(c: CouplingMatrix) -> list[str]:
-    m = c.matrix
-    k = c.k
-    if m.shape != (k, k):
-        return [f"shape{m.shape}"]
-    return exact.marginal_defects(m, Fraction(1, k), exact.FLOAT_TOL)
+    """Row sums, column sums and negative entries (exact.marginal_defects),
+    read off the lines when sparse."""
+    return exact.marginal_defects(c.lines if c.sparse else c.matrix, Fraction(1, c.k),
+                                  exact.FLOAT_TOL)
 
 
 def random_coupling(k: int, rng: np.random.Generator,
                     backend: str = exact.RATIONAL) -> CouplingMatrix:
     """Random point: convex combination of six permutation couplings with
-    small rational weights.  Exact polytope membership by construction."""
-    # Accumulate integer numerators over the common denominator total * k.
-    numerators = exact.numerators((k, k))
-    weights = [int(w) for w in rng.integers(1, 20, size=6)]
-    total = sum(weights)
-    cols = np.arange(k)
-    for w in weights:
-        sigma = rng.permutation(k)
-        numerators[sigma, cols] += w
-    return CouplingMatrix(exact.from_scaled(numerators, total * k, backend))
-
+    small rational weights, held as lines of at most six nonzeros.  Exact
+    polytope membership by construction."""
+    pos = exact.numerators((_cell_count(k), 6))
+    weights = rng.integers(1, 20, size=6)
+    for t in range(6):  # permutation t puts weights[t] at (sigma(j), j)
+        pos[rng.permutation(k), t] = np.arange(k)
+    num = np.broadcast_to(weights, pos.shape)
+    return CouplingMatrix(exact.collect_lines(pos, num, int(weights.sum()) * k, backend))

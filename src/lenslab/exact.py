@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -134,8 +134,13 @@ class Support:
     @cached_property
     def relabels(self) -> bool:
         """One value per line, equal to one: a permutation matrix."""
-        num, one = (self.val.num, self.val.den) if isinstance(self.val, Scaled) else (self.val, 1)
+        num, one = _num_one(self.val)
         return self.idx.shape[1] == 1 and bool((num == one).all())
+
+
+def _num_one(val):
+    """The numerators of a stored form, and the numerator of one among them."""
+    return (val.num, val.den) if isinstance(val, Scaled) else (val, 1)
 
 
 def power_exceeds_limit(base: int, exp: int) -> bool:
@@ -500,7 +505,12 @@ def block_diagonal_sum(a, label: np.ndarray):
 
 
 def quadratic_form(w, c):
-    """w^T C w for a vector w."""
+    """w^T C w for a vector w and a matrix C, or the row lines (Support) of
+    a rational C, whose product C w is one gather."""
+    if isinstance(c, Support):
+        cw = gather(w, c)
+        return Fraction(int(_int_matmul(w.num, cw.num, w.magnitude, cw.magnitude)),
+                        w.den * cw.den)
     if backend_of(c) == FLOAT:
         return float(w @ (c @ w))
     wc = _int_matmul(w.num, c.num, w.magnitude, c.magnitude)
@@ -570,6 +580,142 @@ def support(a) -> Support:
     return Support(freeze(np.maximum.accumulate(idx, axis=1)), val)
 
 
+# Row lines as a matrix's own form.  Lines of width s = k are dense_lines,
+# the stored matrix itself; narrower ones are canonical (Support): every
+# line's positions ascending, a shorter line repeating its last position
+# with value zero, so that equal matrices have equal lines of one width.
+
+def dense_lines(a) -> Support:
+    """The row lines of a k x k stored form with every position kept: s =
+    k, idx a read-only broadcast of arange(k), one per k, val a itself."""
+    return Support(_every_position(a.shape[0]), a)
+
+
+@lru_cache(maxsize=16)
+def _every_position(k: int) -> np.ndarray:
+    return np.broadcast_to(np.arange(k), (k, k))
+
+
+def is_dense(lines: Support) -> bool:
+    """Whether lines are dense_lines: s = k and idx a broadcast row."""
+    return lines.idx.shape[1] == len(lines.idx) and not lines.idx.strides[0]
+
+
+def _real(idx: np.ndarray) -> np.ndarray:
+    """The slots of canonical lines that hold a position of their own: all
+    but the repeats a shorter line pads with."""
+    real = np.ones(idx.shape, dtype=bool)
+    np.not_equal(idx[:, 1:], idx[:, :-1], out=real[:, 1:])
+    return real
+
+
+def collect_lines(pos: np.ndarray, num: np.ndarray, den: int,
+                  backend: str = RATIONAL) -> Support:
+    """The lines of the k x k matrix with num[i, t] / den added at (i,
+    pos[i, t]) for every slot, for int64 num whose line sums stay below
+    2**62, repeated positions summed: each line sorted, s the most
+    positions a line holds, dense_lines when that is k."""
+    k, m = pos.shape
+    if m == 1:  # one position a line: sorted already
+        idx, out = freeze(np.array(pos)), np.array(num)
+    else:
+        order = np.argsort(pos, axis=1)
+        pos, num = _by_rows(pos, order), _by_rows(num, order)
+        real = _real(pos)
+        slot = np.cumsum(real, axis=1) - 1  # where each entry goes in its line
+        flat = np.flatnonzero(real)
+        at = (flat // m, slot.ravel()[flat])
+        idx = np.full((k, int(slot[:, -1].max()) + 1), -1)
+        out = numerators(idx.shape)
+        idx[at], out[at] = pos.ravel()[flat], np.add.reduceat(num.ravel(), flat)
+        freeze(np.maximum.accumulate(idx, axis=1, out=idx))
+    if idx.shape[1] == k:  # a line holds every position: the dense form
+        return dense_lines(_fresh(from_scaled(lines_matrix(Support(idx, out)), den, backend)))
+    return Support(idx, _fresh(from_scaled(out, den, backend)))
+
+
+def _by_rows(a: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """a[i, order[i, t]]: each row of a in its own order."""
+    return a[np.arange(len(a))[:, None], order]
+
+
+def _fresh(a):
+    """A new stored form made read-only: a Scaled is already."""
+    return a if isinstance(a, Scaled) else freeze(a)
+
+
+def lines_matrix(lines: Support):
+    """The k x k stored form of row lines: val itself for dense_lines, else
+    the values written at their positions, each repeat left out."""
+    if is_dense(lines):
+        return lines.val
+    num, _ = _num_one(lines.val)
+    k, real = len(num), _real(lines.idx)
+    out = np.zeros((k, k), dtype=num.dtype)
+    out[np.flatnonzero(real) // real.shape[1], lines.idx[real]] = num[real]
+    if isinstance(lines.val, Scaled):  # zeros keep the lowest terms
+        return Scaled(out, lines.val.den, lines.val.magnitude)
+    return freeze(out)
+
+
+def relabel_lines(lines: Support, p: np.ndarray | None = None,
+                  to: np.ndarray | None = None) -> Support:
+    """The lines of the matrix M' with M'[i, to[j]] = M[p[i], j] for the
+    matrix M of lines and permutations p and to (either one the identity
+    when None): line i is line p[i], each position j moved to to[j], the
+    line sorted again with its repeats last, k s work.  Dense lines relabel
+    their matrix (relabel)."""
+    if is_dense(lines):
+        if to is None:
+            index = slice(None) if p is None else p
+        else:
+            q = invert_permutation(to)
+            index = (slice(None), q) if p is None else (p[:, None], q)
+        return Support(lines.idx, relabel(lines.val, index))
+    idx, (num, _), k = lines.idx, _num_one(lines.val), len(lines.idx)
+    if p is not None:
+        idx, num = idx[p], num[p]
+    if to is not None and idx.shape[1] == 1:
+        idx = to[idx]
+    elif to is not None:
+        # Repeats sort last, as position k, and take the line's last one.
+        key = np.where(_real(idx), to[idx], k)
+        order = np.argsort(key, axis=1)
+        idx, num = _by_rows(key, order), _by_rows(num, order)
+        idx[idx == k] = -1
+        np.maximum.accumulate(idx, axis=1, out=idx)
+    val = Scaled(num, lines.val.den, lines.val.magnitude) if isinstance(lines.val, Scaled) else freeze(num)
+    return Support(freeze(idx), val)
+
+
+def l1_lines(a: Support, b) -> Fraction:
+    """Entrywise L1 norm of A - B for the rational matrices A and B of row
+    lines a and b, or of A - b for a scalar b.  Two line sets are merged
+    position by position (lines of one position each are compared slot
+    against slot); against a scalar every slot adds |val - b| and every
+    position past the k s slots adds |b|."""
+    k = len(a.idx)
+    if isinstance(b, Support):
+        na, nb, den, bound = _over_lcm(a.val, b.val)
+        if a.idx.shape[1] == b.idx.shape[1] == 1:
+            # One position a line: two lines meet only where it is the same.
+            diff = np.where(a.idx == b.idx, np.abs(na - nb), np.abs(na) + np.abs(nb))
+        else:
+            at = np.arange(0, k * k, k)[:, None]
+            keys = np.concatenate(((a.idx + at).ravel(), (b.idx + at).ravel()))
+            order = np.argsort(keys, kind="stable")  # two sorted runs: a merge
+            start = np.flatnonzero(_real(keys[order][None, :]))
+            diff = np.add.reduceat(np.concatenate((na.ravel(), -nb.ravel()))[order], start)
+            np.abs(diff, out=diff)
+        total, _ = _int_sum(diff, bound)
+        return Fraction(int(total), den)
+    na, nb, den, bound = _over_lcm(a.val, b)
+    diff = na - nb
+    total, _ = _int_sum(np.abs(diff, out=diff), bound)
+    # A repeat holds zero, so it adds |b| as a position no line holds does.
+    return Fraction(int(total) + (k * k - na.size) * abs(nb), den)
+
+
 def mat_add(a, b, times: int = 1):
     """Entrywise a + times b, for an int times >= 0.  A float sum adds b
     times over, in turn, so its bits are those of a running sum.  A rational
@@ -597,14 +743,19 @@ def same(a, b) -> bool:
     """Whether two stored forms are one value written alike: the same
     denominator and numerators, or the same float64 bits.  The first line
     is compared before the rest: two states that differ mostly differ
-    there already."""
+    there already.  Row lines (Support) compare their values, then their
+    positions."""
+    lines = (a.idx, b.idx) if isinstance(a, Support) else None
+    if lines:
+        a, b = a.val, b.val
     if isinstance(a, Scaled):
         if a.den != b.den:
             return False
         a, b = a.num, b.num
     else:
         a, b = a.view(np.int64), b.view(np.int64)
-    return a.shape == b.shape and bool((a[:1] == b[:1]).all()) and bool((a == b).all())
+    return (a.shape == b.shape and bool((a[:1] == b[:1]).all()) and bool((a == b).all())
+            and (lines is None or lines[0] is lines[1] or np.array_equal(*lines)))
 
 
 def mat_div(a, n: int):
@@ -618,17 +769,28 @@ def marginal_defects(m, target, tol: float) -> list[str]:
     """Lines of m whose sum is not target, then negative entries.
 
     Returns 'row_sum(i)', 'col_sum(j)' and 'negative_entry(i,j)' names in
-    that order.  target is exact; tol applies to float arrays only.
+    that order.  target is exact; tol applies to float arrays only.  m is a
+    square stored form, or the row lines (Support) of a rational one, whose
+    column sums add each value at its position.
     """
-    if backend_of(m) == RATIONAL:
-        num, den = m.num, m.den
-        p, q = Fraction(target).as_integer_ratio()
+    lines = m if isinstance(m, Support) else None
+    if lines is not None or backend_of(m) == RATIONAL:
+        s = m if lines is None else lines.val
+        num, bound = s.num, s.magnitude
+        rows, row_bound = _int_sum(num, bound, 1)
+        if lines is None:
+            cols, col_bound = _int_sum(num, bound, 0)
+            negative = np.argwhere(num < 0)
+        else:
+            col_bound = _settled(num, bound, num.size) * num.size
+            cols = numerators(len(num), col_bound)
+            np.add.at(cols, lines.idx.ravel(), num.ravel())
+            line, slot = np.nonzero(num < 0)
+            negative = zip(line, lines.idx[line, slot])
         # A line sums to p/q exactly when its numerators sum to p*den/q.
-        def bad(axis):
-            sums, bound = _int_sum(num, m.magnitude, axis)
-            return _rescale(sums, q, bound) != p * den
-        bad_rows, bad_cols = bad(1), bad(0)
-        negative = np.argwhere(num < 0)
+        p, q = Fraction(target).as_integer_ratio()
+        bad_rows = _rescale(rows, q, row_bound) != p * s.den
+        bad_cols = _rescale(cols, q, col_bound) != p * s.den
     else:
         target = float(target)
         bad_rows = [abs(m[i, :].sum() - target) > tol for i in range(m.shape[0])]
@@ -657,8 +819,19 @@ def matrix_of_permutation(perm, backend: str = RATIONAL):
 def permutation_of_matrix(q):
     """Forward cell map tau with Q[a, tau(a)] = 1, or None if Q is not one:
     on both backends every row and every column must hold a single one."""
-    rows = support(q)
-    return rows.idx[:, 0] if rows.relabels and support(q.T).relabels else None
+    return permutation_of_lines(support(q))
+
+
+def permutation_of_lines(lines: Support):
+    """permutation_of_matrix of the matrix of row lines: every line holds
+    one nonzero, equal to one, and no two lines hold it at one position."""
+    num, one = _num_one(lines.val)
+    nonzero = num != 0
+    rows, slot = np.arange(len(num)), nonzero.argmax(axis=1)
+    if not ((nonzero.sum(axis=1) == 1).all() and (num[rows, slot] == one).all()):
+        return None
+    tau = lines.idx[rows, slot]
+    return tau if (np.bincount(tau, minlength=len(tau)) == 1).all() else None
 
 
 def invert_permutation(perm: np.ndarray) -> np.ndarray:

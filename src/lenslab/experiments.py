@@ -34,7 +34,9 @@ from .constructions import (
 from .couplings import (
     CouplingMatrix,
     graph_coupling,
+    graph_permutation,
     product_coupling,
+    product_distance,
     random_coupling,
     validate_coupling,
 )
@@ -298,6 +300,7 @@ class ParamSpec:
     default: str | None = None
     help: str = ""
     minimum: int = 0  # smallest accepted int, or entry of an intlist
+    horizon: str = ""  # an int parameter this int may not exceed
 
 
 def _coerce(kind: str, raw: str):
@@ -422,7 +425,8 @@ def _rng_children(seed: int, n: int) -> list[np.random.Generator]:
                   minimum=1),
         ParamSpec("n_max", "int", help="largest lens step to score"),
         ParamSpec("expect_return_at", "int", required=False,
-                  help="step where the score must return to 1", minimum=1),
+                  help="step where the score must return to 1", minimum=1,
+                  horizon="n_max"),
     ),
     series={"scores": ("n", "score")},
 )
@@ -445,9 +449,7 @@ def _run_rigidity_sweep(sys, p, backend):
         "scores_in_unit_interval": all(-tol <= s <= 1 + tol for s in scores),
     }
     if p["expect_return_at"] is not None:
-        n = p["expect_return_at"]
-        verdicts["returns_at_expected_step"] = (
-            n <= p["n_max"] and abs(scores[n] - 1) <= tol)
+        verdicts["returns_at_expected_step"] = abs(scores[p["expect_return_at"]] - 1) <= tol
     return scalars, {"scores": (range(len(scores)), scores)}, verdicts
 
 
@@ -460,7 +462,7 @@ def _run_rigidity_sweep(sys, p, backend):
     params=(
         ParamSpec("n_max", "int", help="largest power to profile"),
         ParamSpec("expect_zero_by", "int", required=False,
-                  help="step from which the residual must vanish"),
+                  help="step from which the residual must vanish", horizon="n_max"),
     ),
     series={"residuals": ("n", "residual")},
 )
@@ -481,9 +483,8 @@ def _run_mixing_profile(sys, p, backend):
                                  for r in residuals),
     }
     if p["expect_zero_by"] is not None:
-        m = p["expect_zero_by"]
-        verdicts["independent_from_expected_step"] = (
-            m <= p["n_max"] and all(r <= tol for r in residuals[m:]))
+        verdicts["independent_from_expected_step"] = all(
+            r <= tol for r in residuals[p["expect_zero_by"]:])
     return scalars, {"residuals": (range(len(residuals)), residuals)}, verdicts
 
 
@@ -692,7 +693,8 @@ def _initial_coupling(init: str, k: int, backend: str, p) -> CouplingMatrix:
                   help="'random' (needs seed), 'product', or 'graph:<perm>'"),
         ParamSpec("seed", "int", required=False, help="seed for init=random"),
         ParamSpec("expect_product_by", "int", required=False,
-                  help="step from which the orbit must sit on the product"),
+                  help="step from which the orbit must sit on the product",
+                  horizon="n_steps"),
         ParamSpec("expect_graph_orbit", "str", required=False, default="",
                   help="set to 'yes' to require every state be a graph coupling"),
     ),
@@ -706,19 +708,16 @@ def _run_one_sided_limit(sys, p, backend):
     _guard_steps(p["n_steps"], _step_cost(sys))
     tol = exact.tolerance(backend)
     c0 = _initial_coupling(p["init"], k, backend, p)
-    mass = exact.scalar(Fraction(1, k * k), backend)  # each entry of the product
     distances, on_graphs = [], graph_orbit
     for last, count in orbit(sys, c0, p["n_steps"], mode="one-sided").runs():
-        distances += [exact.l1_norm(last.matrix, mass)] * count
-        on_graphs = on_graphs and exact.permutation_of_matrix(
-            exact.scale(last.matrix, k)) is not None
+        distances += [product_distance(last)] * count
+        on_graphs = on_graphs and graph_permutation(last) is not None
     hit = next((n for n, d in enumerate(distances) if d <= tol), -1)
     scalars = {"k": k, "final_distance_to_product": distances[-1], "first_product_hit": hit}
     verdicts = {"states_stay_in_polytope": not validate_coupling(last)}
     if p["expect_product_by"] is not None:
-        m = p["expect_product_by"]
-        verdicts["product_from_expected_step"] = (
-            m <= p["n_steps"] and all(d <= tol for d in distances[m:]))
+        verdicts["product_from_expected_step"] = all(
+            d <= tol for d in distances[p["expect_product_by"]:])
     if graph_orbit:
         verdicts["orbit_stays_on_graph_couplings"] = on_graphs
     series = {"distance_to_product": (range(len(distances)), distances)}
@@ -951,6 +950,10 @@ def validate_config(cfg: ExperimentConfig) -> tuple:
         if any(v < p.minimum for v in entries):
             raise InvalidConfig(
                 f"parameter {p.name!r} must be >= {p.minimum}, got {value}")
+    for p in spec.params:  # an expectation past the horizon could never hold
+        if p.horizon and typed[p.name] is not None and typed[p.name] > typed[p.horizon]:
+            raise InvalidConfig(f"parameter {p.name!r} = {typed[p.name]} lies past "
+                                f"{p.horizon} = {typed[p.horizon]}")
     if cfg.output_dir:
         _check_output_dir(cfg.output_dir)
     if not cfg.system:

@@ -3,9 +3,11 @@
 One lens step sends C to Q^T C Q, gathered from Q's column lines on both
 axes (exact.gather).  For an exact system with forward cell map tau this
 relabels, C[i, j] -> C[tau^{-1}(i), tau^{-1}(j)], so graph couplings
-transform by conjugation: graph(s) -> graph(tau o s o tau^{-1}).  For
-stochastic Q it is the step-coupling evaluation of rho(T^{-1}A_i x
-T^{-1}A_j), k^2 s work for s nonzeros per column, and is forward-only.
+transform by conjugation: graph(s) -> graph(tau o s o tau^{-1}); the step
+relabels C's lines (exact.relabel_lines), k s work for s nonzeros a line.
+For stochastic Q it is the step-coupling evaluation of rho(T^{-1}A_i x
+T^{-1}A_j), k^2 s work for s nonzeros per column of Q, gives a dense
+coupling, and is forward-only.
 
 The one-sided map sends C to Q^T C; on graph couplings it composes:
 graph(s) -> graph(tau o s).
@@ -76,24 +78,34 @@ def _check(sys: FiniteSystem, c: CouplingMatrix):
         raise BackendMismatch("system and coupling use different backends")
 
 
+def _gathered(sys: FiniteSystem, c: CouplingMatrix, lines, inverse=None) -> CouplingMatrix:
+    """C gathered on lines of the system along axis 0, and along axis 1
+    too when the inverse lines are given: on an exact system a relabel of
+    C's lines, k s work; otherwise the dense matrix gathered, which gives
+    dense lines."""
+    _check(sys, c)
+    if sys.exact:
+        return CouplingMatrix(exact.relabel_lines(
+            c.lines, lines.idx[:, 0], None if inverse is None else inverse.idx[:, 0]))
+    return CouplingMatrix(exact.gather(c.matrix, lines, (0,) if inverse is None else (0, 1)))
+
+
 def lens_step(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
     """One application of the lens: C -> Q^T C Q."""
-    _check(sys, c)
-    return CouplingMatrix(exact.gather(c.matrix, sys.columns, (0, 1)))
+    return _gathered(sys, c, sys.columns, sys.rows)
 
 
 def lens_step_inverse(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
     """Inverse lens step Q C Q^T; defined only for exact systems."""
-    _check(sys, c)
     if not sys.exact:
+        _check(sys, c)
         raise NotExact("the stochastic lens is forward-only")
-    return CouplingMatrix(exact.gather(c.matrix, sys.rows, (0, 1)))
+    return _gathered(sys, c, sys.rows, sys.columns)
 
 
 def one_sided_step(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
     """One-sided map C -> Q^T C: first coordinate moves, second stays."""
-    _check(sys, c)
-    return CouplingMatrix(exact.gather(c.matrix, sys.columns))
+    return _gathered(sys, c, sys.columns)
 
 
 def lens_iterate(sys: FiniteSystem, c: CouplingMatrix, n: int) -> CouplingMatrix:
@@ -108,8 +120,8 @@ def lens_iterate(sys: FiniteSystem, c: CouplingMatrix, n: int) -> CouplingMatrix
 
 
 def _stored(state):
-    """The stored form of a walk's state: a coupling's matrix, or the state."""
-    return state.matrix if isinstance(state, CouplingMatrix) else state
+    """The stored form of a walk's state: a coupling's lines, or the state."""
+    return state.lines if isinstance(state, CouplingMatrix) else state
 
 
 def walk(step, start, n_steps: int, relabels: bool):
@@ -198,13 +210,13 @@ def orbit(sys: FiniteSystem, c: CouplingMatrix, n_steps: int,
     return LensOrbit(sys, c, n_steps, mode)
 
 
-def _power_sum(orb: LensOrbit, n: int):
-    """states[1] + ... + states[n] of an exact system's rational orbit, by
-    doubling on the bits of n: S_2m = S_m + lens^m S_m and S_m+1 = S_m +
-    lens^(m+1) C, where lens^m relabels by q = p^m, the m-th power of the
-    column map p (on axis 0 only in one-sided mode).  At most
-    2 bit_length(n) relabels and adds."""
-    p, c = orb.sys.columns.idx[:, 0], orb.start.matrix
+def _power_sum(orb: LensOrbit, c, n: int):
+    """states[1] + ... + states[n] of an exact system's rational orbit from
+    the matrix c of its start, by doubling on the bits of n: S_2m = S_m +
+    lens^m S_m and S_m+1 = S_m + lens^(m+1) C, where lens^m relabels by
+    q = p^m, the m-th power of the column map p (on axis 0 only in
+    one-sided mode).  At most 2 bit_length(n) relabels and adds."""
+    p = orb.sys.columns.idx[:, 0]
 
     def power(a, q):
         return exact.relabel(a, (q[:, None], q) if orb.mode == "lens" else q)
@@ -236,8 +248,9 @@ def cesaro_average(orb: LensOrbit, horizons):
         raise ValueError("cesaro_average needs 1 <= N <= n_steps")
     if orb.sys.exact and orb.start.backend == exact.RATIONAL:
         _check(orb.sys, orb.start)
+        c = orb.start.matrix
         for h in horizons:
-            yield h, CouplingMatrix(exact.mat_div(_power_sum(orb, h), h))
+            yield h, CouplingMatrix(exact.mat_div(_power_sum(orb, c, h), h))
         return
     runs = islice(orb.runs(), 1, None)
     total, summed, left = None, 0, 0  # states 1..summed are in total
@@ -263,12 +276,16 @@ def markov_commutation_residual(sys: FiniteSystem, c: CouplingMatrix):
 
     Commutation with Q is the operator form of being a self-joining.  The
     transposes Q^T C and C Q^T of C^T Q and Q C^T are gathered, and the
-    norm scaled by k.  For exact systems both relabel, and the residual is
-    k self_joining_residual; for stochastic systems it is the sharper test,
-    since the step-coupling lens spreads graph mass that the operator
-    identity preserves.
+    norm scaled by k.  For exact systems both relabel C's lines, and the
+    residual is k self_joining_residual; for stochastic systems it is the
+    sharper test, since the step-coupling lens spreads graph mass that the
+    operator identity preserves.
     """
     _check(sys, c)
+    if sys.exact:
+        qtc = exact.relabel_lines(c.lines, sys.columns.idx[:, 0])
+        ctq = exact.relabel_lines(c.lines, to=sys.columns.idx[:, 0])
+        return coupling_distance(CouplingMatrix(qtc), CouplingMatrix(ctq)) * c.k
     m = c.matrix
     return exact.l1_norm(exact.gather(m, sys.columns), exact.gather(m, sys.rows, (1,))) * c.k
 

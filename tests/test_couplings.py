@@ -13,11 +13,17 @@ from lenslab import (
     NeighborhoodSpec,
     NotRepairable,
     coupling_distance,
+    detect_period,
     graph_coupling,
+    graph_permutation,
     in_neighborhood,
+    lens_step_inverse,
     lift_coupling,
+    markov_commutation_residual,
+    one_sided_step,
     parse_system_spec,
     product_coupling,
+    product_distance,
     random_coupling,
     repair_to_polytope,
     restrict_coupling,
@@ -263,3 +269,134 @@ def test_permutation_diagonal_neighborhood_is_strict_on_both_backends(backend):
         spec = NeighborhoodSpec(kind="permutation-diagonal", epsilon=eps, eta=sigma)
         assert in_neighborhood(c2, spec) is inside
         assert in_neighborhood(c, spec) is True
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: graph_coupling([1.5, 0]), "sigma must have integer entries"),
+    (lambda: product_coupling(0), "k must be positive"),
+    (lambda: graph_coupling([]), "k must be positive"),
+    (lambda: random_coupling(-1, np.random.default_rng(0)), "k must be positive"),
+    (lambda: in_neighborhood(graph_coupling([1, 0]), NeighborhoodSpec(
+        kind="permutation-diagonal", epsilon=Fraction(1, 10), eta=[0, 5])),
+     "eta must be a permutation"),
+    (lambda: in_neighborhood(graph_coupling([1, 0]), NeighborhoodSpec(
+        kind="permutation-diagonal", epsilon=Fraction(1, 10), eta=[0, 0])),
+     "eta must be a permutation"),
+], ids=["fractional-map", "product-k0", "empty-graph", "random-negative-k",
+        "eta-off-the-cells", "eta-repeating-a-cell"])
+def test_coupling_constructors_refuse_what_is_no_coupling(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_graph_permutation_inverts_graph_coupling():
+    sigma = np.array([3, 0, 4, 1, 2])
+    for backend in (exact.RATIONAL, exact.FLOAT):
+        assert list(graph_permutation(graph_coupling(sigma, backend))) == list(sigma)
+        assert graph_permutation(product_coupling(5, backend)) is None
+        assert graph_permutation(random_coupling(5, np.random.default_rng(1), backend)) is None
+
+
+def test_graph_and_random_couplings_are_lines_not_arrays():
+    """A graph coupling holds one value a line and a random one at most
+    six; a dense matrix is the line set of width k, its stored form."""
+    rng = np.random.default_rng(7)
+    assert graph_coupling(rng.permutation(4096)).lines.idx.shape == (4096, 1)
+    assert random_coupling(4096, rng).lines.idx.shape[1] <= 6
+    product = product_coupling(3)
+    assert exact.is_dense(product.lines) and product.matrix is product.lines.val
+
+
+#
+# Couplings as lines: every line kernel against the dense oracle, today's
+# code on the matrix.
+#
+
+def _canonical(c):
+    """Lines of width k are the dense lines; narrower ones ascend, with the
+    repeats of a shorter line last and zero."""
+    idx, val = c.lines.idx, c.lines.val
+    if idx.shape[1] == c.k:
+        return exact.is_dense(c.lines)
+    num = val.num if isinstance(val, exact.Scaled) else val
+    step = np.diff(idx, axis=1)
+    repeat = step == 0
+    return bool((idx >= 0).all() and (step >= 0).all() and (num[:, 1:][repeat] == 0).all()
+                and (np.diff(repeat.astype(int), axis=1) >= 0).all())
+
+
+def _dented(c, rng):
+    """c's lines with mass moved between two positions of one line, which
+    breaks two column sums and may leave a negative entry, or, on a line
+    with one position, with that value raised, which breaks its row too."""
+    idx, val = c.lines.idx, c.lines.val
+    rational = isinstance(val, exact.Scaled)
+    num = np.array(val.num if rational else val)
+    i = int(rng.integers(c.k))
+    own = np.flatnonzero(np.r_[True, idx[i, 1:] != idx[i, :-1]])
+    t, u = rng.choice(own, 2) if len(own) > 1 else (own[0], None)
+    shift = int(rng.integers(1, 4)) if rational else rng.integers(1, 4) / (2 * c.k * c.k)
+    num[i, t] -= shift
+    if u is not None:
+        num[i, u] += shift
+    val = exact.from_scaled(num, val.den) if rational else exact.freeze(num)
+    return CouplingMatrix(exact.Support(idx, val))
+
+
+def _period_oracle(sys, c, maxp):
+    """detect_period by dense lens steps, one residual per step."""
+    m, state, residuals = c.matrix, c.matrix, {}
+    for p in range(1, maxp + 1):
+        state = exact.gather(state, sys.columns, (0, 1))
+        residuals[p] = exact.l1_norm(state, m)
+    tol = exact.tolerance(c.backend, exact.SOLVER_TOL)
+    return next((p for p, r in residuals.items() if r <= tol), None), residuals
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(zoo_specs(), st.integers(0, 2**32 - 1))
+def test_line_kernels_match_the_dense_oracle(spec, seed):
+    """Graph, random, product and Cesaro couplings, and their images: the
+    lens steps relabel lines into canonical lines of the oracle's matrix;
+    distances, the distance to the product, validation (also of lines with
+    broken marginals and negative entries), same, w^T C w, the commutation
+    residual and detect_period agree with the oracle on the matrix, exactly
+    on rationals and bit for bit on floats (w^T C w, which floats read off
+    the matrix, on rationals only)."""
+    for backend in (exact.RATIONAL, exact.FLOAT):
+        sys = parse_system_spec(spec, backend)
+        k, rng = sys.k, np.random.default_rng(seed)
+        start = random_coupling(k, rng, backend=backend)
+        couplings = [graph_coupling(rng.permutation(k), backend), start,
+                     product_coupling(k, backend),
+                     dict(cesaro_average(orbit(sys, start, 3), [3]))[3]]
+        images = []
+        for c in couplings:
+            assert _canonical(c)
+            m = c.matrix
+            steps = [(lens_step(sys, c), exact.gather(m, sys.columns, (0, 1))),
+                     (one_sided_step(sys, c), exact.gather(m, sys.columns))]
+            if sys.exact:
+                steps.append((lens_step_inverse(sys, c), exact.gather(m, sys.rows, (0, 1))))
+                assert exact.same(lens_step_inverse(sys, steps[0][0]).lines, c.lines)
+            for got, want in steps:
+                assert _canonical(got) and exact.same(got.matrix, want)
+                if got.lines.idx.shape == c.lines.idx.shape:
+                    assert exact.same(got.lines, c.lines) == exact.same(want, m)
+                images.append(got)
+            mass = exact.scalar(Fraction(1, k * k), backend)
+            assert product_distance(c) == exact.l1_norm(m, mass)
+            if backend == exact.RATIONAL:
+                w = exact.from_scaled(rng.integers(0, 3, k), 1)
+                assert exact.quadratic_form(w, c.lines) == exact.quadratic_form(w, m)
+            oracle = exact.l1_norm(exact.gather(m, sys.columns),
+                                   exact.gather(m, sys.rows, (1,))) * k
+            assert markov_commutation_residual(sys, c) == oracle
+            report = detect_period(sys, c, 5)
+            assert (report.period, report.residual_by_p) == _period_oracle(sys, c, 5)
+        for c in couplings + images + [_dented(c, rng) for c in couplings]:
+            assert validate_coupling(c) == exact.marginal_defects(
+                c.matrix, Fraction(1, k), exact.FLOAT_TOL)
+        for a in couplings + images:
+            for b in couplings:
+                assert coupling_distance(a, b) == exact.l1_norm(a.matrix, b.matrix)

@@ -531,6 +531,31 @@ def test_cli_rejects_known_bad_overrides_as_config_errors(name, override, capsys
         assert err.startswith("config error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name, override, message", [
+    ("one-sided-limit", "n_steps=0", "'expect_product_by' = 4 lies past n_steps = 0"),
+    ("mixing-profile", "expect_zero_by=5", "'expect_zero_by' = 5 lies past n_max = 4"),
+    ("rigidity-sweep", "expect_return_at=7", "'expect_return_at' = 7 lies past n_max = 6"),
+])
+def test_an_expectation_past_the_horizon_is_refused_before_the_first_step(
+        name, override, message, monkeypatch, capsys):
+    """A verdict expected after the last step could never hold: run and
+    validate both refuse it as a config error, and the runner is not
+    called.  At the horizon itself the shipped run goes ahead."""
+    ran = []
+    spec = REGISTRY[name]
+    monkeypatch.setitem(REGISTRY, name, dataclasses.replace(
+        spec, runner=lambda *args: ran.append(args)))
+    for command in ("run", "validate"):
+        code, err = _run_override(name, override, capsys, command)
+        assert code == 2, command
+        assert err == f"config error: parameter {message}\n"
+    assert not ran
+    monkeypatch.setitem(REGISTRY, name, spec)
+    horizon = {"one-sided-limit": "n_steps=4", "mixing-profile": "expect_zero_by=4",
+               "rigidity-sweep": "expect_return_at=6"}[name]
+    assert _run_override(name, horizon, capsys) == (0, "")
+
+
 def test_odometer_level_zero_is_a_config_error_with_any_pi(capsys):
     # pi=0 permutes the one low-digit value, so only m is out of range.
     for command in ("run", "validate"):
@@ -819,3 +844,40 @@ def test_every_traced_layer_name_resolves(monkeypatch):
         module = importlib.import_module(f"lenslab.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def test_a_random_one_sided_orbit_stays_below_one_dense_array():
+    """one-sided-limit on rot:k=256 from a random start relabels the lines
+    of a coupling with at most six nonzeros a line; one k x k int64 array
+    would take 512 KB, and the whole run, reading included, stays below
+    half of that."""
+    cfg = ExperimentConfig(experiment="one-sided-limit", system="rot:k=256,s=5",
+                           parameters={"n_steps": "8", "init": "random", "seed": "9"})
+    run_experiment(cfg, write=False)  # imports and first-call caches
+    tracemalloc.start()
+    try:
+        report = run_experiment(cfg, write=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 256 * 2**10
+
+
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(experiment="periodic-commuters",
+                     parameters={"family": "odometer", "m": "12", "pi": "1,0,3,2"}),
+    ExperimentConfig(experiment="one-sided-limit", system="rot:k=4096,s=1",
+                     parameters={"n_steps": "8", "init": "random", "seed": "9"}),
+], ids=["periodic-commuters-m12", "one-sided-limit-k4096"])
+def test_graph_and_random_couplings_at_k_4096_take_no_dense_array(cfg):
+    """Both runs work on couplings with one to six nonzeros a line; one
+    4096 x 4096 int64 array would take 128 MB."""
+    tracemalloc.start()
+    try:
+        report = run_experiment(cfg, write=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert report.duration_seconds < 1 and peak < 16 * 2**20
