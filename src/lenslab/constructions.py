@@ -104,9 +104,9 @@ def random_rational_target(k: int, L: int, rng: np.random.Generator) -> Rational
     if L % k != 0:
         raise InfeasibleTarget("k must divide L")
     m = exact.numerators((k, k))
-    for _ in range(L // k):
-        sigma = rng.permutation(k)
-        m[sigma, np.arange(k)] += 1
+    # Row r of sigma is the r-th draw: rng.permutation(k), in one call.
+    sigma = rng.permuted(np.tile(np.arange(k), (L // k, 1)), axis=1)
+    m += np.bincount((sigma * k + np.arange(k)).ravel(), minlength=k * k).reshape(k, k)
     return RationalTarget(L=L, m=m)
 
 
@@ -130,7 +130,7 @@ def realize_coupling_as_iet(target: RationalTarget) -> IETSpec:
     lengths = counts.ravel()
     run_start = np.cumsum(lengths) - lengths
     perm = np.repeat(dest_start.ravel() - run_start, lengths) + np.arange(total)
-    return IETSpec(permutation=tuple(perm.tolist()))
+    return IETSpec(permutation=perm)
 
 
 def density_gap(c: CouplingMatrix, L: int) -> tuple[RationalTarget, Fraction]:

@@ -885,6 +885,10 @@ def exact_nullspace(a) -> list[Scaled]:
     space.  Returns one Scaled vector per free column: 1 there, and minus
     the reduced row's entry over its pivot at each pivot column.  Rows stay
     Python ints, each divided by its gcd to keep magnitudes tame.
+
+    Nothing in the library calls it: lens.fixed_point_space reads the same
+    basis off a spanning tree.  It stays as the oracle that the tests check
+    that basis against, and as a layer perfbench/tracing.py names.
     """
     if isinstance(a, Scaled):
         a = a.num

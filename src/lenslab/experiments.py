@@ -59,9 +59,7 @@ from .zoo import (
     group_rotation_conjugation,
     odometer_system,
     parse_system_spec,
-    skew_Tbar_conjugation,
-    skew_torus_restriction,
-    skew_W_step,
+    skew_orbit,
 )
 
 __all__ = [
@@ -256,13 +254,17 @@ def value_str(x) -> str:
 
 
 def _distinct(keys: np.ndarray) -> tuple:
-    """np.unique(keys, return_inverse=True) for a 1-d array.  Nonnegative
-    integers below len(keys) are counted instead of sorted: one bincount,
-    and the rank of each key among the keys present."""
-    if keys.dtype.kind in "iu" and keys.size and keys.min() >= 0 and keys.max() < keys.size:
-        present = np.bincount(keys.astype(np.intp, copy=False)) > 0
-        rank = np.cumsum(present) - 1
-        return np.flatnonzero(present).astype(keys.dtype), rank[keys]
+    """np.unique(keys, return_inverse=True) for a 1-d array.  Integers that
+    span fewer values than there are keys are counted instead of sorted:
+    shifted by the least, one bincount, and the rank of each key among the
+    keys present."""
+    if keys.dtype.kind in "iu" and keys.size:
+        low = keys.min()
+        if int(keys.max()) - int(low) < keys.size:  # as Python ints: no wrap
+            offset = (keys - low).astype(np.intp, copy=False)
+            present = np.bincount(offset) > 0
+            rank = np.cumsum(present) - 1
+            return np.flatnonzero(present).astype(keys.dtype) + low, rank[offset]
     return np.unique(keys, return_inverse=True)
 
 
@@ -775,24 +777,19 @@ def _run_skew_orbit(skew, p, backend):
     start = p["start"]
     if len(start) != 3:
         raise InvalidConfig("start must have three coordinates")
-    # A step conjugates 64 sample points as integer numerators: 0.15 ms with
-    # int64 ones and 0.3 ms with 2^200 denominators (2-core machine), up to
-    # 4 steps of the Python floor, and charged as 4.
+    # A step conjugates 64 sample points; charged as 4 steps of the Python
+    # floor, the cost of one point's check (0.15-0.3 ms) when each point
+    # was conjugated on its own.
     _guard_steps(p["N"], 4 * SIZE_LIMIT)
-    point = tuple(Fraction(x) % 1 for x in start)
-    points = [point]
-    for _ in range(p["N"]):
-        point = skew_W_step(point)
-        points.append(point)
-    ret = next((n for n in range(1, len(points)) if points[n] == points[0]), -1)
-    scalars = {"alpha": Fraction(skew.alpha), "return_step": ret}
+    num, den, conjugated, restricted = skew_orbit(start, skew.alpha, p["N"])
+    back = np.flatnonzero((num[1:] == num[0]).all(axis=1))
+    scalars = {"alpha": Fraction(skew.alpha),
+               "return_step": int(back[0]) + 1 if back.size else -1}
     verdicts = {
-        "conjugation_matches_skew_step": all(
-            skew_Tbar_conjugation(t, skew.alpha) == skew_W_step(t) for t in points),
-        "torus_restriction_is_affine_map": all(
-            skew_torus_restriction(t[0], t[1:]) == skew_W_step(t)[1:] for t in points),
+        "conjugation_matches_skew_step": conjugated.all(),
+        "torus_restriction_is_affine_map": restricted.all(),
     }
-    return scalars, {"orbit": (range(len(points)), *zip(*points))}, verdicts
+    return scalars, {"orbit": (range(len(num)), *(exact.from_scaled(x, den) for x in num.T))}, verdicts
 
 
 @_experiment(
@@ -814,8 +811,7 @@ def _run_iet_realize(_, p, backend):
     target = random_rational_target(k, L, _rng_children(p["seed"], 1)[0])
     spec = realize_coupling_as_iet(target)
     # Subinterval u of cell u // L lands in cell image // L.
-    image = np.asarray(spec.permutation)
-    counts = np.bincount(image // L * k + np.arange(k * L) // L,
+    counts = np.bincount(spec.image // L * k + np.arange(k * L) // L,
                          minlength=k * k).reshape(k, k)
     induced_ok = bool(np.array_equal(counts, np.asarray(target.m) * k))
     i, j = np.divmod(np.arange(k * k), k)
@@ -935,14 +931,12 @@ def validate_config(cfg: ExperimentConfig) -> tuple:
                 f"expected: {expected}")
     typed = {}
     for p in spec.params:
-        if p.name in cfg.parameters:
-            raw = cfg.parameters[p.name]
-        elif p.default is not None:
-            raw = p.default
-        elif p.required:
-            raise InvalidConfig(
-                f"experiment {spec.name!r} needs parameter {p.name!r} ({p.help})")
-        else:
+        raw = cfg.parameters.get(p.name, p.default)
+        # Absent, or empty where no default would stand in: unset.
+        if raw is None or raw == "" and p.default is None and not p.required:
+            if p.required:
+                raise InvalidConfig(
+                    f"experiment {spec.name!r} needs parameter {p.name!r} ({p.help})")
             typed[p.name] = None
             continue
         typed[p.name] = value = _coerce(p.kind, raw)

@@ -66,10 +66,6 @@ __all__ = [
 # their report written (rot:k=128,s=1).
 FIXED_SPACE_BUDGET = 2**21
 
-# Entry updates of the integer elimination per basis cell of budget, from
-# the slow end of the same machine: 26-44 ns an update (rot:k=32..64,s=0).
-_UPDATES_PER_CELL = 64
-
 
 def _check(sys: FiniteSystem, c: CouplingMatrix):
     if sys.k != c.k:
@@ -363,30 +359,59 @@ def fixed_point_space(sys: FiniteSystem) -> FixedPointSpace:
     contraction X -> Q^T X Q is constant on blocks of class pairs, equal on
     (c, d) and (step[c], step[d]).  Only the marginals remain: one row sum
     and one column sum per class.  Float bases are rounded exact ones.
+
+    Those sums are the weighted incidence matrix of a bipartite graph.  Its
+    vertices are the cycles of step (components) on the row side and on the
+    column side, and each orbit of class pairs is an edge: an orbit between
+    A and B, of g = gcd(|A|, |B|) such orbits (|.| counting classes), puts
+    n_B / g in A's row sums and n_A / g in B's column sums (n counting
+    cells).  So the reduced row echelon form pivots on the greedy spanning
+    forest in orbit order, a double star: the first orbit between A0 (the
+    component of class 0) and each B, and the first between each other A
+    and B0.  The basis vector of a free orbit, 1 there and 0 at every other
+    free orbit, lies on its fundamental cycle A, B, A0, B0, of at most four
+    orbits, where x_e n_A n_B / g_e alternates in sign: the spanning-tree
+    basis of the transportation problem (Dantzig 1951).
     """
     k, backend = sys.k, sys.backend
     cls, step = _cyclic_classes(sys)
     m = len(step)
     _guard_cost("class pairs", m * m)
     label = _pair_orbit_labels(step, m)
-    n_orbits = label.max() + 1
-    # a[c, t]: cells of orbit t in each row of class c; a[m + d, t] columns.
-    size = np.bincount(cls, minlength=m)
-    c, d = np.divmod(np.arange(m * m), m)
-    a = np.zeros((2 * m, n_orbits), dtype=int)
-    np.add.at(a, (c, label), size[d])
-    np.add.at(a, (m + d, label), size[c])
-    # The rank is at most the number of distinct rows: each pivot updates at
-    # most a.size entries, and at least n_orbits - rank directions remain.
-    rank_bound = min(len({row.tobytes() for row in a}), n_orbits)
-    _guard_cost("elimination", a.size * rank_bound // _UPDATES_PER_CELL
-                + (n_orbits - rank_bound) * k * k)
-    null = exact.exact_nullspace(a)
-    _guard_cost("basis cells", len(null) * k * k)
-    cell_orbit = label[cls[:, None] * m + cls[None, :]] if null else None
+    n_orbits = int(label.max()) + 1
+    # A component by its smallest class, so class 0 stands for A0 and B0.
+    root = exact.cycle_min(step)
+    roots = np.flatnonzero(root == np.arange(m))
+    n_free = n_orbits - (2 * len(roots) - 1)
+    _guard_cost("basis cells", n_free * k * k)
+    if not n_free:
+        return FixedPointSpace(basis=())
+    classes, cells = np.bincount(root, minlength=m), np.bincount(root[cls], minlength=m)
+    # The row and column components of each orbit, the same for each of its pairs.
+    row, col = np.empty(n_orbits, dtype=int), np.empty(n_orbits, dtype=int)
+    row[label], col[label] = np.repeat(root, m), np.tile(root, m)
+    # The tree: orbit label[b] joins A0 to B, label[a m] joins A to B0.
+    tree = np.zeros(n_orbits, dtype=bool)
+    tree[label[roots]] = tree[label[roots * m]] = True
+    free = np.flatnonzero(~tree)
+    a, b = row[free], col[free]
+    n0, gab = cells[0], np.gcd(classes[a], classes[b])
+    cycle = np.stack([free, label[a * m], np.zeros_like(free), label[b]], axis=1)
+    # Orbit e of the cycle, between A and B, takes +-g_e / (n_A n_B), times
+    # n_a n_b n0^2 to make integers below 2^36.  Where a or b is 0, two tree
+    # orbits are one and their terms cancel.
+    weight = np.stack([gab * n0 * n0,
+                       -np.gcd(classes[a], classes[0]) * n0 * cells[b],
+                       classes[0] * cells[a] * cells[b],
+                       -np.gcd(classes[0], classes[b]) * cells[a] * n0], axis=1)
+    vec, at = np.zeros((n_free, n_orbits), dtype=np.int64), (np.arange(n_free)[:, None], cycle)
+    np.add.at(vec, at, weight)
+    summed = vec[at]  # a repeated orbit reads its one sum
+    vec[at] = summed // np.gcd.reduce(summed, axis=1)[:, None]
+    den = vec[np.arange(n_free), free].tolist()  # positive: x = 1 at the free orbit
+    spread = np.take(vec, label[cls[:, None] * m + cls[None, :]], axis=1)  # C order
     return FixedPointSpace(basis=tuple(
-        exact.stored(exact.from_scaled(vec.num[cell_orbit], vec.den, backend))
-        for vec in null))
+        exact.stored(exact.from_scaled(num, d, backend)) for num, d in zip(spread, den)))
 
 
 @dataclass(frozen=True)

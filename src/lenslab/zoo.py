@@ -14,7 +14,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import product as iter_product
@@ -39,6 +39,7 @@ __all__ = [
     "skew_W_step",
     "skew_Tbar_conjugation",
     "skew_torus_restriction",
+    "skew_orbit",
     "group_elements",
     "group_automorphism_check",
     "group_rotation_conjugation",
@@ -88,13 +89,26 @@ def bernoulli_system(d: int, L: int, backend: str = exact.RATIONAL) -> FiniteSys
 @dataclass(frozen=True, eq=False)
 class IETSpec:
     """Interval exchange on n_intervals = len(permutation) equal intervals:
-    interval u moves to slot permutation[u] by translation."""
+    interval u moves to slot permutation[u] by translation.
+
+    permutation is given as any sequence of integers and kept as a tuple of
+    Python ints; image holds the same map as a read-only index array,
+    checked once to be a bijection (one bincount)."""
 
     permutation: tuple[int, ...]
+    image: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if sorted(self.permutation) != list(range(self.n_intervals)):
+        image = np.asarray(self.permutation)
+        n = image.size
+        if image.ndim != 1 or n and image.dtype.kind not in "iu":
+            raise ValueError("permutation must be a sequence of integers")
+        image = image.astype(np.intp)
+        if n and not (image.min() >= 0 and image.max() < n
+                      and (np.bincount(image, minlength=n) == 1).all()):
             raise ValueError("permutation must be a bijection on the intervals")
+        object.__setattr__(self, "image", exact.freeze(image))
+        object.__setattr__(self, "permutation", tuple(image.tolist()))
 
     @property
     def n_intervals(self) -> int:
@@ -105,8 +119,7 @@ def iet_system(spec: IETSpec, backend: str = exact.RATIONAL) -> FiniteSystem:
     if spec.n_intervals > SIZE_LIMIT:
         raise SizeGuard(
             f"interval exchange on {spec.n_intervals} intervals > {SIZE_LIMIT}")
-    return system_from_permutation(np.asarray(spec.permutation, dtype=int),
-                                   backend=backend)
+    return system_from_permutation(spec.image, backend=backend)
 
 
 #
@@ -120,15 +133,40 @@ def torus_point(*coords) -> TorusPoint:
     return tuple(Fraction(c) % 1 for c in coords)
 
 
-def skew_W_step(p: TorusPoint) -> TorusPoint:
-    """One step of W(a, b, c) = (a, a+b, a+b+c) on the rational 3-torus."""
-    a, b, c = p
-    return torus_point(a, a + b, a + b + c)
-
-
-# Numerators below this bound keep every sum of three, and so every
-# intermediate of the maps below, inside int64.
+# A denominator below this bound keeps every intermediate of the maps below
+# (a sum of three numerators, or W^n at n <= steps once den is charged
+# (steps + 1)^2) inside int64.
 _SKEW_INT64_BOUND = 2**62 // 4
+
+
+def _torus_row(point, *dens, steps: int = 0) -> tuple[np.ndarray, int]:
+    """A point of the torus as a (1, len) row of integer numerators in
+    [0, den), den the lcm of its denominators and of dens: int64 while
+    den (steps + 1)^2, which bounds W^n for n <= steps, stays below
+    _SKEW_INT64_BOUND, Python ints past it."""
+    point = torus_point(*point)
+    den = math.lcm(*dens, *(x.denominator for x in point))
+    dtype = np.int64 if den * (steps + 1) ** 2 < _SKEW_INT64_BOUND else object
+    return np.array([[x.numerator * (den // x.denominator) for x in point]], dtype=dtype), den
+
+
+def _point(row: np.ndarray, den: int) -> TorusPoint:
+    return tuple(Fraction(int(x), den) for x in row)
+
+
+def _w_power(num: np.ndarray, den: int, n) -> np.ndarray:
+    """W^n(a, b, c) = (a, b + n a, c + n b + n(n+1)/2 a) on rows of
+    numerators over den, for one n or an n per row."""
+    a, b, c = num.T
+    return np.stack(np.broadcast_arrays(a, b + n * a, c + n * b + n * (n + 1) // 2 * a),
+                    axis=1) % den
+
+
+def _restriction(num: np.ndarray, den: int) -> np.ndarray:
+    """W on the invariant torus {first coordinate = a} of each row (a, b,
+    c): the affine map (b, c) -> (b + a, b + c + a)."""
+    a, b, c = num.T
+    return np.stack([b + a, b + c + a], axis=1) % den
 
 
 def _tbar(num: np.ndarray, a, den: int) -> np.ndarray:
@@ -150,6 +188,32 @@ def _sample_grid() -> np.ndarray:
     return exact.freeze(np.array(list(iter_product(grid, repeat=3)), dtype=np.int64))
 
 
+def _translations(t: np.ndarray, a, den: int) -> np.ndarray:
+    """The translation vector of Tbar o S_t o Tbar^{-1} for each row t of
+    numerators over den (den a multiple of 105), alpha = a / den.
+
+    The maps are composed on the 64 sample points, for a block of about
+    2^14 (t, sample point) rows at once; ArithmeticError unless every
+    composite moves its sample points by one vector."""
+    p = _sample_grid().astype(t.dtype) * (den // 105)
+    pulled = _tbar_inv(p, a, den)
+    out, rows = np.empty_like(t), max(1, 2**14 // len(p))
+    for b in range(0, len(t), rows):
+        block = t[b:b + rows, None, :]
+        q = _tbar(((pulled + block) % den).reshape(-1, 3), a, den).reshape(len(block), len(p), 3)
+        delta = (q - p) % den
+        if not (delta == delta[:, :1]).all():
+            raise ArithmeticError("composite is not a single translation")
+        out[b:b + rows] = delta[:, 0]
+    return out
+
+
+def skew_W_step(p: TorusPoint) -> TorusPoint:
+    """One step of W(a, b, c) = (a, a+b, a+b+c) on the rational 3-torus."""
+    num, den = _torus_row(p, steps=1)
+    return _point(_w_power(num, den, 1)[0], den)
+
+
 def skew_Tbar_conjugation(t: TorusPoint, alpha) -> TorusPoint:
     """Translation vector of Tbar o S_t o Tbar^{-1} where S_t adds t.
 
@@ -161,25 +225,41 @@ def skew_Tbar_conjugation(t: TorusPoint, alpha) -> TorusPoint:
     intermediate can overflow and Python ints past that.
     """
     alpha = Fraction(alpha)
-    t = torus_point(*t)
-    den = math.lcm(105, alpha.denominator, *(ti.denominator for ti in t))
-    dtype = np.int64 if den < _SKEW_INT64_BOUND else object
-    p = _sample_grid().astype(dtype) * (den // 105)
+    num, den = _torus_row(t, 105, alpha.denominator)
     a = alpha.numerator * (den // alpha.denominator) % den
-    shift = np.array([ti.numerator * (den // ti.denominator) for ti in t], dtype=dtype)
-    q = _tbar((_tbar_inv(p, a, den) + shift) % den, a, den)
-    delta = (q - p) % den
-    if not np.all(delta == delta[0]):
-        raise ArithmeticError("composite is not a single translation")
-    return tuple(Fraction(int(d), den) for d in delta[0])
+    return _point(_translations(num, a, den)[0], den)
 
 
 def skew_torus_restriction(a, p2d: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
     """W restricted to the invariant torus {first coordinate = a}: the
     affine map (b, c) -> (b + a, b + c + a)."""
-    a = Fraction(a)
-    b, c = (Fraction(x) for x in p2d)
-    return (b + a) % 1, (b + c + a) % 1
+    num, den = _torus_row((a, *p2d))
+    return _point(_restriction(num, den)[0], den)
+
+
+def skew_orbit(start, alpha, n_steps: int):
+    """The orbit t_n = W^n(start), n = 0 .. n_steps, with the pointwise
+    checks of skew_Tbar_conjugation and skew_torus_restriction on each of
+    its points, taken on all of them at once.
+
+    Returns (num, den, conjugated, restricted).  num holds the points as
+    rows of integer numerators over den, the lcm of 105 and of alpha's and
+    the start's denominators, read off the closed form of W^n: int64 while
+    den (n_steps + 1)^2 stays below _SKEW_INT64_BOUND, Python ints past it.
+    conjugated marks the points t where Tbar o S_t o Tbar^{-1} is the
+    translation by W(t), and restricted those where W on the invariant
+    torus of t's first coordinate moves (b, c) as W moves t; a composite
+    that is not one translation raises ArithmeticError, as
+    skew_Tbar_conjugation does.
+    """
+    alpha = Fraction(alpha)
+    start, den = _torus_row(start, 105, alpha.denominator, steps=n_steps)
+    a = alpha.numerator * (den // alpha.denominator) % den
+    num = _w_power(start, den, np.arange(n_steps + 1).astype(start.dtype))
+    stepped = _w_power(num, den, 1)
+    conjugated = (_translations(num, a, den) == stepped).all(axis=1)
+    restricted = (_restriction(num, den) == stepped[:, 1:]).all(axis=1)
+    return num, den, conjugated, restricted
 
 
 #

@@ -92,6 +92,19 @@ def test_random_rational_targets_are_always_valid():
         random_rational_target(3, 10, rng)
 
 
+@pytest.mark.parametrize("k, L", [(1, 1), (1, 7), (3, 9), (5, 40), (8, 256), (64, 64)])
+def test_random_rational_target_draws_as_one_permutation_at_a_time(k, L):
+    """The L/k permutations drawn in one call are the ones drawn one at a
+    time, and leave the generator where those draws leave it."""
+    for seed in range(5):
+        rng, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        m = np.zeros((k, k), dtype=int)
+        for _ in range(L // k):
+            m[loop.permutation(k), np.arange(k)] += 1
+        assert np.array_equal(random_rational_target(k, L, rng).m, m)
+        assert rng.integers(2**62) == loop.integers(2**62)
+
+
 #
 # Interval-exchange realization.
 #

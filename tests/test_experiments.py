@@ -321,6 +321,18 @@ def test_cli_set_overrides_flip_the_outcome(tmp_path):
     assert cli_main(["run", path, "--set", "expect_return_at=6"]) == 0
 
 
+def test_cli_empty_value_unsets_an_optional_int_but_not_a_required_one(capsys):
+    shipped = str(CONFIGS / "one-sided-limit.cfg")
+    assert cli_main(["run", shipped, "--set", "output_dir=", "--set", "expect_product_by="]) == 0
+    out = capsys.readouterr().out
+    assert "verdict product_from_expected_step" not in out
+    assert cli_main(["run", shipped, "--set", "output_dir="]) == 0
+    assert "verdict product_from_expected_step: pass" in capsys.readouterr().out
+    assert cli_main(["run", shipped, "--set", "output_dir=", "--set", "n_steps="]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot parse value '' as int") and err.count("\n") == 1
+
+
 def test_cli_unknown_experiment_exits_two(tmp_path, capsys):
     path = write_config(tmp_path, "unknown.cfg", "experiment = warp-drive\n")
     assert cli_main(["run", path]) == 2
@@ -642,7 +654,7 @@ BOUNDARY_VALUES = {
     for p in spec.params for value in BOUNDARY_VALUES[p.kind]
 ])
 def test_cli_int_parameter_boundaries_exit_honestly(name, param, value, capsys):
-    minimum = REGISTRY[name].param_map()[param].minimum
+    spec = REGISTRY[name].param_map()[param]
     start = time.perf_counter()
     code, err = _run_override(name, f"{param}={value}", capsys)
     elapsed = time.perf_counter() - start
@@ -651,7 +663,10 @@ def test_cli_int_parameter_boundaries_exit_honestly(name, param, value, capsys):
         # config check or a guard, at once.
         assert code in (0, 1, 2, 3)
         assert elapsed < 1
-    elif value == "" or int(value) < minimum:
+    elif value == "" and not spec.required and spec.default is None:
+        # An empty value unsets the parameter; the run goes on without it.
+        assert code in (0, 1, 2)
+    elif value == "" or int(value) < spec.minimum:
         assert code == 2
     else:
         # The run may legitimately fail a verdict, or a runner may refuse

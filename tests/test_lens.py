@@ -241,23 +241,42 @@ def test_fixed_space_matches_the_kronecker_oracle(q):
 def test_fixed_space_guard_refuses_before_the_work():
     with pytest.raises(SizeGuard, match="class pairs"):
         fixed_point_space(rotation_system(4096, 1))
-    with pytest.raises(SizeGuard, match="elimination"):
+    # 64 one-cell cycles: 4096 pair orbits, a tree of 127, so 3969
+    # directions of 64**2 cells.
+    with pytest.raises(SizeGuard, match="basis cells"):
         fixed_point_space(rotation_system(64, 0))
     assert fixed_point_space(bernoulli_system(2, 12)).dimension == 0
-    # One cycle: rank 1, so the elimination charges 256 * 128 // 64 updates
-    # and 126 * 128**2 basis cells, just under the budget; 127 directions.
+    # One cycle: 128 pair orbits, a tree of one, so 127 * 128**2 basis
+    # cells, just under the budget.
     assert fixed_point_space(rotation_system(128, 1)).dimension == 127
 
 
-def test_fixed_space_guard_admits_the_elimination_at_the_budget(monkeypatch):
-    # rot:k=8,s=0: 64 pair orbits and 16 distinct constraint rows, so the
-    # elimination charges 16 * 64 * 16 updates and 48 * 64 basis cells.
-    cost = 16 * 64 * 16 // lens._UPDATES_PER_CELL + 48 * 64
-    monkeypatch.setattr(lens, "FIXED_SPACE_BUDGET", cost)
-    assert fixed_point_space(rotation_system(8, 0)).dimension == 49
-    monkeypatch.setattr(lens, "FIXED_SPACE_BUDGET", cost - 1)
-    with pytest.raises(SizeGuard, match="elimination"):
-        fixed_point_space(rotation_system(8, 0))
+def test_fixed_space_guard_admits_the_basis_cells_at_the_budget():
+    # rot:k=n,s=0: n one-cell cycles, n**2 pair orbits and a tree of 2n - 1,
+    # so (n - 1)**2 directions of n**2 cells: 1369 * 1444 <= 2**21 at n = 38,
+    # 1444 * 1521 > 2**21 at n = 39.
+    assert lens.FIXED_SPACE_BUDGET == 2**21
+    assert fixed_point_space(rotation_system(38, 0)).dimension == 37**2
+    with pytest.raises(SizeGuard, match="basis cells"):
+        fixed_point_space(rotation_system(39, 0))
+
+
+def _elimination_basis(sys):
+    """The fixed-point basis by elimination, the oracle: the row and column
+    sums of each class on the orbits of class pairs (a[c, t] the cells of
+    orbit t in a row of class c, a[m + d, t] in a column of class d), solved
+    by exact.exact_nullspace, each vector spread to the cells."""
+    cls, step = lens._cyclic_classes(sys)
+    m = len(step)
+    label = _pair_orbit_labels(step, m)
+    size = np.bincount(cls, minlength=m)
+    c, d = np.divmod(np.arange(m * m), m)
+    a = np.zeros((2 * m, label.max() + 1), dtype=int)
+    np.add.at(a, (c, label), size[d])
+    np.add.at(a, (m + d, label), size[c])
+    cell_orbit = label[cls[:, None] * m + cls[None, :]]
+    return [exact.stored(exact.from_scaled(v.num[cell_orbit], v.den, sys.backend))
+            for v in exact.exact_nullspace(a)]
 
 
 def test_product_coupling_always_fixed():
@@ -392,6 +411,23 @@ def zoo_specs(draw):
         perm = draw(st.permutations(range(draw(st.integers(1, 8)))))
         return "iet:perm=" + ",".join(map(str, perm))
     return f"bern:d=2,L={draw(st.integers(1, 4))}"
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.one_of(cyclic_stochastic_matrices(), zoo_specs()))
+def test_fixed_space_basis_is_the_elimination_basis(system):
+    """The basis read off the double star of each orbit's fundamental cycle
+    is, vector for vector, the reduced row echelon basis that elimination
+    gives, on both backends."""
+    for backend in (exact.RATIONAL, exact.FLOAT):
+        if isinstance(system, str):
+            sys = parse_system_spec(system, backend)
+        else:
+            sys = system_from_matrix(system if backend == exact.RATIONAL
+                                     else system.astype(float))
+        basis, oracle = fixed_point_space(sys).basis, _elimination_basis(sys)
+        assert len(basis) == len(oracle)
+        assert all(_same(x, y) for x, y in zip(basis, oracle))
 
 
 def _zoo_pair(spec, seed, backend):

@@ -349,6 +349,29 @@ def _integer_columns(draw):
     return columns
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(["int64", "int32", "int8", "uint64", "uint8"]),
+       st.integers(-2**40, 2**40), st.integers(1, 60), st.data())
+@example("int64", -1, 5, None)
+def test_distinct_is_the_sort_on_integer_keys(dtype, low, n, data):
+    """_distinct gives np.unique's values, dtype and inverse, whether the
+    keys are counted (a span below their number, negatives included) or
+    sorted (a wider span)."""
+    info = np.iinfo(dtype)
+    low = min(max(low, info.min), info.max)
+    if data is None:  # the -1/+1 numerators of a fixed-point basis, with zeros
+        keys = np.array([-1, 0, 1, 0, -1], dtype=dtype)
+    else:
+        span = data.draw(st.sampled_from([n, 2 * n, 2**62]))
+        high = min(low + span, info.max)
+        keys = np.array(data.draw(st.lists(st.integers(low, high), min_size=n, max_size=n)),
+                        dtype=dtype)
+    values, inverse = experiments._distinct(keys)
+    want_values, want_inverse = np.unique(keys, return_inverse=True)
+    assert values.dtype == want_values.dtype
+    assert np.array_equal(values, want_values) and np.array_equal(inverse, want_inverse)
+
+
 def _sorting_distinct(keys):
     return np.unique(keys, return_inverse=True)
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lenslab import (
     DimensionMismatch,
+    ExperimentConfig,
     IETSpec,
     NonInvertible,
     SizeGuard,
@@ -26,6 +27,8 @@ from lenslab import (
     parse_system_spec,
     random_coupling,
     rotation_system,
+    run_experiment,
+    skew_orbit,
     skew_Tbar_conjugation,
     skew_W_step,
     skew_torus_restriction,
@@ -100,6 +103,21 @@ def test_iet_system_permutes_subintervals():
         IETSpec(permutation=(0, 1, 1))
 
 
+@pytest.mark.parametrize("perm", [(0, 1, 1), (1, 1, 0), (0, -1, 1), (-1, 0, 1), (0, 1, 3),
+                                  (3, 0, 1), (0, 2**70, 1), (0.0, 1.0), ((0, 1), (1, 0))])
+def test_iet_spec_refuses_anything_but_a_bijection(perm):
+    with pytest.raises(ValueError):
+        IETSpec(permutation=perm)
+
+
+def test_iet_spec_keeps_a_tuple_of_ints_and_one_frozen_image():
+    spec = IETSpec(permutation=np.array([2, 0, 1]))
+    assert spec.permutation == (2, 0, 1)
+    assert all(type(x) is int for x in spec.permutation)
+    assert spec.image.tolist() == [2, 0, 1] and not spec.image.flags.writeable
+    assert IETSpec(permutation=()).n_intervals == 0
+
+
 def test_torus_point_reduces_mod_one():
     p = torus_point(Fraction(5, 4), Fraction(-1, 3), Fraction(2))
     assert p == (Fraction(1, 4), Fraction(2, 3), Fraction(0))
@@ -161,6 +179,61 @@ def test_skew_conjugation_matches_the_fraction_oracle(t, alpha):
     out = skew_Tbar_conjugation(t, alpha)
     assert out == _oracle_Tbar_conjugation(t, alpha) == skew_W_step(torus_point(*t))
     assert all(type(x) is Fraction for x in out)
+
+
+def _oracle_W_step(p):
+    a, b, c = p
+    return torus_point(a, a + b, a + b + c)
+
+
+def _near_the_int64_bound(n_steps):
+    """A start whose denominator puts den (n_steps + 1)^2 just below the
+    int64 bound of the orbit, with numerators near the top of [0, den)."""
+    d = zoo._SKEW_INT64_BOUND // (n_steps + 1) ** 2 // 105 - 1
+    return (Fraction(d - 1, d), Fraction(d - 2, d), Fraction(d - 3, d))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.tuples(_torus_fractions(), _torus_fractions(), _torus_fractions()),
+       _torus_fractions(), st.integers(0, 24))
+@example((Fraction(0), Fraction(1, 3), Fraction(1, 10**20 + 3)), Fraction(1, 7), 12)
+@example(_near_the_int64_bound(8), Fraction(2, 3), 8)
+@example(_near_the_int64_bound(8), Fraction(2, 3), 9)
+def test_skew_orbit_matches_the_per_point_oracle(start, alpha, n_steps):
+    """The orbit read off the closed form of W^n, and both verdicts decided
+    on all of its points at once, equal the Fraction oracles stepped and
+    checked one point at a time; so do the skew-orbit report's rows."""
+    num, den, conjugated, restricted = skew_orbit(start, alpha, n_steps)
+    assert num.dtype == (np.int64 if den * (n_steps + 1) ** 2 < zoo._SKEW_INT64_BOUND
+                         else object)
+    points = [torus_point(*start)]
+    for _ in range(n_steps):
+        points.append(_oracle_W_step(points[-1]))
+    assert [tuple(Fraction(int(x), den) for x in row) for row in num] == points
+    assert conjugated.tolist() == [
+        _oracle_Tbar_conjugation(t, alpha) == _oracle_W_step(t) for t in points]
+    assert restricted.tolist() == [
+        ((t[1] + t[0]) % 1, (t[1] + t[2] + t[0]) % 1) == _oracle_W_step(t)[1:]
+        for t in points]
+    report = run_experiment(ExperimentConfig(
+        experiment="skew-orbit", system=f"skew:alpha={alpha}",
+        parameters={"start": ",".join(map(str, start)), "N": str(n_steps)}), write=False)
+    assert report.rows("orbit") == [(str(n), *map(str, t)) for n, t in enumerate(points)]
+    back = next((n for n in range(1, len(points)) if points[n] == points[0]), -1)
+    assert report.scalars["return_step"] == back
+    assert report.passed
+
+
+def test_skew_orbit_checks_every_sample_point_of_every_point(monkeypatch):
+    def bent(num, a, den):
+        x, y, z = num.T
+        return np.stack([x + a, x + y, x * x + y + z], axis=1) % den
+
+    monkeypatch.setattr(zoo, "_tbar", bent)
+    for start in ((Fraction(1, 3), Fraction(1, 2), Fraction(5, 6)),
+                  (Fraction(0), Fraction(1, 3), Fraction(1, 10**20 + 3))):
+        with pytest.raises(ArithmeticError, match="single translation"):
+            skew_orbit(start, Fraction(1, 7), 300)
 
 
 def test_skew_conjugation_checks_every_sample_point(monkeypatch):
