@@ -370,7 +370,7 @@ def entropy_factor_F(sys: FiniteSystem, lam: CouplingMatrix, n_values: int) -> l
     """
     if sys.k % 2:
         raise DimensionMismatch("A = cells 0 .. k/2 - 1 needs an even cell count")
-    backend, c = exact.RATIONAL, lam.lines if lam.sparse else lam.matrix
+    backend, c = exact.RATIONAL, lam.lines_at() if lam.sparse else lam.matrix
     if sys.backend == exact.FLOAT or lam.backend == exact.FLOAT:
         backend, c = exact.FLOAT, exact.as_float(lam.matrix)
     indicator = exact.numerators(sys.k)

@@ -7,18 +7,24 @@ doubly stochastic, so the coupling space is a scaled Birkhoff polytope.
 Graph couplings carry the mass of a cell permutation: graph_coupling(sigma)
 puts 1/k at (sigma(j), j), i.e. cell j is transported onto cell sigma(j).
 
-A coupling is held as its row lines (exact.Support), as a system is.  A
+A coupling is its lines plus a lift: the row lines (exact.Support, as a
+system is held) of a matrix H, and a uniform lift factor per axis, C[j,
+j'] = H[j // f_r, j' // f_c] / (f_r f_c).  Lift (1, 1) is C itself.  A
 graph coupling has one nonzero a line and random_coupling at most six, and
-both are built as lines, never as a k x k array.  A dense matrix is the
-line set of width k, its stored form itself (exact.dense_lines); the dense
-form of narrower lines is built when matrix is asked for, and not kept.  On
-rationals the distances, validation and the graph test read sparse lines
-(exact.l1_lines, exact.marginal_defects); a float sum reads the matrix, so
+both are built as lines, never as a k x k array.  A lens step on a
+Bernoulli shift sums H over a symbol and makes its lift d times coarser
+(lens.lens_step), so its images shrink towards the product coupling, held
+as one entry at lift (k, k).  A dense H is the line set of full width, its
+stored form itself (exact.dense_lines); the k x k form is built when matrix
+is asked for, and not kept.  On rationals the distances, validation and the
+graph test read the held lines at their lift (exact.l1_lines,
+exact.scalar_gap, exact.marginal_defects); a float sum reads the matrix, so
 that it keeps the dense summation order a float report's bits come from.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -52,16 +58,22 @@ REPAIR_TARGET = 1e-13
 class CouplingMatrix:
     """Transportation-polytope point: rows and columns each sum to 1/k.
 
-    lines are C's row lines (exact.Support): the lines given, or the dense
-    lines of the stored form of a given square matrix (exact.dense_lines),
-    whose val is matrix, the stored k x k form, itself.  Other lines build
-    matrix when asked and do not keep it.  C is the per-entry view of
-    matrix, built at most once and only when asked for.
+    lines are the row lines (exact.Support) of the matrix H that C is held
+    at, and lift = (f_r, f_c) its uniform lift factors: C[j, j'] = H[j //
+    f_r, j' // f_c] / (f_r f_c), so H has k / f_r lines of width = k / f_c
+    columns.  A lifted H may be an unreduced sum (exact.fold_lines); C's
+    own lines and matrix are in lowest terms.  Lift (1, 1) holds C itself:
+    the lines given, or the dense lines of the stored form of a given
+    square matrix (exact.dense_lines), whose val is matrix, the stored
+    k x k form, itself.  Other lines build matrix when asked and do not
+    keep it.  C is the per-entry view of matrix, built at most once and
+    only when asked for.
     """
 
     lines: exact.Support
+    lift: tuple[int, int]
 
-    def __init__(self, C):
+    def __init__(self, C, lift: tuple[int, int] = (1, 1)):
         if isinstance(C, exact.Support):
             lines = C
         else:
@@ -70,10 +82,16 @@ class CouplingMatrix:
                 raise DimensionMismatch(f"a coupling matrix is square, not {m.shape}")
             lines = exact.dense_lines(m)
         object.__setattr__(self, "lines", lines)
+        object.__setattr__(self, "lift", lift)
 
     @property
     def k(self) -> int:
-        return len(self.lines.idx)
+        return len(self.lines.idx) * self.lift[0]
+
+    @property
+    def width(self) -> int:
+        """The number of columns of the held matrix H."""
+        return self.k // self.lift[1]
 
     @property
     def backend(self) -> str:
@@ -82,13 +100,24 @@ class CouplingMatrix:
     @property
     def sparse(self) -> bool:
         """Whether the kernels read the lines: rational lines narrower than
-        k.  Dense lines are the matrix, and a float sum keeps the dense
+        H.  Dense lines are the matrix H, and a float sum keeps the dense
         summation order that a float report's bits come from."""
-        return self.lines.idx.shape[1] < self.k and self.backend == exact.RATIONAL
+        return self.lines.idx.shape[1] < self.width and self.backend == exact.RATIONAL
+
+    def lines_at(self, lift: tuple[int, int] = (1, 1)) -> exact.Support:
+        """The row lines of C held at a finer lift, one dividing this one's
+        on each axis (exact.lift_lines): at (1, 1), C's own row lines, in
+        lowest terms; at a lift between, unreduced, for sums and
+        distances."""
+        if lift == self.lift:
+            return self.lines
+        lines = exact.lift_lines(self.lines, self.lift[0] // lift[0],
+                                 self.lift[1] // lift[1], self.width)
+        return exact.lowest(lines) if lift == (1, 1) else lines
 
     @property
     def matrix(self):
-        return exact.lines_matrix(self.lines)
+        return exact.lines_matrix(self.lines_at())
 
     @cached_property
     def C(self) -> np.ndarray:
@@ -118,7 +147,7 @@ def _permutation(sigma, what: str) -> np.ndarray:
     cells = sigma.astype(int)
     if not np.array_equal(cells, sigma):
         raise ValueError(f"{what} must have integer entries")
-    if not np.array_equal(np.sort(cells), np.arange(len(cells))):
+    if not exact.is_permutation(cells):
         raise ValueError(f"{what} must be a permutation of 0..k-1")
     return cells
 
@@ -134,10 +163,11 @@ def graph_coupling(sigma, backend: str = exact.RATIONAL) -> CouplingMatrix:
     line i holds 1/k at sigma^-1(i)."""
     sigma = _permutation(sigma, "sigma")
     k = len(sigma)
-    ones = exact.numerators((k, 1))
-    ones[:] = 1
-    return CouplingMatrix(exact.collect_lines(
-        exact.invert_permutation(sigma)[:, None], ones, k, backend))
+    mass = exact.constant((k, 1), Fraction(1, k), backend)
+    if k == 1:  # the one line holds every position: the dense form
+        return CouplingMatrix(mass)
+    return CouplingMatrix(exact.Support(exact.freeze(exact.invert_permutation(sigma)[:, None]),
+                                        mass))
 
 
 def _fibre_size(parent: np.ndarray, fine_k: int, coarse_k: int) -> int:
@@ -171,25 +201,47 @@ def restrict_coupling(fine: CouplingMatrix, parent) -> CouplingMatrix:
 
 
 def coupling_distance(a: CouplingMatrix, b: CouplingMatrix):
-    """Entrywise L1 distance; exact Fraction on the rational backend, read
-    off the lines when both are sparse."""
+    """Entrywise L1 distance; exact Fraction on the rational backend.
+    Rational couplings are read at their common lift, the finer one on each
+    axis: lines narrower than H by exact.l1_lines, which reads the coarser
+    operand through its ratio without spreading it, and otherwise the two
+    held matrices.  A float sum reads the k x k matrices."""
     _require_same(a, b)
+    if a.backend == exact.FLOAT:
+        return exact.l1_norm(a.matrix, b.matrix)
+    if a.lift[0] * a.lift[1] < b.lift[0] * b.lift[1]:
+        a, b = b, a  # a the coarser
+    lift = (math.gcd(a.lift[0], b.lift[0]), math.gcd(a.lift[1], b.lift[1]))
+    fine, width = b.lines_at(lift), a.k // lift[1]
     if a.sparse and b.sparse:
-        return exact.l1_lines(a.lines, b.lines)
-    return exact.l1_norm(a.matrix, b.matrix)
+        return exact.l1_lines(a.lines, fine, width,
+                              (a.lift[0] // lift[0], a.lift[1] // lift[1]))
+    return exact.l1_norm(exact.lines_matrix(a.lines_at(lift), width),
+                         exact.lines_matrix(fine, width))
 
 
-def product_distance(c: CouplingMatrix):
-    """Entrywise L1 distance to the product coupling, each entry 1/k^2."""
-    mass = Fraction(1, c.k * c.k)
-    if c.sparse:
-        return exact.l1_lines(c.lines, mass)
-    return exact.l1_norm(c.matrix, exact.scalar(mass, c.backend))
+def product_distance(c: CouplingMatrix, norm: str = "l1"):
+    """Entrywise distance to the product coupling, each entry 1/k^2: the L1
+    norm of C - 1/k^2, or with norm "max" its largest |entry|.  Read off
+    the held matrix H, each of whose entries stands for f_r f_c cells, each
+    of them 1/(f_r f_c) of H - f_r f_c/k^2 (exact.scalar_gap).  A float L1
+    sum reads the matrix, in the dense order its bits come from."""
+    if norm not in ("l1", "max"):
+        raise ValueError("norm must be 'l1' or 'max'")
+    k, share = c.k, c.lift[0] * c.lift[1]
+    if norm == "l1" and c.backend == exact.FLOAT:
+        return exact.l1_norm(c.matrix, exact.scalar(Fraction(1, k * k), c.backend))
+    if norm == "l1":
+        return exact.scalar_gap(c.lines, Fraction(share, k * k), c.width)
+    return exact.scalar_gap(c.lines, Fraction(share, k * k), c.width, True, share)
 
 
 def graph_permutation(c: CouplingMatrix):
     """sigma with c == graph_coupling(sigma), or None when c is no graph
-    coupling: k C must be a permutation matrix (exact.permutation_of_lines)."""
+    coupling: k C must be a permutation matrix (exact.permutation_of_lines).
+    A lifted coupling repeats a line or a column, so it is none."""
+    if c.lift != (1, 1):
+        return None
     lines = exact.Support(c.lines.idx, exact.scale(c.lines.val, c.k))
     tau = exact.permutation_of_lines(lines)
     return None if tau is None else exact.invert_permutation(tau)
@@ -279,10 +331,13 @@ def repair_to_polytope(m) -> CouplingMatrix:
 
 
 def validate_coupling(c: CouplingMatrix) -> list[str]:
-    """Row sums, column sums and negative entries (exact.marginal_defects),
-    read off the lines when sparse."""
-    return exact.marginal_defects(c.lines if c.sparse else c.matrix, Fraction(1, c.k),
-                                  exact.FLOAT_TOL)
+    """Row sums, column sums and negative entries (exact.marginal_defects):
+    on rationals read off the held lines or matrix H at its lift, on floats
+    off the matrix."""
+    if c.backend == exact.FLOAT:
+        return exact.marginal_defects(c.matrix, Fraction(1, c.k), exact.FLOAT_TOL)
+    held = c.lines if c.sparse else exact.lines_matrix(c.lines, c.width)
+    return exact.marginal_defects(held, Fraction(1, c.k), exact.FLOAT_TOL, c.lift, c.width)
 
 
 def random_coupling(k: int, rng: np.random.Generator,

@@ -73,7 +73,8 @@ _PROBES = 16
 @dataclass(frozen=True, eq=False)
 class Scaled:
     """The rational array num / den in lowest terms, gcd(num, den) == 1,
-    which makes it unique (a mat_add sum excepted).  num is read-only, int64
+    which makes it unique (the sums of mat_add, fold_lines and lift_lines
+    excepted, which lowest reduces).  num is read-only, int64
     while every |entry| < _INT64_SAFE and Python ints otherwise; from_scaled
     reduces and picks the dtype, this constructor trusts its caller.  bound,
     when the kernel that made the value knew one, is an upper bound on every
@@ -122,10 +123,11 @@ class Scaled:
 
 @dataclass(frozen=True, eq=False)
 class Support:
-    """A square matrix by the nonzeros of its lines, s to a line: line j
-    holds val[j, t] at idx[j, t] (read-only, ascending; a shorter line
-    repeats a position with value zero), val a (k, s) stored form over the
-    matrix's denominator.  Q's column lines give X Q and Q^T X, its row
+    """A matrix by the nonzeros of its lines, s to a line: line j holds
+    val[j, t] at idx[j, t] (read-only, ascending; a shorter line repeats a
+    position with value zero), val a (k, s) stored form over the matrix's
+    denominator.  The matrix is square unless its holder gives a width (a
+    coupling's held matrix, CouplingMatrix.width).  Q's column lines give X Q and Q^T X, its row
     lines Q X (gather)."""
 
     idx: np.ndarray
@@ -367,7 +369,10 @@ def _over_lcm(a, b):
     their denominators, that lcm, and a bound on the sum of their |entries|.
     Each numerator array rescaled in int64 stays below 2**62, so their sum or
     difference cannot overflow."""
-    nb, db = (b.num, b.den) if isinstance(b, Scaled) else Fraction(b).as_integer_ratio()
+    if isinstance(b, Scaled):
+        nb, db = b.num, b.den
+    else:
+        nb, db = (b if isinstance(b, Fraction) else Fraction(b)).as_integer_ratio()
     mb = b.magnitude if isinstance(b, Scaled) else abs(nb)
     den = math.lcm(a.den, db)
     fa, fb = den // a.den, den // db
@@ -580,25 +585,28 @@ def support(a) -> Support:
     return Support(freeze(np.maximum.accumulate(idx, axis=1)), val)
 
 
-# Row lines as a matrix's own form.  Lines of width s = k are dense_lines,
-# the stored matrix itself; narrower ones are canonical (Support): every
-# line's positions ascending, a shorter line repeating its last position
-# with value zero, so that equal matrices have equal lines of one width.
+# Row lines as a matrix's own form.  A matrix has n rows and width columns,
+# n unless a caller says otherwise.  Lines that hold every position are
+# dense_lines, the stored matrix itself; narrower ones are canonical
+# (Support): every line's positions ascending, a shorter line repeating its
+# last position with value zero, so that equal matrices have equal lines of
+# one width.
 
 def dense_lines(a) -> Support:
-    """The row lines of a k x k stored form with every position kept: s =
-    k, idx a read-only broadcast of arange(k), one per k, val a itself."""
-    return Support(_every_position(a.shape[0]), a)
+    """The row lines of an n x width stored form with every position kept:
+    idx a read-only broadcast of arange(width), one per row, val a itself."""
+    return Support(_every_position(*a.shape), a)
 
 
 @lru_cache(maxsize=16)
-def _every_position(k: int) -> np.ndarray:
-    return np.broadcast_to(np.arange(k), (k, k))
+def _every_position(n: int, width: int) -> np.ndarray:
+    return np.broadcast_to(np.arange(width), (n, width))
 
 
 def is_dense(lines: Support) -> bool:
-    """Whether lines are dense_lines: s = k and idx a broadcast row."""
-    return lines.idx.shape[1] == len(lines.idx) and not lines.idx.strides[0]
+    """Whether lines are dense_lines: idx a broadcast row, no step between
+    lines (every other line set holds its own positions)."""
+    return not lines.idx.strides[0]
 
 
 def _real(idx: np.ndarray) -> np.ndarray:
@@ -609,29 +617,64 @@ def _real(idx: np.ndarray) -> np.ndarray:
     return real
 
 
-def collect_lines(pos: np.ndarray, num: np.ndarray, den: int,
-                  backend: str = RATIONAL) -> Support:
-    """The lines of the k x k matrix with num[i, t] / den added at (i,
-    pos[i, t]) for every slot, for int64 num whose line sums stay below
-    2**62, repeated positions summed: each line sorted, s the most
-    positions a line holds, dense_lines when that is k."""
-    k, m = pos.shape
+# Slots that collect_lines and l1_lines take at once: their temporaries,
+# about a hundred bytes a slot, follow a block of lines, not the whole set.
+_BLOCK_SLOTS = 2**16
+
+
+def collect_lines(pos, num, den: int, backend: str = RATIONAL,
+                  width: int | None = None, bound: int = 0) -> Support:
+    """The lines of the k x width matrix (width k unless given) with
+    num[i, t] / den added at (i, pos[i, t]) for every slot, repeated
+    positions summed: each line sorted, s the most positions a line holds,
+    dense_lines when that is width.  pos and num are (k, m) arrays, or lists
+    of such arrays whose slots line i joins.  num is int64, or Python ints
+    where bound, an upper bound on every |line sum|, reaches 2**62.  Past
+    _BLOCK_SLOTS slots, lines are collected a block at a time into lines as
+    wide as their slots, cut to s (copied when that halves them)."""
+    if isinstance(pos, np.ndarray):
+        pos, num = [pos], [num]
+    k, m = len(pos[0]), sum(p.shape[1] for p in pos)
+    width = k if width is None else width
     if m == 1:  # one position a line: sorted already
-        idx, out = freeze(np.array(pos)), np.array(num)
+        idx, out = freeze(np.array(pos[0])), np.array(num[0])
+    elif k * m <= _BLOCK_SLOTS:
+        idx, out = _collected(np.concatenate(pos, 1) if len(pos) > 1 else pos[0],
+                              np.concatenate(num, 1) if len(num) > 1 else num[0], bound)
+        freeze(idx)
     else:
-        order = np.argsort(pos, axis=1)
-        pos, num = _by_rows(pos, order), _by_rows(num, order)
-        real = _real(pos)
-        slot = np.cumsum(real, axis=1) - 1  # where each entry goes in its line
-        flat = np.flatnonzero(real)
-        at = (flat // m, slot.ravel()[flat])
-        idx = np.full((k, int(slot[:, -1].max()) + 1), -1)
-        out = numerators(idx.shape)
-        idx[at], out[at] = pos.ravel()[flat], np.add.reduceat(num.ravel(), flat)
-        freeze(np.maximum.accumulate(idx, axis=1, out=idx))
-    if idx.shape[1] == k:  # a line holds every position: the dense form
-        return dense_lines(_fresh(from_scaled(lines_matrix(Support(idx, out)), den, backend)))
+        idx = np.empty((k, m), dtype=int)
+        out, s = np.zeros((k, m), dtype=np.int64 if bound < _INT64_SAFE else object), 1
+        step = max(1, _BLOCK_SLOTS // m)
+        for lo in range(0, k, step):
+            lines = slice(lo, lo + step)
+            i, o = _collected(np.concatenate([p[lines] for p in pos], 1),
+                              np.concatenate([n[lines] for n in num], 1), bound)
+            # Past its own, a line repeats its last position, with value zero.
+            idx[lines, :i.shape[1]], idx[lines, i.shape[1]:] = i, i[:, -1:]
+            out[lines, :o.shape[1]] = o
+            s = max(s, i.shape[1])
+        idx, out = (a[:, :s].copy() if 2 * s <= m else a[:, :s] for a in (idx, out))
+        freeze(idx)
+    if idx.shape[1] == width:  # a line holds every position: the dense form
+        return dense_lines(_fresh(from_scaled(lines_matrix(Support(idx, out), width),
+                                              den, backend)))
     return Support(idx, _fresh(from_scaled(out, den, backend)))
+
+
+def _collected(pos: np.ndarray, num: np.ndarray, bound: int):
+    """collect_lines' positions and numerators for one block of lines."""
+    m = pos.shape[1]
+    order = np.argsort(pos, axis=1)
+    pos, num = _by_rows(pos, order), _by_rows(num, order)
+    real = _real(pos)
+    slot = np.cumsum(real, axis=1) - 1  # where each entry goes in its line
+    flat = np.flatnonzero(real)
+    at = (flat // m, slot.ravel()[flat])
+    idx = np.full((len(pos), int(slot[:, -1].max()) + 1), -1)
+    out = numerators(idx.shape, bound)
+    idx[at], out[at] = pos.ravel()[flat], np.add.reduceat(num.ravel(), flat)
+    return np.maximum.accumulate(idx, axis=1, out=idx), out
 
 
 def _by_rows(a: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -644,27 +687,138 @@ def _fresh(a):
     return a if isinstance(a, Scaled) else freeze(a)
 
 
-def lines_matrix(lines: Support):
-    """The k x k stored form of row lines: val itself for dense_lines, else
-    the values written at their positions, each repeat left out."""
+def lines_matrix(lines: Support, width: int | None = None):
+    """The n x width stored form of row lines (width n unless given): val
+    itself for dense_lines, else the values written at their positions,
+    each repeat left out."""
     if is_dense(lines):
         return lines.val
     num, _ = _num_one(lines.val)
     k, real = len(num), _real(lines.idx)
-    out = np.zeros((k, k), dtype=num.dtype)
+    out = np.zeros((k, k if width is None else width), dtype=num.dtype)
     out[np.flatnonzero(real) // real.shape[1], lines.idx[real]] = num[real]
     if isinstance(lines.val, Scaled):  # zeros keep the lowest terms
         return Scaled(out, lines.val.den, lines.val.magnitude)
     return freeze(out)
 
 
+def _spread(num: np.ndarray, like, share: int):
+    """num over the denominator of the stored form like times share,
+    unreduced (lowest gives lowest terms); or, for a float like, num /
+    share."""
+    if isinstance(like, Scaled):
+        return Scaled(num, like.den * share, like.magnitude)
+    return freeze(num / share)
+
+
+def lowest(a):
+    """A stored form, or the values of row lines, in lowest terms: the
+    unreduced sums of mat_add, fold_lines and lift_lines reduced; floats as
+    they are."""
+    if isinstance(a, Support):
+        return Support(a.idx, lowest(a.val))
+    return _reduced(a.num, a.den, a.magnitude) if isinstance(a, Scaled) else a
+
+
+def lift_lines(lines: Support, rows: int, cols: int, width: int) -> Support:
+    """The row lines of the matrix of lines (width columns) spread evenly
+    over blocks of rows x cols cells: entry (u, p) / (rows cols) at each
+    cell (u rows + i, p cols + j), over rows cols times the denominator,
+    unreduced.  Lines are repeated rows times, and each position widens to
+    cols positions."""
+    if rows == cols == 1:
+        return lines
+    num, _ = _num_one(lines.val)
+    if is_dense(lines):
+        num = np.repeat(num, rows, 0) if rows > 1 else num
+        return dense_lines(_spread(np.repeat(num, cols, 1) if cols > 1 else num,
+                                   lines.val, rows * cols))
+    idx, num = np.repeat(lines.idx, rows, 0), np.repeat(num, rows, 0)
+    if cols > 1:
+        # A repeat widens onto its line's last block again: the running
+        # maximum moves it to the last cell, after the real ones.
+        idx = (idx[:, :, None] * cols + np.arange(cols)).reshape(len(idx), -1)
+        np.maximum.accumulate(idx, axis=1, out=idx)
+        num = np.repeat(num, cols, 1)
+    return Support(freeze(idx), _spread(num, lines.val, rows * cols))
+
+
+# Cells of the held matrix past which fold_lines merges narrow rational
+# lines rather than summing the matrix they spread to.  Measured on the
+# first fold of a graph and of a random coupling on bern d = 2, 3 and 4, on
+# a 2-core x86 host: the sums take 23-37 us against 42-76 us merged at k =
+# 128, the two are about even at k = 243-256 (46-81 against 49-122 us), and
+# the merge wins from k = 512 (70-185 us against 0.24-0.30 ms).
+_FOLD_DENSE = 2**16
+
+
+def fold_lines(lines: Support, d: int, rows: bool, cols: bool, width: int) -> Support:
+    """The row lines of the n x width matrix M of lines with its d blocks of
+    rows summed, M'[v] = sum_c M[c n/d + v], when rows, and then its d
+    blocks of columns, M'[:, v] = sum_c M'[:, c width/d + v], when cols: on
+    cylinder words, the first symbol summed out.  Rational lines narrower
+    than they could be, of a matrix past _FOLD_DENSE cells, are merged (d
+    lines into one, positions mod width/d; collect_lines), in work
+    proportional to their slots; otherwise the matrix is summed, d blocks
+    at a time, in symbol order."""
+    n = len(lines.idx)
+    m, w = (n // d if rows else n), (width // d if cols else width)
+    step = d ** (rows + cols)
+    if isinstance(lines.val, Scaled) and not is_dense(lines) and n * width > _FOLD_DENSE:
+        idx, num = lines.idx, lines.val.num
+        bound = _settled(num, lines.val.magnitude, step) * step
+        if bound >= _INT64_SAFE:
+            num = num.astype(object)
+        # Line v joins lines c m + v, each block of lines a view, and
+        # position p joins p mod w.
+        idx, num = (([a[c * m:(c + 1) * m] for c in range(d)] if rows else [a])
+                    for a in (idx, num))
+        if cols:
+            idx = [a % w for a in idx]
+        return collect_lines(idx, num, lines.val.den, width=w, bound=bound)
+    a = lines_matrix(lines, width)
+    if not isinstance(a, Scaled):
+        if rows:
+            a = a.reshape(d, m, width).sum(axis=0)
+        return dense_lines(freeze(a.reshape(m, d, w).sum(axis=1) if cols else a))
+    num, bound = a.num, _settled(a.num, a.magnitude, step) * step
+    if bound >= _INT64_SAFE:
+        num = num.astype(object)
+    # One reduction over the first symbol of each folded axis.
+    num = num.reshape((d, m, d, w) if rows and cols else (d, m, w) if rows else (m, d, w))
+    num = num.sum(axis=(0, 2) if rows and cols else 0 if rows else 1)
+    if num.dtype == object:  # past int64 by the bound: the scan picks the dtype
+        return dense_lines(_reduced(num, a.den, bound))
+    # Sums over the one denominator, unreduced as a mat_add sum is: every
+    # entry of a coupling is at most 1, so its numerators stay below den.
+    return dense_lines(Scaled(num, a.den, bound))
+
+
+def add_lines(a: Support | None, b: Support, width: int, times: int = 1) -> Support:
+    """The row lines of A + times B for rational matrices of row lines a and
+    b, of width columns (A zero when a is None), for an int times >= 0:
+    dense where either is, unreduced (mat_add), and merged (collect_lines)
+    where both are narrower."""
+    if a is None:
+        a, times = b, times - 1
+    if not times:
+        return a
+    if is_dense(a) or is_dense(b):
+        return dense_lines(mat_add(lines_matrix(a, width), lines_matrix(b, width), times))
+    val = b.val
+    if times > 1:
+        val = Scaled(_rescale(val.num, times, val.magnitude), val.den, val.magnitude * times)
+    na, nb, den, bound = _over_lcm(a.val, val)
+    return collect_lines([a.idx, b.idx], [na, nb], den, width=width, bound=bound)
+
+
 def relabel_lines(lines: Support, p: np.ndarray | None = None,
                   to: np.ndarray | None = None) -> Support:
     """The lines of the matrix M' with M'[i, to[j]] = M[p[i], j] for the
-    matrix M of lines and permutations p and to (either one the identity
-    when None): line i is line p[i], each position j moved to to[j], the
-    line sorted again with its repeats last, k s work.  Dense lines relabel
-    their matrix (relabel)."""
+    square matrix M of lines and permutations p and to (either one the
+    identity when None): line i is line p[i], each position j moved to
+    to[j], the line sorted again with its repeats last, k s work.  Dense
+    lines relabel their matrix (relabel)."""
     if is_dense(lines):
         if to is None:
             index = slice(None) if p is None else p
@@ -688,20 +842,28 @@ def relabel_lines(lines: Support, p: np.ndarray | None = None,
     return Support(freeze(idx), val)
 
 
-def l1_lines(a: Support, b) -> Fraction:
+def l1_lines(a: Support, b: Support, width: int | None = None,
+             ratio: tuple[int, int] = (1, 1)) -> Fraction:
     """Entrywise L1 norm of A - B for the rational matrices A and B of row
-    lines a and b, or of A - b for a scalar b.  Two line sets are merged
-    position by position (lines of one position each are compared slot
-    against slot); against a scalar every slot adds |val - b| and every
-    position past the k s slots adds |b|."""
-    k = len(a.idx)
-    if isinstance(b, Support):
-        na, nb, den, bound = _over_lcm(a.val, b.val)
+    lines a and b, B of width columns (its line count unless given).  Lines
+    held alike are merged position by position (lines of one position each
+    are compared slot against slot).  A may be held ratio = (rows, cols)
+    times coarser, its entry (u, p) spread evenly over the cells (u rows +
+    i, p cols + j) of B's shape: then each cell of B's lines reads the cell
+    of A above it (a sorted search of A's cell keys), and each cell of A
+    adds |its share| for every cell of its block that B's lines leave out,
+    _BLOCK_SLOTS slots at a time."""
+    n = len(b.idx)
+    width = n if width is None else width
+    rows, cols = ratio
+    share = rows * cols
+    na, nb, den, bound = _over_lcm(a.val, b.val)
+    if share == 1:
         if a.idx.shape[1] == b.idx.shape[1] == 1:
             # One position a line: two lines meet only where it is the same.
             diff = np.where(a.idx == b.idx, np.abs(na - nb), np.abs(na) + np.abs(nb))
         else:
-            at = np.arange(0, k * k, k)[:, None]
+            at = np.arange(0, n * width, width)[:, None]
             keys = np.concatenate(((a.idx + at).ravel(), (b.idx + at).ravel()))
             order = np.argsort(keys, kind="stable")  # two sorted runs: a merge
             start = np.flatnonzero(_real(keys[order][None, :]))
@@ -709,11 +871,63 @@ def l1_lines(a: Support, b) -> Fraction:
             np.abs(diff, out=diff)
         total, _ = _int_sum(diff, bound)
         return Fraction(int(total), den)
-    na, nb, den, bound = _over_lcm(a.val, b)
+    total, step = 0, max(1, _BLOCK_SLOTS // (a.idx.shape[1] + rows * b.idx.shape[1]))
+    for lo in range(0, len(a.idx), step):
+        total += _l1_block(a.idx[lo:lo + step], na[lo:lo + step],
+                           b.idx[lo * rows:(lo + step) * rows], nb[lo * rows:(lo + step) * rows],
+                           width // cols, ratio, bound)
+    return Fraction(total, den * share)
+
+
+def _l1_block(a_idx, na, b_idx, nb, coarse: int, ratio: tuple[int, int], bound: int) -> int:
+    """l1_lines' numerator over den * share for one block of A's lines and
+    the lines of B below them, A's width coarse."""
+    rows, cols = ratio
+    share = rows * cols
+    real_a, real_b = _real(a_idx), _real(b_idx)
+    key_a = (a_idx + (np.arange(len(a_idx)) * coarse)[:, None])[real_a]  # ascending
+    key_b = (b_idx // cols + (np.arange(len(b_idx)) // rows * coarse)[:, None])[real_b]
+    va, vb = na[real_a], _rescale(nb[real_b], share, bound)
+    if bound * share >= _INT64_SAFE:  # |va| times its cells left out
+        va = va.astype(object)
+    at = np.minimum(np.searchsorted(key_a, key_b), len(key_a) - 1)
+    hit = key_a[at] == key_b
+    over = va[at]
+    over[~hit] = 0
+    left = share - np.bincount(at[hit], minlength=len(key_a))  # cells B leaves out
+    total, _ = _int_sum(np.concatenate((np.abs(over - vb), np.abs(va) * left)), bound * share)
+    return int(total)
+
+
+def scalar_gap(lines: Support, b, width: int, largest: bool = False, over: int = 1):
+    """The L1 norm of M - b, or with largest its largest |entry|, divided by
+    over, for the n x width matrix M of row lines and an exact rational b:
+    |val - b| at every slot (a repeat holds zero), and |b| at every cell no
+    slot holds, which dense lines have none of."""
+    cells = 0 if is_dense(lines) else len(lines.idx) * width - lines.idx.size
+    if not isinstance(lines.val, Scaled):
+        b = scalar(b, FLOAT)
+        diff = np.abs(lines.val - b)
+        gap = (max(diff.max(initial=0.0), abs(b) if cells else 0.0) if largest
+               else diff.sum() + cells * abs(b))
+        return float(gap) / over
+    na, nb, den, bound = _over_lcm(lines.val, b)
     diff = na - nb
-    total, _ = _int_sum(np.abs(diff, out=diff), bound)
-    # A repeat holds zero, so it adds |b| as a position no line holds does.
-    return Fraction(int(total) + (k * k - na.size) * abs(nb), den)
+    np.abs(diff, out=diff)
+    if largest:
+        return Fraction(max(int(diff.max(initial=0)), abs(nb) if cells else 0), den * over)
+    total, _ = _int_sum(diff, bound)
+    return Fraction(int(total) + cells * abs(nb), den * over)
+
+
+def is_constant(a, x) -> bool:
+    """Whether every entry of a stored form is the exact rational x, or on
+    floats the float nearest it.  A Scaled is in lowest terms, so its
+    entries all equal p/q exactly when den is q and every numerator p."""
+    if isinstance(a, Scaled):
+        p, q = Fraction(x).as_integer_ratio()
+        return a.den == q and bool((a.num == p).all())
+    return bool((a == scalar(x, FLOAT)).all())
 
 
 def mat_add(a, b, times: int = 1):
@@ -765,13 +979,17 @@ def mat_div(a, n: int):
     return _reduced(a.num, a.den * n, a.magnitude)
 
 
-def marginal_defects(m, target, tol: float) -> list[str]:
+def marginal_defects(m, target, tol: float, lift: tuple[int, int] = (1, 1),
+                     width: int | None = None) -> list[str]:
     """Lines of m whose sum is not target, then negative entries.
 
     Returns 'row_sum(i)', 'col_sum(j)' and 'negative_entry(i,j)' names in
     that order.  target is exact; tol applies to float arrays only.  m is a
     square stored form, or the row lines (Support) of a rational one, whose
-    column sums add each value at its position.
+    column sums add each value at its position.  With lift = (rows, cols),
+    m holds a matrix spread over blocks (lift_lines) and has width columns
+    (its line count unless given): a line of m then sums to rows (or cols)
+    times target, and names are of the spread matrix's cells.
     """
     lines = m if isinstance(m, Support) else None
     if lines is not None or backend_of(m) == RATIONAL:
@@ -780,26 +998,38 @@ def marginal_defects(m, target, tol: float) -> list[str]:
         rows, row_bound = _int_sum(num, bound, 1)
         if lines is None:
             cols, col_bound = _int_sum(num, bound, 0)
-            negative = np.argwhere(num < 0)
+            neg_i, neg_j = np.nonzero(num < 0)
         else:
             col_bound = _settled(num, bound, num.size) * num.size
-            cols = numerators(len(num), col_bound)
+            cols = numerators(len(num) if width is None else width, col_bound)
             np.add.at(cols, lines.idx.ravel(), num.ravel())
-            line, slot = np.nonzero(num < 0)
-            negative = zip(line, lines.idx[line, slot])
-        # A line sums to p/q exactly when its numerators sum to p*den/q.
-        p, q = Fraction(target).as_integer_ratio()
-        bad_rows = _rescale(rows, q, row_bound) != p * s.den
-        bad_cols = _rescale(cols, q, col_bound) != p * s.den
+            neg_i, slot = np.nonzero(num < 0)
+            neg_j = lines.idx[neg_i, slot]
+        # A line of m sums to f p/q exactly when its numerators sum to f p den/q.
+        (fr, fc), (p, q) = lift, Fraction(target).as_integer_ratio()
+        bad_rows = np.flatnonzero(_rescale(rows, q, row_bound) != fr * p * s.den)
+        bad_cols = np.flatnonzero(_rescale(cols, q, col_bound) != fc * p * s.den)
+        if lift != (1, 1) and (bad_rows.size or bad_cols.size or neg_i.size):
+            bad_rows, bad_cols = _spread_cells(bad_rows, fr), _spread_cells(bad_cols, fc)
+            i = neg_i[:, None, None] * fr + np.arange(fr)[:, None]
+            j = neg_j[:, None, None] * fc + np.arange(fc)
+            neg_i, neg_j = (x.ravel() for x in np.broadcast_arrays(i, j))
+            order = np.lexsort((neg_j, neg_i))  # row by row, as the spread matrix lists them
+            neg_i, neg_j = neg_i[order], neg_j[order]
     else:
         target = float(target)
-        bad_rows = [abs(m[i, :].sum() - target) > tol for i in range(m.shape[0])]
-        bad_cols = [abs(m[:, j].sum() - target) > tol for j in range(m.shape[1])]
-        negative = np.argwhere(m < -tol)
-    out = [f"row_sum({i})" for i in np.flatnonzero(bad_rows)]
-    out += [f"col_sum({j})" for j in np.flatnonzero(bad_cols)]
-    out += [f"negative_entry({i},{j})" for i, j in negative]
+        bad_rows = np.flatnonzero([abs(m[i, :].sum() - target) > tol for i in range(m.shape[0])])
+        bad_cols = np.flatnonzero([abs(m[:, j].sum() - target) > tol for j in range(m.shape[1])])
+        neg_i, neg_j = np.nonzero(m < -tol)
+    out = [f"row_sum({i})" for i in bad_rows]
+    out += [f"col_sum({j})" for j in bad_cols]
+    out += [f"negative_entry({i},{j})" for i, j in zip(neg_i, neg_j)]
     return out
+
+
+def _spread_cells(cells: np.ndarray, f: int) -> np.ndarray:
+    """The cells c f .. c f + f - 1 that each of cells spreads over."""
+    return cells if f == 1 else (cells[:, None] * f + np.arange(f)).ravel()
 
 
 def as_float(a) -> np.ndarray:
@@ -832,6 +1062,14 @@ def permutation_of_lines(lines: Support):
         return None
     tau = lines.idx[rows, slot]
     return tau if (np.bincount(tau, minlength=len(tau)) == 1).all() else None
+
+
+def is_permutation(cells: np.ndarray) -> bool:
+    """Whether a 1-d int array of k >= 1 entries permutes 0 .. k-1: every
+    entry in range, and every cell hit once (one bincount)."""
+    k = len(cells)
+    return bool(cells.min() >= 0 and cells.max() < k
+                and (np.bincount(cells, minlength=k) == 1).all())
 
 
 def invert_permutation(perm: np.ndarray) -> np.ndarray:

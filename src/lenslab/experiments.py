@@ -46,6 +46,7 @@ from .lens import (
     detect_period,
     fixed_point_space,
     markov_commutation_residual,
+    one_sided_step,
     orbit,
     self_joining_residual,
     walk,
@@ -280,6 +281,9 @@ def _render_series(columns) -> tuple:
             # Distinct bit patterns, so that -0.0 keeps its own text.
             keys, at = _distinct(column.view(f"u{column.itemsize}"))
             values = keys.view(column.dtype).tolist()
+        elif isinstance(column, np.ndarray) and column.dtype.kind == "U":
+            values, at = np.unique(column, return_inverse=True)
+            values = values.tolist()
         else:
             values, at = column, np.arange(len(column))
         index.append(at + len(texts))
@@ -472,18 +476,17 @@ def _run_mixing_profile(sys, p, backend):
     k = sys.k
     _guard_steps(p["n_max"] + 1, _step_cost(sys))
     tol = exact.tolerance(backend)
-    uniform = exact.scalar(Fraction(1, k), backend)
+    # State n of the one-sided orbit of the diagonal coupling I/k is
+    # (Q^n)^T / k, so its largest distance to the product is the residual.
     residuals = []
-    powers = walk(partial(exact.gather, lines=sys.columns, axes=(1,)),
-                  exact.identity(k, backend), p["n_max"], sys.exact)
-    for power, count in powers:
-        residuals += [exact.max_abs(power, uniform) / k] * count
+    states = walk(partial(one_sided_step, sys), graph_coupling(np.arange(k), backend),
+                  p["n_max"], sys.exact)
+    for state, count in states:
+        residuals += [product_distance(state, norm="max")] * count
     zeros = [n for n, r in enumerate(residuals) if r <= tol]
     scalars = {"k": k, "first_independent_n": zeros[0] if zeros else -1}
-    verdicts = {
-        "residuals_bounded": all(r <= Fraction(k - 1, k * k) + tol
-                                 for r in residuals),
-    }
+    bound = Fraction(k - 1, k * k) + tol
+    verdicts = {"residuals_bounded": all(r <= bound for r in residuals)}
     if p["expect_zero_by"] is not None:
         verdicts["independent_from_expected_step"] = all(
             r <= tol for r in residuals[p["expect_zero_by"]:])

@@ -1,16 +1,26 @@
 """Lens dynamics: the conjugation action of a system on its couplings.
 
-One lens step sends C to Q^T C Q, gathered from Q's column lines on both
-axes (exact.gather).  For an exact system with forward cell map tau this
-relabels, C[i, j] -> C[tau^{-1}(i), tau^{-1}(j)], so graph couplings
-transform by conjugation: graph(s) -> graph(tau o s o tau^{-1}); the step
-relabels C's lines (exact.relabel_lines), k s work for s nonzeros a line.
-For stochastic Q it is the step-coupling evaluation of rho(T^{-1}A_i x
-T^{-1}A_j), k^2 s work for s nonzeros per column of Q, gives a dense
-coupling, and is forward-only.
+One lens step sends C to Q^T C Q.  For an exact system with forward cell
+map tau this relabels, C[i, j] -> C[tau^{-1}(i), tau^{-1}(j)], so graph
+couplings transform by conjugation: graph(s) -> graph(tau o s o
+tau^{-1}); the step relabels C's lines (exact.relabel_lines), k s work for
+s nonzeros a line.  For stochastic Q it is the step-coupling evaluation of
+rho(T^{-1}A_i x T^{-1}A_j), and is forward-only.  On the full shift
+bern:d,L, whose rows show it (FiniteSystem.cylinder), Q^T averages the d
+words that differ in their first symbol, so the step is the lens functor on
+the cylinder factor maps: the held matrix of C has that symbol summed out
+of each axis and a lift d times coarser (exact.fold_lines), lens^n C [j,
+j'] = M_n[j // d^n, j' // d^n] / d^2n, in work that follows its lines, and
+the walk shrinks to the product coupling, held as one entry, at step L.
+Any other stochastic step, and a float orbit's step there, whose repair
+reads the k x k matrix (fold=False), gathers the dense matrix from Q's
+column lines on both axes (exact.gather), k^2 s work for s nonzeros per
+column of Q, and gives a dense coupling.
 
-The one-sided map sends C to Q^T C; on graph couplings it composes:
-graph(s) -> graph(tau o s).
+The one-sided map sends C to Q^T C, the rows only; on graph couplings it
+composes: graph(s) -> graph(tau o s).  The one-sided orbit of the
+diagonal coupling I/k is (Q^n)^T / k, so its largest distance to the
+product is the mixing residual max |Q^n[i, j] - 1/k| / k.
 
 A fine -> coarse indicator matrix P (k x m) pulls back the other way: the
 restriction P^T (lens^n C) P of the n-step image is (Q^n P)^T C (Q^n P), so
@@ -27,10 +37,12 @@ An exact system's lens is itself a relabeling, so lens^n C is C relabelled
 by the n-th power of the cell map: cesaro_average reads a rational orbit's
 sums off powers of it, by doubling, in O(log N) relabels a horizon
 instead of N steps.  Float orbits keep the walk, as each step is repaired.
+Any other rational sum is held at the finest lift of its terms.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -74,21 +86,42 @@ def _check(sys: FiniteSystem, c: CouplingMatrix):
         raise BackendMismatch("system and coupling use different backends")
 
 
-def _gathered(sys: FiniteSystem, c: CouplingMatrix, lines, inverse=None) -> CouplingMatrix:
+def _gathered(sys: FiniteSystem, c: CouplingMatrix, lines, inverse=None,
+              fold: bool = True) -> CouplingMatrix:
     """C gathered on lines of the system along axis 0, and along axis 1
     too when the inverse lines are given: on an exact system a relabel of
-    C's lines, k s work; otherwise the dense matrix gathered, which gives
+    C's lines, k s work; on a cylinder shift, when fold, a fold of the held
+    matrix (_folded); otherwise the dense matrix gathered, which gives
     dense lines."""
     _check(sys, c)
     if sys.exact:
         return CouplingMatrix(exact.relabel_lines(
-            c.lines, lines.idx[:, 0], None if inverse is None else inverse.idx[:, 0]))
+            c.lines_at(), lines.idx[:, 0], None if inverse is None else inverse.idx[:, 0]))
+    if sys.cylinder and fold:
+        return _folded(c, sys.cylinder, inverse is not None)
     return CouplingMatrix(exact.gather(c.matrix, lines, (0,) if inverse is None else (0, 1)))
 
 
-def lens_step(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
-    """One application of the lens: C -> Q^T C Q."""
-    return _gathered(sys, c, sys.columns, sys.rows)
+def _folded(c: CouplingMatrix, d: int, both: bool) -> CouplingMatrix:
+    """Q^T C, and Q^T C Q when both, on the full shift bern:d,L: Q^T
+    averages the d words that differ in their first symbol, so the held
+    matrix H has that symbol summed out of each moved axis (exact.fold_lines)
+    and its lift on the axis grows d times, lens^n C [j, j'] = M_n[j // d^n,
+    j' // d^n] / d^2n for M_n the sum of C over the first n symbols.  Work
+    follows H's lines.  An axis held at lift k is constant, and Q^T keeps
+    it: with no axis left to fold, C is its own image."""
+    rows, cols = c.lift[0] < c.k, both and c.lift[1] < c.k
+    if not (rows or cols):
+        return c
+    return CouplingMatrix(exact.fold_lines(c.lines, d, rows, cols, c.width),
+                          (c.lift[0] * d ** rows, c.lift[1] * d ** cols))
+
+
+def lens_step(sys: FiniteSystem, c: CouplingMatrix, fold: bool = True) -> CouplingMatrix:
+    """One application of the lens: C -> Q^T C Q.  fold=False gathers the
+    dense image on a cylinder shift too, for a caller that reads the k x k
+    matrix at once (a float orbit's repair)."""
+    return _gathered(sys, c, sys.columns, sys.rows, fold)
 
 
 def lens_step_inverse(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
@@ -99,9 +132,10 @@ def lens_step_inverse(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
     return _gathered(sys, c, sys.rows, sys.columns)
 
 
-def one_sided_step(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
-    """One-sided map C -> Q^T C: first coordinate moves, second stays."""
-    return _gathered(sys, c, sys.columns)
+def one_sided_step(sys: FiniteSystem, c: CouplingMatrix, fold: bool = True) -> CouplingMatrix:
+    """One-sided map C -> Q^T C: first coordinate moves, second stays;
+    fold as in lens_step."""
+    return _gathered(sys, c, sys.columns, fold=fold)
 
 
 def lens_iterate(sys: FiniteSystem, c: CouplingMatrix, n: int) -> CouplingMatrix:
@@ -115,9 +149,12 @@ def lens_iterate(sys: FiniteSystem, c: CouplingMatrix, n: int) -> CouplingMatrix
     return c
 
 
-def _stored(state):
-    """The stored form of a walk's state: a coupling's lines, or the state."""
-    return state.lines if isinstance(state, CouplingMatrix) else state
+def _same(a, b) -> bool:
+    """Whether two states of a walk are one stored form (exact.same): for
+    couplings, the same lift and lines."""
+    if isinstance(a, CouplingMatrix):
+        return a.lift == b.lift and exact.same(a.lines, b.lines)
+    return exact.same(a, b)
 
 
 def walk(step, start, n_steps: int, relabels: bool):
@@ -139,7 +176,7 @@ def walk(step, start, n_steps: int, relabels: bool):
     for left in range(n_steps, 0, -1):
         new = step(state)
         if compare:
-            if exact.same(_stored(new), _stored(state)):
+            if _same(new, state):
                 yield new, left
                 return
             compare = not relabels
@@ -165,7 +202,8 @@ class LensOrbit:
     the runs of walk.  A float step is followed by drift repair, whose L1
     size the walk appends to repair_residuals (emptied as each walk starts);
     a settled run repeats its step's residual for each step it stands
-    for."""
+    for.  The repair reads the k x k matrix, so a float step gathers it
+    (fold=False) on a cylinder shift too."""
 
     sys: FiniteSystem
     start: CouplingMatrix
@@ -184,9 +222,9 @@ class LensOrbit:
         residuals = self.repair_residuals
 
         def repaired(c: CouplingMatrix) -> CouplingMatrix:
-            current = step(c)
-            fixed = repair_to_polytope(current.matrix)
-            residuals.append(exact.l1_norm(fixed.matrix, current.matrix))
+            current = step(c, fold=False).matrix
+            fixed = repair_to_polytope(current)
+            residuals.append(exact.l1_norm(fixed.matrix, current))
             return fixed
 
         for state, count in walk(repaired, self.start, self.n_steps, self.sys.exact):
@@ -255,11 +293,27 @@ def cesaro_average(orb: LensOrbit, horizons):
             if not left:
                 state, left = next(runs)
             take = min(left, h - summed)
-            m = state.matrix
-            total = (exact.mat_add(m, m, take - 1) if total is None
-                     else exact.mat_add(total, m, take))
+            total = _accumulated(total, state, take)
             summed, left = summed + take, left - take
-        yield h, CouplingMatrix(exact.mat_div(total, h))
+        lines = total.lines
+        yield h, CouplingMatrix(exact.Support(lines.idx, exact.mat_div(lines.val, h)),
+                                total.lift)
+
+
+def _accumulated(total: CouplingMatrix | None, state: CouplingMatrix, take: int):
+    """total + take state, held as a CouplingMatrix (total None: zero).
+    Floats add the matrix take times in turn (exact.mat_add).  A rational
+    sum is held at the finest lift of its terms, each term lifted to it and
+    added on lines (exact.add_lines)."""
+    if state.backend == exact.FLOAT:
+        m = state.matrix
+        return CouplingMatrix(exact.freeze(exact.mat_add(m, m, take - 1) if total is None
+                                           else exact.mat_add(total.matrix, m, take)))
+    lift = state.lift if total is None else (math.gcd(total.lift[0], state.lift[0]),
+                                             math.gcd(total.lift[1], state.lift[1]))
+    held = None if total is None else total.lines_at(lift)
+    return CouplingMatrix(exact.add_lines(held, state.lines_at(lift), state.k // lift[1], take),
+                          lift)
 
 
 def self_joining_residual(sys: FiniteSystem, c: CouplingMatrix):
@@ -279,8 +333,9 @@ def markov_commutation_residual(sys: FiniteSystem, c: CouplingMatrix):
     """
     _check(sys, c)
     if sys.exact:
-        qtc = exact.relabel_lines(c.lines, sys.columns.idx[:, 0])
-        ctq = exact.relabel_lines(c.lines, to=sys.columns.idx[:, 0])
+        lines = c.lines_at()
+        qtc = exact.relabel_lines(lines, sys.columns.idx[:, 0])
+        ctq = exact.relabel_lines(lines, to=sys.columns.idx[:, 0])
         return coupling_distance(CouplingMatrix(qtc), CouplingMatrix(ctq)) * c.k
     m = c.matrix
     return exact.l1_norm(exact.gather(m, sys.columns), exact.gather(m, sys.rows, (1,))) * c.k

@@ -9,6 +9,7 @@ map tau, and cell dynamics are lossless relabelings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -58,6 +59,24 @@ class FiniteSystem:
         """True when the system is a cell permutation (perm is set)."""
         return self.perm is not None
 
+    @cached_property
+    def cylinder(self) -> int | None:
+        """d when the system is the full shift on d >= 2 symbols at some
+        cylinder length L, k = d^L, as its row lines show: row w holds 1/d
+        at (w mod d^(L-1)) d + c for each symbol c (zoo.bernoulli_system).
+        None otherwise."""
+        k, d = self.rows.idx.shape
+        size = k
+        while d > 1 and size % d == 0:
+            size //= d
+        if d < 2 or size != 1:
+            return None
+        # Rows w and w + k/d hold the same positions, and rows 0 .. k/d - 1
+        # hold 0 .. k - 1 in turn.
+        if not (self.rows.idx.reshape(d, k) == np.arange(k)).all():
+            return None
+        return d if exact.is_constant(self.rows.val, Fraction(1, d)) else None
+
     @property
     def matrix(self):
         """Q in stored form, as Q I from the row support; not kept."""
@@ -72,7 +91,7 @@ def system_from_permutation(perm, backend: str = exact.RATIONAL) -> FiniteSystem
     """Exact system whose forward cell map is the given permutation."""
     perm = np.array(perm, dtype=int)  # a copy: the caller's array stays theirs
     k = len(perm)
-    if sorted(perm.tolist()) != list(range(k)):
+    if perm.ndim != 1 or k and not exact.is_permutation(perm):
         raise ValueError("forward cell map must be a permutation of 0..k-1")
     one = exact.constant((k, 1), 1, backend)
     return FiniteSystem(exact.Support(exact.freeze(perm[:, None]), one),

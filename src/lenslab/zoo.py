@@ -104,8 +104,7 @@ class IETSpec:
         if image.ndim != 1 or n and image.dtype.kind not in "iu":
             raise ValueError("permutation must be a sequence of integers")
         image = image.astype(np.intp)
-        if n and not (image.min() >= 0 and image.max() < n
-                      and (np.bincount(image, minlength=n) == 1).all()):
+        if n and not exact.is_permutation(image):
             raise ValueError("permutation must be a bijection on the intervals")
         object.__setattr__(self, "image", exact.freeze(image))
         object.__setattr__(self, "permutation", tuple(image.tolist()))

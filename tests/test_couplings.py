@@ -275,6 +275,9 @@ def test_permutation_diagonal_neighborhood_is_strict_on_both_backends(backend):
     (lambda: graph_coupling([1.5, 0]), "sigma must have integer entries"),
     (lambda: product_coupling(0), "k must be positive"),
     (lambda: graph_coupling([]), "k must be positive"),
+    (lambda: graph_coupling([0, -1]), "sigma must be a permutation"),
+    (lambda: graph_coupling([0, 2]), "sigma must be a permutation"),
+    (lambda: graph_coupling([1, 1]), "sigma must be a permutation"),
     (lambda: random_coupling(-1, np.random.default_rng(0)), "k must be positive"),
     (lambda: in_neighborhood(graph_coupling([1, 0]), NeighborhoodSpec(
         kind="permutation-diagonal", epsilon=Fraction(1, 10), eta=[0, 5])),
@@ -282,7 +285,8 @@ def test_permutation_diagonal_neighborhood_is_strict_on_both_backends(backend):
     (lambda: in_neighborhood(graph_coupling([1, 0]), NeighborhoodSpec(
         kind="permutation-diagonal", epsilon=Fraction(1, 10), eta=[0, 0])),
      "eta must be a permutation"),
-], ids=["fractional-map", "product-k0", "empty-graph", "random-negative-k",
+], ids=["fractional-map", "product-k0", "empty-graph", "sigma-negative", "sigma-off-the-cells",
+        "sigma-repeating-a-cell", "random-negative-k",
         "eta-off-the-cells", "eta-repeating-a-cell"])
 def test_coupling_constructors_refuse_what_is_no_coupling(build, message):
     with pytest.raises(ValueError, match=message):
@@ -328,11 +332,12 @@ def _canonical(c):
 def _dented(c, rng):
     """c's lines with mass moved between two positions of one line, which
     breaks two column sums and may leave a negative entry, or, on a line
-    with one position, with that value raised, which breaks its row too."""
+    with one position, with that value raised, which breaks its row too.
+    The lift stays: a held line stands for lift[0] rows."""
     idx, val = c.lines.idx, c.lines.val
     rational = isinstance(val, exact.Scaled)
     num = np.array(val.num if rational else val)
-    i = int(rng.integers(c.k))
+    i = int(rng.integers(len(idx)))
     own = np.flatnonzero(np.r_[True, idx[i, 1:] != idx[i, :-1]])
     t, u = rng.choice(own, 2) if len(own) > 1 else (own[0], None)
     shift = int(rng.integers(1, 4)) if rational else rng.integers(1, 4) / (2 * c.k * c.k)
@@ -340,7 +345,7 @@ def _dented(c, rng):
     if u is not None:
         num[i, u] += shift
     val = exact.from_scaled(num, val.den) if rational else exact.freeze(num)
-    return CouplingMatrix(exact.Support(idx, val))
+    return CouplingMatrix(exact.Support(idx, val), c.lift)
 
 
 def _period_oracle(sys, c, maxp):
@@ -388,7 +393,7 @@ def test_line_kernels_match_the_dense_oracle(spec, seed):
             assert product_distance(c) == exact.l1_norm(m, mass)
             if backend == exact.RATIONAL:
                 w = exact.from_scaled(rng.integers(0, 3, k), 1)
-                assert exact.quadratic_form(w, c.lines) == exact.quadratic_form(w, m)
+                assert exact.quadratic_form(w, c.lines_at()) == exact.quadratic_form(w, m)
             oracle = exact.l1_norm(exact.gather(m, sys.columns),
                                    exact.gather(m, sys.rows, (1,))) * k
             assert markov_commutation_residual(sys, c) == oracle

@@ -106,6 +106,15 @@ def test_permutation_helpers():
         assert all(list(system_power(sys, n).perm) != identity for n in range(1, order))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-2, 9), min_size=1, max_size=9))
+def test_is_permutation_is_the_sorted_check(cells):
+    """One range check and one bincount say what sorting says: the cells
+    are 0 .. k-1, each once."""
+    cells = np.array(cells)
+    assert exact.is_permutation(cells) == (sorted(cells.tolist()) == list(range(len(cells))))
+
+
 def test_matrix_of_permutation_convention():
     m = exact.matrix_of_permutation([1, 2, 0]).fractions
     # column j carries its mass to row perm[j]

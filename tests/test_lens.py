@@ -44,6 +44,7 @@ from lenslab import (
     validate_coupling,
 )
 from lenslab import SizeGuard, consecutive_blocks, exact
+from lenslab.couplings import product_distance
 from lenslab import experiments, lens
 from lenslab.lens import FixedPointSpace, _pair_orbit_labels
 
@@ -739,11 +740,11 @@ def _start(kind, sys, seed):
 
 def _stepped(sys, c, n_steps, mode):
     """The oracle: states 0..n_steps of a plain stepping loop, each float
-    step repaired, and the repair residuals."""
+    step gathered densely and repaired, and the repair residuals."""
     step = lens_step if mode == "lens" else one_sided_step
     states, residuals = [c], []
     for _ in range(n_steps):
-        c = step(sys, c)
+        c = step(sys, c, fold=c.backend == exact.RATIONAL)
         if c.backend == exact.FLOAT:
             repaired = repair_to_polytope(c.matrix)
             residuals.append(exact.l1_norm(repaired.matrix, c.matrix))
@@ -943,3 +944,146 @@ def test_float_exact_cesaro_average_still_steps_each_state(monkeypatch):
     c = random_coupling(8, np.random.default_rng(2), backend=exact.FLOAT)
     list(cesaro_average(orbit(sys, c, 200), [50, 200]))
     assert len(steps) == 200
+
+
+#
+# A Bernoulli walk lives on its cylinder factor.  The dense gather, which
+# every stochastic step took before, stays here as the oracle.
+#
+
+def _dense_walk(sys, c, n_steps, mode):
+    """The oracle: the matrices of states 0..n_steps, Q^T C Q (or Q^T C)
+    by one dense gather on Q's column lines a step."""
+    axes = (0, 1) if mode == "lens" else (0,)
+    states = [c.matrix]
+    for _ in range(n_steps):
+        states.append(exact.gather(states[-1], sys.columns, axes))
+    return states
+
+
+@st.composite
+def bernoulli_shapes(draw):
+    """(d, L) of a full shift bern:d,L, d = 2, 3 or 4, at most 729 cells."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    return d, draw(st.integers(1, {2: 7, 3: 4, 4: 3}[d]))
+
+
+def _agree(got, want, backend, d):
+    """Exactly on rationals, and bit for bit on floats where 1/d is a
+    float (d = 2, 4), since the fold adds in the gather's order; within
+    FLOAT_TOL where it is not."""
+    if backend == exact.RATIONAL or d != 3:
+        return got == want
+    return abs(got - want) <= exact.FLOAT_TOL
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(bernoulli_shapes(), st.sampled_from([exact.RATIONAL, exact.FLOAT]),
+       st.sampled_from(["random", "product", "graph"]), st.sampled_from(["lens", "one-sided"]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+def test_a_bernoulli_walk_on_its_cylinder_factor_is_the_dense_walk(shape, backend, start, mode,
+                                                                   merge, seed):
+    """A step on bern:d,L sums the first symbol out of the held matrix, on
+    both axes or on the rows, and makes its lift d times coarser there, up
+    to k at step L.  Each state, past L too, is the dense walk's matrix;
+    its distances to the product (L1 and max), to a random coupling, to the
+    start and to the state before (other lifts each), and its marginal
+    check read as on that matrix; and the walk, whose comparisons
+    (exact.same) end it at step L + 1, yields those states.  merge folds
+    narrow rational lines by merging them at every size, as past
+    exact._FOLD_DENSE cells, rather than by the dense sums."""
+    with mock.patch.object(exact, "_FOLD_DENSE", 0 if merge else exact._FOLD_DENSE):
+        _check_bernoulli_walk(shape, backend, start, mode, seed)
+
+
+def _check_bernoulli_walk(shape, backend, start, mode, seed):
+    d, L = shape
+    sys = bernoulli_system(d, L, backend)
+    assert sys.cylinder == d
+    k, c = sys.k, _start(start, sys, seed)
+    other = random_coupling(k, np.random.default_rng(seed + 1), backend)
+    n_steps = L + 2
+    dense = _dense_walk(sys, c, n_steps, mode)
+    step = lens_step if mode == "lens" else one_sided_step
+    states = [c]
+    for n in range(1, n_steps + 1):
+        states.append(step(sys, states[-1]))
+        f = d ** min(n, L)
+        assert states[n].lift == ((f, f) if mode == "lens" else (f, 1))
+    mass = exact.scalar(Fraction(1, k * k), backend)
+    for n, (state, m) in enumerate(zip(states, dense)):
+        assert _agree(exact.max_abs(state.matrix, m), 0, backend, d)
+        if backend == exact.RATIONAL or d != 3:
+            assert exact.same(state.matrix, m)
+        assert _agree(product_distance(state), exact.l1_norm(m, mass), backend, d)
+        assert _agree(product_distance(state, "max"), exact.max_abs(m, mass), backend, d)
+        for b, mb in ((other, other.matrix), (c, dense[0]), (states[n - 1], dense[n - 1])):
+            want = exact.l1_norm(m, mb)
+            assert _agree(coupling_distance(state, b), want, backend, d)
+            assert _agree(coupling_distance(b, state), want, backend, d)
+        assert validate_coupling(state) == exact.marginal_defects(m, Fraction(1, k),
+                                                                  exact.FLOAT_TOL)
+    if backend == exact.RATIONAL:  # a float orbit repairs each step
+        runs = list(orbit(sys, c, n_steps, mode).runs())
+        assert [count for _, count in runs] == [1] * (L + 1) + [n_steps - L]
+        walked = [state for state, count in runs for _ in range(count)]
+        assert all(exact.same(a.matrix, m) for a, m in zip(walked, dense))
+
+
+@pytest.mark.parametrize("backend", [exact.RATIONAL, exact.FLOAT])
+def test_a_shift_with_two_columns_swapped_is_no_cylinder_shift(backend):
+    """The de Bruijn matrix of bern:2,3 with columns 1 and 6 swapped is
+    doubly stochastic still, but its rows no longer step w to (w mod 4) 2
+    + c: its steps keep the dense gather, at lift (1, 1), and its walks are
+    the oracle's."""
+    q = exact.entries(bernoulli_system(2, 3, backend).matrix).copy()
+    q[:, [1, 6]] = q[:, [6, 1]]
+    sys = system_from_matrix(q)
+    assert sys.cylinder is None and not sys.exact
+    c = random_coupling(8, np.random.default_rng(4), backend)
+    for mode, step in (("lens", lens_step), ("one-sided", one_sided_step)):
+        state = c
+        for m in _dense_walk(sys, c, 5, mode)[1:]:
+            state = step(sys, state)
+            assert state.lift == (1, 1) and exact.same(state.matrix, m)
+
+
+@pytest.mark.parametrize("spec", ["rot:k=8,s=3", "odo:m=3", "iet:perm=2,0,1"])
+def test_exact_systems_are_no_cylinder_shifts(spec):
+    assert parse_system_spec(spec).cylinder is None
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_a_bernoulli_walk_folds_at_most_L_times(L, monkeypatch):
+    """At lift k a state is constant along its moved axes, and the step
+    returns it: a walk of N = 100 steps on bern:d=2,L folds at most L
+    times, as does the mixing-profile walk, and takes no dense gather."""
+    folds = _counting(monkeypatch, exact, "fold_lines")
+    gathers = _counting(monkeypatch, exact, "gather")
+    sys = bernoulli_system(2, L)
+    c = random_coupling(sys.k, np.random.default_rng(L))
+    mixing = ExperimentConfig(experiment="mixing-profile", system=f"bern:d=2,L={L}",
+                              parameters={"n_max": "100"})
+    for run in (lambda: list(orbit(sys, c, 100)), lambda: list(orbit(sys, c, 100, "one-sided")),
+                lambda: list(cesaro_average(orbit(sys, c, 100), [3, 100])),
+                lambda: run_experiment(mixing, write=False)):
+        del folds[:]
+        run()
+        assert len(folds) <= L and not gathers
+
+
+@pytest.mark.parametrize("mode", ["lens", "one-sided"])
+def test_a_float_orbit_on_a_bernoulli_shift_gathers_for_its_repair(mode, monkeypatch):
+    """A float orbit repairs the k x k matrix after each step, so on a
+    Bernoulli shift its steps gather that matrix (fold=False) rather than
+    fold it and spread it again: its states are the repaired dense walk's,
+    bit for bit, and no step folds."""
+    folds = _counting(monkeypatch, exact, "fold_lines")
+    sys = bernoulli_system(3, 3, exact.FLOAT)
+    c = random_coupling(sys.k, np.random.default_rng(5), backend=exact.FLOAT)
+    axes = (0, 1) if mode == "lens" else (0,)
+    state = c
+    for got in islice(orbit(sys, c, 6, mode), 1, None):
+        state = repair_to_polytope(exact.gather(state.matrix, sys.columns, axes))
+        assert _identical(got.matrix, state.matrix)
+    assert not folds

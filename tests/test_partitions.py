@@ -116,3 +116,15 @@ def test_permutation_of_matrix_takes_one_decision_on_both_backends():
         assert list(exact.permutation_of_matrix(exact.stored(q))) == [1, 0, 2]
     for q in (exact.frac_array([[0, 1], [0, 1]]), np.array([[0.0, 1.0], [0.0, 1.0]])):
         assert exact.permutation_of_matrix(exact.stored(q)) is None  # two rows onto one cell
+
+
+@pytest.mark.parametrize("perm", [[0, 0, 2], [1, 2, 1], [-1, 0, 1], [0, 1, 3], [3, 1, 2]],
+                         ids=["duplicate-low", "duplicate-high", "negative", "past-k",
+                              "past-k-first"])
+def test_system_from_permutation_refuses_what_is_no_permutation(perm):
+    with pytest.raises(ValueError, match="permutation of 0..k-1"):
+        system_from_permutation(perm)
+
+
+def test_system_from_permutation_keeps_the_empty_map():
+    assert system_from_permutation([]).k == 0

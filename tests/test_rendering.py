@@ -224,7 +224,8 @@ def test_list_column_renders_as_per_cell_value_str(column):
     st.lists(st.integers(0, 255)).map(lambda v: np.array(v, dtype=np.uint8)),
     st.lists(st.floats()).map(lambda v: np.array(v, dtype=np.float64)),
     st.lists(st.booleans()).map(lambda v: np.array(v, dtype=bool)),
-    st.lists(st.fractions()).map(lambda v: np.array(v, dtype=object))))
+    st.lists(st.fractions()).map(lambda v: np.array(v, dtype=object)),
+    st.lists(texts).map(lambda v: np.array(v, dtype=str))))
 def test_numpy_column_renders_as_per_cell_value_str(column):
     assert _cells(column) == [value_str(x) for x in column]
 
