@@ -10,11 +10,14 @@ permutations commuting with shifts and odometers.
 The readings that sum a lens image over blocks pull the block indicator
 matrix P (k x m) back through the system instead of building the k x k
 image: the restriction of lens^n C along P is (Q^n P)^T C (Q^n P), and
-Q^n P takes n gathers on Q's row lines (lens.pull_back), up to the first
-step that gives Q^n P back unchanged.  The entropy factor, the
-transitivity witness and the rigidity sweep on a stochastic system read
-their sums this way, one reading per run of equal terms; rigidity_probe
-keeps the dense image as the definition.  On an exact system Q^n B is B
+lens.pull_back walks Q^n P as row blocks R read by period, Q^n P [w] =
+R[w mod len(R)], up to the first step that gives R back unchanged: on
+bern:d,L, R is P averaged over runs of d^n consecutive rows, d^(L-n) rows,
+and elsewhere Q^n P itself, k rows.  The entropy factor, the transitivity
+witness and the rigidity sweep on a stochastic system read their sums off
+R at cells mod len(R), one reading per run of equal terms, and never
+rebuild the k-row matrix; rigidity_probe keeps the dense image as the
+definition.  On an exact system Q^n B is B
 relabelled by tau^n, so the rigidity sweep counts the pairs (label of i,
 label of tau^n(i)) for a chunk of n values at once, off tau's cycles.
 """
@@ -270,7 +273,10 @@ def rigidity_sweep(sys: FiniteSystem, blocks, n_max: int) -> list:
     in b' for the forward cell map tau, taken a chunk of n values at a time
     from tau's cycles (_label_pair_counts); no lens step is taken.  A
     stochastic system pulls B back through Q (lens.pull_back), one score
-    per run of equal terms."""
+    per run of equal terms: for the term R, Q^n B [w] = R[w mod len(R)], so
+    G_n = F^T R for F the rows of B summed by residue mod len(R)
+    (exact.residue_sums), an m x len(R) by len(R) x m product; len(R) =
+    d^(L-n) on bern:d,L, and k elsewhere."""
     sizes, label = _block_labels(blocks, sys.k)
     weights = [sys.k * size for size in sizes]
     m = len(sizes)
@@ -282,9 +288,9 @@ def rigidity_sweep(sys: FiniteSystem, blocks, n_max: int) -> list:
     indicator = exact.numerators((sys.k, m))
     indicator[np.arange(sys.k), label] = 1
     b = exact.from_scaled(indicator, 1, sys.backend)
-    bt = b.T
-    for w, count in pull_back(sys, b, n_max):
-        scores += [exact.weighted_squares(exact.mat_mul(bt, w), weights)] * count
+    for r, count in pull_back(sys, b, n_max):
+        f = exact.residue_sums(b, r.shape[0])
+        scores += [exact.weighted_squares(exact.mat_mul(f.T, r), weights)] * count
     return scores
 
 
@@ -321,8 +327,12 @@ def transitivity_witness(d: int, L: int, sigma, pi, epsilon=Fraction(1, 10**6)) 
 
     With tau the fine permutation, xi[tau(j), j] = 1 / fine_k, and P the
     prefix indicator matrix, the restricted image P^T (lens^L xi) P is
-    W[tau]^T W / fine_k for W = Q^L P; the restricted source counts the
-    fine cells j per pair (prefix(tau(j)), prefix(j)).  Neither builds xi.
+    W[tau]^T W / fine_k for W = Q^L P.  The pull-back's last term R reads W
+    by period, W[j] = R[j mod len(R)], so W[tau]^T W = R^T N R with N[a, b]
+    the fine cells j with tau(j) = a and j = b mod len(R): one bincount and
+    two len(R)-sided products, no fine_k x k matrix past P.  The restricted
+    source counts the fine cells j per pair (prefix(tau(j)), prefix(j)).
+    Neither builds xi.
     """
     if exact.power_exceeds_limit(d, 2 * L):
         raise ResolutionGuard(f"needs d^(2L) = {d}^{2 * L} cells > {SIZE_LIMIT}")
@@ -340,10 +350,12 @@ def transitivity_witness(d: int, L: int, sigma, pi, epsilon=Fraction(1, 10**6)) 
     restricted_source = CouplingMatrix(exact.from_scaled(pairs.reshape(k, k), fine_k))
     p = exact.numerators((fine_k, k))
     p[np.arange(fine_k), prefix] = 1
-    for w, _ in pull_back(bernoulli_system(d, 2 * L), exact.from_scaled(p, 1), L):
-        pass  # the last run holds Q^L P
-    restricted_image = CouplingMatrix(
-        exact.mat_div(exact.mat_mul(exact.relabel(w, tau).T, w), fine_k))
+    for r, _ in pull_back(bernoulli_system(d, 2 * L), exact.from_scaled(p, 1), L):
+        pass  # the last run holds R, Q^L P [w] = R[w mod len(R)]
+    n = r.shape[0]
+    pairs = np.bincount(tau % n * n + np.arange(fine_k) % n, minlength=n * n)
+    image = exact.mat_mul(exact.mat_mul(r.T, exact.from_scaled(pairs.reshape(n, n), 1)), r)
+    restricted_image = CouplingMatrix(exact.mat_div(image, fine_k))
 
     check_source = in_neighborhood(
         restricted_source, NeighborhoodSpec(kind="permutation-diagonal",
@@ -364,9 +376,10 @@ def entropy_factor_F(sys: FiniteSystem, lam: CouplingMatrix, n_values: int) -> l
     big-endian, A is the cylinder {x_0 = 0}.  Computed through the
     indicator vector: (lens^n C)(A x A) equals w_n^T C w_n with
     w_n = Q^n 1_A, the indicator vector pulled back through Q
-    (lens.pull_back), so each step gathers one vector from Q's row lines
-    instead of conjugating; w^T C w is one gather on C's lines when they
-    are sparse.
+    (lens.pull_back) instead of conjugating: on bern:2,L a step averages
+    the pairs of a vector of 2^(L-n) entries, and w_n[i] = R[i mod len(R)]
+    is spread from its term R to the k cells.  w^T C w is one gather on C's
+    lines when they are sparse.
     """
     if sys.k % 2:
         raise DimensionMismatch("A = cells 0 .. k/2 - 1 needs an even cell count")
@@ -376,8 +389,9 @@ def entropy_factor_F(sys: FiniteSystem, lam: CouplingMatrix, n_values: int) -> l
     indicator = exact.numerators(sys.k)
     indicator[:sys.k // 2] = 1
     values = []
-    for w, count in pull_back(sys, exact.from_scaled(indicator, 1, backend), n_values - 1):
-        values += [exact.quadratic_form(w, c)] * count
+    cells = np.arange(sys.k)
+    for r, count in pull_back(sys, exact.from_scaled(indicator, 1, backend), n_values - 1):
+        values += [exact.quadratic_form(exact.relabel(r, cells % r.shape[0]), c)] * count
     return values
 
 

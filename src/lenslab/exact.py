@@ -73,10 +73,11 @@ _PROBES = 16
 @dataclass(frozen=True, eq=False)
 class Scaled:
     """The rational array num / den in lowest terms, gcd(num, den) == 1,
-    which makes it unique (the sums of mat_add, fold_lines and lift_lines
-    excepted, which lowest reduces).  num is read-only, int64
-    while every |entry| < _INT64_SAFE and Python ints otherwise; from_scaled
-    reduces and picks the dtype, this constructor trusts its caller.  bound,
+    which makes it unique (the sums of mat_add, fold_lines, lift_lines,
+    run_means, residue_sums and average_runs excepted, which lowest
+    reduces).  num is read-only, int64 while every |entry| < _INT64_SAFE
+    and Python ints otherwise; from_scaled reduces and picks the dtype,
+    this constructor trusts its caller.  bound,
     when the kernel that made the value knew one, is an upper bound on every
     |entry| of num."""
 
@@ -466,6 +467,40 @@ def _gather_axis(x: np.ndarray, idx: np.ndarray, val: np.ndarray, axis: int):
     return out
 
 
+def run_means(x, d: int):
+    """The means of x's runs of d consecutive rows, for a row count that d
+    divides: row v is sum_c x[v d + c] / d.  Floats add x[v d + c] / d in
+    turn, as a gather on a line of d values 1/d does; rationals sum the
+    numerators over d times the denominator, unreduced (lowest reduces).
+    On cylinder words, Q x for the rows of the full shift Q that x holds."""
+    if backend_of(x) == FLOAT:
+        share = 1 / d
+        out = x[0::d] * share
+        for c in range(1, d):
+            out += x[c::d] * share
+        return freeze(out)
+    num, bound = x.num, _settled(x.num, x.magnitude, d) * d
+    if bound >= _INT64_SAFE:
+        num = num.astype(object)
+    return Scaled(num.reshape(-1, d, *num.shape[1:]).sum(axis=1), x.den * d, bound)
+
+
+def residue_sums(x, r: int):
+    """The sums of x's rows by their index mod r, for a row count that r
+    divides: row a is sum_t x[t r + a], unreduced on rationals (lowest
+    reduces); x itself when r is its row count.  F^T R = X^T W for W[w] =
+    R[w mod r]."""
+    n = x.shape[0] // r
+    if n == 1:
+        return x
+    if backend_of(x) == FLOAT:
+        return freeze(x.reshape(n, r, *x.shape[1:]).sum(axis=0))
+    num, bound = x.num, _settled(x.num, x.magnitude, n) * n
+    if bound >= _INT64_SAFE:
+        num = num.astype(object)
+    return Scaled(num.reshape(n, r, *num.shape[1:]).sum(axis=0), x.den, bound)
+
+
 def relabel(a, index):
     """The entries a[index] for an index that reaches every row and column,
     as a relabeling does: the values, and so the denominator, stay."""
@@ -713,8 +748,8 @@ def _spread(num: np.ndarray, like, share: int):
 
 def lowest(a):
     """A stored form, or the values of row lines, in lowest terms: the
-    unreduced sums of mat_add, fold_lines and lift_lines reduced; floats as
-    they are."""
+    unreduced sums of mat_add, fold_lines, lift_lines, run_means,
+    residue_sums and average_runs reduced; floats as they are."""
     if isinstance(a, Support):
         return Support(a.idx, lowest(a.val))
     return _reduced(a.num, a.den, a.magnitude) if isinstance(a, Scaled) else a
@@ -794,6 +829,25 @@ def fold_lines(lines: Support, d: int, rows: bool, cols: bool, width: int) -> Su
     return dense_lines(Scaled(num, a.den, bound))
 
 
+def average_runs(lines: Support, d: int, width: int) -> Support:
+    """The row lines of M', M'[i, p] = sum_c M[i, (p mod width/d) d + c] / d,
+    for the rational row lines of an n x width matrix M: each run of d
+    consecutive columns averaged, and the width/d averages laid d times
+    along the line, merged (collect_lines) in work proportional to M's
+    slots times d.  On cylinder words, M Q^T for the full shift Q: the last
+    symbol averaged out, and a new first one free."""
+    h, num = width // d, lines.val.num
+    bound = _settled(num, lines.val.magnitude, d) * d  # d slots merge into one
+    if bound >= _INT64_SAFE:
+        num = num.astype(object)
+    pos = lines.idx // d
+    if pos.shape[1] == 1:  # one position a line: its d copies ascend, unreduced
+        return Support(freeze(pos + np.arange(0, width, h)),
+                       Scaled(np.repeat(num, d, axis=1), lines.val.den * d, bound))
+    return collect_lines([pos + t * h for t in range(d)], [num] * d, lines.val.den * d,
+                         width=width, bound=bound)
+
+
 def add_lines(a: Support | None, b: Support, width: int, times: int = 1) -> Support:
     """The row lines of A + times B for rational matrices of row lines a and
     b, of width columns (A zero when a is None), for an int times >= 0:
@@ -850,9 +904,9 @@ def l1_lines(a: Support, b: Support, width: int | None = None,
     are compared slot against slot).  A may be held ratio = (rows, cols)
     times coarser, its entry (u, p) spread evenly over the cells (u rows +
     i, p cols + j) of B's shape: then each cell of B's lines reads the cell
-    of A above it (a sorted search of A's cell keys), and each cell of A
-    adds |its share| for every cell of its block that B's lines leave out,
-    _BLOCK_SLOTS slots at a time."""
+    of A above it (a sorted search of A's cell keys, or its flat index
+    when A is dense), and each cell of A adds |its share| for every cell
+    of its block that B's lines leave out, _BLOCK_SLOTS slots at a time."""
     n = len(b.idx)
     width = n if width is None else width
     rows, cols = ratio
@@ -884,17 +938,24 @@ def _l1_block(a_idx, na, b_idx, nb, coarse: int, ratio: tuple[int, int], bound: 
     the lines of B below them, A's width coarse."""
     rows, cols = ratio
     share = rows * cols
-    real_a, real_b = _real(a_idx), _real(b_idx)
-    key_a = (a_idx + (np.arange(len(a_idx)) * coarse)[:, None])[real_a]  # ascending
+    real_b = _real(b_idx)
     key_b = (b_idx // cols + (np.arange(len(b_idx)) // rows * coarse)[:, None])[real_b]
-    va, vb = na[real_a], _rescale(nb[real_b], share, bound)
+    vb = _rescale(nb[real_b], share, bound)
+    if a_idx.strides[0]:
+        real_a = _real(a_idx)
+        key_a = (a_idx + (np.arange(len(a_idx)) * coarse)[:, None])[real_a]  # ascending
+        va = na[real_a]
+        at = np.minimum(np.searchsorted(key_a, key_b), len(key_a) - 1)
+        hit = key_a[at] == key_b
+    else:  # dense lines (is_dense): every cell is held, its key its flat index
+        va, at, hit = na.ravel(), key_b, None
     if bound * share >= _INT64_SAFE:  # |va| times its cells left out
         va = va.astype(object)
-    at = np.minimum(np.searchsorted(key_a, key_b), len(key_a) - 1)
-    hit = key_a[at] == key_b
     over = va[at]
-    over[~hit] = 0
-    left = share - np.bincount(at[hit], minlength=len(key_a))  # cells B leaves out
+    if hit is not None:
+        over[~hit] = 0
+        at = at[hit]
+    left = share - np.bincount(at, minlength=len(va))  # cells B leaves out
     total, _ = _int_sum(np.concatenate((np.abs(over - vb), np.abs(va) * left)), bound * share)
     return int(total)
 

@@ -24,8 +24,10 @@ product is the mixing residual max |Q^n[i, j] - 1/k| / k.
 
 A fine -> coarse indicator matrix P (k x m) pulls back the other way: the
 restriction P^T (lens^n C) P of the n-step image is (Q^n P)^T C (Q^n P), so
-a reading of a few block sums walks Q^n P (pull_back), k s m work a step,
-and never builds the k x k image.
+a reading of a few block sums walks Q^n P (pull_back), and never builds the
+k x k image.  The walk holds a row block R, Q^n P [w] = R[w mod len(R)]: on
+bern:d,L R is P averaged over runs of d^n consecutive rows, d^(L-n) rows,
+a step len(R) m work; elsewhere R is Q^n P, a step k s m work.
 
 Orbits, pull-backs and powers are walks (walk): runs (state, count) that
 end at the first step whose result is its input.  Every step is
@@ -186,12 +188,32 @@ def walk(step, start, n_steps: int, relabels: bool):
 
 def pull_back(sys: FiniteSystem, p, n_steps: int):
     """The walk P, Q P, ..., Q^n_steps P of a stored form P with k rows, as
-    runs (walk), each step one gather on Q's row lines (k s m work for m
-    columns).  For P the indicator matrix of a map from cells to blocks,
-    (Q^n P)^T C (Q^n P) is lens^n C summed over block pairs."""
+    runs (walk) of row blocks R read by period: Q^n P [w] = R[w mod len(R)].
+    For P the indicator matrix of a map from cells to blocks, (Q^n P)^T C
+    (Q^n P) is lens^n C summed over block pairs.
+
+    On the full shift bern:d,L, Q's row w holds 1/d at (w mod d^(L-1)) d +
+    c, so Q^n P [w] = R_n[w mod d^(L-n)] for R_n the mean of P over each run
+    of d^n consecutive rows: a step averages R's runs of d rows (_pulled),
+    len(R) m work for m columns, and from step L on R is one row, P's column
+    means, which step L + 1 returns.  Elsewhere len(R) = k, and a step is
+    one gather on Q's row lines (k s m work), a relabel on an exact
+    system."""
     if p.shape[0] != sys.k:
         raise DimensionMismatch("system and pulled-back matrix sizes differ")
-    return walk(partial(exact.gather, lines=sys.rows), p, n_steps, sys.exact)
+    return walk(partial(_pulled, sys), p, n_steps, sys.exact)
+
+
+def _pulled(sys: FiniteSystem, r):
+    """Q applied to the row block R of Q^n P, read by period, as the row
+    block of Q^(n+1) P.  On a cylinder shift Q's rows v < len(R) / d hold
+    1/d at v d + c, all within R: they average R's runs of d rows
+    (exact.run_means), in the dense gather's order on floats.  A one-row R
+    is constant, and Q keeps it."""
+    d = sys.cylinder
+    if not d:
+        return exact.gather(r, sys.rows)
+    return exact.run_means(r, d) if r.shape[0] > 1 else r
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,11 +347,20 @@ def markov_commutation_residual(sys: FiniteSystem, c: CouplingMatrix):
     """L1 norm of M Q - Q M for the Markov matrix M = k C^T of the coupling.
 
     Commutation with Q is the operator form of being a self-joining.  The
-    transposes Q^T C and C Q^T of C^T Q and Q C^T are gathered, and the
+    transposes Q^T C and C Q^T of C^T Q and Q C^T are compared, and the
     norm scaled by k.  For exact systems both relabel C's lines, and the
     residual is k self_joining_residual; for stochastic systems it is the
     sharper test, since the step-coupling lens spreads graph mass that the
     operator identity preserves.
+
+    On a cylinder shift bern:d,L, Q^T C is C's rows summed over their first
+    symbol (the one-sided step's fold, held at a d times coarser row lift),
+    row j reading H[j // d] / d, and C Q^T = (Q C^T)^T averages C's columns
+    over their last symbol, column j reading the average at j mod k/d
+    (exact.average_runs).  A rational C compares the two on lines
+    (exact.l1_lines), in work that follows C's lines times d, and no k x k
+    array is built.  Other stochastic systems, and floats, gather both
+    products densely from Q's lines, k^2 s work.
     """
     _check(sys, c)
     if sys.exact:
@@ -337,6 +368,10 @@ def markov_commutation_residual(sys: FiniteSystem, c: CouplingMatrix):
         qtc = exact.relabel_lines(lines, sys.columns.idx[:, 0])
         ctq = exact.relabel_lines(lines, to=sys.columns.idx[:, 0])
         return coupling_distance(CouplingMatrix(qtc), CouplingMatrix(ctq)) * c.k
+    if sys.cylinder and c.backend == exact.RATIONAL:
+        qtc = one_sided_step(sys, c)
+        ctq = exact.average_runs(c.lines_at(), sys.cylinder, c.k)
+        return exact.l1_lines(qtc.lines, ctq, c.k, qtc.lift) * c.k
     m = c.matrix
     return exact.l1_norm(exact.gather(m, sys.columns), exact.gather(m, sys.rows, (1,))) * c.k
 

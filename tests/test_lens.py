@@ -19,6 +19,7 @@ from lenslab import (
     cesaro_average,
     coupling_distance,
     detect_period,
+    entropy_factor_F,
     fixed_point_space,
     graph_coupling,
     iet_system,
@@ -36,11 +37,13 @@ from lenslab import (
     repair_to_polytope,
     restrict_coupling,
     rigidity_probe,
+    rigidity_sweep,
     rotation_system,
     run_experiment,
     self_joining_residual,
     system_from_matrix,
     system_from_permutation,
+    transitivity_witness,
     validate_coupling,
 )
 from lenslab import SizeGuard, consecutive_blocks, exact
@@ -454,10 +457,11 @@ def _same(a, b):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(zoo_specs(), st.integers(1, 4), st.integers(0, 4), st.integers(0, 2**32 - 1))
 def test_pull_back_restricts_the_dense_lens_image(spec, m, n, seed):
-    """The n-th term W of pull_back from a block indicator P is Q^n P, and
-    W^T C W sums lens^n C over block pairs: the block sums of the dense
-    lens_iterate image, for any map of cells to m blocks (some may be
-    empty).  Equal on rationals, within FLOAT_TOL on floats."""
+    """The n-th term R of pull_back from a block indicator P, spread by its
+    period to W[w] = R[w mod len(R)], is Q^n P, and W^T C W sums lens^n C
+    over block pairs: the block sums of the dense lens_iterate image, for
+    any map of cells to m blocks (some may be empty).  Equal on rationals,
+    within FLOAT_TOL on floats."""
     for backend in (exact.RATIONAL, exact.FLOAT):
         sys = parse_system_spec(spec, backend)
         rng = np.random.default_rng(seed)
@@ -467,14 +471,15 @@ def test_pull_back_restricts_the_dense_lens_image(spec, m, n, seed):
         p = exact.from_scaled(p, 1, backend)
         c = random_coupling(sys.k, rng, backend=backend)
         dense = p
-        terms = [w for w, count in lens.pull_back(sys, p, n) for _ in range(count)]
+        terms = [r for r, count in lens.pull_back(sys, p, n) for _ in range(count)]
         assert len(terms) == n + 1
-        for t, w in enumerate(terms):
-            assert w.shape == (sys.k, m)
+        for t, r in enumerate(terms):
+            assert r.shape[1] == m and sys.k % r.shape[0] == 0
+            w = _spread(r, sys.k)
             want = exact.block_sums(lens_iterate(sys, c, t).matrix, parent, m)
             got = exact.mat_mul(exact.mat_mul(w.T, c.matrix), w)
             if backend == exact.RATIONAL:
-                assert _same(w, dense) and _same(got, want)
+                assert _same(exact.lowest(w), dense) and _same(got, want)
             else:
                 assert np.allclose(w, dense, rtol=0, atol=exact.FLOAT_TOL)
                 assert np.allclose(got, want, rtol=0, atol=exact.FLOAT_TOL)
@@ -1087,3 +1092,104 @@ def test_a_float_orbit_on_a_bernoulli_shift_gathers_for_its_repair(mode, monkeyp
         state = repair_to_polytope(exact.gather(state.matrix, sys.columns, axes))
         assert _identical(got.matrix, state.matrix)
     assert not folds
+
+
+#
+# A pull-back on a Bernoulli shift is read by period: Q^n P [w] = R[w mod
+# len(R)].  The dense gather of Q^n P, which every step took before, and the
+# readings made from it stay here as the oracles.
+#
+
+def _dense_pull_back(sys, p, n_steps):
+    """The oracle: Q^n P for n = 0..n_steps, one dense gather on Q's row
+    lines a step."""
+    states = [p]
+    for _ in range(n_steps):
+        states.append(exact.gather(states[-1], sys.rows))
+    return states
+
+
+def _spread(r, k):
+    """W[w] = R[w mod len(R)], the k rows that a row block R stands for."""
+    return exact.relabel(r, np.arange(k) % r.shape[0])
+
+
+def _close(got, want, backend):
+    """Lists of values, equal on rationals and within FLOAT_TOL on floats."""
+    if backend == exact.RATIONAL:
+        return got == want
+    return len(got) == len(want) and all(abs(g - w) <= exact.FLOAT_TOL for g, w in zip(got, want))
+
+
+def _scattered_blocks(k, rng):
+    """Blocks of distinct sizes over k cells, scattered."""
+    sizes = [k] if k < 4 else [1, k - 1] if k < 6 else [1, 2, k - 3]
+    return [part.tolist() for part in np.split(rng.permutation(k), np.cumsum(sizes)[:-1])]
+
+
+@st.composite
+def small_bernoulli_shapes(draw):
+    """(d, L) of a full shift bern:d,L, d = 2, 3 or 4, at most 256 cells."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    return d, draw(st.integers(1, {2: 8, 3: 5, 4: 4}[d]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_bernoulli_shapes(), st.sampled_from([exact.RATIONAL, exact.FLOAT]),
+       st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_a_pull_back_on_a_bernoulli_shift_is_read_by_period(shape, backend, m, seed):
+    """On bern:d,L the n-th pull-back term is a row block R of d^(L - n)
+    rows (one from n = L on), and R[w mod len(R)] is the dense Q^n P, for P
+    an integer k x m matrix (a 0/1 vector when m = 0): exactly on
+    rationals, within FLOAT_TOL on floats.  The walk settles at step L + 1.
+    The four readers of such terms, rigidity_sweep, entropy_factor_F (k
+    even), transitivity_witness (rational, at L' = L / 2 for L even) and
+    markov_commutation_residual (of a random, a graph and a lifted
+    coupling), equal their readings of the dense terms."""
+    d, L = shape
+    sys = bernoulli_system(d, L, backend)
+    k, rng = sys.k, np.random.default_rng(seed)
+    p = exact.from_scaled(rng.integers(-9, 10, (k, m)) if m else rng.integers(0, 2, k),
+                          1, backend)
+    n_steps = L + 2
+    runs = list(lens.pull_back(sys, p, n_steps))
+    assert [count for _, count in runs] == [1] * (L + 1) + [n_steps - L]
+    terms = [r for r, count in runs for _ in range(count)]
+    dense = _dense_pull_back(sys, p, n_steps)
+    for n, (r, want) in enumerate(zip(terms, dense)):
+        assert r.shape[0] == d ** (L - min(n, L))
+        got = _spread(r, k)
+        if backend == exact.RATIONAL:
+            assert exact.same(exact.lowest(got), want)
+        else:
+            assert exact.max_abs(got, want) <= exact.FLOAT_TOL
+
+    blocks = _scattered_blocks(k, rng)
+    b = exact.numerators((k, len(blocks)))
+    for i, cells in enumerate(blocks):
+        b[cells, i] = 1
+    b = exact.from_scaled(b, 1, backend)
+    weights = [k * len(cells) for cells in blocks]
+    want = [exact.weighted_squares(exact.mat_mul(b.T, w), weights)
+            for w in _dense_pull_back(sys, b, n_steps)]
+    assert _close(rigidity_sweep(sys, blocks, n_steps), want, backend)
+
+    c = random_coupling(k, rng, backend=backend)
+    if k % 2 == 0:
+        half = exact.from_scaled((np.arange(k) < k // 2).astype(np.int64), 1, backend)
+        want = [exact.quadratic_form(w, c.matrix) for w in _dense_pull_back(sys, half, n_steps)]
+        assert _close(entropy_factor_F(sys, c, n_steps + 1), want, backend)
+
+    for start in (c, graph_coupling(rng.permutation(k), backend), lens_step(sys, c)):
+        mat = start.matrix
+        want = exact.l1_norm(exact.gather(mat, sys.columns), exact.gather(mat, sys.rows, (1,))) * k
+        assert _close([markov_commutation_residual(sys, start)], [want], backend)
+
+    if L % 2 == 0 and backend == exact.RATIONAL:  # the witness is rational
+        half, base = L // 2, d ** (L // 2)
+        witness = transitivity_witness(d, half, rng.permutation(base), rng.permutation(base))
+        tau, indicator = witness.fine_perm, exact.numerators((k, base))
+        indicator[np.arange(k), np.arange(k) // base] = 1
+        w = _dense_pull_back(sys, exact.from_scaled(indicator, 1), half)[-1]
+        image = exact.mat_div(exact.mat_mul(exact.relabel(w, tau).T, w), k)
+        assert exact.same(witness.restricted_image.matrix, image)
