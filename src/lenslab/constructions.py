@@ -13,13 +13,14 @@ image: the restriction of lens^n C along P is (Q^n P)^T C (Q^n P), and
 lens.pull_back walks Q^n P as row blocks R read by period, Q^n P [w] =
 R[w mod len(R)], up to the first step that gives R back unchanged: on
 bern:d,L, R is P averaged over runs of d^n consecutive rows, d^(L-n) rows,
-and elsewhere Q^n P itself, k rows.  The entropy factor, the transitivity
-witness and the rigidity sweep on a stochastic system read their sums off
-R at cells mod len(R), one reading per run of equal terms, and never
-rebuild the k-row matrix; rigidity_probe keeps the dense image as the
-definition.  On an exact system Q^n B is B
-relabelled by tau^n, so the rigidity sweep counts the pairs (label of i,
-label of tau^n(i)) for a chunk of n values at once, off tau's cycles.
+and elsewhere Q^n P itself, k rows.  The entropy factor and the rigidity
+sweep on a stochastic system read their sums off R at cells mod len(R),
+one reading per run of equal terms, and never rebuild the k-row matrix;
+the transitivity witness's R is the identity, so it counts cell pairs
+without a walk; rigidity_probe keeps the dense image as the definition.
+On an exact system Q^n B is B relabelled by tau^n, so the rigidity sweep
+counts the pairs (label of i, label of tau^n(i)) for a chunk of n values
+at once, off tau's cycles.
 """
 
 from __future__ import annotations
@@ -327,12 +328,13 @@ def transitivity_witness(d: int, L: int, sigma, pi, epsilon=Fraction(1, 10**6)) 
 
     With tau the fine permutation, xi[tau(j), j] = 1 / fine_k, and P the
     prefix indicator matrix, the restricted image P^T (lens^L xi) P is
-    W[tau]^T W / fine_k for W = Q^L P.  The pull-back's last term R reads W
-    by period, W[j] = R[j mod len(R)], so W[tau]^T W = R^T N R with N[a, b]
-    the fine cells j with tau(j) = a and j = b mod len(R): one bincount and
-    two len(R)-sided products, no fine_k x k matrix past P.  The restricted
-    source counts the fine cells j per pair (prefix(tau(j)), prefix(j)).
-    Neither builds xi.
+    W[tau]^T W / fine_k for W = Q^L P.  On bern:d,2L the pull-back reads W
+    by period, W[j] = R[j mod k] (lens.pull_back), R P averaged over runs of
+    d^L = k consecutive rows: each run is the fine cells of one prefix, so
+    R is the k x k identity and W[j] the indicator of j mod k.  So W[tau]^T
+    W is N, N[a, b] the fine cells j with tau(j) = a and j = b mod k: one
+    bincount, as the restricted source counts the fine cells j per pair
+    (prefix(tau(j)), prefix(j)).  It builds neither xi nor P.
     """
     if exact.power_exceeds_limit(d, 2 * L):
         raise ResolutionGuard(f"needs d^(2L) = {d}^{2 * L} cells > {SIZE_LIMIT}")
@@ -348,14 +350,8 @@ def transitivity_witness(d: int, L: int, sigma, pi, epsilon=Fraction(1, 10**6)) 
     prefix = np.arange(fine_k) // k  # fine cell (i, s) -> base cell i
     pairs = np.bincount(prefix[tau] * k + prefix, minlength=fine_k)
     restricted_source = CouplingMatrix(exact.from_scaled(pairs.reshape(k, k), fine_k))
-    p = exact.numerators((fine_k, k))
-    p[np.arange(fine_k), prefix] = 1
-    for r, _ in pull_back(bernoulli_system(d, 2 * L), exact.from_scaled(p, 1), L):
-        pass  # the last run holds R, Q^L P [w] = R[w mod len(R)]
-    n = r.shape[0]
-    pairs = np.bincount(tau % n * n + np.arange(fine_k) % n, minlength=n * n)
-    image = exact.mat_mul(exact.mat_mul(r.T, exact.from_scaled(pairs.reshape(n, n), 1)), r)
-    restricted_image = CouplingMatrix(exact.mat_div(image, fine_k))
+    pairs = np.bincount(tau % k * k + np.arange(fine_k) % k, minlength=fine_k)
+    restricted_image = CouplingMatrix(exact.from_scaled(pairs.reshape(k, k), fine_k))
 
     check_source = in_neighborhood(
         restricted_source, NeighborhoodSpec(kind="permutation-diagonal",

@@ -834,8 +834,9 @@ def average_runs(lines: Support, d: int, width: int) -> Support:
     for the rational row lines of an n x width matrix M: each run of d
     consecutive columns averaged, and the width/d averages laid d times
     along the line, merged (collect_lines) in work proportional to M's
-    slots times d.  On cylinder words, M Q^T for the full shift Q: the last
-    symbol averaged out, and a new first one free."""
+    slots times d, which on dense lines is n width d log(width d) against
+    a gather's n width d.  On cylinder words, M Q^T for the full shift Q:
+    the last symbol averaged out, and a new first one free."""
     h, num = width // d, lines.val.num
     bound = _settled(num, lines.val.magnitude, d) * d  # d slots merge into one
     if bound >= _INT64_SAFE:
@@ -926,28 +927,31 @@ def l1_lines(a: Support, b: Support, width: int | None = None,
         total, _ = _int_sum(diff, bound)
         return Fraction(int(total), den)
     total, step = 0, max(1, _BLOCK_SLOTS // (a.idx.shape[1] + rows * b.idx.shape[1]))
+    dense = is_dense(a)
     for lo in range(0, len(a.idx), step):
         total += _l1_block(a.idx[lo:lo + step], na[lo:lo + step],
                            b.idx[lo * rows:(lo + step) * rows], nb[lo * rows:(lo + step) * rows],
-                           width // cols, ratio, bound)
+                           width // cols, ratio, bound, dense)
     return Fraction(total, den * share)
 
 
-def _l1_block(a_idx, na, b_idx, nb, coarse: int, ratio: tuple[int, int], bound: int) -> int:
+def _l1_block(a_idx, na, b_idx, nb, coarse: int, ratio: tuple[int, int], bound: int,
+              dense: bool) -> int:
     """l1_lines' numerator over den * share for one block of A's lines and
-    the lines of B below them, A's width coarse."""
+    the lines of B below them, A's width coarse, A's lines dense_lines when
+    dense."""
     rows, cols = ratio
     share = rows * cols
     real_b = _real(b_idx)
     key_b = (b_idx // cols + (np.arange(len(b_idx)) // rows * coarse)[:, None])[real_b]
     vb = _rescale(nb[real_b], share, bound)
-    if a_idx.strides[0]:
+    if not dense:
         real_a = _real(a_idx)
         key_a = (a_idx + (np.arange(len(a_idx)) * coarse)[:, None])[real_a]  # ascending
         va = na[real_a]
         at = np.minimum(np.searchsorted(key_a, key_b), len(key_a) - 1)
         hit = key_a[at] == key_b
-    else:  # dense lines (is_dense): every cell is held, its key its flat index
+    else:  # every cell is held, its key its flat index
         va, at, hit = na.ravel(), key_b, None
     if bound * share >= _INT64_SAFE:  # |va| times its cells left out
         va = va.astype(object)

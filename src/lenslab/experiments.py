@@ -511,8 +511,8 @@ def _run_mixing_profile(sys, p, backend):
 def _run_transitivity_witness(_, p, backend):
     if p["epsilon"] <= 0:
         raise InvalidConfig("epsilon must be positive")
-    # No step charge: the witness's ResolutionGuard (d^(2L) <= SIZE_LIMIT)
-    # bounds its L pull-back steps to L d^(3L+1) <= 2^24 < STEP_BUDGET.
+    # No step charge: the witness takes no step, and its ResolutionGuard
+    # (d^(2L) <= SIZE_LIMIT) bounds its two bincounts to d^(2L) cells each.
     w = transitivity_witness(p["d"], p["L"], p["sigma"], p["pi"], p["epsilon"])
     k = w.restricted_source.k
     # Cell c of the restrictions series is entry (i, j) of source, then image.

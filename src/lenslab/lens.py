@@ -357,10 +357,12 @@ def markov_commutation_residual(sys: FiniteSystem, c: CouplingMatrix):
     symbol (the one-sided step's fold, held at a d times coarser row lift),
     row j reading H[j // d] / d, and C Q^T = (Q C^T)^T averages C's columns
     over their last symbol, column j reading the average at j mod k/d
-    (exact.average_runs).  A rational C compares the two on lines
-    (exact.l1_lines), in work that follows C's lines times d, and no k x k
-    array is built.  Other stochastic systems, and floats, gather both
-    products densely from Q's lines, k^2 s work.
+    (exact.average_runs).  A rational C held on narrow lines compares the
+    two on lines (exact.l1_lines), in work that follows C's lines times d,
+    and no k x k array is built.  Dense C (a lifted C spreads its lines to
+    dense ones when H is dense), floats and other stochastic systems
+    gather both products densely from Q's lines, k^2 s work: on dense lines
+    the merge costs a log factor more than the gathers.
     """
     _check(sys, c)
     if sys.exact:
@@ -368,7 +370,7 @@ def markov_commutation_residual(sys: FiniteSystem, c: CouplingMatrix):
         qtc = exact.relabel_lines(lines, sys.columns.idx[:, 0])
         ctq = exact.relabel_lines(lines, to=sys.columns.idx[:, 0])
         return coupling_distance(CouplingMatrix(qtc), CouplingMatrix(ctq)) * c.k
-    if sys.cylinder and c.backend == exact.RATIONAL:
+    if sys.cylinder and c.sparse:
         qtc = one_sided_step(sys, c)
         ctq = exact.average_runs(c.lines_at(), sys.cylinder, c.k)
         return exact.l1_lines(qtc.lines, ctq, c.k, qtc.lift) * c.k

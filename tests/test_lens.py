@@ -1144,8 +1144,8 @@ def test_a_pull_back_on_a_bernoulli_shift_is_read_by_period(shape, backend, m, s
     rationals, within FLOAT_TOL on floats.  The walk settles at step L + 1.
     The four readers of such terms, rigidity_sweep, entropy_factor_F (k
     even), transitivity_witness (rational, at L' = L / 2 for L even) and
-    markov_commutation_residual (of a random, a graph and a lifted
-    coupling), equal their readings of the dense terms."""
+    markov_commutation_residual (of a random, a graph, a lifted and a
+    lifted graph coupling), equal their readings of the dense terms."""
     d, L = shape
     sys = bernoulli_system(d, L, backend)
     k, rng = sys.k, np.random.default_rng(seed)
@@ -1180,7 +1180,8 @@ def test_a_pull_back_on_a_bernoulli_shift_is_read_by_period(shape, backend, m, s
         want = [exact.quadratic_form(w, c.matrix) for w in _dense_pull_back(sys, half, n_steps)]
         assert _close(entropy_factor_F(sys, c, n_steps + 1), want, backend)
 
-    for start in (c, graph_coupling(rng.permutation(k), backend), lens_step(sys, c)):
+    lifted_graph = CouplingMatrix(graph_coupling(rng.permutation(k // d), backend).lines, (d, d))
+    for start in (c, graph_coupling(rng.permutation(k), backend), lens_step(sys, c), lifted_graph):
         mat = start.matrix
         want = exact.l1_norm(exact.gather(mat, sys.columns), exact.gather(mat, sys.rows, (1,))) * k
         assert _close([markov_commutation_residual(sys, start)], [want], backend)
