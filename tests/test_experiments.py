@@ -1,21 +1,28 @@
 """Experiment registry, config plumbing, report determinism, CLI exits."""
 
+import contextlib
 import dataclasses
 import hashlib
 import importlib
 import importlib.util
+import io
 import json
 import sys
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lenslab import (
     ExperimentConfig,
     InvalidConfig,
+    LensLabError,
     SizeGuard,
     UnknownExperiment,
     apply_overrides,
@@ -482,12 +489,23 @@ def test_float_backend_reports_are_written(name, tmp_path):
 
 
 def _numbers(report):
-    """Scalars and series cells of a report as floats, keyed by position."""
-    values = {("scalar", name): v for name, v in report.scalars.items()}
-    for name in report.series:
-        for r, row in enumerate(report.rows(name)):
-            values.update(((name, r, c), cell) for c, cell in enumerate(row))
-    return {key: float(Fraction(v)) for key, v in values.items()}
+    """Each scalar, and the cells of each series, of a report as a float
+    array, each distinct cell text (report.series) parsed once."""
+    values = {("scalar", name): np.array(float(Fraction(v))) for name, v in report.scalars.items()}
+    for name, (_, texts, index) in report.series.items():
+        values[name] = np.array([float(Fraction(t)) for t in texts.tolist()])[index]
+    return values
+
+
+def _assert_reports_agree(rational, floating):
+    """The float report has the rational one's verdicts, scalar and series
+    keys and shapes, and every number within FLOAT_TOL of it."""
+    assert floating.verdicts == rational.verdicts
+    exact_values, float_values = _numbers(rational), _numbers(floating)
+    assert float_values.keys() == exact_values.keys()
+    for key, x in exact_values.items():
+        assert float_values[key].shape == x.shape, key
+        assert (np.abs(float_values[key] - x) <= exact.FLOAT_TOL).all(), key
 
 
 @pytest.mark.parametrize("name", FLOAT_EXPERIMENTS)
@@ -497,11 +515,97 @@ def test_shipped_config_agrees_across_backends(name):
         run_experiment(config_from_mapping(
             apply_overrides(mapping, [f"backend={b}"])), write=False)
         for b in ("rational", "float"))
-    assert floating.verdicts == rational.verdicts
-    exact_values, float_values = _numbers(rational), _numbers(floating)
-    assert float_values.keys() == exact_values.keys()
-    for key, x in exact_values.items():
-        assert abs(float_values[key] - x) <= exact.FLOAT_TOL, key
+    _assert_reports_agree(rational, floating)
+
+
+@st.composite
+def _drawn_systems(draw):
+    """A system spec of rot, odo, iet or bern with at most 64 cells, and k."""
+    family = draw(st.sampled_from(["rot", "odo", "iet", "bern"]))
+    if family == "rot":
+        k = draw(st.integers(1, 64))
+        spec = f"rot:k={k},s={draw(st.integers(0, k - 1))}"
+    elif family == "odo":
+        spec = f"odo:m={draw(st.integers(1, 6))}"
+    elif family == "iet":
+        perm = draw(st.permutations(range(draw(st.integers(1, 12)))))
+        spec = "iet:perm=" + ",".join(map(str, perm))
+    else:
+        d = draw(st.sampled_from([2, 3, 4]))
+        spec = f"bern:d={d},L={draw(st.integers(1, {2: 6, 3: 3, 4: 3}[d]))}"
+    return spec, parse_system_spec(spec).k
+
+
+def _maybe(draw, strategy):
+    """A drawn value as a config text, or None to leave the key unset."""
+    return draw(st.none() | strategy.map(str))
+
+
+@st.composite
+def drawn_configs(draw):
+    """One of the experiments that run on both backends, on a drawn system,
+    with drawn parameters: mostly admitted, sometimes refused (repeated
+    block sizes, a fixed-point space or a walk past its budget)."""
+    spec, k = draw(_drawn_systems())
+    name = draw(st.sampled_from(FLOAT_EXPERIMENTS))
+    params = {}
+    if name == "rigidity-sweep":
+        first = draw(st.integers(1, k))
+        params["blocks"] = ",".join(map(str, [first] + [k - first] * (first < k)))
+        params["n_max"] = str(n := draw(st.integers(0, 12)))
+        params["expect_return_at"] = _maybe(draw, st.integers(1, max(n, 1)))
+    elif name == "mixing-profile":
+        params["n_max"] = str(n := draw(st.integers(0, 12)))
+        params["expect_zero_by"] = _maybe(draw, st.integers(0, n))
+    elif name == "one-sided-limit":
+        params["n_steps"] = str(n := draw(st.integers(0, 12)))
+        init = draw(st.sampled_from(["random", "product", "graph"]))
+        if init == "graph":
+            init = "graph:" + ",".join(map(str, draw(st.permutations(range(k)))))
+        params["init"], params["seed"] = init, str(draw(st.integers(0, 2**16)))
+        params["expect_product_by"] = _maybe(draw, st.integers(0, n))
+    elif name == "cesaro-barycenter":
+        horizons = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+        params["N_values"] = ",".join(map(str, horizons))
+        params["n_initials"] = str(draw(st.integers(1, 2)))
+        params["seed"] = str(draw(st.integers(0, 2**16)))
+    return name, spec, {key: v for key, v in params.items() if v is not None}
+
+
+def _outcome(name, spec, params, backend):
+    """The report of a run, or the type and message of its refusal."""
+    cfg = ExperimentConfig(experiment=name, system=spec, backend=backend, parameters=params)
+    try:
+        return run_experiment(cfg, write=False)
+    except LensLabError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(drawn_configs())
+def test_drawn_configs_agree_across_backends_and_exit_cleanly(config):
+    """Each experiment that runs on both backends, drawn on rot, odo, iet and
+    bern at k <= 64: the float run gives the rational run's verdicts,
+    scalar and series keys, and every number within FLOAT_TOL of it, or is
+    refused with the same error; through the CLI, each backend exits 0, 1,
+    2 or 3, never with a crash."""
+    name, spec, params = config
+    rational, floating = (_outcome(name, spec, params, b) for b in (exact.RATIONAL, exact.FLOAT))
+    if isinstance(rational, tuple) or isinstance(floating, tuple):
+        assert floating == rational
+    else:
+        _assert_reports_agree(rational, floating)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.cfg"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in
+                                {"experiment": name, "system": spec, **params}.items()))
+        for backend in (exact.RATIONAL, exact.FLOAT):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli_main(["run", str(path), "--set", f"backend={backend}",
+                                 "--set", "output_dir="])
+            assert code in (0, 1, 2, 3), err.getvalue()
+            assert "Traceback" not in err.getvalue()
 
 
 def _run_override(name, override, capsys, command="run"):
