@@ -16,10 +16,11 @@ Bernoulli shift sums H over a symbol and makes its lift d times coarser
 (lens.lens_step), so its images shrink towards the product coupling, held
 as one entry at lift (k, k).  A dense H is the line set of full width, its
 stored form itself (exact.dense_lines); the k x k form is built when matrix
-is asked for, and not kept.  On rationals the distances, validation and the
-graph test read the held lines at their lift (exact.l1_lines,
-exact.scalar_gap, exact.marginal_defects); a float sum reads the matrix, so
-that it keeps the dense summation order a float report's bits come from.
+is asked for, and not kept.  The distance to the product, validation and
+the graph test read the held lines at their lift on both backends
+(exact.scalar_gap, exact.marginal_defects, exact.permutation_of_lines),
+and so do the distances on rationals (exact.l1_lines); a float distance
+reads the two matrices.
 """
 
 from __future__ import annotations
@@ -99,9 +100,9 @@ class CouplingMatrix:
 
     @property
     def sparse(self) -> bool:
-        """Whether the kernels read the lines: rational lines narrower than
-        H.  Dense lines are the matrix H, and a float sum keeps the dense
-        summation order that a float report's bits come from."""
+        """Whether the rational line kernels (exact.l1_lines,
+        exact.average_runs) read the lines: rational lines narrower than H.
+        Dense lines are the matrix H."""
         return self.lines.idx.shape[1] < self.width and self.backend == exact.RATIONAL
 
     def lines_at(self, lift: tuple[int, int] = (1, 1)) -> exact.Support:
@@ -224,13 +225,10 @@ def product_distance(c: CouplingMatrix, norm: str = "l1"):
     """Entrywise distance to the product coupling, each entry 1/k^2: the L1
     norm of C - 1/k^2, or with norm "max" its largest |entry|.  Read off
     the held matrix H, each of whose entries stands for f_r f_c cells, each
-    of them 1/(f_r f_c) of H - f_r f_c/k^2 (exact.scalar_gap).  A float L1
-    sum reads the matrix, in the dense order its bits come from."""
+    of them 1/(f_r f_c) of H - f_r f_c/k^2 (exact.scalar_gap)."""
     if norm not in ("l1", "max"):
         raise ValueError("norm must be 'l1' or 'max'")
     k, share = c.k, c.lift[0] * c.lift[1]
-    if norm == "l1" and c.backend == exact.FLOAT:
-        return exact.l1_norm(c.matrix, exact.scalar(Fraction(1, k * k), c.backend))
     if norm == "l1":
         return exact.scalar_gap(c.lines, Fraction(share, k * k), c.width)
     return exact.scalar_gap(c.lines, Fraction(share, k * k), c.width, True, share)
@@ -292,7 +290,8 @@ def repair_to_polytope(m) -> CouplingMatrix:
     """Project a slightly drifted float matrix back onto the polytope.
 
     Alternating row/column rescaling (Sinkhorn) after clamping negatives;
-    iterates until the largest marginal deviation is below REPAIR_TARGET.
+    iterates until the largest marginal deviation is below REPAIR_TARGET,
+    so a nonnegative input that meets it already is returned as it is.
     Raises NotRepairable when the input is farther than REPAIR_TOL from
     feasible, or a row or column carries no mass to rescale.
     """
@@ -313,9 +312,11 @@ def repair_to_polytope(m) -> CouplingMatrix:
         raise NotRepairable("row sums drift beyond tol")
     if np.abs(m.sum(axis=0) - target).max() > REPAIR_TOL:
         raise NotRepairable("column sums drift beyond tol")
-    w = np.clip(m, 0.0, None)
+    w = m if m.min() >= 0.0 else np.clip(m, 0.0, None)
     for _ in range(10_000):
         rows = w.sum(axis=1)
+        if max(np.abs(rows - target).max(), np.abs(w.sum(axis=0) - target).max()) < REPAIR_TARGET:
+            return CouplingMatrix(w)
         if rows.min() <= 0.0:
             raise NotRepairable("zero row cannot be rescaled")
         w = w * (target / rows)[:, None]
@@ -323,21 +324,13 @@ def repair_to_polytope(m) -> CouplingMatrix:
         if cols.min() <= 0.0:
             raise NotRepairable("zero column cannot be rescaled")
         w = w * (target / cols)[None, :]
-        dev = max(np.abs(w.sum(axis=1) - target).max(),
-                  np.abs(w.sum(axis=0) - target).max())
-        if dev < REPAIR_TARGET:
-            return CouplingMatrix(w)
     raise NotRepairable("rescaling did not converge")
 
 
 def validate_coupling(c: CouplingMatrix) -> list[str]:
-    """Row sums, column sums and negative entries (exact.marginal_defects):
-    on rationals read off the held lines or matrix H at its lift, on floats
-    off the matrix."""
-    if c.backend == exact.FLOAT:
-        return exact.marginal_defects(c.matrix, Fraction(1, c.k), exact.FLOAT_TOL)
-    held = c.lines if c.sparse else exact.lines_matrix(c.lines, c.width)
-    return exact.marginal_defects(held, Fraction(1, c.k), exact.FLOAT_TOL, c.lift, c.width)
+    """Row sums, column sums and negative entries (exact.marginal_defects),
+    read off the held lines of H at its lift."""
+    return exact.marginal_defects(c.lines, Fraction(1, c.k), exact.FLOAT_TOL, c.lift, c.width)
 
 
 def random_coupling(k: int, rng: np.random.Generator,

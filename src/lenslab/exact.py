@@ -1049,43 +1049,47 @@ def marginal_defects(m, target, tol: float, lift: tuple[int, int] = (1, 1),
     """Lines of m whose sum is not target, then negative entries.
 
     Returns 'row_sum(i)', 'col_sum(j)' and 'negative_entry(i,j)' names in
-    that order.  target is exact; tol applies to float arrays only.  m is a
-    square stored form, or the row lines (Support) of a rational one, whose
+    that order.  m is a stored form, or its row lines (Support), whose
     column sums add each value at its position.  With lift = (rows, cols),
     m holds a matrix spread over blocks (lift_lines) and has width columns
     (its line count unless given): a line of m then sums to rows (or cols)
-    times target, and names are of the spread matrix's cells.
+    times target, and names are of the spread matrix's cells.  target is
+    exact and rationals compare exactly; on floats each sum or entry of the
+    spread matrix may miss by tol, so a line of m by rows (or cols) tol and
+    an entry by rows cols tol.
     """
-    lines = m if isinstance(m, Support) else None
-    if lines is not None or backend_of(m) == RATIONAL:
-        s = m if lines is None else lines.val
-        num, bound = s.num, s.magnitude
-        rows, row_bound = _int_sum(num, bound, 1)
-        if lines is None:
-            cols, col_bound = _int_sum(num, bound, 0)
-            neg_i, neg_j = np.nonzero(num < 0)
-        else:
-            col_bound = _settled(num, bound, num.size) * num.size
-            cols = numerators(len(num) if width is None else width, col_bound)
-            np.add.at(cols, lines.idx.ravel(), num.ravel())
-            neg_i, slot = np.nonzero(num < 0)
-            neg_j = lines.idx[neg_i, slot]
-        # A line of m sums to f p/q exactly when its numerators sum to f p den/q.
-        (fr, fc), (p, q) = lift, Fraction(target).as_integer_ratio()
-        bad_rows = np.flatnonzero(_rescale(rows, q, row_bound) != fr * p * s.den)
-        bad_cols = np.flatnonzero(_rescale(cols, q, col_bound) != fc * p * s.den)
-        if lift != (1, 1) and (bad_rows.size or bad_cols.size or neg_i.size):
-            bad_rows, bad_cols = _spread_cells(bad_rows, fr), _spread_cells(bad_cols, fc)
-            i = neg_i[:, None, None] * fr + np.arange(fr)[:, None]
-            j = neg_j[:, None, None] * fc + np.arange(fc)
-            neg_i, neg_j = (x.ravel() for x in np.broadcast_arrays(i, j))
-            order = np.lexsort((neg_j, neg_i))  # row by row, as the spread matrix lists them
-            neg_i, neg_j = neg_i[order], neg_j[order]
+    lines = m if isinstance(m, Support) else dense_lines(m)
+    (fr, fc), val = lift, lines.val
+    num, one = _num_one(val)
+    rational = isinstance(val, Scaled)
+    bound = val.magnitude if rational else 0
+    rows, row_bound = _int_sum(num, bound, 1) if rational else (num.sum(axis=1), 0)
+    if is_dense(lines):
+        cols, col_bound = _int_sum(num, bound, 0) if rational else (num.sum(axis=0), 0)
     else:
-        target = float(target)
-        bad_rows = np.flatnonzero([abs(m[i, :].sum() - target) > tol for i in range(m.shape[0])])
-        bad_cols = np.flatnonzero([abs(m[:, j].sum() - target) > tol for j in range(m.shape[1])])
-        neg_i, neg_j = np.nonzero(m < -tol)
+        width = len(num) if width is None else width
+        col_bound = _settled(num, bound, num.size) * num.size
+        cols = numerators(width, col_bound) if rational else np.zeros(width)
+        np.add.at(cols, lines.idx.ravel(), num.ravel())
+    if rational:
+        # A line of m sums to f p/q exactly when its numerators sum to f p den/q.
+        p, q = Fraction(target).as_integer_ratio()
+        bad_rows = np.flatnonzero(_rescale(rows, q, row_bound) != fr * p * one)
+        bad_cols = np.flatnonzero(_rescale(cols, q, col_bound) != fc * p * one)
+        neg_i, slot = np.nonzero(num < 0)
+    else:
+        t = float(target)
+        bad_rows = np.flatnonzero(np.abs(rows - fr * t) > fr * tol)
+        bad_cols = np.flatnonzero(np.abs(cols - fc * t) > fc * tol)
+        neg_i, slot = np.nonzero(num < -fr * fc * tol)
+    neg_j = lines.idx[neg_i, slot]
+    if lift != (1, 1) and (bad_rows.size or bad_cols.size or neg_i.size):
+        bad_rows, bad_cols = _spread_cells(bad_rows, fr), _spread_cells(bad_cols, fc)
+        i = neg_i[:, None, None] * fr + np.arange(fr)[:, None]
+        j = neg_j[:, None, None] * fc + np.arange(fc)
+        neg_i, neg_j = (x.ravel() for x in np.broadcast_arrays(i, j))
+        order = np.lexsort((neg_j, neg_i))  # row by row, as the spread matrix lists them
+        neg_i, neg_j = neg_i[order], neg_j[order]
     out = [f"row_sum({i})" for i in bad_rows]
     out += [f"col_sum({j})" for j in bad_cols]
     out += [f"negative_entry({i},{j})" for i, j in zip(neg_i, neg_j)]

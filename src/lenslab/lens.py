@@ -12,10 +12,10 @@ the cylinder factor maps: the held matrix of C has that symbol summed out
 of each axis and a lift d times coarser (exact.fold_lines), lens^n C [j,
 j'] = M_n[j // d^n, j' // d^n] / d^2n, in work that follows its lines, and
 the walk shrinks to the product coupling, held as one entry, at step L.
-Any other stochastic step, and a float orbit's step there, whose repair
-reads the k x k matrix (fold=False), gathers the dense matrix from Q's
-column lines on both axes (exact.gather), k^2 s work for s nonzeros per
-column of Q, and gives a dense coupling.
+Any other stochastic step gathers the dense matrix from Q's column lines
+on both axes (exact.gather), k^2 s work for s nonzeros per column of Q,
+and gives a dense coupling; a float orbit repairs only those steps
+(LensOrbit).  Both backends take the same steps.
 
 The one-sided map sends C to Q^T C, the rows only; on graph couplings it
 composes: graph(s) -> graph(tau o s).  The one-sided orbit of the
@@ -36,10 +36,9 @@ shift bern:d,L, where Q^L = J/k, a walk settles by step L + 1.  A reader
 takes one reading per run.
 
 An exact system's lens is itself a relabeling, so lens^n C is C relabelled
-by the n-th power of the cell map: cesaro_average reads a rational orbit's
-sums off powers of it, by doubling, in O(log N) relabels a horizon
-instead of N steps.  Float orbits keep the walk, as each step is repaired.
-Any other rational sum is held at the finest lift of its terms.
+by the n-th power of the cell map: cesaro_average reads an orbit's sums
+off powers of it, by doubling, in O(log N) relabels a horizon instead of
+N steps.  Any other rational sum is held at the finest lift of its terms.
 """
 
 from __future__ import annotations
@@ -88,20 +87,25 @@ def _check(sys: FiniteSystem, c: CouplingMatrix):
         raise BackendMismatch("system and coupling use different backends")
 
 
-def _gathered(sys: FiniteSystem, c: CouplingMatrix, lines, inverse=None,
-              fold: bool = True) -> CouplingMatrix:
+def _gathers(sys: FiniteSystem) -> bool:
+    """Whether a step on sys gathers the dense matrix, as it does on a
+    system that neither relabels (exact) nor folds (cylinder)."""
+    return not (sys.exact or sys.cylinder)
+
+
+def _gathered(sys: FiniteSystem, c: CouplingMatrix, lines, inverse=None) -> CouplingMatrix:
     """C gathered on lines of the system along axis 0, and along axis 1
     too when the inverse lines are given: on an exact system a relabel of
-    C's lines, k s work; on a cylinder shift, when fold, a fold of the held
-    matrix (_folded); otherwise the dense matrix gathered, which gives
-    dense lines."""
+    C's lines, k s work; on a cylinder shift a fold of the held matrix
+    (_folded); otherwise the dense matrix gathered, which gives dense
+    lines."""
     _check(sys, c)
+    if _gathers(sys):
+        return CouplingMatrix(exact.gather(c.matrix, lines, (0,) if inverse is None else (0, 1)))
     if sys.exact:
         return CouplingMatrix(exact.relabel_lines(
             c.lines_at(), lines.idx[:, 0], None if inverse is None else inverse.idx[:, 0]))
-    if sys.cylinder and fold:
-        return _folded(c, sys.cylinder, inverse is not None)
-    return CouplingMatrix(exact.gather(c.matrix, lines, (0,) if inverse is None else (0, 1)))
+    return _folded(c, sys.cylinder, inverse is not None)
 
 
 def _folded(c: CouplingMatrix, d: int, both: bool) -> CouplingMatrix:
@@ -119,11 +123,9 @@ def _folded(c: CouplingMatrix, d: int, both: bool) -> CouplingMatrix:
                           (c.lift[0] * d ** rows, c.lift[1] * d ** cols))
 
 
-def lens_step(sys: FiniteSystem, c: CouplingMatrix, fold: bool = True) -> CouplingMatrix:
-    """One application of the lens: C -> Q^T C Q.  fold=False gathers the
-    dense image on a cylinder shift too, for a caller that reads the k x k
-    matrix at once (a float orbit's repair)."""
-    return _gathered(sys, c, sys.columns, sys.rows, fold)
+def lens_step(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
+    """One application of the lens: C -> Q^T C Q."""
+    return _gathered(sys, c, sys.columns, sys.rows)
 
 
 def lens_step_inverse(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
@@ -134,10 +136,9 @@ def lens_step_inverse(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
     return _gathered(sys, c, sys.rows, sys.columns)
 
 
-def one_sided_step(sys: FiniteSystem, c: CouplingMatrix, fold: bool = True) -> CouplingMatrix:
-    """One-sided map C -> Q^T C: first coordinate moves, second stays;
-    fold as in lens_step."""
-    return _gathered(sys, c, sys.columns, fold=fold)
+def one_sided_step(sys: FiniteSystem, c: CouplingMatrix) -> CouplingMatrix:
+    """One-sided map C -> Q^T C: first coordinate moves, second stays."""
+    return _gathered(sys, c, sys.columns)
 
 
 def lens_iterate(sys: FiniteSystem, c: CouplingMatrix, n: int) -> CouplingMatrix:
@@ -168,9 +169,7 @@ def walk(step, start, n_steps: int, relabels: bool):
     the steps left, which a deterministic step would each repeat.  relabels
     says that each step relabels, as an exact system's does: a relabeling
     is a bijection, so a walk it moves at its first step never settles, and
-    it is compared after that step only.  (A float orbit's repair rounds
-    after the relabel, but a comparison left out changes no state, only
-    the number of steps taken.)"""
+    it is compared after that step only."""
     if n_steps < 0:
         return
     yield start, 1
@@ -221,11 +220,14 @@ class LensOrbit:
     """orbit(system, c, n_steps, mode) as a walk: iterating yields states
     0..n_steps, states[n+1] = step(system, states[n]), each step taken when
     it is asked for and only the current state kept; runs() yields them as
-    the runs of walk.  A float step is followed by drift repair, whose L1
-    size the walk appends to repair_residuals (emptied as each walk starts);
-    a settled run repeats its step's residual for each step it stands
-    for.  The repair reads the k x k matrix, so a float step gathers it
-    (fold=False) on a cylinder shift too."""
+    the runs of walk.  A float step that gathers the dense matrix (on a
+    system that neither relabels nor folds) adds rounding that nothing
+    bounds, so it is followed by drift repair, whose L1 size the walk
+    appends to repair_residuals (emptied as each walk starts); a settled
+    run repeats its step's residual for each step it stands for.  A
+    relabel rounds nothing, and a fold rounds each entry of a walk that
+    reaches the product within L steps, so those float steps are not
+    repaired and log nothing."""
 
     sys: FiniteSystem
     start: CouplingMatrix
@@ -235,28 +237,26 @@ class LensOrbit:
 
     def runs(self):
         step = partial(lens_step if self.mode == "lens" else one_sided_step, self.sys)
-        self.repair_residuals.clear()
-        if self.start.backend == exact.FLOAT:
-            return self._repaired_runs(step)
-        return walk(step, self.start, self.n_steps, self.sys.exact)
-
-    def _repaired_runs(self, step):
         residuals = self.repair_residuals
-
-        def repaired(c: CouplingMatrix) -> CouplingMatrix:
-            current = step(c, fold=False).matrix
-            fixed = repair_to_polytope(current)
-            residuals.append(exact.l1_norm(fixed.matrix, current))
-            return fixed
-
-        for state, count in walk(repaired, self.start, self.n_steps, self.sys.exact):
-            if count > 1:  # each step a settled run stands for repeats its repair
-                residuals.extend(residuals[-1:] * (count - 1))
+        residuals.clear()
+        if self.start.backend == exact.FLOAT and _gathers(self.sys):
+            step = partial(_repaired, step, residuals)
+        for state, count in walk(step, self.start, self.n_steps, self.sys.exact):
+            # Each step a settled run stands for repeats its repair, if any.
+            residuals.extend(residuals[-1:] * (count - 1))
             yield state, count
 
     def __iter__(self):
         for state, count in self.runs():
             yield from repeat(state, count)
+
+
+def _repaired(step, residuals: list, c: CouplingMatrix) -> CouplingMatrix:
+    """step(c) repaired onto the polytope, the repair's L1 size appended."""
+    current = step(c).matrix
+    fixed = repair_to_polytope(current)
+    residuals.append(exact.l1_norm(fixed.matrix, current))
+    return fixed
 
 
 def orbit(sys: FiniteSystem, c: CouplingMatrix, n_steps: int,
@@ -267,7 +267,7 @@ def orbit(sys: FiniteSystem, c: CouplingMatrix, n_steps: int,
 
 
 def _power_sum(orb: LensOrbit, c, n: int):
-    """states[1] + ... + states[n] of an exact system's rational orbit from
+    """states[1] + ... + states[n] of an exact system's orbit from
     the matrix c of its start, by doubling on the bits of n: S_2m = S_m +
     lens^m S_m and S_m+1 = S_m + lens^(m+1) C, where lens^m relabels by
     q = p^m, the m-th power of the column map p (on axis 0 only in
@@ -291,18 +291,18 @@ def _power_sum(orb: LensOrbit, c, n: int):
 def cesaro_average(orb: LensOrbit, horizons):
     """(N, average (1/N) sum of states[1..N]) for each horizon N, ascending.
 
-    On an exact system with a rational start, lens^n C is C relabelled by
-    the n-th power of the cell map, and each sum is read off powers of it
-    (_power_sum): O(log N) relabels and adds a horizon.  mat_div reduces,
-    so the average is the Scaled a running sum gives.  Otherwise one walk of
-    orb's runs keeps a running sum: a run of a settled state is added once
-    with its count as weight when rational, and count times in state order
-    when float (exact.mat_add), so a float sum's bits are those of its
-    repaired steps added in turn."""
+    On an exact system lens^n C is C relabelled by the n-th power of the
+    cell map, and each sum is read off powers of it (_power_sum): O(log N)
+    relabels and adds a horizon.  mat_div reduces, so a rational average
+    is the Scaled a running sum gives; a float one adds the same terms in
+    the doubling's order.  Otherwise one walk of orb's runs keeps a running
+    sum: a run of a settled state is added once with its count as weight
+    when rational, and count times in state order when float
+    (exact.mat_add)."""
     horizons = sorted(set(horizons))
     if not horizons or horizons[0] < 1 or horizons[-1] > orb.n_steps:
         raise ValueError("cesaro_average needs 1 <= N <= n_steps")
-    if orb.sys.exact and orb.start.backend == exact.RATIONAL:
+    if orb.sys.exact:
         _check(orb.sys, orb.start)
         c = orb.start.matrix
         for h in horizons:
