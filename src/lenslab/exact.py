@@ -19,16 +19,17 @@ in magnitude, so a sum or difference of two cannot overflow; each kernel
 checks the worst case of its own operation before staying in int64, and
 otherwise works on Python ints, which never overflow.
 
-The worst case comes from an upper bound on the numerators that travels
-with each value (``Scaled.bound``).  The kernel that makes a value fills it
-in from what it already computed (a gather's s * max|x| * max|val|, a sum's
-rescaled operands, a relabel's unchanged entries), so no result is scanned
-again.  A bound only ever proves int64 safe: at or past ``_INT64_SAFE`` one
-exact scan decides, so every result has the dtype, numerators and
-denominator that scanning everything gives.  Every entry is scanned only
-for a value made without a bound (``from_scaled``, ``split_common``: its
-max and min), by ``max_abs``, whose answer is the exact maximum, and where a
-bound reaches ``_INT64_SAFE``.  ``_reduced`` probes for a common factor
+The worst case comes from an upper bound on the numerators that every
+value carries (``Scaled.bound``, a required field).  The kernel that makes
+a value fills it in from what it already computed (a gather's
+s * max|x| * max|val|, a sum's rescaled operands, a relabel's unchanged
+entries), so no result is scanned again.  A bound only ever proves int64
+safe: at or past ``_INT64_SAFE`` one exact scan decides, so every result
+has the dtype, numerators and denominator that scanning everything gives.
+Every entry is scanned only where no kernel knew a bound (``from_scaled``,
+``split_common``: ``_reduced`` reads their max and min), by ``max_abs``,
+whose answer is the exact maximum, and where a bound reaches
+``_INT64_SAFE``.  ``_reduced`` probes for a common factor
 first, as the gcd of the denominator with that max and min or with a few
 entries, and takes the gcd of every entry only when the probe is above 1.
 """
@@ -77,22 +78,16 @@ class Scaled:
     run_means, residue_sums and average_runs excepted, which lowest
     reduces).  num is read-only, int64 while every |entry| < _INT64_SAFE
     and Python ints otherwise; from_scaled reduces and picks the dtype,
-    this constructor trusts its caller.  bound,
-    when the kernel that made the value knew one, is an upper bound on every
-    |entry| of num."""
+    this constructor trusts its caller.  bound, filled in by the kernel
+    that made the value (or by _reduced's scan), is an upper bound on every
+    |entry| of num; every Scaled carries one."""
 
     num: np.ndarray
     den: int
-    bound: int | None = None
+    bound: int
 
     def __post_init__(self):
         freeze(self.num)
-
-    @cached_property
-    def magnitude(self) -> int:
-        """An upper bound on every |numerator|: the carried one, or, for a
-        value made without one, max |num| from one scan."""
-        return _magnitude(self.num) if self.bound is None else self.bound
 
     @property
     def shape(self) -> tuple:
@@ -223,9 +218,9 @@ def flat_concat(arrays):
     if backend_of(arrays[0]) == FLOAT:
         return freeze(np.concatenate([np.ravel(a) for a in arrays]))
     den = math.lcm(*(s.den for s in arrays))
-    return _reduced(np.concatenate([_rescale(s.num, den // s.den, s.magnitude).ravel()
+    return _reduced(np.concatenate([_rescale(s.num, den // s.den, s.bound).ravel()
                                     for s in arrays]),
-                    den, max(s.magnitude * (den // s.den) for s in arrays))
+                    den, max(s.bound * (den // s.den) for s in arrays))
 
 
 def entries(a) -> np.ndarray:
@@ -374,18 +369,18 @@ def _over_lcm(a, b):
         nb, db = b.num, b.den
     else:
         nb, db = (b if isinstance(b, Fraction) else Fraction(b)).as_integer_ratio()
-    mb = b.magnitude if isinstance(b, Scaled) else abs(nb)
+    mb = b.bound if isinstance(b, Scaled) else abs(nb)
     den = math.lcm(a.den, db)
     fa, fb = den // a.den, den // db
-    return (_rescale(a.num, fa, a.magnitude), _rescale(nb, fb, mb), den,
-            a.magnitude * fa + mb * fb)
+    return (_rescale(a.num, fa, a.bound), _rescale(nb, fb, mb), den,
+            a.bound * fa + mb * fb)
 
 
 def _scaled(a, b=None) -> tuple[np.ndarray, int, int]:
     """(numerators, denominator, bound on |numerators|) of a, or of a - b
     for b an array or scalar."""
     if b is None:
-        return a.num, a.den, a.magnitude
+        return a.num, a.den, a.bound
     na, nb, den, bound = _over_lcm(a, b)
     return na - nb, den, bound
 
@@ -393,8 +388,8 @@ def _scaled(a, b=None) -> tuple[np.ndarray, int, int]:
 def mat_mul(a, b):
     if backend_of(a) == FLOAT:
         return a @ b
-    return _reduced(_int_matmul(a.num, b.num, a.magnitude, b.magnitude), a.den * b.den,
-                    a.shape[-1] * a.magnitude * b.magnitude)
+    return _reduced(_int_matmul(a.num, b.num, a.bound, b.bound), a.den * b.den,
+                    a.shape[-1] * a.bound * b.bound)
 
 
 def mat_conjugate(q, c):
@@ -425,7 +420,7 @@ def scale(a, x):
     if backend_of(a) == FLOAT:
         return a * scalar(x, FLOAT)
     p, q = Fraction(x).as_integer_ratio()
-    return _reduced(_rescale(a.num, p, a.magnitude), a.den * q, a.magnitude * abs(p))
+    return _reduced(_rescale(a.num, p, a.bound), a.den * q, a.bound * abs(p))
 
 
 def gather(x, lines: Support, axes=(0,)):
@@ -447,8 +442,8 @@ def gather(x, lines: Support, axes=(0,)):
             x = _gather_axis(x, lines.idx, as_float(lines.val), a)
         return freeze(x)
     # >= 1: Python-int values move x too.
-    step = lines.idx.shape[1] * max(lines.val.magnitude, 1)
-    num, bound = x.num, _settled(x.num, x.magnitude, step ** len(axes))
+    step = lines.idx.shape[1] * max(lines.val.bound, 1)
+    num, bound = x.num, _settled(x.num, x.bound, step ** len(axes))
     for a in axes:
         bound *= step
         num = num.astype(object, copy=False) if bound >= _INT64_SAFE else num
@@ -479,7 +474,7 @@ def run_means(x, d: int):
         for c in range(1, d):
             out += x[c::d] * share
         return freeze(out)
-    num, bound = x.num, _settled(x.num, x.magnitude, d) * d
+    num, bound = x.num, _settled(x.num, x.bound, d) * d
     if bound >= _INT64_SAFE:
         num = num.astype(object)
     return Scaled(num.reshape(-1, d, *num.shape[1:]).sum(axis=1), x.den * d, bound)
@@ -495,7 +490,7 @@ def residue_sums(x, r: int):
         return x
     if backend_of(x) == FLOAT:
         return freeze(x.reshape(n, r, *x.shape[1:]).sum(axis=0))
-    num, bound = x.num, _settled(x.num, x.magnitude, n) * n
+    num, bound = x.num, _settled(x.num, x.bound, n) * n
     if bound >= _INT64_SAFE:
         num = num.astype(object)
     return Scaled(num.reshape(n, r, *num.shape[1:]).sum(axis=0), x.den, bound)
@@ -506,14 +501,14 @@ def relabel(a, index):
     as a relabeling does: the values, and so the denominator, stay."""
     if backend_of(a) == FLOAT:
         return freeze(a[index])
-    return Scaled(a.num[index], a.den, a.magnitude)
+    return Scaled(a.num[index], a.den, a.bound)
 
 
 def select(a, index):
     """The entries a[index], as an array on the backend of a."""
     if backend_of(a) == FLOAT:
         return a[index]
-    return _reduced(a.num[index], a.den, a.magnitude)
+    return _reduced(a.num[index], a.den, a.bound)
 
 
 def block_sums(a, parent: np.ndarray, n: int):
@@ -524,9 +519,9 @@ def block_sums(a, parent: np.ndarray, n: int):
         out = np.zeros((n, n))
         np.add.at(out, index, a)
         return out
-    out = numerators((n, n), _settled(a.num, a.magnitude, a.size) * a.size)
+    out = numerators((n, n), _settled(a.num, a.bound, a.size) * a.size)
     np.add.at(out, index, a.num.astype(out.dtype, copy=False))
-    return _reduced(out, a.den, a.magnitude * a.size)
+    return _reduced(out, a.den, a.bound * a.size)
 
 
 def block_diagonal_sum(a, label: np.ndarray):
@@ -540,7 +535,7 @@ def block_diagonal_sum(a, label: np.ndarray):
         for cells in np.split(order, np.cumsum(np.bincount(label))[:-1]):
             total += float(a[np.ix_(cells, cells)].sum())
         return total
-    total, _ = _int_sum(a.num[label[:, None] == label[None, :]], a.magnitude)
+    total, _ = _int_sum(a.num[label[:, None] == label[None, :]], a.bound)
     return Fraction(int(total), a.den)
 
 
@@ -549,12 +544,12 @@ def quadratic_form(w, c):
     a rational C, whose product C w is one gather."""
     if isinstance(c, Support):
         cw = gather(w, c)
-        return Fraction(int(_int_matmul(w.num, cw.num, w.magnitude, cw.magnitude)),
+        return Fraction(int(_int_matmul(w.num, cw.num, w.bound, cw.bound)),
                         w.den * cw.den)
     if backend_of(c) == FLOAT:
         return float(w @ (c @ w))
-    wc = _int_matmul(w.num, c.num, w.magnitude, c.magnitude)
-    n = _int_matmul(wc, w.num, w.size * w.magnitude * c.magnitude, w.magnitude)
+    wc = _int_matmul(w.num, c.num, w.bound, c.bound)
+    n = _int_matmul(wc, w.num, w.size * w.bound * c.bound, w.bound)
     return Fraction(int(n), w.den * w.den * c.den)
 
 
@@ -569,7 +564,7 @@ def weighted_squares(a, weights):
         return float(totals) if a.ndim == 2 else totals.tolist()
     lcm = math.lcm(*weights)
     num, worst = a.num, a.shape[-2] * a.shape[-1] * lcm
-    bound = _settled(num, a.magnitude, a.magnitude * worst)
+    bound = _settled(num, a.bound, a.bound * worst)
     dtype = object if bound * bound * worst >= _INT64_SAFE else np.int64
     factor = np.array([lcm // w for w in weights], dtype)
     totals = np.square(num.astype(dtype, copy=False)).sum(axis=-1) @ factor
@@ -616,7 +611,7 @@ def support(a) -> Support:
     idx[line, slot] = pos
     val = np.zeros(idx.shape, dtype=num.dtype)
     val[line, slot] = num[line, pos]
-    val = Scaled(val, a.den, a.magnitude) if isinstance(a, Scaled) else freeze(val)
+    val = Scaled(val, a.den, a.bound) if isinstance(a, Scaled) else freeze(val)
     return Support(freeze(np.maximum.accumulate(idx, axis=1)), val)
 
 
@@ -733,7 +728,7 @@ def lines_matrix(lines: Support, width: int | None = None):
     out = np.zeros((k, k if width is None else width), dtype=num.dtype)
     out[np.flatnonzero(real) // real.shape[1], lines.idx[real]] = num[real]
     if isinstance(lines.val, Scaled):  # zeros keep the lowest terms
-        return Scaled(out, lines.val.den, lines.val.magnitude)
+        return Scaled(out, lines.val.den, lines.val.bound)
     return freeze(out)
 
 
@@ -742,7 +737,7 @@ def _spread(num: np.ndarray, like, share: int):
     unreduced (lowest gives lowest terms); or, for a float like, num /
     share."""
     if isinstance(like, Scaled):
-        return Scaled(num, like.den * share, like.magnitude)
+        return Scaled(num, like.den * share, like.bound)
     return freeze(num / share)
 
 
@@ -752,7 +747,7 @@ def lowest(a):
     residue_sums and average_runs reduced; floats as they are."""
     if isinstance(a, Support):
         return Support(a.idx, lowest(a.val))
-    return _reduced(a.num, a.den, a.magnitude) if isinstance(a, Scaled) else a
+    return _reduced(a.num, a.den, a.bound) if isinstance(a, Scaled) else a
 
 
 def lift_lines(lines: Support, rows: int, cols: int, width: int) -> Support:
@@ -801,7 +796,7 @@ def fold_lines(lines: Support, d: int, rows: bool, cols: bool, width: int) -> Su
     step = d ** (rows + cols)
     if isinstance(lines.val, Scaled) and not is_dense(lines) and n * width > _FOLD_DENSE:
         idx, num = lines.idx, lines.val.num
-        bound = _settled(num, lines.val.magnitude, step) * step
+        bound = _settled(num, lines.val.bound, step) * step
         if bound >= _INT64_SAFE:
             num = num.astype(object)
         # Line v joins lines c m + v, each block of lines a view, and
@@ -816,7 +811,7 @@ def fold_lines(lines: Support, d: int, rows: bool, cols: bool, width: int) -> Su
         if rows:
             a = a.reshape(d, m, width).sum(axis=0)
         return dense_lines(freeze(a.reshape(m, d, w).sum(axis=1) if cols else a))
-    num, bound = a.num, _settled(a.num, a.magnitude, step) * step
+    num, bound = a.num, _settled(a.num, a.bound, step) * step
     if bound >= _INT64_SAFE:
         num = num.astype(object)
     # One reduction over the first symbol of each folded axis.
@@ -838,7 +833,7 @@ def average_runs(lines: Support, d: int, width: int) -> Support:
     a gather's n width d.  On cylinder words, M Q^T for the full shift Q:
     the last symbol averaged out, and a new first one free."""
     h, num = width // d, lines.val.num
-    bound = _settled(num, lines.val.magnitude, d) * d  # d slots merge into one
+    bound = _settled(num, lines.val.bound, d) * d  # d slots merge into one
     if bound >= _INT64_SAFE:
         num = num.astype(object)
     pos = lines.idx // d
@@ -862,7 +857,7 @@ def add_lines(a: Support | None, b: Support, width: int, times: int = 1) -> Supp
         return dense_lines(mat_add(lines_matrix(a, width), lines_matrix(b, width), times))
     val = b.val
     if times > 1:
-        val = Scaled(_rescale(val.num, times, val.magnitude), val.den, val.magnitude * times)
+        val = Scaled(_rescale(val.num, times, val.bound), val.den, val.bound * times)
     na, nb, den, bound = _over_lcm(a.val, val)
     return collect_lines([a.idx, b.idx], [na, nb], den, width=width, bound=bound)
 
@@ -893,7 +888,7 @@ def relabel_lines(lines: Support, p: np.ndarray | None = None,
         idx, num = _by_rows(key, order), _by_rows(num, order)
         idx[idx == k] = -1
         np.maximum.accumulate(idx, axis=1, out=idx)
-    val = Scaled(num, lines.val.den, lines.val.magnitude) if isinstance(lines.val, Scaled) else freeze(num)
+    val = Scaled(num, lines.val.den, lines.val.bound) if isinstance(lines.val, Scaled) else freeze(num)
     return Support(freeze(idx), val)
 
 
@@ -1009,7 +1004,7 @@ def mat_add(a, b, times: int = 1):
             total += b
         return total
     if times > 1:
-        b = Scaled(_rescale(b.num, times, b.magnitude), b.den, b.magnitude * times)
+        b = Scaled(_rescale(b.num, times, b.bound), b.den, b.bound * times)
     na, nb, den, bound = _over_lcm(a, b)
     total = na + nb
     bound = _settled(total, bound)
@@ -1041,7 +1036,7 @@ def mat_div(a, n: int):
     """a / n for an int n > 0: exact in lowest terms, or a float division."""
     if backend_of(a) == FLOAT:
         return freeze(a / n)
-    return _reduced(a.num, a.den * n, a.magnitude)
+    return _reduced(a.num, a.den * n, a.bound)
 
 
 def marginal_defects(m, target, tol: float, lift: tuple[int, int] = (1, 1),
@@ -1062,7 +1057,7 @@ def marginal_defects(m, target, tol: float, lift: tuple[int, int] = (1, 1),
     (fr, fc), val = lift, lines.val
     num, one = _num_one(val)
     rational = isinstance(val, Scaled)
-    bound = val.magnitude if rational else 0
+    bound = val.bound if rational else 0
     rows, row_bound = _int_sum(num, bound, 1) if rational else (num.sum(axis=1), 0)
     if is_dense(lines):
         cols, col_bound = _int_sum(num, bound, 0) if rational else (num.sum(axis=0), 0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import stat
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -153,16 +154,16 @@ class ExperimentReport:
     def series_csv(self, name: str) -> str:
         return "".join(self._csv_chunks(name))
 
-    def write(self, out_dir: str | Path) -> list[Path]:
+    def write(self, out_dir: str | Path) -> Iterable[Path]:
         """report.json and one CSV per series in out_dir, made if missing,
         each overwritten in place (an O_TRUNC open starts ext4 writeback
         that a rerun waits for) and cut at its end, also where its stream
-        fails."""
+        fails.  Returns the written paths, each made into a Path only when
+        the caller iterates them."""
         base = os.fspath(out_dir) or "."  # Path("") is the working directory
         names = sorted(self.series)
-        files = ["report.json", *(f"{name}.csv" for name in names)]
-        for file, chunks in zip(files, [self._json_chunks(), *map(self._csv_chunks, names)]):
-            path = f"{base}/{file}"
+        paths = [f"{base}/report.json", *(f"{base}/{name}.csv" for name in names)]
+        for path, chunks in zip(paths, [self._json_chunks(), *map(self._csv_chunks, names)]):
             try:
                 fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
             except FileNotFoundError:  # the directory is not there yet
@@ -171,18 +172,17 @@ class ExperimentReport:
             end = 0
             try:
                 for chunk in chunks:
-                    data = memoryview(chunk.encode())
-                    at = 0
+                    data = chunk.encode()
+                    at = os.write(fd, data)
                     while at < len(data):  # a write may take fewer bytes than given
-                        at += os.write(fd, data[at:])
+                        at += os.write(fd, memoryview(data)[at:])
                     end += at
             finally:
                 try:
                     os.ftruncate(fd, end)
                 finally:
                     os.close(fd)
-        out = Path(base)
-        return [out / file for file in files]
+        return map(Path, paths)
 
 
 def _json_object(d: dict, pad: str) -> str:

@@ -585,12 +585,12 @@ def _assert_result(got, num, den, dtype=None):
         [int(n) for n in np.ravel(num)], den, dtype)
     assert got.den == want_den and [int(n) for n in got.num.ravel()] == want
     assert got.num.dtype == want_dtype and got.shape == np.shape(num)
-    assert got.bound is not None and got.bound >= _largest(want)
+    assert got.bound >= _largest(want)
 
 
 def _loosened(s, slack):
     """s with its carried bound raised by slack: still a bound, no longer tight."""
-    return exact.Scaled(s.num, s.den, s.magnitude + slack)
+    return exact.Scaled(s.num, s.den, s.bound + slack)
 
 
 # Largest |numerator| drawn: small, at int64's edge of safety, past int64.
@@ -687,6 +687,15 @@ def test_carried_bounds_give_the_scanned_results(case):
         _assert_result(exact.l1_norm(a, b, axis), difference.sum(axis=axis), den)
         _assert_result(exact.l1_norm(a, None, axis), np.abs(an).sum(axis=axis), a.den)
     assert exact.max_abs(a, b) == Fraction(int(difference.max()), den)
+    # The doors that scan: a Fraction array is split, and its bound read, once.
+    fractions = np.array([Fraction(int(x), a.den) for x in an.flat], dtype=object)
+    for door in (exact.split_common, exact.stored):
+        _assert_result(door(fractions.reshape(an.shape)), an, a.den)
+
+
+def test_every_scaled_carries_its_bound():
+    with pytest.raises(TypeError):
+        exact.Scaled(np.array([1, 2]), 3)
 
 
 @pytest.mark.parametrize("bound", [None, 4, 4 + 2**40, 2**62, 2**70])

@@ -39,6 +39,8 @@ from lenslab import (
 from lenslab.cli import main as cli_main
 from lenslab.experiments import REGISTRY, STEP_BUDGET, _guard_steps, _step_cost
 
+from report_oracles import assert_written_as_the_oracles
+
 EXPECTED_NAMES = [
     "cesaro-barycenter",
     "entropy-factor",
@@ -587,8 +589,9 @@ def test_drawn_configs_agree_across_backends_and_exit_cleanly(config):
     """Each experiment that runs on both backends, drawn on rot, odo, iet and
     bern at k <= 64: the float run gives the rational run's verdicts,
     scalar and series keys, and every number within FLOAT_TOL of it, or is
-    refused with the same error; through the CLI, each backend exits 0, 1,
-    2 or 3, never with a crash."""
+    refused with the same error; each admitted report writes the bytes of
+    the json.dumps and row-join oracles; through the CLI, each backend
+    exits 0, 1, 2 or 3, never with a crash."""
     name, spec, params = config
     rational, floating = (_outcome(name, spec, params, b) for b in (exact.RATIONAL, exact.FLOAT))
     if isinstance(rational, tuple) or isinstance(floating, tuple):
@@ -596,6 +599,11 @@ def test_drawn_configs_agree_across_backends_and_exit_cleanly(config):
     else:
         _assert_reports_agree(rational, floating)
     with tempfile.TemporaryDirectory() as tmp:
+        if not isinstance(rational, tuple):
+            for report in (rational, floating):
+                out = Path(tmp) / report.config.backend
+                report.write(out)
+                assert_written_as_the_oracles(report, out)
         path = Path(tmp) / "drawn.cfg"
         path.write_text("".join(f"{key} = {value}\n" for key, value in
                                 {"experiment": name, "system": spec, **params}.items()))
@@ -970,6 +978,22 @@ def test_every_traced_layer_name_resolves(monkeypatch):
         module = importlib.import_module(f"lenslab.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+
+def test_the_tracer_counts_the_bytes_a_report_writes(tmp_path, monkeypatch):
+    """perfbench/tracing.py reads write's result as Paths to stat; fed the
+    result of each of two writes in place, its count is the bytes on disk
+    each time."""
+    _perfbench_module("workloads", monkeypatch)
+    tracing = _perfbench_module("tracing", monkeypatch)
+    report = run_experiment(config_from_mapping(
+        load_config_file(CONFIGS / "periodic-commuters.cfg")), write=False)
+    tracer = tracing.Tracer()
+    for n in (1, 2):
+        tracing._report_write_after(tracer, (report, tmp_path), report.write(tmp_path))
+        on_disk = sum(p.stat().st_size for p in tmp_path.iterdir())
+        assert len(list(tmp_path.iterdir())) == 1 + len(report.series) > 1
+        assert tracer.counts["experiments.report_bytes"] == n * on_disk
 
 
 def test_a_random_one_sided_orbit_stays_below_one_dense_array():

@@ -4,7 +4,6 @@ against the row loops they replace."""
 
 import dataclasses
 import enum
-import json
 import os
 import tempfile
 import tracemalloc
@@ -28,34 +27,7 @@ from lenslab import (
 from lenslab import experiments
 from lenslab.experiments import REGISTRY, _render_series
 
-
-def _old_stable_json(report):
-    """The renderer before reports streamed: json.dumps of the whole doc."""
-    cfg = report.config
-    doc = {
-        "config": {
-            "experiment": cfg.experiment,
-            "system": cfg.system,
-            "backend": cfg.backend,
-            "output_dir": cfg.output_dir,
-            "parameters": dict(sorted(cfg.parameters.items())),
-        },
-        "scalars": report.scalars,
-        "series": {
-            name: {"columns": list(cols), "rows": [list(r) for r in report.rows(name)]}
-            for name, (cols, *_) in sorted(report.series.items())
-        },
-        "verdicts": report.verdicts,
-        "passed": report.passed,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _old_csv(report, name):
-    """The CSV before reports streamed: one join per row."""
-    lines = [",".join(report.series[name][0])]
-    lines.extend(",".join(r) for r in report.rows(name))
-    return "\n".join(lines) + "\n"
+from report_oracles import old_csv, old_stable_json
 
 
 def _stored(cols, rows):
@@ -120,7 +92,7 @@ def _reports(names):
 @_reports(texts)
 def test_stable_json_equals_json_dumps(parameters, scalars, series, verdicts):
     report = _report(parameters, scalars, series, verdicts)
-    assert report.to_stable_json() == _old_stable_json(report)
+    assert report.to_stable_json() == old_stable_json(report)
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 3])
@@ -130,11 +102,11 @@ def test_written_report_equals_the_oracles_at_every_chunk_size(
     report = _report(parameters, scalars, series, verdicts)
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
         mp.setattr(experiments, "_CHUNK_ROWS", chunk)
-        paths = report.write(out)
-        assert paths[0].read_bytes() == _old_stable_json(report).encode()
+        paths = list(report.write(out))
+        assert paths[0].read_bytes() == old_stable_json(report).encode()
         assert [p.name for p in paths[1:]] == [f"{name}.csv" for name in sorted(series)]
         for name, path in zip(sorted(series), paths[1:]):
-            assert path.read_bytes() == _old_csv(report, name).encode()
+            assert path.read_bytes() == old_csv(report, name).encode()
 
 
 @_reports(file_names)
@@ -147,11 +119,11 @@ def test_short_writes_still_write_every_byte(parameters, scalars, series, verdic
 
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
         mp.setattr(experiments.os, "write", at_most_seven)
-        paths = report.write(out)
+        paths = list(report.write(out))
         mp.undo()
-        assert paths[0].read_bytes() == _old_stable_json(report).encode()
+        assert paths[0].read_bytes() == old_stable_json(report).encode()
         for name, path in zip(sorted(series), paths[1:]):
-            assert path.read_bytes() == _old_csv(report, name).encode()
+            assert path.read_bytes() == old_csv(report, name).encode()
 
 
 def test_write_memory_follows_the_chunk_not_the_rows(tmp_path, monkeypatch):
@@ -168,7 +140,7 @@ def test_write_memory_follows_the_chunk_not_the_rows(tmp_path, monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert (tmp_path / "report.json").read_text() == _old_stable_json(report)
+        assert (tmp_path / "report.json").read_text() == old_stable_json(report)
     assert 10 * peaks[0] < peaks[1], peaks
 
 
