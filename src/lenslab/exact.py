@@ -51,6 +51,13 @@ FLOAT = "float"
 # Largest number of cells per side of any matrix the package builds.
 SIZE_LIMIT = 4096
 
+# Cells that the zoo systems kept for reuse hold in their lines, k s a
+# system, in all: at 24 B a cell (a row and a column position and one shared
+# value), about 1.5 MiB, and about 4.4 MiB with each system's fixed 2 KiB
+# when they are the 2129 smallest rotations.  A system past it on its own is
+# built and not kept.
+KEPT_CELLS = 2**16
+
 # Float-backend tolerances: one for arithmetic that only rounds, and the
 # slack detect_period allows a float orbit that returns near its start.
 FLOAT_TOL = 1e-12
@@ -196,7 +203,7 @@ def constant(shape, value, backend: str = RATIONAL):
     p, q = Fraction(value).as_integer_ratio()
     num = numerators(shape, abs(p))
     num[...] = p  # every entry p / q, in lowest terms already
-    return Scaled(num, q, abs(p)) if backend == RATIONAL else _to_float(num, q)
+    return Scaled(num, q, abs(p)) if backend == RATIONAL else freeze(_to_float(num, q))
 
 
 def stored(a):

@@ -32,8 +32,8 @@ class FiniteSystem:
     rows and columns hold the nonzeros of Q's rows and of its columns
     (exact.Support); everything else is read off them.  When both relabel,
     Q is a permutation matrix: the system is exact, perm is its forward
-    cell map, and products with Q relabel.  The dense Q is built when
-    asked for.
+    cell map, and products with Q relabel.  The dense Q is built each time
+    it is asked for, and not kept.
     """
 
     rows: exact.Support = field(repr=False)
@@ -82,8 +82,10 @@ class FiniteSystem:
         """Q in stored form, as Q I from the row support; not kept."""
         return exact.gather(exact.identity(self.k, self.backend), self.rows)
 
-    @cached_property
+    @property
     def Q(self) -> np.ndarray:
+        """Q's entries, Fractions on rationals, built from matrix on each
+        read; not kept."""
         return exact.entries(self.matrix)
 
 

@@ -9,11 +9,24 @@ Conventions fixed here and relied on everywhere else:
 * shift-system cells are words read left to right as coordinates 0..L-1,
   indexed big-endian; the shift drops the first symbol and appends one new
   symbol at the end, giving the de Bruijn matrix Q[w, w'] = 1/d.
+
+rotation_system, odometer_system and bernoulli_system build each system
+once per process: a repeated call, on the same normalized arguments and
+backend, returns the same frozen FiniteSystem, with whatever its cached
+properties (perm, cylinder, its lines' relabels) have already worked out.
+The kept systems' lines hold at most exact.KEPT_CELLS cells in all, k s a
+system; the least recently used goes first, and a system past the bound on
+its own is built and not kept.  Only a process that builds a system more
+than once gains: a sweep of runs in one interpreter, not a single
+lens-lab run.  iet_system, system_from_permutation and system_from_matrix
+take a caller's arrays and build anew each time.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -23,7 +36,7 @@ import numpy as np
 
 from . import exact
 from .errors import DimensionMismatch, NonInvertible, SizeGuard
-from .exact import SIZE_LIMIT
+from .exact import KEPT_CELLS, SIZE_LIMIT
 from .partitions import FiniteSystem, system_from_permutation
 
 __all__ = [
@@ -46,22 +59,74 @@ __all__ = [
     "parse_system_spec",
 ]
 
+
+class _Kept:
+    """The systems of the zoo constructors, by builder and normalized
+    arguments, least recently used first; their lines hold at most
+    KEPT_CELLS cells in all.  The lock makes each lookup and each insertion
+    whole, so threads that build at once keep one system."""
+
+    def __init__(self):
+        self.systems: OrderedDict[tuple, FiniteSystem] = OrderedDict()
+        self.cells = 0
+        self.lock = threading.Lock()
+
+    def clear(self):
+        with self.lock:
+            self.systems.clear()
+            self.cells = 0
+
+    def __call__(self, build, *args) -> FiniteSystem:
+        """The kept build(*args), or a new one, kept unless its lines alone
+        hold more than KEPT_CELLS; the least recently used systems make
+        room for it."""
+        key = (build, *args)
+        with self.lock:
+            system = self.systems.get(key)
+            if system is not None:
+                self.systems.move_to_end(key)
+                return system
+        system = build(*args)
+        cells = system.rows.idx.size
+        if cells > KEPT_CELLS:
+            return system
+        with self.lock:
+            kept = self.systems.setdefault(key, system)
+            if kept is system:
+                self.cells += cells
+                while self.cells > KEPT_CELLS:
+                    self.cells -= self.systems.popitem(last=False)[1].rows.idx.size
+            return kept
+
+
+_kept = _Kept()
+
+
 def rotation_system(k: int, s: int, backend: str = exact.RATIONAL) -> FiniteSystem:
-    """Cyclic rotation on Z_k by s: cell a maps onto cell a + s mod k."""
+    """Cyclic rotation on Z_k by s: cell a maps onto cell a + s mod k.
+    Built once per (k, s mod k, backend) and kept (module docstring)."""
     if k < 1:
         raise ValueError("k must be positive")
     if k > SIZE_LIMIT:
         raise SizeGuard(f"rotation on {k} cells > {SIZE_LIMIT}")
-    perm = (np.arange(k) + s % k) % k  # s % k first: a huge s stays out of numpy
-    return system_from_permutation(perm, backend=backend)
+    return _kept(_rotation, k, s % k, backend)  # s % k first: a huge s stays out of numpy
+
+
+def _rotation(k: int, s: int, backend: str) -> FiniteSystem:
+    return system_from_permutation((np.arange(k) + s) % k, backend=backend)
 
 
 def odometer_system(m: int, backend: str = exact.RATIONAL) -> FiniteSystem:
-    """Binary odometer truncated at level m: 2^m cells, one full cycle."""
+    """Binary odometer truncated at level m: 2^m cells, one full cycle.
+    Built once per (m, backend) and kept (module docstring)."""
     if m < 1:
         raise ValueError("m must be positive")
     if exact.power_exceeds_limit(2, m):
         raise SizeGuard(f"odometer level {m} needs 2^{m} cells > {SIZE_LIMIT}")
+    return _kept(_odometer, m, backend)
+
+
+def _odometer(m: int, backend: str) -> FiniteSystem:
     k = 2**m
     return system_from_permutation((np.arange(k) + 1) % k, backend=backend)
 
@@ -70,12 +135,17 @@ def bernoulli_system(d: int, L: int, backend: str = exact.RATIONAL) -> FiniteSys
     """Full shift on d symbols at cylinder resolution L (de Bruijn matrix).
 
     Cells are length-L words; Q[w, w'] = 1/d iff w' drops the first symbol
-    of w and appends any new final symbol.
+    of w and appends any new final symbol.  Built once per (d, L, backend)
+    and kept while its d^(L+1) cells fit KEPT_CELLS (module docstring).
     """
     if d < 2 or L < 1:
         raise ValueError("need an alphabet of size >= 2 and L >= 1")
     if exact.power_exceeds_limit(d, L):
         raise SizeGuard(f"d^L = {d}^{L} cells > {SIZE_LIMIT}")
+    return _kept(_bernoulli, d, L, backend)
+
+
+def _bernoulli(d: int, L: int, backend: str) -> FiniteSystem:
     k = d**L
     # Q's lines: word w steps to (w mod d^(L-1)) * d + c, and is reached
     # from c * d^(L-1) + w // d, for each symbol c.

@@ -36,6 +36,7 @@ from lenslab import (
     validate_config,
     value_str,
 )
+from lenslab import zoo
 from lenslab.cli import main as cli_main
 from lenslab.experiments import REGISTRY, STEP_BUDGET, _guard_steps, _step_cost
 
@@ -583,31 +584,46 @@ def _outcome(name, spec, params, backend):
         return type(e), str(e)
 
 
-@settings(max_examples=500, deadline=None, derandomize=True)
+def _written(report, out):
+    """The bytes of each file report writes into out."""
+    report.write(out)
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+# 500 draws in tier-1, more under the drawn-large profile (tests/conftest.py).
+@settings(max_examples=max(500, settings.default.max_examples), deadline=None,
+          derandomize=True)
 @given(drawn_configs())
 def test_drawn_configs_agree_across_backends_and_exit_cleanly(config):
     """Each experiment that runs on both backends, drawn on rot, odo, iet and
     bern at k <= 64: the float run gives the rational run's verdicts,
     scalar and series keys, and every number within FLOAT_TOL of it, or is
-    refused with the same error; each admitted report writes the bytes of
-    the json.dumps and row-join oracles; through the CLI, each backend
-    exits 0, 1, 2 or 3, never with a crash."""
+    refused with the same error; a run on the kept zoo systems writes the
+    bytes of a run on systems built after the memo is cleared, or is
+    refused the same way, and each admitted report writes the bytes of the
+    json.dumps and row-join oracles; through the CLI, each backend exits 0,
+    1, 2 or 3, never with a crash."""
     name, spec, params = config
-    rational, floating = (_outcome(name, spec, params, b) for b in (exact.RATIONAL, exact.FLOAT))
+    backends = (exact.RATIONAL, exact.FLOAT)
+    zoo._kept.clear()
+    fresh = [_outcome(name, spec, params, b) for b in backends]
+    rational, floating = kept = [_outcome(name, spec, params, b) for b in backends]
     if isinstance(rational, tuple) or isinstance(floating, tuple):
         assert floating == rational
     else:
         _assert_reports_agree(rational, floating)
     with tempfile.TemporaryDirectory() as tmp:
-        if not isinstance(rational, tuple):
-            for report in (rational, floating):
-                out = Path(tmp) / report.config.backend
-                report.write(out)
-                assert_written_as_the_oracles(report, out)
+        for report, again in zip(kept, fresh):
+            if isinstance(report, tuple):
+                assert again == report
+                continue
+            out = Path(tmp) / report.config.backend
+            assert _written(report, out / "kept") == _written(again, out / "fresh")
+            assert_written_as_the_oracles(report, out / "kept")
         path = Path(tmp) / "drawn.cfg"
         path.write_text("".join(f"{key} = {value}\n" for key, value in
                                 {"experiment": name, "system": spec, **params}.items()))
-        for backend in (exact.RATIONAL, exact.FLOAT):
+        for backend in backends:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = cli_main(["run", str(path), "--set", f"backend={backend}",
@@ -742,6 +758,28 @@ def test_a_run_parses_its_system_spec_once(monkeypatch):
         del calls[:]
         assert run_experiment(cfg, write=False).passed
         assert len(calls) == parses, cfg.experiment
+
+
+@pytest.mark.parametrize("builder, cfg, args", [
+    ("_bernoulli", cfg_for("mixing-profile", system="bern:d=2,L=2", n_max=3), (2, 2)),
+    ("_rotation", cfg_for("rigidity-sweep", system="rot:k=6,s=7", blocks="1,5", n_max=4), (6, 1)),
+    ("_odometer", cfg_for("one-sided-limit", system="odo:m=3", n_steps=3, seed=1), (3,)),
+    ("_bernoulli", cfg_for("entropy-factor", block="0,1/2"), (2, 2)),
+    ("_odometer", cfg_for("periodic-commuters", family="odometer", m=3, pi="1,0,3,2"), (3,)),
+])
+def test_ten_runs_on_one_spec_build_its_system_once(builder, cfg, args, monkeypatch):
+    """Through the memo of zoo systems, the system of a spec, or the one
+    a runner builds, is built by the first of ten runs only."""
+    build, builds = getattr(zoo, builder), []
+
+    def counted(*a):
+        builds.append(a)
+        return build(*a)
+
+    monkeypatch.setattr(zoo, builder, counted)
+    reports = [run_experiment(cfg, write=False) for _ in range(10)]
+    assert builds == [(*args, exact.RATIONAL)]
+    assert all(r.passed for r in reports)
 
 
 @pytest.mark.parametrize("value, checked", [

@@ -46,7 +46,7 @@ from lenslab import (
     transitivity_witness,
     validate_coupling,
 )
-from lenslab import SizeGuard, consecutive_blocks, exact
+from lenslab import LensLabError, SizeGuard, consecutive_blocks, exact, value_str
 from lenslab.couplings import product_distance
 from lenslab import experiments, lens
 from lenslab.lens import FixedPointSpace, _pair_orbit_labels
@@ -1229,3 +1229,94 @@ def test_a_pull_back_on_a_bernoulli_shift_is_read_by_period(shape, backend, m, s
         w = _dense_pull_back(sys, exact.from_scaled(indicator, 1), half)[-1]
         image = exact.mat_div(exact.mat_mul(exact.relabel(w, tau).T, w), k)
         assert exact.same(witness.restricted_image.matrix, image)
+
+
+@st.composite
+def drawn_rot_and_bern(draw):
+    """A spec rot:k,s or bern:d,L with at most 64 cells, and its Q built
+    from the definition as a dense matrix: Q[a, a + s mod k] = 1, or Q[w, w']
+    = 1/d where w' drops w's first symbol and appends any symbol."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 64))
+        s = draw(st.integers(0, k - 1))
+        spec, den, image = f"rot:k={k},s={s}", 1, (np.arange(k) + s) % k
+    else:
+        d = draw(st.sampled_from([2, 3, 4]))
+        L = draw(st.integers(1, {2: 6, 3: 3, 4: 3}[d]))
+        spec, den, k = f"bern:d={d},L={L}", d, d**L
+        image = np.arange(k)[:, None] % d ** (L - 1) * d + np.arange(d)
+    num = exact.numerators((k, k))
+    num[np.arange(k)[:, None], image.reshape(k, -1)] = 1
+    return spec, exact.from_scaled(num, den)
+
+
+@st.composite
+def drawn_walk_configs(draw):
+    """A one-sided-limit, mixing-profile or rigidity-sweep config on a drawn
+    rot or bern system, and the system's dense Q."""
+    spec, q = draw(drawn_rot_and_bern())
+    k, n = q.shape[0], draw(st.integers(0, 12))
+    name = draw(st.sampled_from(["one-sided-limit", "mixing-profile", "rigidity-sweep"]))
+    if name == "one-sided-limit":
+        init = draw(st.sampled_from(["random", "product", "graph"]))
+        if init == "graph":
+            init = "graph:" + ",".join(map(str, draw(st.permutations(range(k)))))
+        params = {"n_steps": n, "init": init, "seed": draw(st.integers(0, 2**16))}
+    elif name == "mixing-profile":
+        params = {"n_max": n}
+    else:
+        first = draw(st.integers(1, k))
+        params = {"n_max": n, "blocks": ",".join(map(str, [first] + [k - first] * (first < k)))}
+    return name, spec, {key: str(v) for key, v in params.items()}, q
+
+
+def _dense_readings(name, params, sys):
+    """The series a rational run reports, read off the dense stepping
+    oracles on sys: each state's L1 distance to the product, each
+    residual max|C - 1/k^2| of the walk from I/k, or each block score of
+    B^T Q^n B."""
+    k = sys.k
+    mass = exact.scalar(Fraction(1, k * k))
+    if name == "rigidity-sweep":
+        blocks = consecutive_blocks(int(b) for b in params["blocks"].split(","))
+        b = exact.numerators((k, len(blocks)))
+        for i, cells in enumerate(blocks):
+            b[cells, i] = 1
+        b = exact.from_scaled(b, 1)
+        weights = [k * len(cells) for cells in blocks]
+        return "scores", [exact.weighted_squares(exact.mat_mul(b.T, w), weights)
+                          for w in _dense_pull_back(sys, b, int(params["n_max"]))]
+    if name == "mixing-profile":
+        states = _dense_walk(sys, graph_coupling(np.arange(k)), int(params["n_max"]), "one-sided")
+        return "residuals", [exact.max_abs(m, mass) for m in states]
+    start = experiments._initial_coupling(params["init"], k, exact.RATIONAL,
+                                          {"seed": int(params["seed"])})
+    states = _dense_walk(sys, start, int(params["n_steps"]), "one-sided")
+    return "distance_to_product", [exact.l1_norm(m, mass) for m in states]
+
+
+# 500 draws in tier-1, more under the drawn-large profile (tests/conftest.py).
+@settings(max_examples=max(500, settings.default.max_examples), deadline=None,
+          derandomize=True)
+@given(drawn_walk_configs())
+def test_drawn_walks_on_kept_systems_read_as_the_dense_oracles(config):
+    """A rational one-sided-limit, mixing-profile or rigidity-sweep run on a
+    drawn rot or bern system reports, on its first run and again on the
+    zoo system kept from it, the series that the dense stepping oracles
+    (_dense_walk, _dense_pull_back) read on a system built from Q's dense
+    matrix; a refused config is refused the same way both times."""
+    name, spec, params, q = config
+    cfg = ExperimentConfig(experiment=name, system=spec, parameters=params)
+    outcomes = []
+    for _ in range(2):
+        try:
+            outcomes.append(run_experiment(cfg, write=False))
+        except LensLabError as e:
+            outcomes.append((type(e), str(e)))
+    if isinstance(outcomes[0], tuple):
+        assert outcomes[1] == outcomes[0]
+        return
+    series, want = _dense_readings(name, params, system_from_matrix(q))
+    rows = [(str(n), value_str(x)) for n, x in enumerate(want)]
+    for report in outcomes:
+        assert report.rows(series) == rows

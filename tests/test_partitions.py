@@ -26,6 +26,13 @@ def test_system_from_permutation_is_exact():
     assert q[0, 1] == 1 and q[1, 2] == 1 and q[2, 0] == 1
 
 
+def test_a_system_builds_Q_on_each_read_and_keeps_none():
+    sys = bernoulli_system(2, 3)
+    q = sys.Q
+    assert "Q" not in vars(sys)
+    assert sys.Q is not q and np.array_equal(sys.Q, q)
+
+
 def test_system_from_matrix_detects_exactness():
     q = exact.matrix_of_permutation([1, 0]).T
     sys = system_from_matrix(q)

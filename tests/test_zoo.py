@@ -1,7 +1,10 @@
 """Systems zoo: rotations, odometers, shifts, IETs, skew products, groups."""
 
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
+from sys import getswitchinterval, setswitchinterval
 from itertools import product as iter_product
 
 import numpy as np
@@ -421,6 +424,18 @@ def test_group_automorphism_check_keeps_its_checks_and_messages(moduli, mat, err
     assert str(info.value) == message
 
 
+@pytest.fixture
+def kept():
+    """The memo of zoo systems, empty at the start of the test and after it."""
+    zoo._kept.clear()
+    yield zoo._kept
+    zoo._kept.clear()
+
+
+def _held_cells(kept):
+    return sum(system.rows.idx.size for system in kept.systems.values())
+
+
 def _peak_bytes(build):
     tracemalloc.start()
     try:
@@ -430,8 +445,9 @@ def _peak_bytes(build):
         tracemalloc.stop()
 
 
-def test_exact_system_holds_its_permutation_only():
-    # A dense 4096 x 4096 Q would take at least 8 * 4096**2 bytes.
+def test_exact_system_holds_its_permutation_only(kept):
+    # A dense 4096 x 4096 Q would take at least 8 * 4096**2 bytes; built
+    # anew, not read from the memo.
     assert _peak_bytes(lambda: rotation_system(exact.SIZE_LIMIT, 1)) < 4 * 2**20
 
 
@@ -444,3 +460,112 @@ def test_couplings_refuse_oversized_k_before_allocating(build):
         with pytest.raises(SizeGuard, match="side > 4096"):
             build()
     assert _peak_bytes(refused) < 4 * 2**20
+
+
+@pytest.mark.parametrize("spec", ["rot:k=13,s=5", "odo:m=4", "bern:d=3,L=2"])
+def test_a_repeated_spec_returns_the_kept_system_on_each_backend(spec, kept):
+    rational, floating = (parse_system_spec(spec, b) for b in (exact.RATIONAL, exact.FLOAT))
+    assert parse_system_spec(spec, exact.RATIONAL) is rational
+    assert parse_system_spec(spec, exact.FLOAT) is floating
+    assert rational is not floating
+    assert (rational.backend, floating.backend) == (exact.RATIONAL, exact.FLOAT)
+    # Kept lines cannot be written through, on either backend.
+    for system in (rational, floating):
+        for lines in (system.rows, system.columns):
+            val = lines.val.num if isinstance(lines.val, exact.Scaled) else lines.val
+            assert not lines.idx.flags.writeable and not val.flags.writeable
+
+
+def test_a_rotation_is_kept_by_its_step_mod_k(kept):
+    system = rotation_system(16, 5)
+    assert parse_system_spec("rot:k=16,s=21") is system
+    assert rotation_system(16, -11) is system and rotation_system(16, 16 * 10**30 + 5) is system
+    assert rotation_system(16, 6) is not system
+
+
+def test_a_system_past_the_bound_is_built_anew_each_time(kept):
+    first = parse_system_spec("bern:d=64,L=2")
+    assert first.rows.idx.size == 64**3 == 262_144 > exact.KEPT_CELLS
+    assert parse_system_spec("bern:d=64,L=2") is not first
+    assert not kept.systems and kept.cells == 0
+
+
+def test_the_kept_systems_hold_at_most_the_bound(kept):
+    """200 distinct rotations on 3897 .. 4096 cells: the memo holds the
+    latest that fit, within KEPT_CELLS cells, and evicts the least recently
+    used first."""
+    built = {k: rotation_system(k, 1) for k in range(exact.SIZE_LIMIT - 199, exact.SIZE_LIMIT + 1)}
+    assert len(built) == 200 and sum(b.k for b in built.values()) > exact.KEPT_CELLS
+    assert kept.cells == _held_cells(kept) <= exact.KEPT_CELLS
+    latest = list(built)[-len(kept.systems):]
+    assert [s.k for s in kept.systems.values()] == latest
+    assert all(rotation_system(k, 1) is built[k] for k in latest)
+    oldest = latest[0]
+    assert rotation_system(oldest, 1) is built[oldest]  # now the most recently used
+    rotation_system(exact.SIZE_LIMIT, 2)
+    assert kept.cells == _held_cells(kept) <= exact.KEPT_CELLS
+    assert rotation_system(oldest, 1) is built[oldest]
+    assert rotation_system(latest[1], 1) is not built[latest[1]]
+
+
+def test_a_refused_build_raises_on_every_call_and_is_never_kept(kept, monkeypatch):
+    refused = [("rot:k=4097,s=1", SizeGuard), ("odo:m=13", SizeGuard),
+               ("bern:d=2,L=13", SizeGuard), ("bern:d=4097,L=1", SizeGuard),
+               ("rot:k=0,s=1", ValueError), ("odo:m=0", ValueError),
+               ("bern:d=1,L=3", ValueError), ("bern:d=2,L=0", ValueError)]
+    for _ in range(2):
+        for spec, error in refused:
+            with pytest.raises(error):
+                parse_system_spec(spec)
+    assert not kept.systems and kept.cells == 0
+    # A builder that raises keeps nothing: the next call builds again.
+    build, calls = zoo._odometer, []
+
+    def refusing_once(m, backend):
+        calls.append(m)
+        if len(calls) == 1:
+            raise SizeGuard("refused once")
+        return build(m, backend)
+
+    monkeypatch.setattr(zoo, "_odometer", refusing_once)
+    with pytest.raises(SizeGuard, match="refused once"):
+        odometer_system(3)
+    assert not kept.systems
+    system = odometer_system(3)
+    assert odometer_system(3) is system and calls == [3, 3]
+
+
+def test_threads_that_build_at_once_keep_one_system_and_count_its_cells(kept, monkeypatch):
+    """Eight threads, more than the cores, with the interpreter switching
+    threads every microsecond: those that build bern:d=2,L=3 at once all
+    get the one system kept, and the rotations they then build past the
+    bound leave the memo's cell count equal to the cells it holds."""
+    build, start = zoo._bernoulli, threading.Barrier(8)
+
+    def slow(*args):
+        system = build(*args)
+        time.sleep(0.01)  # every thread builds before any keeps
+        return system
+
+    monkeypatch.setattr(zoo, "_bernoulli", slow)
+    got = []
+
+    def run(i):
+        start.wait(timeout=10)
+        got.append(bernoulli_system(2, 3))
+        for k in range(3000 + i, exact.SIZE_LIMIT + 1, 8):
+            rotation_system(k, 1)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+    interval = getswitchinterval()
+    setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8 and all(system is got[0] for system in got)
+    assert kept.cells == _held_cells(kept) <= exact.KEPT_CELLS
