@@ -337,10 +337,19 @@ def random_coupling(k: int, rng: np.random.Generator,
                     backend: str = exact.RATIONAL) -> CouplingMatrix:
     """Random point: convex combination of six permutation couplings with
     small rational weights, held as lines of at most six nonzeros.  Exact
-    polytope membership by construction."""
-    pos = exact.numerators((_cell_count(k), 6))
+    polytope membership by construction.
+
+    The draws are six weights in 1..19, then six permutations sigma_t of
+    0..k-1 in one call (the stream of six rng.permutation(k) calls);
+    coupling t puts weights[t] at (sigma_t(j), j).  Each entry is written
+    once, as the key 8 j + t in line sigma_t(j), and one sort along the
+    lines orders every line's positions (key >> 3) with their weights
+    (weights[key & 7]) for exact.merge_lines, which sums the repeats."""
+    key = exact.numerators((_cell_count(k), 6))
     weights = rng.integers(1, 20, size=6)
-    for t in range(6):  # permutation t puts weights[t] at (sigma(j), j)
-        pos[rng.permutation(k), t] = np.arange(k)
-    num = np.broadcast_to(weights, pos.shape)
-    return CouplingMatrix(exact.collect_lines(pos, num, int(weights.sum()) * k, backend))
+    slot = np.arange(6)[:, None]
+    key[rng.permuted(np.tile(np.arange(k), (6, 1)), axis=1), slot] = np.arange(0, 8 * k, 8) + slot
+    key.sort(axis=1)
+    num = weights[key & 7]
+    key >>= 3  # the positions
+    return CouplingMatrix(exact.merge_lines(key, num, int(weights.sum()) * k, backend))

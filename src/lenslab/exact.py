@@ -662,36 +662,57 @@ _BLOCK_SLOTS = 2**16
 def collect_lines(pos, num, den: int, backend: str = RATIONAL,
                   width: int | None = None, bound: int = 0) -> Support:
     """The lines of the k x width matrix (width k unless given) with
-    num[i, t] / den added at (i, pos[i, t]) for every slot, repeated
-    positions summed: each line sorted, s the most positions a line holds,
-    dense_lines when that is width.  pos and num are (k, m) arrays, or lists
-    of such arrays whose slots line i joins.  num is int64, or Python ints
-    where bound, an upper bound on every |line sum|, reaches 2**62.  Past
-    _BLOCK_SLOTS slots, lines are collected a block at a time into lines as
-    wide as their slots, cut to s (copied when that halves them)."""
+    num[i, t] / den added at (i, pos[i, t]) for every slot: each line's
+    slots sorted by position, then merged (merge_lines).  pos and num are
+    (k, m) arrays, or lists of such arrays whose slots line i joins.  num
+    is int64, or Python ints where bound, an upper bound on every |line
+    sum|, reaches 2**62.  Past _BLOCK_SLOTS slots, they are sorted a block
+    of lines at a time into one new (k, m) pair, which merge_lines merges
+    in place."""
     if isinstance(pos, np.ndarray):
         pos, num = [pos], [num]
     k, m = len(pos[0]), sum(p.shape[1] for p in pos)
-    width = k if width is None else width
     if m == 1:  # one position a line: sorted already
-        idx, out = freeze(np.array(pos[0])), np.array(num[0])
+        return merge_lines(pos[0], num[0], den, backend, width, bound)
+    if k * m <= _BLOCK_SLOTS:
+        return merge_lines(*_sorted_slots(np.concatenate(pos, 1) if len(pos) > 1 else pos[0],
+                                          np.concatenate(num, 1) if len(num) > 1 else num[0]),
+                           den, backend, width, bound)
+    into = (np.empty((k, m), dtype=int),
+            np.empty((k, m), dtype=np.int64 if bound < _INT64_SAFE else object))
+    for lines in _blocks(k, m):
+        into[0][lines], into[1][lines] = _sorted_slots(
+            *(np.concatenate([a[lines] for a in arrays], 1) for arrays in (pos, num)))
+    return merge_lines(*into, den, backend, width, bound)
+
+
+def merge_lines(pos: np.ndarray, num: np.ndarray, den: int, backend: str = RATIONAL,
+                width: int | None = None, bound: int = 0) -> Support:
+    """The lines of the k x width matrix (width k unless given) with
+    num[i, t] / den added at (i, pos[i, t]), for (k, m) slots whose
+    positions ascend along each line: repeated positions summed, s the most
+    positions a line holds, every line cut to s and a shorter one repeating
+    its last position with value zero; dense_lines when s is width, and the
+    values on the backend (from_scaled).  num is as collect_lines takes it.
+    Past _BLOCK_SLOTS slots, lines are merged a block at a time, each
+    written over its own slots of pos and num, and cut to s (copied when
+    that halves them)."""
+    k, m = pos.shape
+    width = k if width is None else width
+    if m == 1:
+        idx, out = freeze(np.array(pos)), np.array(num)
     elif k * m <= _BLOCK_SLOTS:
-        idx, out = _collected(np.concatenate(pos, 1) if len(pos) > 1 else pos[0],
-                              np.concatenate(num, 1) if len(num) > 1 else num[0], bound)
+        idx, out = _merged(pos, num, bound)
         freeze(idx)
     else:
-        idx = np.empty((k, m), dtype=int)
-        out, s = np.zeros((k, m), dtype=np.int64 if bound < _INT64_SAFE else object), 1
-        step = max(1, _BLOCK_SLOTS // m)
-        for lo in range(0, k, step):
-            lines = slice(lo, lo + step)
-            i, o = _collected(np.concatenate([p[lines] for p in pos], 1),
-                              np.concatenate([n[lines] for n in num], 1), bound)
+        s = 1
+        for lines in _blocks(k, m):
+            i, o = _merged(pos[lines], num[lines], bound)
             # Past its own, a line repeats its last position, with value zero.
-            idx[lines, :i.shape[1]], idx[lines, i.shape[1]:] = i, i[:, -1:]
-            out[lines, :o.shape[1]] = o
+            pos[lines, :i.shape[1]], pos[lines, i.shape[1]:] = i, i[:, -1:]
+            num[lines, :o.shape[1]], num[lines, o.shape[1]:] = o, 0
             s = max(s, i.shape[1])
-        idx, out = (a[:, :s].copy() if 2 * s <= m else a[:, :s] for a in (idx, out))
+        idx, out = (a[:, :s].copy() if 2 * s <= m else a[:, :s] for a in (pos, num))
         freeze(idx)
     if idx.shape[1] == width:  # a line holds every position: the dense form
         return dense_lines(_fresh(from_scaled(lines_matrix(Support(idx, out), width),
@@ -699,19 +720,38 @@ def collect_lines(pos, num, den: int, backend: str = RATIONAL,
     return Support(idx, _fresh(from_scaled(out, den, backend)))
 
 
-def _collected(pos: np.ndarray, num: np.ndarray, bound: int):
-    """collect_lines' positions and numerators for one block of lines."""
-    m = pos.shape[1]
+def _blocks(k: int, m: int):
+    """Slices of consecutive lines, _BLOCK_SLOTS of k lines' m slots each."""
+    step = max(1, _BLOCK_SLOTS // m)
+    return (slice(lo, lo + step) for lo in range(0, k, step))
+
+
+def _sorted_slots(pos: np.ndarray, num: np.ndarray):
+    """pos and num with each line's slots in ascending order of position."""
     order = np.argsort(pos, axis=1)
-    pos, num = _by_rows(pos, order), _by_rows(num, order)
+    return _by_rows(pos, order), _by_rows(num, order)
+
+
+def _merged(pos: np.ndarray, num: np.ndarray, bound: int):
+    """merge_lines' positions and numerators for one block of sorted lines."""
+    m = pos.shape[1]
     real = _real(pos)
-    slot = np.cumsum(real, axis=1) - 1  # where each entry goes in its line
     flat = np.flatnonzero(real)
-    at = (flat // m, slot.ravel()[flat])
-    idx = np.full((len(pos), int(slot[:, -1].max()) + 1), -1)
+    count = np.cumsum(real, axis=1)  # positions a line holds up to each slot
+    s = int(count[:, -1].max())
+    # Each position's flat index in the (k, s) result: line * s + count - 1.
+    at = flat // m
+    at *= s
+    at += count.ravel()[flat]
+    at -= 1
+    del count
+    # A sorted line's last slot holds its last position, which pads it.
+    idx = np.empty((len(pos), s), dtype=int)
+    idx[...] = pos[:, -1:]
     out = numerators(idx.shape, bound)
-    idx[at], out[at] = pos.ravel()[flat], np.add.reduceat(num.ravel(), flat)
-    return np.maximum.accumulate(idx, axis=1, out=idx), out
+    np.put(idx, at, pos.ravel()[flat])
+    np.put(out, at, np.add.reduceat(num.ravel(), flat))
+    return idx, out
 
 
 def _by_rows(a: np.ndarray, order: np.ndarray) -> np.ndarray:

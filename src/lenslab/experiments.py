@@ -412,8 +412,11 @@ def _flag(name: str, raw: str) -> bool:
 
 
 def _rng_children(seed: int, n: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(s)
-            for s in np.random.SeedSequence(seed).spawn(n)]
+    """n independent generators for a seeded run: child i runs on the
+    SeedSequence of seed with spawn key (i,), the stream of default_rng
+    over SeedSequence(seed).spawn(n)[i], built without the parent."""
+    return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
+            for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

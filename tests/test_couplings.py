@@ -1,5 +1,6 @@
 """Transportation-polytope couplings: constructors, maps, repair."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -310,13 +311,60 @@ def test_graph_permutation_inverts_graph_coupling():
 
 
 def test_graph_and_random_couplings_are_lines_not_arrays():
-    """A graph coupling holds one value a line and a random one at most
-    six; a dense matrix is the line set of width k, its stored form."""
+    """A graph coupling holds one value a line (a random one: below); a
+    dense matrix is the line set of width k, its stored form."""
     rng = np.random.default_rng(7)
     assert graph_coupling(rng.permutation(4096)).lines.idx.shape == (4096, 1)
-    assert random_coupling(4096, rng).lines.idx.shape[1] <= 6
     product = product_coupling(3)
     assert exact.is_dense(product.lines) and product.matrix is product.lines.val
+
+
+def _random_coupling_oracle(k, rng, backend=exact.RATIONAL):
+    """random_coupling as six permutation draws, each written into its
+    own slot, and collected by exact.collect_lines."""
+    pos = exact.numerators((k, 6))
+    weights = rng.integers(1, 20, size=6)
+    for t in range(6):  # permutation t puts weights[t] at (sigma(j), j)
+        pos[rng.permutation(k), t] = np.arange(k)
+    num = np.broadcast_to(weights, pos.shape)
+    return CouplingMatrix(exact.collect_lines(pos, num, int(weights.sum()) * k, backend))
+
+
+@pytest.mark.parametrize("backend", [exact.RATIONAL, exact.FLOAT])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 16, 48, 64, 256, 4096])
+def test_random_coupling_matches_the_collected_oracle(k, backend):
+    """The same lines, values, denominator and dtype as six permutation
+    draws collected slot by slot, and the generator left where the oracle
+    leaves it."""
+    for seed in range(12 if k == 4096 else 40):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_coupling(k, rng, backend).lines
+        want = _random_coupling_oracle(k, oracle_rng, backend).lines
+        assert exact.is_dense(got) == exact.is_dense(want)
+        assert np.array_equal(got.idx, want.idx)
+        if backend == exact.RATIONAL:
+            assert got.val.den == want.val.den and got.val.bound == want.val.bound
+            got_num, want_num = got.val.num, want.val.num
+        else:
+            got_num, want_num = got.val, want.val
+        assert got_num.dtype == want_num.dtype and np.array_equal(got_num, want_num)
+        assert rng.integers(2**63) == oracle_rng.integers(2**63)
+
+
+@pytest.mark.parametrize("backend", [exact.RATIONAL, exact.FLOAT])
+def test_random_coupling_at_k_4096_stays_lines(backend):
+    """At most six positions a line, built in far less memory than one
+    4096 x 4096 int64 array (128 MiB)."""
+    random_coupling(4096, np.random.default_rng(0), backend)  # first-call caches
+    tracemalloc.start()
+    try:
+        c = random_coupling(4096, np.random.default_rng(1), backend)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert c.lines.idx.shape[0] == 4096 and c.lines.idx.shape[1] <= 6
+    assert not exact.is_dense(c.lines)
+    assert peak < 2 * 2**20
 
 
 #

@@ -442,6 +442,31 @@ def test_flat_concat_joins_stored_forms_over_one_denominator(parts):
     assert floats.tolist() == [0.5, -0.0, 1.5] and not floats.flags.writeable
 
 
+@pytest.mark.parametrize("block", [6, 40, exact._BLOCK_SLOTS])
+@pytest.mark.parametrize("magnitude", [9, 2**70])
+def test_collect_lines_matches_the_dense_sum_at_any_block_size(monkeypatch, block, magnitude):
+    """Slots merged in blocks of lines (written over the sorted slots) or
+    all at once give the lines of the dense sum, on int64 and on Python-int
+    numerators, and the dense form when a line holds every position."""
+    monkeypatch.setattr(exact, "_BLOCK_SLOTS", block)
+    rng = np.random.default_rng(block + magnitude % 7)
+    for k, width, widths in [(9, 9, (3, 4)), (5, 4, (6,)), (12, 30, (2, 1, 5)), (7, 7, (1,))]:
+        pos = [rng.integers(0, width, size=(k, w)) for w in widths]
+        num = [rng.integers(-3, 4, size=(k, w)).astype(object) * magnitude for w in widths]
+        if magnitude < exact._INT64_SAFE:
+            num = [n.astype(np.int64) for n in num]
+        dense = np.zeros((k, width), dtype=object)
+        for p, n in zip(pos, num):
+            np.add.at(dense, (np.arange(k)[:, None], p), n.astype(object))
+        bound = sum(widths) * 3 * magnitude
+        lines = exact.collect_lines(pos, num, 7, width=width, bound=bound)
+        assert exact.same(exact.lines_matrix(lines, width), exact.from_scaled(dense, 7))
+        assert exact.is_dense(lines) == (lines.idx.shape[1] == width)
+        if not exact.is_dense(lines):  # canonical: ascending, repeats valued zero
+            assert (np.diff(lines.idx, axis=1) >= 0).all()
+            assert not lines.val.num[~exact._real(lines.idx)].any()
+
+
 #
 # The gather kernel against the dense integer product, its test-only oracle.
 #

@@ -38,7 +38,7 @@ from lenslab import (
 )
 from lenslab import zoo
 from lenslab.cli import main as cli_main
-from lenslab.experiments import REGISTRY, STEP_BUDGET, _guard_steps, _step_cost
+from lenslab.experiments import REGISTRY, STEP_BUDGET, _guard_steps, _rng_children, _step_cost
 
 from report_oracles import assert_written_as_the_oracles
 
@@ -246,6 +246,19 @@ def test_seeded_run_is_byte_identical():
     assert a.to_stable_json() == b.to_stable_json()
     assert a.series_csv("residuals") == b.series_csv("residuals")
     assert a.passed
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2**64 + 1])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rng_children_are_the_spawned_streams(seed, n):
+    """Child i is default_rng over SeedSequence(seed).spawn(n)[i]: the
+    seeded runs and their recorded digests rest on these streams."""
+    got = _rng_children(seed, n)
+    want = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
+    assert len(got) == n
+    for a, b in zip(got, want):
+        assert a.bit_generator.state == b.bit_generator.state
+        assert np.array_equal(a.integers(2**63, size=4), b.integers(2**63, size=4))
 
 
 def test_report_files_roundtrip(tmp_path):
